@@ -67,8 +67,8 @@ def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple[float, f
     """Per-head cosine similarity against the anchors, reduced to the
     across-head mean and population variance.
 
-    A zero-norm head contributes similarity 0 and raises the degeneracy flag
-    instead of failing mid-generation.
+    A zero-norm or non-finite head contributes similarity 0 and raises the
+    degeneracy flag instead of failing mid-generation.
     """
     anchors = np.asarray(anchors)
     currents = np.asarray(currents)

@@ -10,7 +10,7 @@ input through unchanged, while the FFN still executes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,6 +131,9 @@ def save_weights(w: Weights) -> bytes:
 
 
 def load_weights(blob: bytes) -> Weights:
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"truncated weights blob: {len(blob)} bytes, "
+                         f"shorter than the {_HEADER.size}-byte header")
     magic, version, n_layers, n_heads, d_model, d_head, d_ff, vocab, max_seq, seed = \
         _HEADER.unpack_from(blob, 0)
     if magic != WEIGHTS_MAGIC:
@@ -144,6 +147,9 @@ def load_weights(blob: bytes) -> Weights:
     def take(shape):
         nonlocal offset
         n = int(np.prod(shape))
+        if offset + 4 * n > len(blob):
+            raise ValueError(f"truncated weights blob: {len(blob)} bytes, "
+                             f"an array needs bytes {offset} to {offset + 4 * n}")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
         offset += 4 * n
         return arr
@@ -272,6 +278,12 @@ class DecodeSession:
             raise ConfigError("session mode must be 'dense' or 'filtered'")
         if mode == "filtered" and prune is None:
             raise ConfigError("filtered mode requires a prune config")
+        if weights is not None and weights.config != config:
+            diff = ", ".join(f"{f.name} {getattr(weights.config, f.name)} in the weights, "
+                             f"{getattr(config, f.name)} in the session"
+                             for f in fields(ModelConfig)
+                             if getattr(weights.config, f.name) != getattr(config, f.name))
+            raise ConfigError(f"weights do not match the model config: {diff}")
         self.config = config
         self.prune = prune
         self.mode = mode

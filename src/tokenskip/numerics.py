@@ -31,8 +31,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1].
 
     Computed through squared norms so that identical (or exactly scaled)
-    inputs give exactly +-1.0. Zero-norm input is an error; a zero key or
-    value indicates upstream corruption and the caller decides the fallback.
+    inputs give exactly +-1.0. Zero-norm or non-finite input is an error; a
+    zero or NaN key or value indicates upstream corruption and the caller
+    decides the fallback.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -43,6 +44,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     dot = float(np.dot(a64, b64))
     sa = float(np.dot(a64, a64))
     sb = float(np.dot(b64, b64))
+    if not (math.isfinite(dot) and math.isfinite(sa) and math.isfinite(sb)):
+        raise DegenerateInputError("cosine similarity of a non-finite vector is undefined")
     if sa == 0.0 or sb == 0.0:
         raise DegenerateInputError("cosine similarity of a zero-norm vector is undefined")
     ratio = (dot * dot) / (sa * sb)

@@ -60,9 +60,15 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
         by_step[e.step].append(e)
 
-    have_attn = all(e.attn is not None for e in events) and bool(events)
+    # Mass lost indexes attention columns by step, which holds only when every
+    # row spans the full cache; a recording that dropped skipped tokens from
+    # its cache has compacted rows, and gets no mass metrics.
+    have_attn = bool(events) and all(e.attn is not None and e.attn.shape[1] == e.step + 1
+                                     for e in events)
     if require_attn and not have_attn:
-        raise TraceCompatibilityError("metric requires attention rows, but the trace lacks them")
+        raise TraceCompatibilityError(
+            "metric requires full-cache attention rows, but the trace lacks them "
+            "or has compacted rows")
 
     reports: list[StepReport] = []
     skipped_positions: dict[tuple[int, int], set[int]] = defaultdict(set)

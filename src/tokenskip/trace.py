@@ -5,21 +5,29 @@ from the toy model: each event carries the per-head key/value a token produced
 at one layer, plus (optionally) the exact attention row its query produced
 over the cache, as ground truth for loss proxies.
 
-Format, version 1:
-  header: {"type": "header", "format_version": 1, "n_layers": int,
+Format, version 2 (written):
+  header: {"type": "header", "format_version": 2, "n_layers": int,
            "n_heads": int, "d_head": int, "n_steps": int,
            "source": "toy_model" | "synthetic" | "external",
            "generator_params": {str: str}}
   event:  {"type": "event", "seq": int, "step": int, "layer": int,
-           "k": [[float] * d_head] * n_heads, "v": like k,
-           "attn": [[float] * cache_len] * n_heads or null}
-Events are ordered by (seq, step, layer). generator_params is a free-form
-string map; recognized keys include "prefill_steps" (positions that replay
-must treat as prompt) and the synthesis parameters.
+           "k": array of shape [n_heads, d_head], "v": like k,
+           "attn": array of shape [n_heads, cache_len] or null}
+  array:  {"shape": [rows, cols], "f32": str}, where f32 is the base64 of
+          the rows * cols little-endian float32 values in row-major order.
+Version 1 (read only) is the same except that each array is a nested JSON
+list of decimal floats, [[float] * cols] * rows.
+
+Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
+0 <= step < n_steps and 0 <= layer < n_layers; every value is finite.
+generator_params is a free-form string map; recognized keys include
+"n_seqs" (default 1), "prefill_steps" (positions that replay must treat as
+prompt) and the synthesis parameters.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -27,7 +35,8 @@ import numpy as np
 
 from .numerics import softmax, substream
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
 SOURCES = ("toy_model", "synthetic", "external")
 PATTERNS = ("repetitive", "random", "depth_concentrated")
 
@@ -72,19 +81,43 @@ class TraceEvent:
 
 
 def _array2d(values, name, lineno) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32)
+    """Decode one version 1 array: a nested list of decimal floats."""
+    try:
+        arr = np.asarray(values, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array") from exc
     if arr.ndim != 2:
         raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array")
     return arr
 
 
+def _encode_f32(arr) -> dict:
+    a = np.ascontiguousarray(arr, dtype="<f4")
+    return {"shape": list(a.shape), "f32": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_f32(obj, name, lineno) -> np.ndarray:
+    """Decode one version 2 array: a shape and base64 float32 bytes."""
+    try:
+        rows, cols = (int(n) for n in obj["shape"])
+        data = base64.b64decode(obj["f32"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float32 array") from exc
+    if min(rows, cols) < 0 or len(data) != 4 * rows * cols:
+        raise TraceFormatError(
+            f"line {lineno}: {name} holds {len(data)} bytes, not shape [{rows}, {cols}]")
+    # astype copies into a writable native float32 array.
+    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
+
+
 def write_trace(path, header: TraceHeader, events) -> int:
-    """Write header + events; returns the number of events written."""
+    """Write header + events in format version 2, whatever version the
+    header was read from; returns the number of events written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "type": "header",
-            "format_version": header.format_version,
+            "format_version": FORMAT_VERSION,
             "n_layers": header.n_layers,
             "n_heads": header.n_heads,
             "d_head": header.d_head,
@@ -99,10 +132,9 @@ def write_trace(path, header: TraceHeader, events) -> int:
                 "seq": e.seq,
                 "step": e.step,
                 "layer": e.layer,
-                "k": [[float(x) for x in row] for row in np.asarray(e.k, dtype=np.float32)],
-                "v": [[float(x) for x in row] for row in np.asarray(e.v, dtype=np.float32)],
-                "attn": None if e.attn is None else
-                        [[float(x) for x in row] for row in np.asarray(e.attn, dtype=np.float32)],
+                "k": _encode_f32(e.k),
+                "v": _encode_f32(e.v),
+                "attn": None if e.attn is None else _encode_f32(e.attn),
             }
             fh.write(json.dumps(obj))
             fh.write("\n")
@@ -110,9 +142,30 @@ def write_trace(path, header: TraceHeader, events) -> int:
     return n
 
 
+def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
+    """The header, and the exclusive upper bounds of (seq, step, layer)."""
+    version = obj.get("format_version")
+    if version not in READ_VERSIONS:
+        raise TraceFormatError(f"line {lineno}: unsupported format_version {version}")
+    try:
+        header = TraceHeader(
+            n_layers=int(obj["n_layers"]), n_heads=int(obj["n_heads"]),
+            d_head=int(obj["d_head"]), n_steps=int(obj["n_steps"]),
+            source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
+            format_version=version,
+        )
+        return header, (header.n_seqs, header.n_steps, header.n_layers)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"line {lineno}: malformed header ({exc!r})") from exc
+
+
 def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read and validate a trace file: header first, dimensions fixed, events
-    ordered by (seq, step, layer), attention rows normalized."""
+    """Read and validate a trace file of format version 1 or 2: header first,
+    dimensions fixed, ids inside the header's ranges, events ordered by
+    (seq, step, layer), values finite, attention rows normalized. The
+    returned header's format_version is the version the file holds."""
     header = None
     events: list[TraceEvent] = []
     last_key = None
@@ -125,36 +178,44 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise TraceFormatError(f"line {lineno}: record must be a JSON object")
             kind = obj.get("type")
             if header is None:
                 if kind != "header":
                     raise TraceFormatError(f"line {lineno}: first record must be the header")
-                if obj.get("format_version") != FORMAT_VERSION:
-                    raise TraceFormatError(
-                        f"line {lineno}: unsupported format_version {obj.get('format_version')}")
-                header = TraceHeader(
-                    n_layers=int(obj["n_layers"]), n_heads=int(obj["n_heads"]),
-                    d_head=int(obj["d_head"]), n_steps=int(obj["n_steps"]),
-                    source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
-                )
+                header, limits = _parse_header(obj, lineno)
+                decode = _array2d if header.format_version == 1 else _decode_f32
+                expected = (header.n_heads, header.d_head)
                 continue
             if kind != "event":
                 raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
-            k = _array2d(obj["k"], "k", lineno)
-            v = _array2d(obj["v"], "v", lineno)
-            expected = (header.n_heads, header.d_head)
+            try:
+                key = (int(obj["seq"]), int(obj["step"]), int(obj["layer"]))
+                k_obj, v_obj = obj["k"], obj["v"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
+            k = decode(k_obj, "k", lineno)
+            v = decode(v_obj, "v", lineno)
+            for name, value, limit in zip(("seq", "step", "layer"), key, limits):
+                if not 0 <= value < limit:
+                    raise TraceFormatError(
+                        f"line {lineno}: {name} {value} outside the header's range [0, {limit})")
             if k.shape != expected or v.shape != expected:
                 raise TraceFormatError(
                     f"line {lineno}: K/V shape {k.shape} does not match header {expected}")
+            if not (np.isfinite(k).all() and np.isfinite(v).all()):
+                raise TraceFormatError(f"line {lineno}: K/V values must be finite")
             attn = None
             if obj.get("attn") is not None:
-                attn = _array2d(obj["attn"], "attn", lineno)
+                attn = decode(obj["attn"], "attn", lineno)
                 if attn.shape[0] != header.n_heads:
                     raise TraceFormatError(f"line {lineno}: attn head count mismatch")
+                if not np.isfinite(attn).all():
+                    raise TraceFormatError(f"line {lineno}: attn values must be finite")
                 if np.any(attn < 0) or np.any(np.abs(attn.sum(axis=1) - 1.0) > 1e-5):
                     raise TraceFormatError(
                         f"line {lineno}: attn rows must be non-negative and sum to 1")
-            key = (int(obj["seq"]), int(obj["step"]), int(obj["layer"]))
             if last_key is not None and key <= last_key:
                 raise TraceFormatError(f"line {lineno}: events out of (seq, step, layer) order")
             last_key = key
@@ -185,9 +246,9 @@ class TraceRecorder:
 
     def header(self) -> TraceHeader:
         n_steps = 1 + max((e.step for e in self.events), default=-1)
-        seqs = {e.seq for e in self.events}
+        n_seqs = 1 + max((e.seq for e in self.events), default=0)
         params = dict(self.generator_params)
-        params.setdefault("n_seqs", str(max(len(seqs), 1)))
+        params.setdefault("n_seqs", str(n_seqs))
         return TraceHeader(n_layers=self.n_layers, n_heads=self.n_heads, d_head=self.d_head,
                            n_steps=n_steps, source=self.source, generator_params=params)
 
