@@ -5,6 +5,13 @@ Each in-scope layer keeps one anchor key and one anchor value per head and per
 sequence (a running summary of every previous token), plus a per-layer
 threshold and running head-variance estimates. A token whose fused key/value
 similarity to the anchors exceeds the threshold is redundant enough to skip.
+
+The anchor of a (layer, sequence) is one (2, n_heads, d_head) float64 array,
+keys stacked over values, so a decision makes one batched head_similarity
+call and one anchor update for both. head_similarity takes any leading batch
+axes and equals a per-head loop bit for bit. A token with a non-finite key or
+value is reported as degenerate, never skipped, and never folded into its
+anchor.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import cosine_similarity, population_mean_var, DegenerateInputError
+from .numerics import cosine_rows, population_mean_var
+# Not called here: kept importable from this module, where
+# perfbench/tracer.py wraps it.
+from .numerics import cosine_similarity  # noqa: F401
 from .policy import PruneConfig, RatioEstimator, per_layer_target, select_layers, update_threshold
 from .reporting import StepReport
 
@@ -63,26 +73,25 @@ def update_anchor_mean(anchor: np.ndarray | None, current: np.ndarray, count: in
     return anchor + (current - anchor) / count
 
 
-def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple[float, float, bool]:
+def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:
     """Per-head cosine similarity against the anchors, reduced to the
     across-head mean and population variance.
 
-    A zero-norm or non-finite head contributes similarity 0 and raises the
-    degeneracy flag instead of failing mid-generation.
+    Works on (..., n_heads, d_head) arrays; leading axes batch independent
+    comparisons and give arrays of means, variances and flags. For a single
+    (n_heads, d_head) pair the result is (float, float, bool). A zero-norm or
+    non-finite head contributes similarity 0 and raises the degeneracy flag
+    instead of failing mid-generation.
     """
     anchors = np.asarray(anchors)
     currents = np.asarray(currents)
-    if anchors.shape != currents.shape or anchors.ndim != 2:
-        raise ValueError("expected matching (n_heads, d_head) arrays")
-    sims = []
-    degenerate = False
-    for h in range(anchors.shape[0]):
-        try:
-            sims.append(cosine_similarity(anchors[h], currents[h]))
-        except DegenerateInputError:
-            sims.append(0.0)
-            degenerate = True
+    if anchors.shape != currents.shape or anchors.ndim < 2:
+        raise ValueError("expected matching (..., n_heads, d_head) arrays")
+    sims, degenerate_heads = cosine_rows(anchors, currents)
     mean, var = population_mean_var(sims)
+    degenerate = np.logical_or.reduce(degenerate_heads, axis=-1)
+    if anchors.ndim == 2:
+        return float(mean), float(var), bool(degenerate)
     return mean, var, degenerate
 
 
@@ -125,6 +134,11 @@ def anchor_memory_bytes(n_heads: int, d_head: int, tail_layer_count: int,
     return tail_layer_count * n_heads * d_head * 2 * 4 * sequences_per_batch
 
 
+def _step_mean(values: list) -> float:
+    """np.mean of one step's values; a single value is its own mean."""
+    return values[0] if len(values) == 1 else float(np.mean(values))
+
+
 class MisconfigurationError(ValueError):
     """A decision was requested for a layer outside the configured scope."""
 
@@ -141,9 +155,10 @@ class _LayerState:
     shadow_skip_count: int = 0
     actual_estimator: RatioEstimator = None
     shadow_estimator: RatioEstimator = None
-    # Per-step accumulators, flushed at the step barrier.
-    pending_actual: list = field(default_factory=list)
-    pending_shadow: list = field(default_factory=list)
+    # Per-step accumulators, flushed at the step barrier: counts of enacted
+    # and would-be skips, and one head variance per decision.
+    pending_actual: int = 0
+    pending_shadow: int = 0
     pending_var_k: list = field(default_factory=list)
     pending_var_v: list = field(default_factory=list)
 
@@ -166,7 +181,7 @@ class FilterEngine:
         self.target = per_layer_target(config)
         self.step_index = 0            # decode steps completed
         self._in_prefill = False
-        self._anchors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._anchors: dict[tuple[int, int], np.ndarray] = {}   # (2, n_heads, d_head)
         self._obs_counts: dict[tuple[int, int], int] = {}
         self.layers: dict[int, _LayerState] = {}
         for layer in self.active_layers:
@@ -186,21 +201,22 @@ class FilterEngine:
         untouched (dense telemetry runs)."""
         gamma = self.config.gamma
         for st in self.layers.values():
-            if st.pending_actual:
+            n = len(st.pending_var_k)
+            if n:
                 if not frozen:
-                    st.actual_estimator.update(float(np.mean(st.pending_actual)))
-                    st.shadow_estimator.update(float(np.mean(st.pending_shadow)))
+                    # The mean of 0/1 indicators is their count over n, exactly.
+                    st.actual_estimator.update(st.pending_actual / n)
+                    st.shadow_estimator.update(st.pending_shadow / n)
                     rho = self._controller_ratio(st)
                     st.tau = update_threshold(st.tau, rho, self.target, self.config.eta)
-                fresh_k = float(np.mean(st.pending_var_k))
-                fresh_v = float(np.mean(st.pending_var_v))
+                fresh_k = _step_mean(st.pending_var_k)
+                fresh_v = _step_mean(st.pending_var_v)
                 if self.config.variance_mode == "instant" or st.var_k is None:
                     st.var_k, st.var_v = fresh_k, fresh_v
                 else:
                     st.var_k = gamma * st.var_k + (1.0 - gamma) * fresh_k
                     st.var_v = gamma * st.var_v + (1.0 - gamma) * fresh_v
-            st.pending_actual.clear()
-            st.pending_shadow.clear()
+            st.pending_actual = st.pending_shadow = 0
             st.pending_var_k.clear()
             st.pending_var_v.clear()
         if not self._in_prefill:
@@ -220,8 +236,8 @@ class FilterEngine:
 
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or enact=False telemetry runs). The first
-        observation for a (layer, sequence) only initializes the anchors and
-        yields no report.
+        finite observation for a (layer, sequence) only initializes the anchors
+        and yields no report.
         """
         if layer not in self.layers:
             raise MisconfigurationError(f"layer {layer} is outside the filtered set")
@@ -229,18 +245,26 @@ class FilterEngine:
         key = (layer, seq)
         # Canonical wire precision: the live engine and a trace replay must see
         # bit-identical inputs, so K/V pass through float32 before filter math.
-        k_heads = np.asarray(k_heads, dtype=np.float32).astype(np.float64)
-        v_heads = np.asarray(v_heads, dtype=np.float32).astype(np.float64)
+        # They are stacked as one (2, n_heads, d_head) array: one similarity
+        # call and one anchor update per decision.
+        kv = np.array((k_heads, v_heads), dtype=np.float32).astype(np.float64)
 
-        anchors = self._anchors.get(key)
-        self._obs_counts[key] = self._obs_counts.get(key, 0) + 1
-        if anchors is None:
-            self._anchors[key] = (k_heads.copy(), v_heads.copy())
+        anchor = self._anchors.get(key)
+        if anchor is None:
+            if np.isfinite(kv).all():
+                self._anchors[key] = kv
+                self._obs_counts[key] = 1
             return False, None
 
-        anchor_k, anchor_v = anchors
-        s_k, fresh_var_k, degen_k = head_similarity(anchor_k, k_heads)
-        s_v, fresh_var_v, degen_v = head_similarity(anchor_v, v_heads)
+        means, variances, degenerate = head_similarity(anchor, kv)
+        s_k, s_v = means.tolist()
+        fresh_var_k, fresh_var_v = variances.tolist()
+        degen_k, degen_v = degenerate.tolist()
+        # A non-finite token is never skipped and never folded into its anchor:
+        # one corrupt token must not make every later one degenerate. A
+        # non-finite value makes its head degenerate, so only a degenerate
+        # decision needs the check.
+        finite = not (degen_k or degen_v) or bool(np.isfinite(kv).all())
 
         # The decision sees the running variance as if this step's observation
         # were already blended in; the shared state itself moves at the step
@@ -254,9 +278,10 @@ class FilterEngine:
 
         score = fuse(s_k, s_v, dec_var_k, dec_var_v,
                      formula=self.config.fusion_formula, mode=self.config.fusion)
-        would_skip = score.s_kv > st.tau
-
-        self._update_anchors(key, k_heads, v_heads)
+        would_skip = finite and score.s_kv > st.tau
+        if finite:
+            self._obs_counts[key] += 1
+            self._update_anchor(key, kv)
 
         # A zero budget means zero skips, exactly: the proportional controller
         # can only approach zero asymptotically, so enforce it outright.
@@ -267,8 +292,8 @@ class FilterEngine:
         st.eligible_count += 1
         st.shadow_skip_count += int(would_skip)
         st.skip_count += int(skipped)
-        st.pending_actual.append(1.0 if skipped else 0.0)
-        st.pending_shadow.append(1.0 if would_skip else 0.0)
+        st.pending_actual += skipped
+        st.pending_shadow += would_skip
         st.pending_var_k.append(fresh_var_k)
         st.pending_var_v.append(fresh_var_v)
 
@@ -280,22 +305,19 @@ class FilterEngine:
         )
         return skipped, report
 
-    def _update_anchors(self, key: tuple[int, int], k_heads: np.ndarray, v_heads: np.ndarray):
-        anchor_k, anchor_v = self._anchors[key]
+    def _update_anchor(self, key: tuple[int, int], kv: np.ndarray) -> None:
+        anchor = self._anchors[key]
         if self.config.anchor_mode == "ema":
-            g = self.config.gamma
-            new_k = update_anchor(anchor_k, k_heads, g)
-            new_v = update_anchor(anchor_v, v_heads, g)
+            self._anchors[key] = update_anchor(anchor, kv, self.config.gamma)
         else:
-            count = self._obs_counts[key]
-            new_k = update_anchor_mean(anchor_k, k_heads, count)
-            new_v = update_anchor_mean(anchor_v, v_heads, count)
-        self._anchors[key] = (new_k, new_v)
+            self._anchors[key] = update_anchor_mean(anchor, kv, self._obs_counts[key])
 
     # -- introspection -----------------------------------------------------
 
     def anchors(self, layer: int, seq: int = 0):
-        return self._anchors.get((layer, seq))
+        """The (key, value) anchors of one (layer, sequence), or None."""
+        kv = self._anchors.get((layer, seq))
+        return None if kv is None else (kv[0], kv[1])
 
     def tau(self, layer: int) -> float:
         return self.layers[layer].tau

@@ -222,7 +222,7 @@ def attention_forward(weights: Weights, layer: int, query_hidden: np.ndarray, ca
     q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head)
     k, v = cache.view(layer)
     scores = np.einsum("hld,hd->hl", k, q) / np.float32(np.sqrt(c.d_head))
-    probs = np.stack([softmax(scores[h]) for h in range(c.n_heads)])
+    probs = softmax(scores)
     ctx = np.einsum("hl,hld->hd", probs, v).reshape(c.d_model).astype(np.float32)
     out = (lw.wo @ ctx).astype(np.float32)
     if return_weights:
@@ -240,7 +240,7 @@ def attention_row_if_kept(weights: Weights, layer: int, query_hidden: np.ndarray
     k_old, _ = cache.view(layer)
     k = np.concatenate([k_old, k_new[:, None, :]], axis=1)
     scores = np.einsum("hld,hd->hl", k, q) / np.float32(np.sqrt(c.d_head))
-    return np.stack([softmax(scores[h]) for h in range(c.n_heads)]).astype(np.float32)
+    return softmax(scores).astype(np.float32)
 
 
 def ffn_forward(weights: Weights, layer: int, x: np.ndarray) -> np.ndarray:

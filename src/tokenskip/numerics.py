@@ -2,11 +2,15 @@
 
 Model math is float32; statistics accumulate in float64. All functions are
 pure and operate on caller-owned numpy arrays.
+
+The kernels take whole arrays: cosine_rows compares matching rows under any
+leading batch axes, softmax normalizes along one axis (the last by default),
+and population_mean_var reduces the last axis. Each gives the same bits as
+its one-vector-at-a-time form, so batching never changes a decision.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -27,49 +31,79 @@ def as_vector(values, dtype=np.float32) -> np.ndarray:
     return v
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine similarity of each pair of rows (the last axis) of a and b, in
+    float64, with a degeneracy mask of the same shape.
 
-    Computed through squared norms so that identical (or exactly scaled)
-    inputs give exactly +-1.0. Zero-norm or non-finite input is an error; a
-    zero or NaN key or value indicates upstream corruption and the caller
-    decides the fallback.
+    Leading axes batch independent comparisons. The cosine goes through
+    squared norms, so identical (or exactly scaled) rows give exactly +-1.0.
+    A row pair is degenerate, and scores 0, when that formula has no
+    meaningful value: its dot product is non-finite, or the product of its
+    squared norms is not a positive finite double (a zero, non-finite, or far
+    too small or large row). Each dot product is one BLAS ddot, the same call
+    np.dot makes for two vectors, so a batched call equals the
+    vector-at-a-time one bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim < 1:
+        raise ValueError(f"expected matching arrays of rows: {a.shape} vs {b.shape}")
+    rows_a, cols_b = a[..., None, :], b[..., :, None]
+    # Degenerate rows are an expected, flagged input here: no warnings.
+    with np.errstate(all="ignore"):
+        dot = np.matmul(rows_a, cols_b)[..., 0, 0]
+        sa = np.matmul(rows_a, a[..., :, None])[..., 0, 0]
+        sb = np.matmul(b[..., None, :], cols_b)[..., 0, 0]
+        den = sa * sb
+        ok = np.isfinite(dot) & (0.0 < den) & (den < np.inf)
+        sims = np.where(ok, np.copysign(np.sqrt(np.minimum(1.0, dot * dot / den)), dot), 0.0)
+    return sims, ~ok
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors, in [-1, 1].
+
+    Zero-norm, non-finite or out-of-range input (see cosine_rows) is a
+    DegenerateInputError; a zero or NaN key or value indicates upstream
+    corruption and the caller decides the fallback.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    a64 = a.astype(np.float64, copy=False)
-    b64 = b.astype(np.float64, copy=False)
-    dot = float(np.dot(a64, b64))
-    sa = float(np.dot(a64, a64))
-    sb = float(np.dot(b64, b64))
-    if not (math.isfinite(dot) and math.isfinite(sa) and math.isfinite(sb)):
-        raise DegenerateInputError("cosine similarity of a non-finite vector is undefined")
-    if sa == 0.0 or sb == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector is undefined")
-    ratio = (dot * dot) / (sa * sb)
-    c = math.copysign(math.sqrt(min(1.0, ratio)), dot)
-    return min(1.0, max(-1.0, c))
+    sim, degenerate = cosine_rows(a, b)
+    if degenerate:
+        raise DegenerateInputError("cosine similarity of a zero-norm, non-finite or "
+                                   "out-of-range vector is undefined")
+    return float(sim)
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max subtraction), preserving dtype."""
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax along one axis (max subtraction), preserving
+    dtype.
+
+    The result is C-contiguous, so along the last axis each row sums in the
+    same (pairwise) order as a 1-D call on that row, and a whole-array call
+    equals the row-at-a-time one bit for bit.
+    """
     x = np.asarray(x)
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), order="C"))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Normalize x to zero mean / unit variance, then apply the affine map."""
+    """Normalize x to zero mean / unit variance, then apply the affine map.
+
+    The moments are np.mean/np.var of the float64 vector, reduced directly
+    (same sums, same order, same bits).
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     x64 = np.asarray(x, dtype=np.float64)
-    mu = x64.mean()
-    var = x64.var()
-    normed = (x64 - mu) / np.sqrt(var + eps)
-    out = normed * np.asarray(gain, dtype=np.float64) + np.asarray(bias, dtype=np.float64)
+    centred = x64 - np.add.reduce(x64, axis=None) / x64.size
+    var = np.add.reduce(centred * centred, axis=None) / x64.size
+    # float32 gain and bias promote to float64 exactly inside the ufuncs.
+    out = centred / np.sqrt(var + eps) * gain + bias
     return out.astype(np.float32)
 
 
@@ -110,10 +144,17 @@ class RunningStat:
         return RunningStat(n, mean, m2)
 
 
-def population_mean_var(values) -> tuple[float, float]:
-    """Across-sample mean and population variance in float64."""
+def population_mean_var(values) -> tuple:
+    """Mean and population variance along the last axis, in float64.
+
+    Leading axes batch independent samples. Equal bit for bit to np.mean and
+    np.var (same pairwise sums, same order), without their Python wrappers.
+    """
     v = np.asarray(values, dtype=np.float64)
-    return float(v.mean()), float(v.var())
+    n = v.shape[-1]
+    mean = np.add.reduce(v, axis=-1, keepdims=True) / n
+    centred = v - mean
+    return mean[..., 0], np.add.reduce(centred * centred, axis=-1) / n
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

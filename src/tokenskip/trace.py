@@ -393,8 +393,7 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
                         q = q + sink_pull[layer] * q_scale * np.sqrt(d_head) * sink_dir
                     q = (q / temps[layer]).astype(np.float32)
                     scores = np.einsum("lhd,hd->hl", k_hist, q) / np.float32(np.sqrt(d_head))
-                    attn = np.stack([softmax(scores[h])
-                                     for h in range(n_heads)]).astype(np.float32)
+                    attn = softmax(scores).astype(np.float32)
                 events.append(TraceEvent(
                     seq=seq, step=step, layer=layer,
                     k=k_stream[layer, step].copy(), v=v_stream[layer, step].copy(),

@@ -11,7 +11,7 @@ from tokenskip.model import DecodeSession, ModelConfig, init_weights, load_weigh
 from tokenskip.numerics import DegenerateInputError, cosine_similarity
 from tokenskip.policy import ConfigError, PruneConfig
 from tokenskip.replay import TraceCompatibilityError, replay
-from tokenskip.trace import TraceRecorder
+from tokenskip.trace import TraceEvent, TraceHeader, TraceRecorder
 
 
 class TestNonFiniteKV:
@@ -118,3 +118,100 @@ class TestWeightsBoundary:
         assert main(["generate", "--steps", "1", "--seed", "3", "--load-weights", str(blob),
                      "--n-layers", "6"]) == 2
         assert "n_layers 4 in the weights, 6 in the session" in capsys.readouterr().err
+
+
+class TestNonFiniteAnchor:
+    """A non-finite token is reported as degenerate and not skipped, but it
+    never reaches its (layer, seq) anchor, so later tokens are scored as if it
+    had not been seen."""
+
+    N_HEADS, D_HEAD, N_STEPS, BAD_STEP = 2, 4, 8, 3
+
+    def _prune(self, anchor_mode):
+        return PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=0,
+                           tau_init=-1.0, p_global=0.5, anchor_mode=anchor_mode)
+
+    def _stream(self, bad, target="k"):
+        rng = np.random.default_rng(41)
+        ks = rng.standard_normal((self.N_STEPS, self.N_HEADS, self.D_HEAD)).astype(np.float32)
+        vs = rng.standard_normal((self.N_STEPS, self.N_HEADS, self.D_HEAD)).astype(np.float32)
+        (ks if target == "k" else vs)[self.BAD_STEP, 1, 2] = bad
+        return ks, vs
+
+    def _check(self, reports):
+        by_step = {r.step: r for r in reports}
+        assert sorted(by_step) == list(range(1, self.N_STEPS))
+        bad = by_step[self.BAD_STEP]
+        assert bad.degenerate and not bad.skipped
+        for step in range(self.BAD_STEP + 1, self.N_STEPS):
+            assert not by_step[step].degenerate
+            assert np.isfinite(by_step[step].s_kv)
+        # tau_init=-1 with warm-up 0: every finite token past the first skips.
+        assert all(by_step[s].skipped for s in by_step if s != self.BAD_STEP)
+
+    @pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("target", ["k", "v"])
+    def test_live_engine_leaves_anchor_untouched(self, anchor_mode, bad, target):
+        ks, vs = self._stream(bad, target)
+        engine = FilterEngine(1, self.N_HEADS, self.D_HEAD, self._prune(anchor_mode))
+        reports = []
+        anchor_before = None
+        for step in range(self.N_STEPS):
+            engine.begin_step()
+            _, report = engine.process(0, 0, ks[step], vs[step], step, enact=True)
+            engine.end_step()
+            if report is not None:
+                reports.append(report)
+            if step == self.BAD_STEP - 1:
+                anchor_before = [a.copy() for a in engine.anchors(0, 0)]
+            if step == self.BAD_STEP:
+                for got, want in zip(engine.anchors(0, 0), anchor_before):
+                    np.testing.assert_array_equal(got, want)
+        self._check(reports)
+        if anchor_mode == "exact_mean":
+            keep = [s for s in range(self.N_STEPS) if s != self.BAD_STEP]
+            anchor_k, anchor_v = engine.anchors(0, 0)
+            np.testing.assert_allclose(anchor_k, ks[keep].astype(np.float64).mean(axis=0),
+                                       atol=1e-12)
+            np.testing.assert_allclose(anchor_v, vs[keep].astype(np.float64).mean(axis=0),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+    def test_replay_leaves_anchor_untouched(self, anchor_mode):
+        ks, vs = self._stream(np.nan)
+        header = TraceHeader(n_layers=1, n_heads=self.N_HEADS, d_head=self.D_HEAD,
+                             n_steps=self.N_STEPS, source="synthetic", generator_params={})
+        events = [TraceEvent(seq=0, step=s, layer=0, k=ks[s], v=vs[s])
+                  for s in range(self.N_STEPS)]
+        result = replay(header, events, self._prune(anchor_mode))
+        self._check(result.reports)
+        assert result.ledger.conserved()
+
+    def test_non_finite_first_token_does_not_initialize_the_anchor(self):
+        ks, vs = self._stream(np.nan)
+        engine = FilterEngine(1, self.N_HEADS, self.D_HEAD, self._prune("exact_mean"))
+        engine.begin_step()
+        assert engine.process(0, 0, ks[self.BAD_STEP], vs[0], 0, enact=True) == (False, None)
+        engine.end_step()
+        assert engine.anchors(0, 0) is None
+        engine.begin_step()
+        assert engine.process(0, 0, ks[1], vs[1], 1, enact=True) == (False, None)
+        engine.end_step()
+        np.testing.assert_array_equal(engine.anchors(0, 0)[0], ks[1])
+        engine.begin_step()
+        _, report = engine.process(0, 0, ks[2], vs[2], 2, enact=True)
+        assert not report.degenerate
+        np.testing.assert_array_equal(engine.anchors(0, 0)[0],
+                                      ks[1] + (ks[2].astype(np.float64) - ks[1]) / 2)
+
+    def test_zero_token_is_degenerate_and_still_folded_in(self):
+        engine = FilterEngine(1, self.N_HEADS, self.D_HEAD, self._prune("ema"))
+        token = np.ones((self.N_HEADS, self.D_HEAD), dtype=np.float32)
+        zero = np.zeros_like(token)
+        for step, (k, v) in enumerate([(token, token), (zero, token)]):
+            engine.begin_step()
+            _, report = engine.process(0, 0, k, v, step, enact=True)
+            engine.end_step()
+        assert report.degenerate
+        np.testing.assert_array_equal(engine.anchors(0, 0)[0], np.full(token.shape, 0.9))
