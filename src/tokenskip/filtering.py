@@ -7,11 +7,18 @@ threshold and running head-variance estimates. A token whose fused key/value
 similarity to the anchors exceeds the threshold is redundant enough to skip.
 
 The anchor of a (layer, sequence) is one (2, n_heads, d_head) float64 array,
-keys stacked over values, so a decision makes one batched head_similarity
-call and one anchor update for both. head_similarity takes any leading batch
-axes and equals a per-head loop bit for bit. A token with a non-finite key or
-value is reported as degenerate, never skipped, and never folded into its
-anchor.
+keys stacked over values. Decisions come in step batches: decide_step takes
+every (layer, sequence) row of one step as one (B, 2, n_heads, d_head) array
+and makes one head_similarity call over all rows that have an anchor and one
+anchor update over all finite rows; the controller logic then runs row by row
+in batch order. Anchors are per (layer, sequence) and the controller and
+variance state move only at the step barrier, so the rows of one step are
+independent and a batch decides exactly as one row at a time would. process
+decides one row through the same steps, so live decode (one process call
+per layer) and replay (one decide_step call per step) share one decision
+path. The kernels are elementwise or row-wise and equal their one-row forms
+bit for bit. A token with a non-finite key or value is reported as
+degenerate, never skipped, and never folded into its anchor.
 """
 
 from __future__ import annotations
@@ -64,12 +71,21 @@ def update_anchor(anchor: np.ndarray | None, current: np.ndarray, gamma: float) 
     return gamma * anchor + (1.0 - gamma) * current
 
 
-def update_anchor_mean(anchor: np.ndarray | None, current: np.ndarray, count: int) -> np.ndarray:
-    """Incremental exact mean over all observed tokens (count includes current)."""
+def update_anchor_mean(anchor: np.ndarray | None, current: np.ndarray, count) -> np.ndarray:
+    """Incremental exact mean over all observed tokens (count includes current).
+
+    count is an int, or an array of per-row counts over the leading axes of a
+    batch of anchors; a row whose count is at most 1 becomes its current.
+    """
     current = np.asarray(current, dtype=np.float64)
-    if anchor is None or count <= 1:
+    if anchor is None:
         return current.copy()
     anchor = np.asarray(anchor, dtype=np.float64)
+    if np.ndim(count):
+        count = np.reshape(count, np.shape(count) + (1,) * (current.ndim - np.ndim(count)))
+        return np.where(count > 1, anchor + (current - anchor) / count, current)
+    if count <= 1:
+        return current.copy()
     return anchor + (current - anchor) / count
 
 
@@ -127,16 +143,18 @@ def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
 
 def anchor_memory_bytes(n_heads: int, d_head: int, tail_layer_count: int,
                         sequences_per_batch: int = 1) -> int:
-    """Bytes held by anchors: one float32 key and value vector per head, per
+    """Bytes held by anchors: one float64 key and value vector per head, per
     in-scope layer, per sequence."""
     if min(n_heads, d_head, tail_layer_count, sequences_per_batch) < 1:
         raise ValueError("all dimensions must be positive")
-    return tail_layer_count * n_heads * d_head * 2 * 4 * sequences_per_batch
+    return tail_layer_count * n_heads * d_head * 2 * 8 * sequences_per_batch
 
 
 def _step_mean(values: list) -> float:
-    """np.mean of one step's values; a single value is its own mean."""
-    return values[0] if len(values) == 1 else float(np.mean(values))
+    """np.mean of one step's values (the same pairwise sum, without the
+    wrapper); a single value is its own mean."""
+    n = len(values)
+    return values[0] if n == 1 else float(np.add.reduce(np.array(values)) / n)
 
 
 class MisconfigurationError(ValueError):
@@ -234,6 +252,10 @@ class FilterEngine:
                 step: int, enact: bool) -> tuple[bool, StepReport | None]:
         """Observe one token's per-head K/V at one layer and decide.
 
+        The one-row form of decide_step: the same first-observation, evidence,
+        controller and anchor-update steps, without the batch gather, so live
+        decode pays nothing for batching.
+
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or enact=False telemetry runs). The first
         finite observation for a (layer, sequence) only initializes the anchors
@@ -241,57 +263,123 @@ class FilterEngine:
         """
         if layer not in self.layers:
             raise MisconfigurationError(f"layer {layer} is outside the filtered set")
-        st = self.layers[layer]
         key = (layer, seq)
         # Canonical wire precision: the live engine and a trace replay must see
         # bit-identical inputs, so K/V pass through float32 before filter math.
-        # They are stacked as one (2, n_heads, d_head) array: one similarity
-        # call and one anchor update per decision.
         kv = np.array((k_heads, v_heads), dtype=np.float32).astype(np.float64)
-
         anchor = self._anchors.get(key)
         if anchor is None:
-            if np.isfinite(kv).all():
-                self._anchors[key] = kv
-                self._obs_counts[key] = 1
+            self._observe_first(key, kv)
             return False, None
-
         means, variances, degenerate = head_similarity(anchor, kv)
-        s_k, s_v = means.tolist()
-        fresh_var_k, fresh_var_v = variances.tolist()
-        degen_k, degen_v = degenerate.tolist()
+        skipped, report, finite = self._decide_row(
+            key, kv, means.tolist(), variances.tolist(), degenerate.tolist(), step,
+            self._shadow(enact))
+        if finite:
+            self._anchors[key] = self._fold(anchor, kv, self._obs_counts[key])
+        return skipped, report
+
+    def decide_step(self, keys, kv: np.ndarray, step: int,
+                    enact: bool) -> list[tuple[bool, StepReport | None]]:
+        """Decide one step's tokens, one row per (layer, seq) in keys.
+
+        kv is (B, 2, n_heads, d_head), row i holding the keys over the values
+        of keys[i]; a (layer, seq) may appear once per batch. Returns one
+        (skip, report) per row, as process would for each row in turn: one
+        head_similarity call scores every row that has an anchor, the
+        controller logic runs row by row in batch order, and one anchor update
+        folds in every finite row.
+        """
+        n = len(keys)
+        # The same float32 wire precision as process.
+        kv = np.asarray(kv, dtype=np.float32)
+        if kv.ndim != 4 or kv.shape[:2] != (n, 2):
+            raise ValueError(f"expected a ({n}, 2, n_heads, d_head) K/V array, got {kv.shape}")
+        kv = kv.astype(np.float64)
+        for layer, _ in keys:
+            if layer not in self.layers:
+                raise MisconfigurationError(f"layer {layer} is outside the filtered set")
+        if n > 1 and len(set(keys)) < n:
+            raise ValueError("a (layer, seq) appears more than once in one batch")
+        shadow = self._shadow(enact)
+        anchors = self._anchors
+        results = [(False, None)] * n
+        rows = []
+        for i, key in enumerate(keys):
+            if key in anchors:
+                rows.append(i)
+            else:
+                self._observe_first(key, kv[i])
+        if not rows:
+            return results
+        ref = np.stack([anchors[keys[i]] for i in rows])
+        cur = kv if len(rows) == n else kv[rows]
+        means, variances, degenerate = head_similarity(ref, cur)
+        folded = []
+        for j, (i, sims, fresh_vars, degen) in enumerate(
+                zip(rows, means.tolist(), variances.tolist(), degenerate.tolist())):
+            skipped, report, finite = self._decide_row(
+                keys[i], cur[j], sims, fresh_vars, degen, step, shadow)
+            results[i] = skipped, report
+            if finite:
+                folded.append(j)
+        if folded:
+            if len(folded) < len(rows):
+                ref, cur = ref[folded], cur[folded]
+            folded_keys = [keys[rows[j]] for j in folded]
+            updated = self._fold(ref, cur, [self._obs_counts[k] for k in folded_keys])
+            for key, anchor in zip(folded_keys, updated):
+                anchors[key] = anchor
+        return results
+
+    def _shadow(self, enact: bool) -> bool:
+        """Whether this step's decisions are evaluated but not enacted."""
+        # A zero budget means zero skips, exactly: the proportional controller
+        # can only approach zero asymptotically, so enforce it outright.
+        return ((not enact) or self._in_prefill
+                or self.step_index < self.config.warmup_steps or self.target == 0.0)
+
+    def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:
+        """A first finite observation only initializes its anchor."""
+        if np.isfinite(kv).all():
+            self._anchors[key], self._obs_counts[key] = kv, 1
+
+    def _decide_row(self, key: tuple[int, int], kv: np.ndarray, sims: list, fresh_vars: list,
+                    degenerate: list, step: int, shadow: bool):
+        """The controller logic of one row, given its evidence. Returns (skip,
+        report, finite) and counts a finite row as observed; the caller folds
+        it into its anchor."""
+        layer, seq = key
+        st = self.layers[layer]
+        s_k, s_v = sims
+        fresh_var_k, fresh_var_v = fresh_vars
+        degen = degenerate[0] or degenerate[1]
         # A non-finite token is never skipped and never folded into its anchor:
         # one corrupt token must not make every later one degenerate. A
         # non-finite value makes its head degenerate, so only a degenerate
         # decision needs the check.
-        finite = not (degen_k or degen_v) or bool(np.isfinite(kv).all())
+        finite = not degen or bool(np.isfinite(kv).all())
 
         # The decision sees the running variance as if this step's observation
         # were already blended in; the shared state itself moves at the step
         # barrier so sequences within a batch stay order-independent.
-        if self.config.variance_mode == "instant" or st.var_k is None:
+        cfg = self.config
+        if cfg.variance_mode == "instant" or st.var_k is None:
             dec_var_k, dec_var_v = fresh_var_k, fresh_var_v
         else:
-            g = self.config.gamma
+            g = cfg.gamma
             dec_var_k = g * st.var_k + (1.0 - g) * fresh_var_k
             dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
 
-        score = fuse(s_k, s_v, dec_var_k, dec_var_v,
-                     formula=self.config.fusion_formula, mode=self.config.fusion)
+        score = fuse(s_k, s_v, dec_var_k, dec_var_v, cfg.fusion_formula, cfg.fusion)
         would_skip = finite and score.s_kv > st.tau
         if finite:
             self._obs_counts[key] += 1
-            self._update_anchor(key, kv)
-
-        # A zero budget means zero skips, exactly: the proportional controller
-        # can only approach zero asymptotically, so enforce it outright.
-        shadow = ((not enact) or self._in_prefill
-                  or self.step_index < self.config.warmup_steps or self.target == 0.0)
-        skipped = bool(would_skip and not shadow)
+        skipped = would_skip and not shadow
 
         st.eligible_count += 1
-        st.shadow_skip_count += int(would_skip)
-        st.skip_count += int(skipped)
+        st.shadow_skip_count += would_skip
+        st.skip_count += skipped
         st.pending_actual += skipped
         st.pending_shadow += would_skip
         st.pending_var_k.append(fresh_var_k)
@@ -301,16 +389,16 @@ class FilterEngine:
             seq=seq, step=step, layer=layer,
             s_k=score.s_k, s_v=score.s_v, var_k=score.var_k, var_v=score.var_v,
             alpha=score.alpha, s_kv=score.s_kv, tau=st.tau,
-            shadow=shadow, skipped=skipped, degenerate=degen_k or degen_v,
+            shadow=shadow, skipped=skipped, degenerate=degen,
         )
-        return skipped, report
+        return skipped, report, finite
 
-    def _update_anchor(self, key: tuple[int, int], kv: np.ndarray) -> None:
-        anchor = self._anchors[key]
+    def _fold(self, anchors: np.ndarray, currents: np.ndarray, counts) -> np.ndarray:
+        """Fold finite observations into their anchors (counts per row for
+        exact_mean)."""
         if self.config.anchor_mode == "ema":
-            self._anchors[key] = update_anchor(anchor, kv, self.config.gamma)
-        else:
-            self._anchors[key] = update_anchor_mean(anchor, kv, self._obs_counts[key])
+            return update_anchor(anchors, currents, self.config.gamma)
+        return update_anchor_mean(anchors, currents, counts)
 
     # -- introspection -----------------------------------------------------
 

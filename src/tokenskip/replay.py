@@ -1,6 +1,11 @@
 """Offline policy evaluation: run the filter state machine over a recorded or
 synthetic trace, exactly as the live engine would, and score the decisions
-against the trace's ground-truth attention rows."""
+against the trace's ground-truth attention rows.
+
+Each step is decided in one FilterEngine.decide_step call over every filtered
+(seq, layer) event of the step, in (seq, layer) order; the live engine decides
+the same rows one process call at a time through the same steps, so the two
+agree bit for bit."""
 
 from __future__ import annotations
 
@@ -56,7 +61,7 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
 
     by_step: dict[int, list[TraceEvent]] = defaultdict(list)
     for e in events:
-        if e.k.shape != (header.n_heads, header.d_head):
+        if e.k.shape != (header.n_heads, header.d_head) or e.v.shape != e.k.shape:
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
         by_step[e.step].append(e)
 
@@ -75,13 +80,21 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
 
     for step in sorted(by_step):
+        step_events = sorted(by_step[step], key=lambda ev: (ev.seq, ev.layer))
+        keys = [(e.seq, e.layer) for e in step_events]
+        for a, b in zip(keys, keys[1:]):
+            if a == b:
+                raise TraceCompatibilityError(
+                    f"event (seq={a[0]}, step={step}, layer={a[1]}) appears twice")
+        filtered = [e for e in step_events if e.layer in engine.layers]
         engine.begin_step(prefill=step < prefill_steps)
-        for e in sorted(by_step[step], key=lambda ev: (ev.seq, ev.layer)):
+        decisions = iter(engine.decide_step(
+            [(e.layer, e.seq) for e in filtered],
+            np.array([(e.k, e.v) for e in filtered], dtype=np.float32),
+            step, enact=True) if filtered else ())
+        for e in step_events:
             key = (e.seq, e.layer)
-            if e.layer in engine.layers:
-                skipped, report = engine.process(e.layer, e.seq, e.k, e.v, e.step, enact=True)
-            else:
-                skipped, report = False, None
+            skipped, report = next(decisions) if e.layer in engine.layers else (False, None)
             would_len = hypo_len[key] + 1
             if skipped:
                 skipped_positions[key].add(e.step)
@@ -112,13 +125,16 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
     if have_attn:
         # A skipped event loses its whole row; kept events lose the mass their
         # rows put on positions the policy dropped earlier (or at this step).
+        # Columns keep the set's own order: the float32 sum depends on it.
+        dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
+                        for key, steps in skipped_positions.items()}
         raw_lost: dict[int, float] = defaultdict(float)
         for e in events:
-            dropped = skipped_positions.get((e.seq, e.layer))
-            if not dropped:
+            cols = dropped_cols.get((e.seq, e.layer))
+            if cols is None:
                 continue
-            cols = [p for p in dropped if p < e.attn.shape[1]]
-            if cols:
+            cols = cols[cols < e.attn.shape[1]]
+            if cols.size:
                 raw_lost[e.layer] += float(e.attn[:, cols].sum()) / e.attn.shape[0]
         total_lost = 0.0
         for layer in range(header.n_layers):

@@ -168,14 +168,29 @@ class TestFuse:
 class TestAnchorMemory:
     def test_large_model_shape(self):
         # 40 layers, 40 heads, d_head 128: full depth then half depth
-        assert anchor_memory_bytes(40, 128, 40) == 1_638_400
-        assert anchor_memory_bytes(40, 128, 20) == 819_200  # ~800 KB
+        assert anchor_memory_bytes(40, 128, 40) == 3_276_800
+        assert anchor_memory_bytes(40, 128, 20) == 1_638_400  # ~1.6 MB
 
     def test_minimal(self):
-        assert anchor_memory_bytes(1, 1, 1) == 8
+        assert anchor_memory_bytes(1, 1, 1) == 16
 
     def test_toy_with_batch(self):
-        assert anchor_memory_bytes(4, 16, 4, sequences_per_batch=2) == 4096
+        assert anchor_memory_bytes(4, 16, 4, sequences_per_batch=2) == 8192
+
+    def test_equals_the_anchors_a_running_engine_holds(self):
+        engine = FilterEngine(4, 4, 16, PruneConfig())
+        rng = np.random.default_rng(5)
+        for step in range(3):
+            engine.begin_step()
+            for layer in engine.active_layers:
+                for seq in range(2):
+                    k, v = rng.standard_normal((2, 4, 16)).astype(np.float32)
+                    engine.process(layer, seq, k, v, step, enact=True)
+            engine.end_step()
+        held = sum(a.nbytes for layer in engine.active_layers for seq in range(2)
+                   for a in engine.anchors(layer, seq))
+        assert held == anchor_memory_bytes(4, 16, len(engine.active_layers),
+                                           sequences_per_batch=2)
 
 
 def random_unit_heads(rng, n_heads, d_head):

@@ -1,12 +1,18 @@
 """Properties over small random model and prune configs: a replay of a live
 decode's recorded trace makes the same decisions, and both ledgers conserve
-FLOPs."""
+FLOPs. Properties of the fusion and the threshold controller: the fusion
+weight lies in [0, 1] and the fused score between its inputs, and the
+threshold stays clamped, keeps +inf, and never falls as the skip ratio
+rises."""
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenskip.filtering import fuse
 from tokenskip.model import DecodeSession, ModelConfig
-from tokenskip.policy import PruneConfig
+from tokenskip.policy import PruneConfig, update_threshold
 from tokenskip.replay import replay
 from tokenskip.trace import TraceRecorder
 
@@ -48,3 +54,45 @@ def test_replay_of_a_live_trace_makes_the_same_decisions(run):
     assert decisions(result.reports) == decisions(live.reports)
     assert live.flops.conserved()
     assert result.ledger.conserved()
+
+
+similarities = st.floats(-1.0, 1.0)
+# A head variance of cosines in [-1, 1] lies in [0, 1].
+variances = st.floats(0.0, 1.0)
+formulas = st.sampled_from(["text", "literal_eq2"])
+ratios = st.floats(0.0, 1.0)
+etas = st.floats(1e-6, 1.0)
+
+
+@given(similarities, similarities, variances, variances, formulas)
+def test_fusion_weight_lies_in_unit_interval_and_score_between_its_inputs(
+        s_k, s_v, var_k, var_v, formula):
+    score = fuse(s_k, s_v, var_k, var_v, formula=formula)
+    assert 0.0 <= score.alpha <= 1.0
+    # alpha * s_k + (1 - alpha) * s_v rounds three times, so it may leave the
+    # interval by a few ulps of 1 (for s_k == s_v as well).
+    slack = 4 * math.ulp(1.0)
+    assert min(s_k, s_v) - slack <= score.s_kv <= max(s_k, s_v) + slack
+
+
+@given(similarities, similarities, variances, variances, formulas)
+def test_single_feature_modes_return_that_feature(s_k, s_v, var_k, var_v, formula):
+    assert fuse(s_k, s_v, var_k, var_v, formula=formula, mode="key_only").s_kv == s_k
+    assert fuse(s_k, s_v, var_k, var_v, formula=formula, mode="value_only").s_kv == s_v
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), ratios, ratios, etas)
+def test_threshold_stays_clamped(tau, rho_current, rho_target, eta):
+    assert -1.0 <= update_threshold(tau, rho_current, rho_target, eta) <= 1.0 + eta
+
+
+@given(ratios, ratios, etas)
+def test_threshold_keeps_the_never_skip_sentinel(rho_current, rho_target, eta):
+    assert update_threshold(math.inf, rho_current, rho_target, eta) == math.inf
+
+
+@given(st.floats(-2.0, 2.0), ratios, ratios, ratios, etas)
+def test_threshold_never_falls_as_the_skip_ratio_rises(tau, rho_a, rho_b, rho_target, eta):
+    low, high = sorted((rho_a, rho_b))
+    assert (update_threshold(tau, low, rho_target, eta)
+            <= update_threshold(tau, high, rho_target, eta))
