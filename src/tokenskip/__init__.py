@@ -2,8 +2,8 @@
 
 Subpackages
 -----------
-numerics   vectors, softmax, layer norm, running statistics, seeded RNG streams
-policy     layer selection, per-layer budgets, proportional threshold feedback
+numerics   cosines, softmax, layer norm, mean/variance, seeded RNG streams
+policy     layer selection, per-layer targets, proportional threshold feedback
 filtering  anchors, head-wise similarity, variance-aware fusion, skip decisions
 model      toy multi-head decoder with KV cache hosting the filter
 trace      NDJSON KV traces: record, read, synthesize
@@ -33,15 +33,8 @@ from .model import (
     project_kv,
     save_weights,
 )
-from .numerics import RunningStat, cosine_similarity, layer_norm, softmax, substream
-from .policy import (
-    PruneConfig,
-    layer_budgets,
-    per_layer_target,
-    select_layers,
-    skip_ratio,
-    update_threshold,
-)
+from .numerics import cosine_similarity, layer_norm, softmax, substream
+from .policy import PruneConfig, per_layer_target, select_layers, update_threshold
 from .replay import ReplayResult, replay
 from .reporting import StepReport
 from .trace import TraceHeader, TraceRecorder, read_trace, synthesize, write_trace
@@ -50,12 +43,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecodeSession", "FilterEngine", "FlopsLedger", "FlopsModel", "KVCache",
-    "ModelConfig", "PruneConfig", "ReplayResult", "RunningStat", "SimilarityScore",
+    "ModelConfig", "PruneConfig", "ReplayResult", "SimilarityScore",
     "StepReport", "TraceHeader", "TraceRecorder", "Weights", "anchor_memory_bytes",
     "attention_forward", "attention_mass_lost", "correlation_entries",
-    "cosine_similarity", "fuse", "head_similarity", "init_weights", "layer_budgets",
+    "cosine_similarity", "fuse", "head_similarity", "init_weights",
     "layer_norm", "load_weights", "per_layer_target", "project_kv", "read_trace",
-    "replay", "save_weights", "select_layers", "skip_ratio", "softmax", "spearman",
+    "replay", "save_weights", "select_layers", "softmax", "spearman",
     "substream", "synthesize", "update_anchor", "update_anchor_mean",
     "update_threshold", "write_trace",
 ]

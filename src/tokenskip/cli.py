@@ -21,7 +21,8 @@ from pathlib import Path
 from . import metrics, reporting, trace as trace_mod
 from .model import DecodeSession, ModelConfig, load_weights, save_weights
 from .replay import replay as run_replay, write_summary_csv
-from .policy import ConfigError, PruneConfig, parse_config_text, prune_config_from_mapping
+from .policy import (ConfigError, PruneConfig, parse_config_text, parse_number,
+                     prune_config_from_mapping)
 from .trace import TraceFormatError
 
 PRUNE_FIELDS = [f.name for f in fields(PruneConfig)]
@@ -70,7 +71,7 @@ def _build_model_config(args, seed: int | None) -> ModelConfig:
         for k, v in raw.items():
             if k not in MODEL_FIELDS:
                 raise ConfigError(f"unknown model config field: {k}")
-            kwargs[k] = int(v)
+            kwargs[k] = parse_number(k, v, int)
     for name in MODEL_FIELDS:
         if name == "seed":
             continue

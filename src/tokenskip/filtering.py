@@ -6,19 +6,23 @@ sequence (a running summary of every previous token), plus a per-layer
 threshold and running head-variance estimates. A token whose fused key/value
 similarity to the anchors exceeds the threshold is redundant enough to skip.
 
-The anchor of a (layer, sequence) is one (2, n_heads, d_head) float64 array,
-keys stacked over values. Decisions come in step batches: decide_step takes
-every (layer, sequence) row of one step as one (B, 2, n_heads, d_head) array
-and makes one head_similarity call over all rows that have an anchor and one
-anchor update over all finite rows; the controller logic then runs row by row
-in batch order. Anchors are per (layer, sequence) and the controller and
-variance state move only at the step barrier, so the rows of one step are
-independent and a batch decides exactly as one row at a time would. process
-decides one row through the same steps, so live decode (one process call
-per layer) and replay (one decide_step call per step) share one decision
-path. The kernels are elementwise or row-wise and equal their one-row forms
-bit for bit. A token with a non-finite key or value is reported as
-degenerate, never skipped, and never folded into its anchor.
+The anchors of all (layer, sequence) pairs are the rows of one persistent
+(slots, 2, n_heads, d_head) float64 array, keys stacked over values. A decision
+has two halves. Its evidence (the fused inputs s_k and s_v, the head variances
+and the degeneracy flags) depends only on the K/V stream, anchor_mode and
+gamma, because every finite token is folded into its anchor whether or not it
+is skipped. Only its controller half (the s_kv > tau test and the threshold
+and variance state) is sequential. score_steps therefore scores a whole block
+of steps at once: per step one gather of the rows' anchors and one fold of the
+finite rows, then one head_similarity call over every row of the block;
+decide then runs the controller row by row, in the same order. process does
+both halves for one row, without the gather, so live decode (one process call
+per layer) and replay (one score_steps call per block of steps) share one
+decision path. Anchors are per (layer, sequence) and the controller and
+variance state move only at the step barrier, so the kernels are elementwise
+or row-wise and equal their one-row forms bit for bit. A token with a
+non-finite key or value is reported as degenerate, never skipped, and never
+folded into its anchor.
 """
 
 from __future__ import annotations
@@ -199,8 +203,14 @@ class FilterEngine:
         self.target = per_layer_target(config)
         self.step_index = 0            # decode steps completed
         self._in_prefill = False
-        self._anchors: dict[tuple[int, int], np.ndarray] = {}   # (2, n_heads, d_head)
-        self._obs_counts: dict[tuple[int, int], int] = {}
+        # The anchors of every (layer, sequence) seen so far, one row each of a
+        # persistent (slots, 2, n_heads, d_head) float64 array, made at the
+        # first finite observation (whose shape it takes) and doubled when
+        # full; a (layer, sequence) takes its slot, and its observation count,
+        # at its first finite observation.
+        self._slots: dict[tuple[int, int], int] = {}
+        self._anchor_rows: np.ndarray | None = None
+        self._obs_counts: list[int] = []
         self.layers: dict[int, _LayerState] = {}
         for layer in self.active_layers:
             st = _LayerState(tau=config.tau_init)
@@ -252,9 +262,9 @@ class FilterEngine:
                 step: int, enact: bool) -> tuple[bool, StepReport | None]:
         """Observe one token's per-head K/V at one layer and decide.
 
-        The one-row form of decide_step: the same first-observation, evidence,
-        controller and anchor-update steps, without the batch gather, so live
-        decode pays nothing for batching.
+        The one-row form of score_steps followed by decide: the same
+        first-observation, evidence, controller and anchor-update steps,
+        without the batch gather, so live decode pays nothing for batching.
 
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or enact=False telemetry runs). The first
@@ -267,98 +277,113 @@ class FilterEngine:
         # Canonical wire precision: the live engine and a trace replay must see
         # bit-identical inputs, so K/V pass through float32 before filter math.
         kv = np.array((k_heads, v_heads), dtype=np.float32).astype(np.float64)
-        anchor = self._anchors.get(key)
-        if anchor is None:
+        slot = self._slots.get(key)
+        if slot is None:
             self._observe_first(key, kv)
             return False, None
+        anchor = self._anchor_rows[slot]
         means, variances, degenerate = head_similarity(anchor, kv)
-        skipped, report, finite = self._decide_row(
-            key, kv, means.tolist(), variances.tolist(), degenerate.tolist(), step,
-            self._shadow(enact))
+        degenerate = degenerate.tolist()
+        # A non-finite value makes its head degenerate, so only a degenerate
+        # row needs the check.
+        finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(kv).all())
+        skipped, report = self.decide(
+            layer, seq, (means.tolist(), variances.tolist(), degenerate, finite), step, enact)
         if finite:
-            self._anchors[key] = self._fold(anchor, kv, self._obs_counts[key])
+            self._obs_counts[slot] += 1
+            self._anchor_rows[slot] = self._fold(anchor, kv, self._obs_counts[slot])
         return skipped, report
 
-    def decide_step(self, keys, kv: np.ndarray, step: int,
-                    enact: bool) -> list[tuple[bool, StepReport | None]]:
-        """Decide one step's tokens, one row per (layer, seq) in keys.
+    def score_steps(self, step_keys: list, kv: np.ndarray) -> list:
+        """The evidence of every token of a block of consecutive steps.
 
-        kv is (B, 2, n_heads, d_head), row i holding the keys over the values
-        of keys[i]; a (layer, seq) may appear once per batch. Returns one
-        (skip, report) per row, as process would for each row in turn: one
-        head_similarity call scores every row that has an anchor, the
-        controller logic runs row by row in batch order, and one anchor update
-        folds in every finite row.
+        step_keys lists each step's (layer, seq) keys, a key at most once per
+        step; kv is (B, 2, n_heads, d_head), one row per key of each step in
+        turn, keys over values. Per step, one gather reads the anchors of the
+        step's rows and one fold updates those of its finite rows; then one
+        head_similarity call scores every row against the anchor it had
+        before its step. Anchors and counts end as one process call per row
+        would leave them. Evidence depends only on the K/V stream, never on
+        the controller, so a whole block can be scored before any of its
+        steps is decided.
+
+        Returns one entry per row, for decide: None for a row with no anchor
+        yet (a first observation, no decision), else (sims, fresh_vars,
+        degenerate, finite), the first three as (key, value) pairs.
         """
-        n = len(keys)
+        n = sum(map(len, step_keys))
         # The same float32 wire precision as process.
         kv = np.asarray(kv, dtype=np.float32)
-        if kv.ndim != 4 or kv.shape[:2] != (n, 2):
-            raise ValueError(f"expected a ({n}, 2, n_heads, d_head) K/V array, got {kv.shape}")
+        held = self._anchor_rows
+        if (kv.ndim != 4 or kv.shape[:2] != (n, 2)
+                or (held is not None and kv.shape[1:] != held.shape[1:])):
+            raise ValueError(f"expected a ({n}, 2, n_heads, d_head) K/V array matching the "
+                             f"anchors, got {kv.shape}")
+        for keys in step_keys:
+            for layer, _ in keys:
+                if layer not in self.layers:
+                    raise MisconfigurationError(f"layer {layer} is outside the filtered set")
+            if len(set(keys)) < len(keys):
+                raise ValueError("a (layer, seq) appears more than once in one step")
+        if not n:
+            return []
         kv = kv.astype(np.float64)
-        for layer, _ in keys:
-            if layer not in self.layers:
-                raise MisconfigurationError(f"layer {layer} is outside the filtered set")
-        if n > 1 and len(set(keys)) < n:
-            raise ValueError("a (layer, seq) appears more than once in one batch")
-        shadow = self._shadow(enact)
-        anchors = self._anchors
-        results = [(False, None)] * n
-        rows = []
-        for i, key in enumerate(keys):
-            if key in anchors:
-                rows.append(i)
+        finite = np.isfinite(kv).all(axis=(1, 2, 3)).tolist()
+        all_finite = all(finite)
+        refs = np.zeros_like(kv)
+        slot_of, counts = self._slots, self._obs_counts
+        first_rows = []
+        start = 0
+        last_slots = index = None
+        for keys in step_keys:
+            stop = start + len(keys)
+            slots = [slot_of.get(key) for key in keys]
+            if None not in slots and (all_finite or all(finite[start:stop])):
+                # The usual step: every row has an anchor and is finite, so one
+                # slice takes the gather and the fold (row by row, as below,
+                # replay ran about a fifth slower).
+                if slots != last_slots:
+                    index, last_slots = np.array(slots, dtype=np.intp), slots
+                ref = refs[start:stop]
+                ref[...] = self._anchor_rows[index]
+                for slot in slots:
+                    counts[slot] += 1
+                self._anchor_rows[index] = self._fold(ref, kv[start:stop],
+                                                      [counts[slot] for slot in slots])
             else:
-                self._observe_first(key, kv[i])
-        if not rows:
-            return results
-        ref = np.stack([anchors[keys[i]] for i in rows])
-        cur = kv if len(rows) == n else kv[rows]
-        means, variances, degenerate = head_similarity(ref, cur)
-        folded = []
-        for j, (i, sims, fresh_vars, degen) in enumerate(
-                zip(rows, means.tolist(), variances.tolist(), degenerate.tolist())):
-            skipped, report, finite = self._decide_row(
-                keys[i], cur[j], sims, fresh_vars, degen, step, shadow)
-            results[i] = skipped, report
-            if finite:
-                folded.append(j)
-        if folded:
-            if len(folded) < len(rows):
-                ref, cur = ref[folded], cur[folded]
-            folded_keys = [keys[rows[j]] for j in folded]
-            updated = self._fold(ref, cur, [self._obs_counts[k] for k in folded_keys])
-            for key, anchor in zip(folded_keys, updated):
-                anchors[key] = anchor
-        return results
+                folded = []
+                for row, key, slot in zip(range(start, stop), keys, slots):
+                    if slot is None:
+                        first_rows.append(row)
+                        self._observe_first(key, kv[row])
+                    else:
+                        refs[row] = self._anchor_rows[slot]
+                        if finite[row]:
+                            counts[slot] += 1
+                            folded.append((row, slot))
+                if folded:
+                    rows, fold_slots = map(list, zip(*folded))
+                    self._anchor_rows[fold_slots] = self._fold(
+                        refs[rows], kv[rows], [counts[slot] for slot in fold_slots])
+            start = stop
+        means, variances, degenerate = head_similarity(refs, kv)
+        evidence = list(zip(means.tolist(), variances.tolist(), degenerate.tolist(), finite))
+        for row in first_rows:
+            evidence[row] = None
+        return evidence
 
-    def _shadow(self, enact: bool) -> bool:
-        """Whether this step's decisions are evaluated but not enacted."""
-        # A zero budget means zero skips, exactly: the proportional controller
-        # can only approach zero asymptotically, so enforce it outright.
-        return ((not enact) or self._in_prefill
-                or self.step_index < self.config.warmup_steps or self.target == 0.0)
-
-    def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:
-        """A first finite observation only initializes its anchor."""
-        if np.isfinite(kv).all():
-            self._anchors[key], self._obs_counts[key] = kv, 1
-
-    def _decide_row(self, key: tuple[int, int], kv: np.ndarray, sims: list, fresh_vars: list,
-                    degenerate: list, step: int, shadow: bool):
-        """The controller logic of one row, given its evidence. Returns (skip,
-        report, finite) and counts a finite row as observed; the caller folds
-        it into its anchor."""
-        layer, seq = key
-        st = self.layers[layer]
-        s_k, s_v = sims
-        fresh_var_k, fresh_var_v = fresh_vars
+    def decide(self, layer: int, seq: int, evidence, step: int,
+               enact: bool) -> tuple[bool, StepReport | None]:
+        """Decide one row from its evidence, an entry of score_steps: the
+        controller half of process, with the same return. Rows are decided
+        in the order they were scored, each step between begin_step and
+        end_step as for process."""
+        if evidence is None:
+            return False, None
+        (s_k, s_v), (fresh_var_k, fresh_var_v), degenerate, finite = evidence
         degen = degenerate[0] or degenerate[1]
-        # A non-finite token is never skipped and never folded into its anchor:
-        # one corrupt token must not make every later one degenerate. A
-        # non-finite value makes its head degenerate, so only a degenerate
-        # decision needs the check.
-        finite = not degen or bool(np.isfinite(kv).all())
+        shadow = self._shadow(enact)
+        st = self.layers[layer]
 
         # The decision sees the running variance as if this step's observation
         # were already blended in; the shared state itself moves at the step
@@ -372,9 +397,9 @@ class FilterEngine:
             dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
 
         score = fuse(s_k, s_v, dec_var_k, dec_var_v, cfg.fusion_formula, cfg.fusion)
+        # A non-finite token is never skipped (nor folded into its anchor:
+        # one corrupt token must not make every later one degenerate).
         would_skip = finite and score.s_kv > st.tau
-        if finite:
-            self._obs_counts[key] += 1
         skipped = would_skip and not shadow
 
         st.eligible_count += 1
@@ -391,7 +416,34 @@ class FilterEngine:
             alpha=score.alpha, s_kv=score.s_kv, tau=st.tau,
             shadow=shadow, skipped=skipped, degenerate=degen,
         )
-        return skipped, report, finite
+        return skipped, report
+
+    def _shadow(self, enact: bool) -> bool:
+        """Whether this step's decisions are evaluated but not enacted."""
+        # A zero budget means zero skips, exactly: the proportional controller
+        # can only approach zero asymptotically, so enforce it outright.
+        return ((not enact) or self._in_prefill
+                or self.step_index < self.config.warmup_steps or self.target == 0.0)
+
+    def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:
+        """A first finite observation only initializes its anchor, in a new
+        slot of the anchor array."""
+        if not np.isfinite(kv).all():
+            return
+        rows = self._anchor_rows
+        if rows is None:
+            self._anchor_rows = np.empty((len(self.active_layers),) + kv.shape)
+        elif kv.shape != rows.shape[1:]:
+            raise ValueError(f"K/V of shape {kv.shape} do not match the anchors' "
+                             f"{rows.shape[1:]}")
+        slot = len(self._obs_counts)
+        if slot == len(self._anchor_rows):
+            grown = np.empty((2 * slot,) + self._anchor_rows.shape[1:])
+            grown[:slot] = self._anchor_rows
+            self._anchor_rows = grown
+        self._anchor_rows[slot] = kv
+        self._obs_counts.append(1)
+        self._slots[key] = slot
 
     def _fold(self, anchors: np.ndarray, currents: np.ndarray, counts) -> np.ndarray:
         """Fold finite observations into their anchors (counts per row for
@@ -404,8 +456,11 @@ class FilterEngine:
 
     def anchors(self, layer: int, seq: int = 0):
         """The (key, value) anchors of one (layer, sequence), or None."""
-        kv = self._anchors.get((layer, seq))
-        return None if kv is None else (kv[0], kv[1])
+        slot = self._slots.get((layer, seq))
+        if slot is None:
+            return None
+        kv = self._anchor_rows[slot].copy()
+        return kv[0], kv[1]
 
     def tau(self, layer: int) -> float:
         return self.layers[layer].tau

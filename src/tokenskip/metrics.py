@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -23,11 +23,36 @@ from .reporting import StepReport
 
 @dataclass(frozen=True)
 class FlopsModel:
-    """Integer cost constants for one layer of the toy decoder."""
+    """Integer cost constants for one layer of the toy decoder.
+
+    The costs a charge needs are derived once, at construction, so each
+    charge is one multiply-add over the cache length.
+    """
 
     n_heads: int
     d_head: int
     d_model: int
+    filter_overhead_flops: int = field(init=False, repr=False, compare=False)
+    _attention_fixed: int = field(init=False, repr=False, compare=False)
+    _kept_fixed: int = field(init=False, repr=False, compare=False)
+    _per_position: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Cost of one skip decision: head-wise cosines for keys and values,
+        # their mean/variance reduction, the anchor updates, and the fused
+        # compare. Charged on every decision, skip or keep.
+        cosine = self.n_heads * (6 * self.d_head + 4)
+        reduce_stats = 3 * self.n_heads + 2
+        anchor_update = 3 * self.n_heads * self.d_head
+        per_feature = cosine + reduce_stats + anchor_update
+        derived = {
+            "filter_overhead_flops": 2 * per_feature + 12,
+            "_attention_fixed": self.q_proj_flops + self.o_proj_flops,
+            "_kept_fixed": self.kv_proj_flops + self.q_proj_flops + self.o_proj_flops,
+            "_per_position": self.attn_per_pos_flops + self.softmax_per_pos_flops,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dims(cls, n_heads: int, d_head: int, d_model: int | None = None) -> "FlopsModel":
@@ -59,27 +84,19 @@ class FlopsModel:
     def softmax_per_pos_flops(self) -> int:
         return 5 * self.n_heads
 
-    @property
-    def filter_overhead_flops(self) -> int:
-        """Cost of one skip decision: head-wise cosines for keys and values,
-        their mean/variance reduction, the anchor updates, and the fused
-        compare. Charged on every decision, skip or keep."""
-        cosine = self.n_heads * (6 * self.d_head + 4)
-        reduce_stats = 3 * self.n_heads + 2
-        anchor_update = 3 * self.n_heads * self.d_head
-        per_feature = cosine + reduce_stats + anchor_update
-        return 2 * per_feature + 12
-
     def attention_cost(self, cache_len: int) -> int:
         """The skippable work at a given cache length: Q projection, scores,
         softmax, value mix, output projection."""
         if cache_len < 1:
             raise ValueError("cache_len must be >= 1")
-        return (self.q_proj_flops + self.o_proj_flops
-                + (self.attn_per_pos_flops + self.softmax_per_pos_flops) * cache_len)
+        return self._attention_fixed + self._per_position * cache_len
 
     def kept_cost(self, cache_len: int) -> int:
-        return self.kv_proj_flops + self.attention_cost(cache_len)
+        """The whole attention path at a given cache length: K/V projection
+        plus attention_cost."""
+        if cache_len < 1:
+            raise ValueError("cache_len must be >= 1")
+        return self._kept_fixed + self._per_position * cache_len
 
     def skip_cost(self) -> int:
         # K/V are always projected; they feed the decision itself.

@@ -12,23 +12,12 @@ its one-vector-at-a-time form, so batching never changes a decision.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class DegenerateInputError(ValueError):
     """Raised when an operation receives input it cannot define a result for."""
-
-
-def as_vector(values, dtype=np.float32) -> np.ndarray:
-    """Coerce to a 1-D float array and validate finiteness."""
-    v = np.asarray(values, dtype=dtype)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN or Inf")
-    return v
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,43 +94,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     # float32 gain and bias promote to float64 exactly inside the ufuncs.
     out = centred / np.sqrt(var + eps) * gain + bias
     return out.astype(np.float32)
-
-
-@dataclass
-class RunningStat:
-    """Welford single-pass mean/variance accumulator (population variance)."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, x: float) -> "RunningStat":
-        x = float(x)
-        if not np.isfinite(x):
-            raise ValueError("sample must be finite")
-        n = self.count + 1
-        delta = x - self.mean
-        mean = self.mean + delta / n
-        m2 = self.m2 + delta * (x - mean)
-        return RunningStat(n, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 1:
-            raise ValueError("variance undefined for an empty stat")
-        return self.m2 / self.count
-
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Combine two accumulators as if their samples were concatenated."""
-        if self.count == 0:
-            return RunningStat(other.count, other.mean, other.m2)
-        if other.count == 0:
-            return RunningStat(self.count, self.mean, self.m2)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return RunningStat(n, mean, m2)
 
 
 def population_mean_var(values) -> tuple:

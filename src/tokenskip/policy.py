@@ -1,4 +1,4 @@
-"""Layer selection, per-layer budgets, and the proportional threshold controller."""
+"""Layer selection, per-layer targets, and the proportional threshold controller."""
 
 from __future__ import annotations
 
@@ -72,17 +72,6 @@ class PruneConfig:
             )
 
 
-@dataclass(frozen=True)
-class LayerBudget:
-    layer: int
-    target_ratio: float
-    in_scope: bool
-
-    def __post_init__(self):
-        if not self.in_scope and self.target_ratio != 0.0:
-            raise ConfigError("out-of-scope layers must carry a zero target")
-
-
 def select_layers(n_layers: int, focus: str, tail_fraction: float) -> tuple[int, ...]:
     """Indices of layers where the filter runs.
 
@@ -116,15 +105,6 @@ def per_layer_target(config: PruneConfig) -> float:
     if target > 1.0 + 1e-12:
         raise ConfigError("p_global / tail_fraction exceeds 1")
     return min(target, 1.0)
-
-
-def layer_budgets(n_layers: int, config: PruneConfig) -> list[LayerBudget]:
-    active = set(select_layers(n_layers, config.focus, config.tail_fraction))
-    target = per_layer_target(config)
-    return [
-        LayerBudget(layer=i, target_ratio=target if i in active else 0.0, in_scope=i in active)
-        for i in range(n_layers)
-    ]
 
 
 def update_threshold(tau: float, rho_current: float, rho_target: float, eta: float) -> float:
@@ -178,25 +158,6 @@ class RatioEstimator:
         return self._ema
 
 
-def skip_ratio(skip_count: int, eligible_count: int, estimator: str = "cumulative",
-               ema_value: float | None = None) -> float:
-    """Observed skip ratio; zero by convention before any decision was made."""
-    if estimator not in RATIO_ESTIMATOR_CHOICES:
-        raise ConfigError(f"estimator must be one of {RATIO_ESTIMATOR_CHOICES}")
-    if eligible_count == 0:
-        return 0.0
-    if estimator == "cumulative":
-        if not 0 <= skip_count <= eligible_count:
-            raise ValueError("skip_count must lie in [0, eligible_count]")
-        return skip_count / eligible_count
-    if ema_value is None:
-        raise ValueError("ema estimator requires the maintained ema value")
-    return ema_value
-
-
-_BOOL_FIELDS: set[str] = set()
-
-
 def parse_config_text(text: str) -> dict:
     """Parse the flat key=value config format; '#' starts a comment."""
     out = {}
@@ -220,12 +181,17 @@ def prune_config_from_mapping(mapping: dict, base: PruneConfig | None = None) ->
         if key not in valid:
             raise ConfigError(f"unknown prune config field: {key}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            kwargs[key] = str(value).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            kwargs[key] = int(value)
-        elif isinstance(current, float):
-            kwargs[key] = float(value)
+        if isinstance(current, (int, float)):
+            kwargs[key] = parse_number(key, value, type(current))
         else:
             kwargs[key] = str(value)
     return replace(cfg, **kwargs)
+
+
+def parse_number(name: str, value, kind: type):
+    """value as an int or float; a ConfigError naming the field otherwise."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None

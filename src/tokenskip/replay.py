@@ -2,10 +2,13 @@
 synthetic trace, exactly as the live engine would, and score the decisions
 against the trace's ground-truth attention rows.
 
-Each step is decided in one FilterEngine.decide_step call over every filtered
-(seq, layer) event of the step, in (seq, layer) order; the live engine decides
-the same rows one process call at a time through the same steps, so the two
-agree bit for bit."""
+Replay runs in two passes per block of BLOCK_STEPS steps. One
+FilterEngine.score_steps call scores every filtered (seq, layer) event of the
+block, step by step in (seq, layer) order; then each step runs begin_step,
+FilterEngine.decide, the ledger per event, and end_step. A token's evidence
+depends only on the K/V stream, so scoring it ahead of the controller changes
+nothing: the live engine decides the same rows one process call at a time
+through the same steps, and the two agree bit for bit."""
 
 from __future__ import annotations
 
@@ -20,6 +23,11 @@ from .metrics import FlopsLedger, FlopsModel
 from .policy import PruneConfig
 from .reporting import StepReport
 from .trace import TraceEvent, TraceHeader
+
+# Steps scored per score_steps call: one similarity kernel per block, with the
+# block's float64 K/V and anchor copies kept small (256 KB each for 4 filtered
+# rows per step of 4 heads x 16).
+BLOCK_STEPS = 64
 
 SUMMARY_COLUMNS = ("layer", "eligible", "skipped", "skip_ratio", "mean_s_kv",
                    "mean_alpha", "mass_lost", "flops_saved")
@@ -79,36 +87,44 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
     skipped_positions: dict[tuple[int, int], set[int]] = defaultdict(set)
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
 
-    for step in sorted(by_step):
-        step_events = sorted(by_step[step], key=lambda ev: (ev.seq, ev.layer))
-        keys = [(e.seq, e.layer) for e in step_events]
-        for a, b in zip(keys, keys[1:]):
-            if a == b:
-                raise TraceCompatibilityError(
-                    f"event (seq={a[0]}, step={step}, layer={a[1]}) appears twice")
-        filtered = [e for e in step_events if e.layer in engine.layers]
-        engine.begin_step(prefill=step < prefill_steps)
-        decisions = iter(engine.decide_step(
-            [(e.layer, e.seq) for e in filtered],
-            np.array([(e.k, e.v) for e in filtered], dtype=np.float32),
-            step, enact=True) if filtered else ())
-        for e in step_events:
-            key = (e.seq, e.layer)
-            skipped, report = next(decisions) if e.layer in engine.layers else (False, None)
-            would_len = hypo_len[key] + 1
-            if skipped:
-                skipped_positions[key].add(e.step)
-                report.flops_saved = ledger.charge_skip(would_len, flops_model)
-                if prune.cache_on_skip == "keep":
+    layers = engine.layers
+    steps = sorted(by_step)
+    for first in range(0, len(steps), BLOCK_STEPS):
+        block = []
+        for step in steps[first:first + BLOCK_STEPS]:
+            step_events = sorted(by_step[step], key=lambda ev: (ev.seq, ev.layer))
+            keys = [(e.seq, e.layer) for e in step_events]
+            for a, b in zip(keys, keys[1:]):
+                if a == b:
+                    raise TraceCompatibilityError(
+                        f"event (seq={a[0]}, step={step}, layer={a[1]}) appears twice")
+            block.append((step, step_events))
+        filtered = [[e for e in step_events if e.layer in layers] for _, step_events in block]
+        rows = [e for step_rows in filtered for e in step_rows]
+        evidence = iter(engine.score_steps(
+            [[(e.layer, e.seq) for e in step_rows] for step_rows in filtered],
+            np.array([(e.k, e.v) for e in rows], dtype=np.float32)) if rows else ())
+        for step, step_events in block:
+            engine.begin_step(prefill=step < prefill_steps)
+            for e in step_events:
+                key = (e.seq, e.layer)
+                skipped, report = (engine.decide(e.layer, e.seq, next(evidence), step, enact=True)
+                                   if e.layer in layers else (False, None))
+                would_len = hypo_len[key] + 1
+                if skipped:
+                    skipped_positions[key].add(e.step)
+                    report.flops_saved = ledger.charge_skip(would_len, flops_model)
+                    if prune.cache_on_skip == "keep":
+                        hypo_len[key] = would_len
+                else:
                     hypo_len[key] = would_len
-            else:
-                hypo_len[key] = would_len
-                delta = ledger.charge_keep(would_len, flops_model, decided=report is not None)
+                    delta = ledger.charge_keep(would_len, flops_model,
+                                               decided=report is not None)
+                    if report is not None:
+                        report.flops_saved = delta
                 if report is not None:
-                    report.flops_saved = delta
-            if report is not None:
-                reports.append(report)
-        engine.end_step()
+                    reports.append(report)
+            engine.end_step()
 
     # -- aggregation ----------------------------------------------------------
     decided_steps: dict[int, set] = defaultdict(set)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 REPORT_FIELDS = (
     "seq", "step", "layer", "s_k", "s_v", "var_k", "var_v", "alpha", "s_kv",
@@ -48,11 +48,3 @@ def write_reports(reports: Iterable[StepReport], fh: IO[str]) -> int:
         n += 1
     return n
 
-
-def read_reports(fh: IO[str]) -> Iterator[StepReport]:
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        d = json.loads(line)
-        yield StepReport(**{k: d[k] for k in REPORT_FIELDS if k in d})

@@ -34,6 +34,25 @@ class TestExitCodes:
         assert rc == 2
         assert "p_global" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, field", [("gamma = abc", "gamma"),
+                                             ("warmup_steps = 2.5", "warmup_steps")])
+    def test_non_numeric_prune_config_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                                     line, field):
+        cfg = tmp_path / "prune.cfg"
+        cfg.write_text(line + "\n")
+        rc = run_cli("generate", "--steps", "1", "--prune-config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err and "runtime error" not in err
+
+    def test_non_numeric_model_config_value_exits_2_naming_the_field(self, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_layers = abc\n")
+        rc = run_cli("generate", "--steps", "1", "--model-config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "n_layers" in err and "runtime error" not in err
+
     def test_missing_trace_file_is_runtime_error(self, tmp_path):
         rc = run_cli("replay", "--trace", str(tmp_path / "nope.ndjson"),
                      "--out", str(tmp_path / "s.csv"))
@@ -186,6 +205,17 @@ class TestSweepCommand:
         assert rc == 0
         assert len(read_csv(out)) == 2  # the 0.9/0.5 cell is unreachable
         assert "skipping" in capsys.readouterr().err
+
+    def test_a_non_numeric_cell_is_skipped_and_the_rest_written(self, tmp_path, capsys):
+        trace = self._trace(tmp_path)
+        out = tmp_path / "sweep.csv"
+        rc = run_cli("sweep", "--trace", str(trace), "--out", str(out),
+                     "--grid", "gamma=abc,0.9;p_global=0.2,0.25")
+        assert rc == 0
+        rows = read_csv(out)
+        assert [row[:2] for row in rows[1:]] == [["0.9", "0.2"], ["0.9", "0.25"]]
+        err = capsys.readouterr().err
+        assert err.count("skipping") == 2 and "gamma" in err
 
     def test_cell_cap_enforced(self, tmp_path):
         trace = self._trace(tmp_path)

@@ -3,7 +3,6 @@ import pytest
 
 from tokenskip.numerics import (
     DegenerateInputError,
-    RunningStat,
     cosine_similarity,
     layer_norm,
     population_mean_var,
@@ -126,63 +125,6 @@ class TestLayerNorm:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             layer_norm(np.ones(4), np.ones(4), np.zeros(4), eps=0.0)
-
-
-class TestRunningStat:
-    def test_single_sample(self):
-        s = RunningStat().update(5.0)
-        assert s.count == 1
-        assert s.mean == 5.0
-        assert s.variance == 0.0
-
-    def test_three_samples_population_variance(self):
-        s = RunningStat()
-        for x in (1.0, 2.0, 3.0):
-            s = s.update(x)
-        assert s.mean == pytest.approx(2.0, abs=1e-12)
-        assert s.variance == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_equal_samples_zero_variance(self):
-        s = RunningStat()
-        for _ in range(100):
-            s = s.update(4.25)
-        assert s.variance == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(41)
-        for size in (10, 1000, 10_000):
-            xs = rng.standard_normal(size) * 50 + 10
-            s = RunningStat()
-            for x in xs:
-                s = s.update(float(x))
-            # independent two-pass computation
-            mean = float(np.sum(xs) / size)
-            var = float(np.sum((xs - mean) ** 2) / size)
-            assert s.mean == pytest.approx(mean, rel=1e-9)
-            assert s.variance == pytest.approx(var, rel=1e-9)
-
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            xs = rng.standard_normal(rng.integers(1, 200))
-            ys = rng.standard_normal(rng.integers(1, 200))
-            sa = RunningStat()
-            for x in xs:
-                sa = sa.update(float(x))
-            sb = RunningStat()
-            for y in ys:
-                sb = sb.update(float(y))
-            merged = sa.merge(sb)
-            both = np.concatenate([xs, ys])
-            mean = float(both.mean())
-            var = float(both.var())
-            assert merged.count == len(both)
-            assert merged.mean == pytest.approx(mean, rel=1e-9, abs=1e-12)
-            assert merged.variance == pytest.approx(var, rel=1e-9, abs=1e-12)
-
-    def test_empty_variance_is_unreadable(self):
-        with pytest.raises(ValueError):
-            _ = RunningStat().variance
 
 
 class TestPopulationMeanVar:

@@ -7,12 +7,10 @@ from tokenskip.policy import (
     ConfigError,
     PruneConfig,
     RatioEstimator,
-    layer_budgets,
     parse_config_text,
     per_layer_target,
     prune_config_from_mapping,
     select_layers,
-    skip_ratio,
     update_threshold,
 )
 
@@ -81,15 +79,6 @@ class TestPerLayerTarget:
         assert per_layer_target(cfg) == 0.33
 
 
-class TestLayerBudgets:
-    def test_out_of_scope_layers_have_zero_target(self):
-        budgets = layer_budgets(8, PruneConfig(p_global=0.25, tail_fraction=0.5))
-        for b in budgets[:4]:
-            assert not b.in_scope and b.target_ratio == 0.0
-        for b in budgets[4:]:
-            assert b.in_scope and b.target_ratio == 0.5
-
-
 class TestUpdateThreshold:
     def test_fixed_point(self):
         assert update_threshold(0.5, 0.4, 0.4, 0.01) == 0.5
@@ -124,12 +113,6 @@ class TestUpdateThreshold:
 
 
 class TestSkipRatio:
-    def test_cumulative(self):
-        assert skip_ratio(5, 10) == 0.5
-
-    def test_zero_eligible_convention(self):
-        assert skip_ratio(0, 0) == 0.0
-
     def test_ema_alternating_stream_converges_to_half(self):
         est = RatioEstimator("ema", gamma=0.9)
         for t in range(100):
@@ -137,7 +120,6 @@ class TestSkipRatio:
         # Steady state of an alternating 0/1 stream oscillates between
         # gamma/(1+gamma) and 1/(1+gamma); both sit within 0.05 of 0.5.
         assert abs(est.value() - 0.5) < 0.05
-        assert abs(skip_ratio(50, 100, "ema", ema_value=est.value()) - 0.5) < 0.05
 
     def test_cumulative_estimator_counts(self):
         est = RatioEstimator("cumulative")

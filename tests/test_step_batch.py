@@ -1,17 +1,21 @@
-"""Step-batched decisions: FilterEngine.decide_step over a step's rows equals
-one process call per row in the same order, bit for bit, and replay (which
-decides each step in one batch) keeps its reports and summaries."""
+"""Block-scored decisions: FilterEngine.score_steps over a block of steps,
+then FilterEngine.decide row by row, equals one process call per row in the
+same order, bit for bit, and replay (which scores each block of steps in one
+call) keeps its reports and summaries."""
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenskip import filtering
 from tokenskip.filtering import FilterEngine, MisconfigurationError, update_anchor_mean
 from tokenskip.policy import PruneConfig
-from tokenskip.replay import TraceCompatibilityError, replay
+from tokenskip.replay import BLOCK_STEPS, TraceCompatibilityError, replay
 from tokenskip.trace import synthesize
 
 SEQS = 3
@@ -60,10 +64,12 @@ def anchor_bits(engine, key):
 def test_a_step_batch_decides_like_one_process_call_per_row(run):
     dims, all_keys, steps = run
     batched, single = FilterEngine(*dims), FilterEngine(*dims)
+    evidence = iter(batched.score_steps([keys for keys, *_ in steps],
+                                        np.concatenate([kv for _, kv, *_ in steps])))
     for step, (keys, kv, prefill, enact) in enumerate(steps):
         batched.begin_step(prefill=prefill)
         single.begin_step(prefill=prefill)
-        got = batched.decide_step(keys, kv, step, enact)
+        got = [batched.decide(layer, seq, next(evidence), step, enact) for layer, seq in keys]
         want = [single.process(layer, seq, kv[i, 0], kv[i, 1], step, enact)
                 for i, (layer, seq) in enumerate(keys)]
         assert repr(got) == repr(want)
@@ -80,20 +86,106 @@ def test_a_step_batch_decides_like_one_process_call_per_row(run):
 def test_a_repeated_row_in_one_batch_is_rejected():
     engine = FilterEngine(1, 2, 4, PruneConfig(focus="uniform"))
     kv = np.ones((2, 2, 2, 4), dtype=np.float32)
-    engine.begin_step()
     with pytest.raises(ValueError, match="more than once"):
-        engine.decide_step([(0, 0), (0, 0)], kv, 0, enact=True)
+        engine.score_steps([[(0, 0), (0, 0)]], kv)
+    # The same key in two steps of a block is the usual case.
+    assert engine.score_steps([[(0, 0)], [(0, 0)]], kv)[0] is None
 
 
 def test_a_bad_batch_leaves_the_engine_untouched():
     engine = FilterEngine(2, 2, 4, PruneConfig(focus="tail", tail_fraction=0.5))
     kv = np.ones((2, 2, 2, 4), dtype=np.float32)
-    engine.begin_step()
     with pytest.raises(MisconfigurationError):
-        engine.decide_step([(1, 0), (0, 0)], kv, 0, enact=True)
+        engine.score_steps([[(1, 0)], [(0, 0)]], kv)
     with pytest.raises(ValueError, match="K/V array"):
-        engine.decide_step([(1, 0)], kv, 0, enact=True)
+        engine.score_steps([[(1, 0)]], kv)
     assert engine.anchors(1, 0) is None
+    engine.score_steps([[(1, 0)]], kv[:1])
+    with pytest.raises(ValueError, match="K/V array"):
+        engine.score_steps([[(1, 0)]], np.ones((1, 2, 2, 3), dtype=np.float32))
+
+
+def process_replay(header, events, prune):
+    """The reports of a replay that decides one process call per event, in
+    (step, seq, layer) order: the oracle of the block-scored replay."""
+    engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
+    reports = []
+    for step in sorted({e.step for e in events}):
+        engine.begin_step(prefill=step < header.prefill_steps)
+        for e in sorted((e for e in events if e.step == step), key=lambda e: (e.seq, e.layer)):
+            if e.layer in engine.layers:
+                _, report = engine.process(e.layer, e.seq, e.k, e.v, step, enact=True)
+                if report is not None:
+                    reports.append(report)
+        engine.end_step()
+    return reports
+
+
+def assert_replay_matches_process(header, events, prune):
+    got = [dataclasses.replace(r, flops_saved=0) for r in replay(header, events, prune).reports]
+    assert repr(got) == repr(process_replay(header, events, prune))
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+def test_replay_of_ragged_steps_decides_like_process(anchor_mode):
+    header, events = synthesize("repetitive", 4, 2, 8, 40, seed=5, n_seqs=3)
+    rng = np.random.default_rng(5)
+    # Steps with some (seq, layer) events missing, some steps with none of
+    # the filtered layers, and a few sequences that start late.
+    kept = [e for e in events
+            if rng.random() < 0.7 and not (e.seq == 2 and e.step < 9)]
+    assert len({(e.step, e.layer) for e in kept}) < len({(e.step, e.layer) for e in events})
+    assert_replay_matches_process(header, kept, PruneConfig(anchor_mode=anchor_mode,
+                                                             warmup_steps=3))
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+def test_replay_of_a_trace_longer_than_one_block_decides_like_process(anchor_mode):
+    n_steps = 2 * BLOCK_STEPS + 5
+    header, events = synthesize("repetitive", 4, 2, 8, n_steps, seed=6, n_seqs=2,
+                                with_attn=False)
+    assert_replay_matches_process(header, events, PruneConfig(anchor_mode=anchor_mode))
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+def test_a_first_token_that_is_not_finite_gets_no_anchor(anchor_mode):
+    header, events = synthesize("repetitive", 2, 2, 8, 12, seed=7, n_seqs=2, with_attn=False)
+    # (layer 1, seq 0): the first two tokens are non-finite, then one in the
+    # middle; (layer 1, seq 1): a zero first token, degenerate but folded in.
+    corrupt = {(0, 0, 1): np.nan, (0, 1, 1): np.inf, (0, 6, 1): -np.inf, (1, 0, 1): 0.0}
+    for e in events:
+        if (e.seq, e.step, e.layer) in corrupt:
+            e.k = e.k.copy()
+            e.k[0] = corrupt[e.seq, e.step, e.layer]
+            if corrupt[e.seq, e.step, e.layer] == 0.0:
+                e.k[:], e.v = 0.0, np.zeros_like(e.v)
+    prune = PruneConfig(anchor_mode=anchor_mode, warmup_steps=0)
+    assert_replay_matches_process(header, events, prune)
+    reports = replay(header, events, prune).reports
+    steps = [r.step for r in reports if (r.seq, r.layer) == (0, 1)]
+    # Step 2 is the first finite token, so step 3 is the first decision.
+    assert steps == list(range(3, 12))
+    assert [r.degenerate for r in reports if (r.seq, r.layer) == (0, 1)][3] is True
+    assert [r.step for r in reports if (r.seq, r.layer) == (1, 1)] == list(range(1, 12))
+
+
+def test_replay_scores_each_block_in_one_kernel_call_and_never_calls_process(monkeypatch):
+    calls = {"head_similarity": 0, "process": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(filtering, "head_similarity",
+                        counting("head_similarity", filtering.head_similarity))
+    monkeypatch.setattr(FilterEngine, "process", counting("process", FilterEngine.process))
+    n_steps = 2 * BLOCK_STEPS + 5
+    header, events = synthesize("repetitive", 4, 2, 8, n_steps, seed=8, n_seqs=2,
+                                with_attn=False)
+    replay(header, events, PruneConfig())
+    assert calls == {"head_similarity": math.ceil(n_steps / BLOCK_STEPS), "process": 0}
 
 
 def test_update_anchor_mean_takes_per_row_counts():
@@ -113,7 +205,7 @@ def test_replay_rejects_a_repeated_event():
 
 
 # sha256 of the reports (by repr) and the summary of fixed synthetic replays,
-# recorded before decisions were batched by step.
+# recorded before decisions were batched by step or scored by block.
 GOLDEN = {
     ("repetitive", 1, "ema"): "ddc552b2082c926b43920adfcd23552a801fa72d3942856d5521ed5902c86aa6",
     ("repetitive", 1, "exact_mean"):
