@@ -21,7 +21,7 @@ from .filtering import (
     update_anchor,
     update_anchor_mean,
 )
-from .metrics import FlopsLedger, FlopsModel, attention_mass_lost, correlation_entries, spearman
+from .metrics import FlopsLedger, FlopsModel, correlation_entries, spearman
 from .model import (
     DecodeSession,
     KVCache,
@@ -45,7 +45,7 @@ __all__ = [
     "DecodeSession", "FilterEngine", "FlopsLedger", "FlopsModel", "KVCache",
     "ModelConfig", "PruneConfig", "ReplayResult", "SimilarityScore",
     "StepReport", "TraceHeader", "TraceRecorder", "Weights", "anchor_memory_bytes",
-    "attention_forward", "attention_mass_lost", "correlation_entries",
+    "attention_forward", "correlation_entries",
     "cosine_similarity", "fuse", "head_similarity", "init_weights",
     "layer_norm", "load_weights", "per_layer_target", "project_kv", "read_trace",
     "replay", "save_weights", "select_layers", "softmax", "spearman",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import metrics, reporting, trace as trace_mod
 from .model import DecodeSession, ModelConfig, load_weights, save_weights
-from .replay import replay as run_replay, write_summary_csv
+from .replay import replay as run_replay
 from .policy import (ConfigError, PruneConfig, parse_config_text, parse_number,
                      prune_config_from_mapping)
 from .trace import TraceFormatError
@@ -112,11 +112,11 @@ def cmd_generate(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             reporting.write_reports(result.reports, fh)
     if args.summary:
-        if not result.reports:
-            raise ConfigError("no filter reports to summarize; is the filtered set empty?")
-        rows = metrics.aggregate_report(result.reports, config.n_layers)
+        # A recording's attention rows give the mass lost, as its replay would.
+        lost = metrics.mass_lost_by_layer(recorder.events, result.reports) if recorder else None
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            metrics.write_aggregate_csv(rows, fh)
+            reporting.write_summary_csv(
+                reporting.summarize(result.reports, config.n_layers, lost), fh)
 
     skips = sum(1 for r in result.reports if r.skipped)
     decisions = len(result.reports)
@@ -144,7 +144,7 @@ def cmd_replay(args) -> int:
     header, events = trace_mod.read_trace(args.trace)
     result = run_replay(header, events, prune)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_summary_csv(result.summary, fh)
+        reporting.write_summary_csv(result.summary, fh)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             reporting.write_reports(result.reports, fh)
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=("dense", "filtered"), default="filtered")
     g.add_argument("--record", metavar="PATH", help="write an NDJSON trace with exact attention")
     g.add_argument("--report", metavar="PATH", help="write decision reports as NDJSON")
-    g.add_argument("--summary", metavar="PATH", help="write the aggregate CSV summary")
+    g.add_argument("--summary", metavar="PATH",
+                   help="write the per-layer summary CSV (replay's schema)")
     g.add_argument("--seed", type=int, default=None, help="model seed override")
     g.add_argument("--save-weights", metavar="PATH", help="snapshot weights to a binary blob")
     g.add_argument("--load-weights", metavar="PATH", help="load weights from a binary blob")

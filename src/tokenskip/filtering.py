@@ -175,8 +175,9 @@ class _LayerState:
     eligible_count: int = 0
     skip_count: int = 0
     shadow_skip_count: int = 0
-    actual_estimator: RatioEstimator = None
-    shadow_estimator: RatioEstimator = None
+    # The running skip ratio the controller reads: of enacted skips, or of
+    # would-be skips under shadow warm-up feedback.
+    estimator: RatioEstimator = None
     # Per-step accumulators, flushed at the step barrier: counts of enacted
     # and would-be skips, and one head variance per decision.
     pending_actual: int = 0
@@ -204,19 +205,18 @@ class FilterEngine:
         self.step_index = 0            # decode steps completed
         self._in_prefill = False
         # The anchors of every (layer, sequence) seen so far, one row each of a
-        # persistent (slots, 2, n_heads, d_head) float64 array, made at the
-        # first finite observation (whose shape it takes) and doubled when
+        # persistent (slots, 2, n_heads, d_head) float64 array, doubled when
         # full; a (layer, sequence) takes its slot, and its observation count,
         # at its first finite observation.
+        self._kv_shape = (2, n_heads, d_head)
         self._slots: dict[tuple[int, int], int] = {}
-        self._anchor_rows: np.ndarray | None = None
+        self._anchor_rows = np.empty((len(self.active_layers),) + self._kv_shape)
         self._obs_counts: list[int] = []
         self.layers: dict[int, _LayerState] = {}
         for layer in self.active_layers:
-            st = _LayerState(tau=config.tau_init)
-            st.actual_estimator = RatioEstimator(config.ratio_estimator, config.gamma)
-            st.shadow_estimator = RatioEstimator(config.ratio_estimator, config.gamma)
-            self.layers[layer] = st
+            self.layers[layer] = _LayerState(
+                tau=config.tau_init,
+                estimator=RatioEstimator(config.ratio_estimator, config.gamma))
 
     # -- step protocol -----------------------------------------------------
 
@@ -228,15 +228,16 @@ class FilterEngine:
         thresholds, and variance state. frozen leaves controller state
         untouched (dense telemetry runs)."""
         gamma = self.config.gamma
+        shadow_feedback = self.config.warmup_feedback == "shadow"
         for st in self.layers.values():
             n = len(st.pending_var_k)
             if n:
                 if not frozen:
                     # The mean of 0/1 indicators is their count over n, exactly.
-                    st.actual_estimator.update(st.pending_actual / n)
-                    st.shadow_estimator.update(st.pending_shadow / n)
-                    rho = self._controller_ratio(st)
-                    st.tau = update_threshold(st.tau, rho, self.target, self.config.eta)
+                    pending = st.pending_shadow if shadow_feedback else st.pending_actual
+                    st.estimator.update(pending / n)
+                    st.tau = update_threshold(st.tau, st.estimator.value(), self.target,
+                                              self.config.eta)
                 fresh_k = _step_mean(st.pending_var_k)
                 fresh_v = _step_mean(st.pending_var_v)
                 if self.config.variance_mode == "instant" or st.var_k is None:
@@ -251,11 +252,6 @@ class FilterEngine:
             self.step_index += 1
         self._in_prefill = False
 
-    def _controller_ratio(self, st: _LayerState) -> float:
-        if self.config.warmup_feedback == "shadow":
-            return st.shadow_estimator.value()
-        return st.actual_estimator.value()
-
     # -- decisions ---------------------------------------------------------
 
     def process(self, layer: int, seq: int, k_heads: np.ndarray, v_heads: np.ndarray,
@@ -269,7 +265,8 @@ class FilterEngine:
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or enact=False telemetry runs). The first
         finite observation for a (layer, sequence) only initializes the anchors
-        and yields no report.
+        and yields no report. K/V of any shape but (n_heads, d_head) raise
+        ValueError.
         """
         if layer not in self.layers:
             raise MisconfigurationError(f"layer {layer} is outside the filtered set")
@@ -277,6 +274,8 @@ class FilterEngine:
         # Canonical wire precision: the live engine and a trace replay must see
         # bit-identical inputs, so K/V pass through float32 before filter math.
         kv = np.array((k_heads, v_heads), dtype=np.float32).astype(np.float64)
+        if kv.shape != self._kv_shape:
+            raise ValueError(f"expected K/V of shape {self._kv_shape[1:]}, got {kv.shape[1:]}")
         slot = self._slots.get(key)
         if slot is None:
             self._observe_first(key, kv)
@@ -314,11 +313,9 @@ class FilterEngine:
         n = sum(map(len, step_keys))
         # The same float32 wire precision as process.
         kv = np.asarray(kv, dtype=np.float32)
-        held = self._anchor_rows
-        if (kv.ndim != 4 or kv.shape[:2] != (n, 2)
-                or (held is not None and kv.shape[1:] != held.shape[1:])):
-            raise ValueError(f"expected a ({n}, 2, n_heads, d_head) K/V array matching the "
-                             f"anchors, got {kv.shape}")
+        if kv.shape != (n,) + self._kv_shape:
+            raise ValueError(f"expected a K/V array of shape {(n,) + self._kv_shape}, "
+                             f"got {kv.shape}")
         for keys in step_keys:
             for layer, _ in keys:
                 if layer not in self.layers:
@@ -430,12 +427,6 @@ class FilterEngine:
         slot of the anchor array."""
         if not np.isfinite(kv).all():
             return
-        rows = self._anchor_rows
-        if rows is None:
-            self._anchor_rows = np.empty((len(self.active_layers),) + kv.shape)
-        elif kv.shape != rows.shape[1:]:
-            raise ValueError(f"K/V of shape {kv.shape} do not match the anchors' "
-                             f"{rows.shape[1:]}")
         slot = len(self._obs_counts)
         if slot == len(self._anchor_rows):
             grown = np.empty((2 * slot,) + self._anchor_rows.shape[1:])
@@ -464,12 +455,6 @@ class FilterEngine:
 
     def tau(self, layer: int) -> float:
         return self.layers[layer].tau
-
-    def observed_skip_ratio(self, layer: int) -> float:
-        st = self.layers[layer]
-        if st.eligible_count == 0:
-            return 0.0
-        return st.skip_count / st.eligible_count
 
     def counters(self, layer: int) -> tuple[int, int]:
         st = self.layers[layer]

@@ -1,5 +1,5 @@
-"""Analytic FLOPs accounting, similarity-vs-attention correlation, the
-attention-mass-lost proxy, and aggregate CSV reports.
+"""Analytic FLOPs accounting, similarity-vs-attention correlation, and the
+attention-mass-lost proxy.
 
 FLOPs conventions, fixed so numbers are comparable across runs: one
 multiply-accumulate counts as 2 FLOPs, softmax costs 5 FLOPs per element.
@@ -66,10 +66,6 @@ class FlopsModel:
     @property
     def kv_proj_flops(self) -> int:
         return 4 * self.d_model * self.d_model
-
-    @property
-    def qkv_proj_flops(self) -> int:
-        return self.q_proj_flops + self.kv_proj_flops
 
     @property
     def o_proj_flops(self) -> int:
@@ -144,14 +140,17 @@ class FlopsLedger:
         self.saved_net += delta
         return delta
 
-    def charge_forced_skip(self, cache_len_if_kept: int, model: FlopsModel) -> int:
-        """A skip imposed from outside rather than decided by the filter: the
-        attention work is avoided but no decision overhead was paid."""
-        self.actual += model.skip_cost()
-        self.dense_equiv += model.kept_cost(cache_len_if_kept)
-        delta = model.attention_cost(cache_len_if_kept)
-        self.saved_net += delta
-        return delta
+    def charge_event(self, cache_len_if_kept: int, model: FlopsModel, skipped: bool,
+                     report: StepReport | None) -> None:
+        """Charge one event at the cache length it has if kept. An event with
+        a report was decided by the filter: it pays the decision overhead and
+        its net delta becomes report.flops_saved."""
+        if skipped:
+            delta = self.charge_skip(cache_len_if_kept, model)
+        else:
+            delta = self.charge_keep(cache_len_if_kept, model, decided=report is not None)
+        if report is not None:
+            report.flops_saved = delta
 
     def conserved(self) -> bool:
         return self.dense_equiv == self.actual + self.saved_net + self.overhead
@@ -296,106 +295,31 @@ def write_correlation_csv(entries: Iterable[CorrelationEntry], fh: IO[str]) -> N
 # -- attention mass lost -------------------------------------------------------
 
 
-def attention_mass_lost(rows_by_event: dict[tuple[int, int, int], np.ndarray],
-                        skipped_positions: dict[tuple[int, int], set[int]],
-                        total_decisions: int) -> float:
-    """Attention probability mass that recorded queries assigned to positions
-    the policy skipped, normalized by total decisions.
+def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float] | None:
+    """Per layer, the attention mass that skipping cost, summed over events.
 
-    rows_by_event maps (seq, step, layer) to that query's per-head row; a
-    skipped event's own position counts (its whole row was never computed).
-    Skipping every decision therefore yields exactly 1.0.
+    events are trace events; reports, the decisions over them in order. A
+    skipped event loses its whole row; every event loses the mass its row
+    puts on the positions its (seq, layer) skipped earlier, averaged over
+    heads. Columns are steps only when every row spans the full cache; a
+    recording that dropped skipped tokens from its cache has compacted rows,
+    and like one without rows it gives None.
     """
-    if total_decisions < 0:
-        raise ValueError("total_decisions must be non-negative")
-    if total_decisions == 0:
-        return 0.0
-    lost = 0.0
-    for (seq, step, layer), row in rows_by_event.items():
-        dropped = skipped_positions.get((seq, layer))
-        if not dropped:
-            continue
-        row = np.asarray(row, dtype=np.float64)
-        cols = [p for p in dropped if p < row.shape[1]]
-        if cols:
-            lost += float(row[:, cols].sum()) / row.shape[0]
-    return lost / total_decisions
-
-
-# -- aggregate report ----------------------------------------------------------
-
-AGGREGATE_COLUMNS = (
-    "layer", "decisions", "skipped", "skip_ratio", "s_kv_mean", "s_kv_p50",
-    "s_kv_p90", "alpha_mean", "flops_saved", "mass_lost",
-)
-
-
-def aggregate_report(reports: Sequence[StepReport], n_layers: int,
-                     mass_by_layer: dict[int, float] | None = None,
-                     global_mass: float | None = None) -> list[dict]:
-    """Per-layer and global summary rows.
-
-    The global skip ratio counts every layer of every decided step, including
-    layers outside the filtered set, as unskipped decisions; that is the
-    quantity a global budget constrains.
-    """
-    if not reports:
-        raise ValueError("report stream is empty")
-    by_layer: dict[int, list[StepReport]] = defaultdict(list)
-    decided_steps = set()
+    if not events or any(e.attn is None or e.attn.shape[1] != e.step + 1 for e in events):
+        return None
+    skipped_steps: dict[tuple[int, int], set[int]] = defaultdict(set)
     for r in reports:
-        by_layer[r.layer].append(r)
-        decided_steps.add((r.seq, r.step))
-
-    rows = []
-    total_skipped = 0
-    total_saved = 0
-    for layer in sorted(by_layer):
-        rs = by_layer[layer]
-        skipped = sum(1 for r in rs if r.skipped)
-        saved = sum(r.flops_saved for r in rs)
-        s_kv = np.asarray([r.s_kv for r in rs], dtype=np.float64)
-        alpha = np.asarray([r.alpha for r in rs], dtype=np.float64)
-        total_skipped += skipped
-        total_saved += saved
-        mass = mass_by_layer.get(layer, 0.0) if mass_by_layer else ""
-        rows.append({
-            "layer": layer,
-            "decisions": len(rs),
-            "skipped": skipped,
-            "skip_ratio": skipped / len(rs),
-            "s_kv_mean": float(s_kv.mean()),
-            "s_kv_p50": float(np.quantile(s_kv, 0.5)),
-            "s_kv_p90": float(np.quantile(s_kv, 0.9)),
-            "alpha_mean": float(alpha.mean()),
-            "flops_saved": saved,
-            "mass_lost": mass,
-        })
-
-    global_decisions = len(decided_steps) * n_layers
-    all_skv = np.asarray([r.s_kv for r in reports], dtype=np.float64)
-    all_alpha = np.asarray([r.alpha for r in reports], dtype=np.float64)
-    rows.append({
-        "layer": "global",
-        "decisions": global_decisions,
-        "skipped": total_skipped,
-        "skip_ratio": total_skipped / global_decisions,
-        "s_kv_mean": float(all_skv.mean()),
-        "s_kv_p50": float(np.quantile(all_skv, 0.5)),
-        "s_kv_p90": float(np.quantile(all_skv, 0.9)),
-        "alpha_mean": float(all_alpha.mean()),
-        "flops_saved": total_saved,
-        "mass_lost": global_mass if global_mass is not None else "",
-    })
-    return rows
-
-
-def write_aggregate_csv(rows: Iterable[dict], fh: IO[str]) -> None:
-    w = csv.writer(fh)
-    w.writerow(AGGREGATE_COLUMNS)
-    for row in rows:
-        out = []
-        for col in AGGREGATE_COLUMNS:
-            v = row[col]
-            out.append(repr(v) if isinstance(v, float) else v)
-        w.writerow(out)
+        if r.skipped:
+            skipped_steps[(r.seq, r.layer)].add(r.step)
+    # Columns keep the set's own order: the float32 sum depends on it.
+    dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
+                    for key, steps in skipped_steps.items()}
+    lost: dict[int, float] = defaultdict(float)
+    for e in events:
+        cols = dropped_cols.get((e.seq, e.layer))
+        if cols is None:
+            continue
+        cols = cols[cols < e.attn.shape[1]]
+        if cols.size:
+            lost[e.layer] += float(e.attn[:, cols].sum()) / e.attn.shape[0]
+    return dict(lost)

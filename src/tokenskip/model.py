@@ -19,8 +19,6 @@ from .metrics import FlopsLedger, FlopsModel
 from .numerics import layer_norm, softmax, substream
 from .policy import ConfigError, PruneConfig
 
-MODES = ("dense", "filtered", "forced_skip", "forced_keep")
-
 WEIGHTS_MAGIC = b"TKSK"
 WEIGHTS_VERSION = 1
 
@@ -297,12 +295,12 @@ class DecodeSession:
         if prune is not None:
             self.engine = FilterEngine(config.n_layers, config.n_heads, config.d_head, prune)
 
-    def block_forward(self, layer: int, hidden: np.ndarray, mode: str | None = None,
-                      seq: int = 0, step: int = 0) -> BlockOutput:
-        """One pre-norm block: filter decision, attention or skip, then FFN."""
-        mode = self.mode if mode is None else mode
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
+    def block_forward(self, layer: int, hidden: np.ndarray, seq: int = 0,
+                      step: int = 0) -> BlockOutput:
+        """One pre-norm block: filter decision, attention or skip, then FFN.
+
+        A dense session still runs the filter on its layers, as shadow
+        telemetry: it never skips and pays no decision overhead."""
         lw = self.weights.layers[layer]
         x = hidden
         ln1 = layer_norm(x, lw.ln1_g, lw.ln1_b)
@@ -310,28 +308,19 @@ class DecodeSession:
 
         skip = False
         report = None
-        active = self.engine is not None and layer in self.engine.layers
-        if mode == "forced_skip":
-            skip = True
-        elif mode == "forced_keep" or mode == "dense":
-            if active:
-                _, report = self.engine.process(layer, seq, k_heads, v_heads, step, enact=False)
-        elif mode == "filtered" and active:
-            skip, report = self.engine.process(layer, seq, k_heads, v_heads, step, enact=True)
+        filtered = self.mode == "filtered"
+        if self.engine is not None and layer in self.engine.layers:
+            skip, report = self.engine.process(layer, seq, k_heads, v_heads, step,
+                                               enact=filtered)
 
-        decided = report is not None and mode == "filtered"
+        cache_len_if_kept = self.cache.lens[layer] + 1
         attn_row = None
         if skip:
-            would_len = self.cache.lens[layer] + 1
             if self.record:
                 attn_row = attention_row_if_kept(self.weights, layer, ln1, self.cache,
                                                  k_heads, v_heads)
-            if self.prune is not None and self.prune.cache_on_skip == "keep":
+            if self.prune.cache_on_skip == "keep":
                 self.cache.append(layer, k_heads, v_heads)
-            if decided:
-                report.flops_saved = self.ledger.charge_skip(would_len, self.flops_model)
-            else:
-                self.ledger.charge_forced_skip(would_len, self.flops_model)
             # Attention contribution is exactly zero: the residual passes the
             # input through untouched, no arithmetic applied.
         else:
@@ -341,10 +330,9 @@ class DecodeSession:
                                                        return_weights=True)
             else:
                 attn_out = attention_forward(self.weights, layer, ln1, self.cache)
-            delta = self.ledger.charge_keep(self.cache.lens[layer], self.flops_model, decided)
-            if decided:
-                report.flops_saved = delta
             x = (x + attn_out).astype(np.float32)
+        self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip,
+                                 report if filtered else None)
 
         ln2 = layer_norm(x, lw.ln2_g, lw.ln2_b)
         x = (x + ffn_forward(self.weights, layer, ln2)).astype(np.float32)

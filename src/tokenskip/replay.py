@@ -5,32 +5,29 @@ against the trace's ground-truth attention rows.
 Replay runs in two passes per block of BLOCK_STEPS steps. One
 FilterEngine.score_steps call scores every filtered (seq, layer) event of the
 block, step by step in (seq, layer) order; then each step runs begin_step,
-FilterEngine.decide, the ledger per event, and end_step. A token's evidence
-depends only on the K/V stream, so scoring it ahead of the controller changes
-nothing: the live engine decides the same rows one process call at a time
-through the same steps, and the two agree bit for bit."""
+FilterEngine.decide, FlopsLedger.charge_event per event, and end_step. A
+token's evidence depends only on the K/V stream, so scoring it ahead of the
+controller changes nothing: the live engine decides the same rows one process
+call at a time through the same steps, and the two agree bit for bit. The
+summary is the live one: reporting.summarize with metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .filtering import FilterEngine
-from .metrics import FlopsLedger, FlopsModel
+from .metrics import FlopsLedger, FlopsModel, mass_lost_by_layer
 from .policy import PruneConfig
-from .reporting import StepReport
+from .reporting import StepReport, summarize
 from .trace import TraceEvent, TraceHeader
 
 # Steps scored per score_steps call: one similarity kernel per block, with the
 # block's float64 K/V and anchor copies kept small (256 KB each for 4 filtered
 # rows per step of 4 heads x 16).
 BLOCK_STEPS = 64
-
-SUMMARY_COLUMNS = ("layer", "eligible", "skipped", "skip_ratio", "mean_s_kv",
-                   "mean_alpha", "mass_lost", "flops_saved")
 
 
 class TraceCompatibilityError(ValueError):
@@ -43,13 +40,21 @@ class ReplayResult:
     reports: list[StepReport]
     summary: list[dict]
     ledger: FlopsLedger
-    skipped_positions: dict = field(default_factory=dict)
-    global_skip_ratio: float = 0.0
-    global_mass_lost: float | None = None
-    mass_by_layer: dict = field(default_factory=dict)
 
-    def scores_by_event(self) -> dict:
-        return {(r.seq, r.step, r.layer): r.s_kv for r in self.reports}
+    @property
+    def global_skip_ratio(self) -> float:
+        return self.summary[-1]["skip_ratio"]
+
+    @property
+    def global_mass_lost(self) -> float | None:
+        mass = self.summary[-1]["mass_lost"]
+        return None if mass == "" else mass
+
+    @property
+    def mass_by_layer(self) -> dict[int, float]:
+        if self.global_mass_lost is None:
+            return {}
+        return {row["layer"]: row["mass_lost"] for row in self.summary[:-1]}
 
 
 def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
@@ -73,18 +78,7 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
         by_step[e.step].append(e)
 
-    # Mass lost indexes attention columns by step, which holds only when every
-    # row spans the full cache; a recording that dropped skipped tokens from
-    # its cache has compacted rows, and gets no mass metrics.
-    have_attn = bool(events) and all(e.attn is not None and e.attn.shape[1] == e.step + 1
-                                     for e in events)
-    if require_attn and not have_attn:
-        raise TraceCompatibilityError(
-            "metric requires full-cache attention rows, but the trace lacks them "
-            "or has compacted rows")
-
     reports: list[StepReport] = []
-    skipped_positions: dict[tuple[int, int], set[int]] = defaultdict(set)
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
 
     layers = engine.layers
@@ -111,100 +105,17 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
                 skipped, report = (engine.decide(e.layer, e.seq, next(evidence), step, enact=True)
                                    if e.layer in layers else (False, None))
                 would_len = hypo_len[key] + 1
-                if skipped:
-                    skipped_positions[key].add(e.step)
-                    report.flops_saved = ledger.charge_skip(would_len, flops_model)
-                    if prune.cache_on_skip == "keep":
-                        hypo_len[key] = would_len
-                else:
+                ledger.charge_event(would_len, flops_model, skipped, report)
+                if not skipped or prune.cache_on_skip == "keep":
                     hypo_len[key] = would_len
-                    delta = ledger.charge_keep(would_len, flops_model,
-                                               decided=report is not None)
-                    if report is not None:
-                        report.flops_saved = delta
                 if report is not None:
                     reports.append(report)
             engine.end_step()
 
-    # -- aggregation ----------------------------------------------------------
-    decided_steps: dict[int, set] = defaultdict(set)
-    by_layer: dict[int, list[StepReport]] = defaultdict(list)
-    for r in reports:
-        by_layer[r.layer].append(r)
-        decided_steps[r.layer].add((r.seq, r.step))
-
-    n_decided = max((len(s) for s in decided_steps.values()), default=0)
-    global_decisions = n_decided * header.n_layers if n_decided else 0
-
-    mass_by_layer: dict[int, float] = {}
-    global_mass: float | None = None
-    if have_attn:
-        # A skipped event loses its whole row; kept events lose the mass their
-        # rows put on positions the policy dropped earlier (or at this step).
-        # Columns keep the set's own order: the float32 sum depends on it.
-        dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
-                        for key, steps in skipped_positions.items()}
-        raw_lost: dict[int, float] = defaultdict(float)
-        for e in events:
-            cols = dropped_cols.get((e.seq, e.layer))
-            if cols is None:
-                continue
-            cols = cols[cols < e.attn.shape[1]]
-            if cols.size:
-                raw_lost[e.layer] += float(e.attn[:, cols].sum()) / e.attn.shape[0]
-        total_lost = 0.0
-        for layer in range(header.n_layers):
-            eligible = len(by_layer.get(layer, ()))
-            mass_by_layer[layer] = raw_lost[layer] / eligible if eligible else 0.0
-            total_lost += raw_lost[layer]
-        global_mass = total_lost / global_decisions if global_decisions else 0.0
-
-    summary = []
-    total_skipped = 0
-    total_saved = 0
-    for layer in range(header.n_layers):
-        rs = by_layer.get(layer, [])
-        eligible = len(rs)
-        skipped = sum(1 for r in rs if r.skipped)
-        saved = sum(r.flops_saved for r in rs)
-        total_skipped += skipped
-        total_saved += saved
-        summary.append({
-            "layer": layer,
-            "eligible": eligible,
-            "skipped": skipped,
-            "skip_ratio": skipped / eligible if eligible else 0.0,
-            "mean_s_kv": float(np.mean([r.s_kv for r in rs])) if rs else "",
-            "mean_alpha": float(np.mean([r.alpha for r in rs])) if rs else "",
-            "mass_lost": mass_by_layer.get(layer, "") if have_attn else "",
-            "flops_saved": saved,
-        })
-    global_ratio = total_skipped / global_decisions if global_decisions else 0.0
-    all_reports = [r for rs in by_layer.values() for r in rs]
-    summary.append({
-        "layer": "global",
-        "eligible": global_decisions,
-        "skipped": total_skipped,
-        "skip_ratio": global_ratio,
-        "mean_s_kv": float(np.mean([r.s_kv for r in all_reports])) if all_reports else "",
-        "mean_alpha": float(np.mean([r.alpha for r in all_reports])) if all_reports else "",
-        "mass_lost": global_mass if have_attn else "",
-        "flops_saved": total_saved,
-    })
-
-    return ReplayResult(
-        header=header, reports=reports, summary=summary, ledger=ledger,
-        skipped_positions=dict(skipped_positions), global_skip_ratio=global_ratio,
-        global_mass_lost=global_mass, mass_by_layer=mass_by_layer,
-    )
-
-
-def write_summary_csv(summary: list[dict], fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(SUMMARY_COLUMNS)
-    for row in summary:
-        out = []
-        for col in SUMMARY_COLUMNS:
-            v = row[col]
-            out.append(repr(v) if isinstance(v, float) else v)
-        w.writerow(out)
+    lost = mass_lost_by_layer(events, reports)
+    if require_attn and lost is None:
+        raise TraceCompatibilityError(
+            "metric requires full-cache attention rows, but the trace lacks them "
+            "or has compacted rows")
+    return ReplayResult(header=header, reports=reports,
+                        summary=summarize(reports, header.n_layers, lost), ledger=ledger)

@@ -1,15 +1,23 @@
-"""Per-decision telemetry records and their NDJSON stream format."""
+"""Per-decision telemetry records, their NDJSON stream format, and the one
+per-layer summary that live decode and replay both derive from them."""
 
 from __future__ import annotations
 
+import csv
 import json
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 REPORT_FIELDS = (
     "seq", "step", "layer", "s_k", "s_v", "var_k", "var_v", "alpha", "s_kv",
     "tau", "shadow", "skipped", "flops_saved", "degenerate",
 )
+
+SUMMARY_COLUMNS = ("layer", "eligible", "skipped", "skip_ratio", "mean_s_kv",
+                   "mean_alpha", "mass_lost", "flops_saved")
 
 
 @dataclass
@@ -48,3 +56,56 @@ def write_reports(reports: Iterable[StepReport], fh: IO[str]) -> int:
         n += 1
     return n
 
+
+def _summary_row(layer, reports: list[StepReport], eligible: int, lost: float | None) -> dict:
+    skipped = sum(1 for r in reports if r.skipped)
+    return {
+        "layer": layer,
+        "eligible": eligible,
+        "skipped": skipped,
+        "skip_ratio": skipped / eligible if eligible else 0.0,
+        "mean_s_kv": float(np.mean([r.s_kv for r in reports])) if reports else "",
+        "mean_alpha": float(np.mean([r.alpha for r in reports])) if reports else "",
+        "mass_lost": "" if lost is None else (lost / eligible if eligible else 0.0),
+        "flops_saved": sum(r.flops_saved for r in reports),
+    }
+
+
+def summarize(reports: Sequence[StepReport], n_layers: int,
+              lost_by_layer: dict[int, float] | None = None) -> list[dict]:
+    """One row per layer, filtered or not, then a global row.
+
+    The global row counts every layer of every decided (seq, step) as a
+    decision (the most pairs any one layer decided, times n_layers): the
+    quantity a global budget constrains. mass_lost is lost_by_layer's sum
+    (metrics.mass_lost_by_layer) over the row's eligible count, or empty.
+    """
+    by_layer: dict[int, list[StepReport]] = defaultdict(list)
+    decided: dict[int, set] = defaultdict(set)
+    for r in reports:
+        by_layer[r.layer].append(r)
+        decided[r.layer].add((r.seq, r.step))
+    rows = []
+    total_lost = None if lost_by_layer is None else 0.0
+    for layer in range(n_layers):
+        rs = by_layer.get(layer, [])
+        lost = None if lost_by_layer is None else lost_by_layer.get(layer, 0.0)
+        if lost is not None:
+            total_lost += lost  # layer by layer: the float sum depends on the order
+        rows.append(_summary_row(layer, rs, len(rs), lost))
+    n_global = max(map(len, decided.values()), default=0) * n_layers
+    # The global means run over the reports grouped by layer.
+    grouped = [r for rs in by_layer.values() for r in rs]
+    rows.append(_summary_row("global", grouped, n_global, total_lost))
+    return rows
+
+
+def write_summary_csv(summary: list[dict], fh: IO[str]) -> None:
+    w = csv.writer(fh)
+    w.writerow(SUMMARY_COLUMNS)
+    for row in summary:
+        out = []
+        for col in SUMMARY_COLUMNS:
+            v = row[col]
+            out.append(repr(v) if isinstance(v, float) else v)
+        w.writerow(out)

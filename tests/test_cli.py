@@ -94,6 +94,33 @@ class TestGenerateCommand:
         assert rep.read_text().strip()
         assert read_csv(summ)[0][0] == "layer"
 
+    @pytest.mark.parametrize("cache_on_skip", ["drop", "keep"])
+    def test_live_summary_equals_replay_summary(self, tmp_path, cache_on_skip):
+        trace, live, replayed, rep = (tmp_path / name for name in
+                                      ("t.ndjson", "a.csv", "b.csv", "r.ndjson"))
+        prune = ("--warmup-steps", "4", "--tau-init", "0.5", "--cache-on-skip", cache_on_skip)
+        assert run_cli("generate", "--steps", "24", "--prompt-bytes", "hey", "--seed", "5",
+                       "--mode", "filtered", "--record", str(trace), "--summary", str(live),
+                       "--report", str(rep), *prune) == 0
+        assert any(json.loads(line)["skipped"] for line in rep.read_text().splitlines())
+        assert run_cli("replay", "--trace", str(trace), "--out", str(replayed), *prune) == 0
+        assert live.read_bytes() == replayed.read_bytes()
+        rows = read_csv(live)
+        mass = rows[-1][rows[0].index("mass_lost")]
+        # A dropped cache compacts the recorded rows, which give no mass.
+        assert (mass == "") == (cache_on_skip == "drop")
+
+    def test_zero_decisions_give_the_same_zero_summary(self, tmp_path):
+        trace, live, replayed = tmp_path / "t.ndjson", tmp_path / "a.csv", tmp_path / "b.csv"
+        # One prompt byte only sets the anchors: no position gets a decision.
+        assert run_cli("generate", "--steps", "0", "--prompt-bytes", "a", "--seed", "5",
+                       "--record", str(trace), "--summary", str(live)) == 0
+        assert run_cli("replay", "--trace", str(trace), "--out", str(replayed)) == 0
+        assert live.read_bytes() == replayed.read_bytes()
+        rows = read_csv(live)
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2", "3", "global"]
+        assert all(row[rows[0].index("eligible")] == "0" for row in rows[1:])
+
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         outs = []
         for name in ("one", "two"):

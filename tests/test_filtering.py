@@ -30,10 +30,10 @@ def drive(engine, layer, stream, prefill=0, enact=True, seq=0):
     return skips, reports
 
 
-def single_layer_engine(**prune_kwargs) -> FilterEngine:
+def single_layer_engine(d_head=4, **prune_kwargs) -> FilterEngine:
     kwargs = dict(focus="uniform", warmup_steps=0)
     kwargs.update(prune_kwargs)
-    return FilterEngine(1, 2, 4, PruneConfig(**kwargs))
+    return FilterEngine(1, 2, d_head, PruneConfig(**kwargs))
 
 
 class TestUpdateAnchor:
@@ -204,6 +204,29 @@ class TestSkipDecision:
         with pytest.raises(MisconfigurationError):
             engine.process(0, 0, np.ones((2, 4)), np.ones((2, 4)), 0, enact=True)
 
+    def test_kv_of_other_dims_rejected(self):
+        engine = single_layer_engine()  # 2 heads of 4
+        wide = np.ones((2, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="shape"):
+            engine.process(0, 0, wide, wide, 0, enact=True)
+        with pytest.raises(ValueError, match="shape"):
+            engine.score_steps([[(0, 0)]], np.ones((1, 2, 2, 8)))
+        engine.process(0, 0, np.ones((2, 4)), np.ones((2, 4)), 0, enact=True)
+        assert engine.anchors(0)[0].shape == (2, 4)
+
+    def test_warmup_feedback_picks_the_ratio_the_controller_reads(self):
+        # Identical tokens would always skip, but none is enacted in warm-up:
+        # literal feedback sees a skip ratio of 0, shadow feedback one of 1.
+        k = np.ones((2, 4), dtype=np.float32)
+        for feedback, rho in (("literal", 0.0), ("shadow", 1.0)):
+            engine = single_layer_engine(warmup_steps=10, tau_init=0.5, p_global=0.4,
+                                         tail_fraction=1.0, warmup_feedback=feedback)
+            skips, reports = drive(engine, 0, [(k, k)] * 6)
+            assert not any(skips) and len(reports) == 5
+            taus = [r.tau for r in reports]
+            for a, b in zip(taus, taus[1:]):
+                assert b == pytest.approx(a + 0.01 * (rho - 0.4), abs=1e-12)
+
     def test_infinite_tau_never_skips_but_still_reports(self):
         engine = single_layer_engine(tau_init=math.inf, p_global=0.5, tail_fraction=1.0)
         rng = np.random.default_rng(107)
@@ -238,7 +261,7 @@ class TestSkipDecision:
 
         # eta ~ 0 pins tau at 0.5 so this observes the decision rule itself,
         # not the budget controller pulling tau toward the median score
-        engine = single_layer_engine(tau_init=0.5, p_global=0.5, tail_fraction=1.0,
+        engine = single_layer_engine(d_head=d, tau_init=0.5, p_global=0.5, tail_fraction=1.0,
                                      eta=1e-12)
         stream = [(random_unit_heads(rng, 2, d), random_unit_heads(rng, 2, d))
                   for _ in range(300)]
@@ -292,8 +315,9 @@ class TestSkipDecision:
                   for _ in range(60)]
 
         def would_skips(warmup):
-            engine = single_layer_engine(warmup_steps=warmup, tau_init=0.3, p_global=0.4,
-                                         tail_fraction=1.0, warmup_feedback="shadow")
+            engine = single_layer_engine(d_head=8, warmup_steps=warmup, tau_init=0.3,
+                                         p_global=0.4, tail_fraction=1.0,
+                                         warmup_feedback="shadow")
             _, reports = drive(engine, 0, stream)
             return [(r.s_kv > r.tau) for r in reports], [r.tau for r in reports]
 

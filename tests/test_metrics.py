@@ -7,17 +7,16 @@ import scipy.stats
 from tokenskip.metrics import (
     FlopsLedger,
     FlopsModel,
-    aggregate_report,
-    attention_mass_lost,
     correlation_entries,
     flops_saved,
     future_attention_mass,
+    mass_lost_by_layer,
     pearson,
     spearman,
-    write_aggregate_csv,
     write_correlation_csv,
 )
-from tokenskip.reporting import StepReport
+from tokenskip.reporting import StepReport, summarize, write_summary_csv
+from tokenskip.trace import TraceEvent
 
 
 def make_report(layer=0, step=1, skipped=False, s_kv=0.5, alpha=0.5, saved=0, seq=0):
@@ -43,19 +42,6 @@ class TestFlopsModel:
         costs = [m.attention_cost(L) for L in range(1, 50)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
-    def test_forced_skip_schedule_matches_closed_form(self):
-        # skip every step over a growing cache: summed savings have a closed form
-        m = FlopsModel.from_dims(2, 8)
-        ledger = FlopsLedger()
-        total = 0
-        for L in range(1, 21):
-            total += ledger.charge_forced_skip(L, m)
-        per_pos = m.attn_per_pos_flops + m.softmax_per_pos_flops
-        n = 20
-        expected = n * (m.q_proj_flops + m.o_proj_flops) + per_pos * (n * (n + 1) // 2)
-        assert total == expected
-        assert ledger.conserved()
-
     def test_ledger_identity_mixed_decisions(self):
         m = FlopsModel.from_dims(2, 4)
         ledger = FlopsLedger()
@@ -68,6 +54,19 @@ class TestFlopsModel:
                 L -= 1  # drop policy: cache did not grow
             else:
                 ledger.charge_keep(L, m, decided=bool(rng.random() < 0.8))
+        assert ledger.conserved()
+
+    def test_charge_event_writes_the_decided_delta(self):
+        m = FlopsModel.from_dims(2, 4)
+        ledger = FlopsLedger()
+        skip, keep = make_report(skipped=True), make_report()
+        ledger.charge_event(5, m, True, skip)
+        ledger.charge_event(5, m, False, keep)
+        ledger.charge_event(5, m, False, None)  # undecided: no overhead, no report
+        assert skip.flops_saved == flops_saved(True, 5, m)
+        assert keep.flops_saved == flops_saved(False, 5, m)
+        assert ledger.overhead == 2 * m.filter_overhead_flops
+        assert ledger.actual == m.skip_cost() + 2 * m.kept_cost(5)
         assert ledger.conserved()
 
 
@@ -122,36 +121,43 @@ class TestFutureMass:
 
 
 class TestAttentionMassLost:
-    def _rows(self, T, heads=2):
+    def _events(self, T, heads=2):
         rng = np.random.default_rng(73)
-        rows = {}
+        events = []
         for t in range(T):
             raw = rng.uniform(0.1, 1.0, size=(heads, t + 1))
-            rows[(0, t, 0)] = raw / raw.sum(axis=1, keepdims=True)
-        return rows
+            events.append(TraceEvent(seq=0, step=t, layer=0, k=None, v=None,
+                                     attn=raw / raw.sum(axis=1, keepdims=True)))
+        return events
+
+    def _mass(self, events, skipped_steps):
+        """Global mass lost of one decision per event over one layer."""
+        reports = [make_report(step=e.step, skipped=e.step in skipped_steps) for e in events]
+        return summarize(reports, 1, mass_lost_by_layer(events, reports))[-1]["mass_lost"]
 
     def test_zero_skips(self):
-        assert attention_mass_lost(self._rows(5), {}, 5) == 0.0
+        assert self._mass(self._events(5), set()) == 0.0
 
     def test_skip_everything_is_exactly_one(self):
         T = 6
-        rows = self._rows(T)
-        skipped = {(0, 0): set(range(T))}
-        assert attention_mass_lost(rows, skipped, T) == pytest.approx(1.0, abs=1e-9)
+        assert self._mass(self._events(T), set(range(T))) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_skip_set(self):
         T = 8
-        rows = self._rows(T)
+        events = self._events(T)
         values = []
         dropped = set()
         for p in range(T):
             dropped.add(p)
-            values.append(attention_mass_lost(rows, {(0, 0): set(dropped)}, T))
+            values.append(self._mass(events, dropped))
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_zero_decisions_convention(self):
-        assert attention_mass_lost({}, {}, 0) == 0.0
+        assert mass_lost_by_layer([], []) is None
+        events = self._events(1)  # a first observation gets no decision
+        assert mass_lost_by_layer(events, []) == {}
+        assert summarize([], 1, {})[-1]["mass_lost"] == 0.0
 
 
 class TestCorrelationEntries:
@@ -194,11 +200,13 @@ class TestCorrelationEntries:
 
 
 class TestAggregateReport:
+    """The one per-layer and global summary of a decision stream."""
+
     def test_single_keep_decision(self):
-        rows = aggregate_report([make_report()], n_layers=1)
+        rows = summarize([make_report()], n_layers=1)
         assert len(rows) == 2  # layer row + global row
         assert rows[0]["skip_ratio"] == 0.0
-        assert rows[0]["decisions"] == 1
+        assert rows[0]["eligible"] == 1
         assert rows[1]["layer"] == "global"
 
     def test_matches_spreadsheet_oracle(self):
@@ -208,14 +216,17 @@ class TestAggregateReport:
             make_report(layer=1, step=1, skipped=True, s_kv=0.5, alpha=0.5, saved=40),
             make_report(layer=1, step=2, skipped=True, s_kv=0.7, alpha=0.5, saved=60),
         ]
-        rows = aggregate_report(reports, n_layers=4)
+        rows = summarize(reports, n_layers=4)
+        assert [r["layer"] for r in rows] == [0, 1, 2, 3, "global"]
         by_layer = {r["layer"]: r for r in rows}
         assert by_layer[0]["skip_ratio"] == 0.5
-        assert by_layer[0]["s_kv_mean"] == pytest.approx(0.5)
+        assert by_layer[0]["mean_s_kv"] == pytest.approx(0.5)
+        assert by_layer[0]["mean_alpha"] == pytest.approx(0.5)
         assert by_layer[0]["flops_saved"] == 80
         assert by_layer[1]["skip_ratio"] == 1.0
+        assert by_layer[2]["eligible"] == 0 and by_layer[2]["mean_s_kv"] == ""
         # 2 decided steps x 4 layers = 8 global decisions, 3 skips
-        assert by_layer["global"]["decisions"] == 8
+        assert by_layer["global"]["eligible"] == 8
         assert by_layer["global"]["skip_ratio"] == pytest.approx(3 / 8)
         assert by_layer["global"]["flops_saved"] == 180
 
@@ -226,18 +237,23 @@ class TestAggregateReport:
             for layer in (2, 3):
                 reports.append(make_report(layer=layer, step=step,
                                            skipped=(step % 2 == 0)))
-        rows = aggregate_report(reports, n_layers=4)
+        rows = summarize(reports, n_layers=4)
         gl = next(r for r in rows if r["layer"] == "global")
         per_layer = next(r for r in rows if r["layer"] == 2)["skip_ratio"]
         assert gl["skip_ratio"] == pytest.approx(per_layer * 0.5)
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_report([], n_layers=1)
+    def test_empty_stream_gives_zero_rows(self):
+        rows = summarize([], n_layers=2)
+        assert [r["layer"] for r in rows] == [0, 1, "global"]
+        for row in rows:
+            assert row["eligible"] == row["skipped"] == row["flops_saved"] == 0
+            assert row["skip_ratio"] == 0.0
+            assert row["mean_s_kv"] == row["mean_alpha"] == row["mass_lost"] == ""
 
     def test_csv_write(self):
         buf = io.StringIO()
-        write_aggregate_csv(aggregate_report([make_report()], n_layers=1), buf)
+        write_summary_csv(summarize([make_report()], n_layers=1), buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("layer,decisions,skipped,skip_ratio")
+        assert lines[0] == ("layer,eligible,skipped,skip_ratio,mean_s_kv,mean_alpha,"
+                            "mass_lost,flops_saved")
         assert len(lines) == 3

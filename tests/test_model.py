@@ -168,52 +168,50 @@ class TestKVCache:
 
     def test_monotone_growth_on_keep_and_policy_on_skip(self):
         cfg = ModelConfig(n_layers=2, max_seq=64, seed=6)
+        rng = np.random.default_rng(204)
         for policy, grows in (("drop", 0), ("keep", 1)):
-            prune = PruneConfig(cache_on_skip=policy, focus="uniform", tail_fraction=1.0)
+            prune = PruneConfig(cache_on_skip=policy, focus="uniform", tail_fraction=1.0,
+                                warmup_steps=0, tau_init=0.5)
             sess = DecodeSession(cfg, prune, mode="filtered")
             lens = []
-            hidden = np.ones(64, dtype=np.float32)
+            hidden = rng.standard_normal(64).astype(np.float32)
+            # The first token only sets the anchors: it is kept.
             before = sess.cache.lens[0]
-            out = sess.block_forward(0, hidden, mode="forced_skip")
+            out = sess.block_forward(0, hidden, step=0)
+            assert not out.skipped
+            assert sess.cache.lens[0] == before + 1
+            lens.append(sess.cache.lens[0])
+            # The same token again has similarity 1 > tau: a real skip.
+            before = sess.cache.lens[0]
+            out = sess.block_forward(0, hidden, step=1)
             assert sess.cache.lens[0] == before + grows
             assert out.skipped
-            before = sess.cache.lens[0]
-            sess.block_forward(0, hidden, mode="forced_keep")
-            assert sess.cache.lens[0] == before + 1
             lens.append(sess.cache.lens[0])
             assert all(b >= a for a, b in zip(lens, lens[1:]))
 
 
 class TestBlockSemantics:
-    def _session(self, mode="filtered", **prune_kwargs):
+    def _session(self, **prune_kwargs):
         cfg = ModelConfig(n_layers=8, n_heads=4, d_model=64, d_head=16, d_ff=96,
                           max_seq=128, seed=7)
         defaults = dict(focus="uniform", tail_fraction=1.0)
         defaults.update(prune_kwargs)
-        return DecodeSession(cfg, PruneConfig(**defaults), mode=mode)
+        return DecodeSession(cfg, PruneConfig(**defaults), mode="filtered")
 
-    def test_forced_skip_residual_identity(self):
+    def test_skip_residual_identity(self):
         rng = np.random.default_rng(205)
-        sess = self._session()
+        sess = self._session(warmup_steps=0, tau_init=0.5)
         from tokenskip.model import ffn_forward
         from tokenskip.numerics import layer_norm
         for layer in range(8):
             hidden = rng.standard_normal(64).astype(np.float32)
-            out = sess.block_forward(layer, hidden, mode="forced_skip")
+            sess.block_forward(layer, hidden, step=0)  # sets the anchors
+            out = sess.block_forward(layer, hidden, step=1)
+            assert out.skipped
             lw = sess.weights.layers[layer]
             expected = hidden + ffn_forward(sess.weights, layer,
                                             layer_norm(hidden, lw.ln2_g, lw.ln2_b))
             assert np.array_equal(out.hidden, expected.astype(np.float32))
-
-    def test_forced_keep_matches_dense_bit_exactly(self):
-        rng = np.random.default_rng(206)
-        a = self._session(mode="filtered")
-        b = self._session(mode="dense")
-        for step in range(10):
-            hidden = rng.standard_normal(64).astype(np.float32)
-            out_a = a.block_forward(0, hidden, mode="forced_keep", step=step)
-            out_b = b.block_forward(0, hidden, mode="dense", step=step)
-            assert np.array_equal(out_a.hidden, out_b.hidden)
 
     def test_infinite_threshold_matches_dense_generation(self):
         cfg = ModelConfig(n_layers=8, n_heads=4, d_model=64, d_head=16, d_ff=96,
