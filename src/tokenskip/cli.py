@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="replay a grid of policies over one trace")
     w.add_argument("--trace", required=True, metavar="PATH")
     w.add_argument("--grid", required=True,
-                   help="e.g. 'Y=0.4,0.5;gamma=0.8,0.9;p_global=0.2,0.33;focus=tail,uniform'")
+                   help="e.g. 'Y=0.4,0.5;gamma=0.8,0.9;p_global=0.2,0.33;fusion=kv,key_only'")
     _add_prune_flags(w)
     w.add_argument("--out", required=True, metavar="PATH")
     w.add_argument("--max-cells", type=int, default=1000)

@@ -35,7 +35,7 @@ from .numerics import cosine_rows, population_mean_var
 # Not called here: kept importable from this module, where
 # perfbench/tracer.py wraps it.
 from .numerics import cosine_similarity  # noqa: F401
-from .policy import PruneConfig, RatioEstimator, per_layer_target, select_layers, update_threshold
+from .policy import PruneConfig, per_layer_target, select_layers, update_threshold
 from .reporting import StepReport
 
 # Regularizer added to both head variances before inversion; keeps the fusion
@@ -116,25 +116,19 @@ def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:
 
 
 def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
-         formula: str = "text", mode: str = "kv") -> SimilarityScore:
+         mode: str = "kv") -> SimilarityScore:
     """Combine key and value similarity, weighting the lower-variance feature
     higher.
 
-    formula "text" gives the key similarity a weight proportional to the
-    inverse key variance; "literal_eq2" swaps the roles (weight of the key
-    similarity proportional to the inverse value variance). mode selects the
-    fused score, key similarity alone, or value similarity alone.
+    The key similarity gets a weight alpha proportional to the inverse key
+    variance, the value similarity the rest. mode selects the fused score,
+    key similarity alone, or value similarity alone.
     """
     if var_k < 0.0 or var_v < 0.0:
         raise ValueError("variances must be non-negative")
     inv_k = 1.0 / (var_k + EPS_VAR)
     inv_v = 1.0 / (var_v + EPS_VAR)
-    if formula == "text":
-        alpha = inv_k / (inv_k + inv_v)
-    elif formula == "literal_eq2":
-        alpha = inv_v / (inv_k + inv_v)
-    else:
-        raise ValueError("formula must be 'text' or 'literal_eq2'")
+    alpha = inv_k / (inv_k + inv_v)
     if mode == "key_only":
         alpha = 1.0
     elif mode == "value_only":
@@ -167,20 +161,19 @@ class MisconfigurationError(ValueError):
 
 @dataclass
 class _LayerState:
-    """Controller and statistics state for one in-scope layer."""
+    """Controller and statistics state for one in-scope layer. The controller
+    reads the cumulative ratio of would-be skips, shadow ones included,
+    ratio_sum / ratio_steps; var_k and var_v are EMAs of per-step means."""
 
     tau: float
     var_k: float | None = None
     var_v: float | None = None
     eligible_count: int = 0
     skip_count: int = 0
-    shadow_skip_count: int = 0
-    # The running skip ratio the controller reads: of enacted skips, or of
-    # would-be skips under shadow warm-up feedback.
-    estimator: RatioEstimator = None
-    # Per-step accumulators, flushed at the step barrier: counts of enacted
-    # and would-be skips, and one head variance per decision.
-    pending_actual: int = 0
+    ratio_sum: float = 0.0
+    ratio_steps: int = 0
+    # Per-step accumulators, flushed at the step barrier: the count of
+    # would-be skips, and one head variance per decision.
     pending_shadow: int = 0
     pending_var_k: list = field(default_factory=list)
     pending_var_v: list = field(default_factory=list)
@@ -200,7 +193,7 @@ class FilterEngine:
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.d_head = d_head
-        self.active_layers = select_layers(n_layers, config.focus, config.tail_fraction)
+        self.active_layers = select_layers(n_layers, config.tail_fraction)
         self.target = per_layer_target(config)
         self.step_index = 0            # decode steps completed
         self._in_prefill = False
@@ -212,11 +205,7 @@ class FilterEngine:
         self._slots: dict[tuple[int, int], int] = {}
         self._anchor_rows = np.empty((len(self.active_layers),) + self._kv_shape)
         self._obs_counts: list[int] = []
-        self.layers: dict[int, _LayerState] = {}
-        for layer in self.active_layers:
-            self.layers[layer] = _LayerState(
-                tau=config.tau_init,
-                estimator=RatioEstimator(config.ratio_estimator, config.gamma))
+        self.layers = {layer: _LayerState(tau=config.tau_init) for layer in self.active_layers}
 
     # -- step protocol -----------------------------------------------------
 
@@ -224,28 +213,27 @@ class FilterEngine:
         self._in_prefill = prefill
 
     def end_step(self, frozen: bool = False) -> None:
-        """Apply the step barrier: batch-mean feedback into estimators,
+        """Apply the step barrier: batch-mean feedback into the skip ratios,
         thresholds, and variance state. frozen leaves controller state
         untouched (dense telemetry runs)."""
         gamma = self.config.gamma
-        shadow_feedback = self.config.warmup_feedback == "shadow"
         for st in self.layers.values():
             n = len(st.pending_var_k)
             if n:
                 if not frozen:
                     # The mean of 0/1 indicators is their count over n, exactly.
-                    pending = st.pending_shadow if shadow_feedback else st.pending_actual
-                    st.estimator.update(pending / n)
-                    st.tau = update_threshold(st.tau, st.estimator.value(), self.target,
-                                              self.config.eta)
+                    st.ratio_sum += st.pending_shadow / n
+                    st.ratio_steps += 1
+                    st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps,
+                                              self.target, self.config.eta)
                 fresh_k = _step_mean(st.pending_var_k)
                 fresh_v = _step_mean(st.pending_var_v)
-                if self.config.variance_mode == "instant" or st.var_k is None:
+                if st.var_k is None:
                     st.var_k, st.var_v = fresh_k, fresh_v
                 else:
                     st.var_k = gamma * st.var_k + (1.0 - gamma) * fresh_k
                     st.var_v = gamma * st.var_v + (1.0 - gamma) * fresh_v
-            st.pending_actual = st.pending_shadow = 0
+            st.pending_shadow = 0
             st.pending_var_k.clear()
             st.pending_var_v.clear()
         if not self._in_prefill:
@@ -385,24 +373,21 @@ class FilterEngine:
         # The decision sees the running variance as if this step's observation
         # were already blended in; the shared state itself moves at the step
         # barrier so sequences within a batch stay order-independent.
-        cfg = self.config
-        if cfg.variance_mode == "instant" or st.var_k is None:
+        if st.var_k is None:
             dec_var_k, dec_var_v = fresh_var_k, fresh_var_v
         else:
-            g = cfg.gamma
+            g = self.config.gamma
             dec_var_k = g * st.var_k + (1.0 - g) * fresh_var_k
             dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
 
-        score = fuse(s_k, s_v, dec_var_k, dec_var_v, cfg.fusion_formula, cfg.fusion)
+        score = fuse(s_k, s_v, dec_var_k, dec_var_v, self.config.fusion)
         # A non-finite token is never skipped (nor folded into its anchor:
         # one corrupt token must not make every later one degenerate).
         would_skip = finite and score.s_kv > st.tau
         skipped = would_skip and not shadow
 
         st.eligible_count += 1
-        st.shadow_skip_count += would_skip
         st.skip_count += skipped
-        st.pending_actual += skipped
         st.pending_shadow += would_skip
         st.pending_var_k.append(fresh_var_k)
         st.pending_var_v.append(fresh_var_v)
@@ -452,9 +437,6 @@ class FilterEngine:
             return None
         kv = self._anchor_rows[slot].copy()
         return kv[0], kv[1]
-
-    def tau(self, layer: int) -> float:
-        return self.layers[layer].tau
 
     def counters(self, layer: int) -> tuple[int, int]:
         st = self.layers[layer]

@@ -5,14 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-FOCUS_CHOICES = ("tail", "head", "uniform")
 FUSION_CHOICES = ("kv", "key_only", "value_only")
 ANCHOR_MODE_CHOICES = ("ema", "exact_mean")
-VARIANCE_MODE_CHOICES = ("instant", "ema")
-WARMUP_FEEDBACK_CHOICES = ("shadow", "literal")
 CACHE_ON_SKIP_CHOICES = ("drop", "keep")
-FUSION_FORMULA_CHOICES = ("text", "literal_eq2")
-RATIO_ESTIMATOR_CHOICES = ("cumulative", "ema")
 
 
 class ConfigError(ValueError):
@@ -29,14 +24,9 @@ class PruneConfig:
     eta: float = 0.01
     warmup_steps: int = 16
     tau_init: float = 0.9
-    focus: str = "tail"
     fusion: str = "kv"
     anchor_mode: str = "ema"
-    variance_mode: str = "ema"
-    warmup_feedback: str = "shadow"
     cache_on_skip: str = "drop"
-    fusion_formula: str = "text"
-    ratio_estimator: str = "cumulative"
 
     def __post_init__(self):
         if not 0.0 <= self.p_global <= 1.0:
@@ -53,58 +43,35 @@ class PruneConfig:
         if math.isnan(self.tau_init) or self.tau_init == -math.inf:
             raise ConfigError("tau_init must be a number or +inf")
         for name, choices in (
-            ("focus", FOCUS_CHOICES),
             ("fusion", FUSION_CHOICES),
             ("anchor_mode", ANCHOR_MODE_CHOICES),
-            ("variance_mode", VARIANCE_MODE_CHOICES),
-            ("warmup_feedback", WARMUP_FEEDBACK_CHOICES),
             ("cache_on_skip", CACHE_ON_SKIP_CHOICES),
-            ("fusion_formula", FUSION_FORMULA_CHOICES),
-            ("ratio_estimator", RATIO_ESTIMATOR_CHOICES),
         ):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")
-        # Uniform focus applies p_global per layer directly, so the inflated
-        # budget constraint only binds when a focused subset is selected.
-        if self.focus in ("tail", "head") and self.p_global / self.tail_fraction > 1.0 + 1e-12:
+        if self.p_global / self.tail_fraction > 1.0 + 1e-12:
             raise ConfigError(
                 "p_global / tail_fraction exceeds 1: the per-layer budget is unreachable"
             )
 
 
-def select_layers(n_layers: int, focus: str, tail_fraction: float) -> tuple[int, ...]:
-    """Indices of layers where the filter runs.
-
-    tail keeps the last ceil(Y*n) layers, head the first ceil(Y*n), and
-    uniform keeps every layer regardless of Y.
-    """
+def select_layers(n_layers: int, tail_fraction: float) -> tuple[int, ...]:
+    """Indices of layers where the filter runs: the last ceil(Y*n) layers,
+    so Y = 1 selects every layer."""
     if n_layers < 1:
         raise ConfigError("n_layers must be positive")
     if not 0.0 < tail_fraction <= 1.0:
         raise ConfigError("tail_fraction must be in (0, 1]")
-    if focus == "uniform":
-        return tuple(range(n_layers))
     count = math.ceil(tail_fraction * n_layers)
     count = min(count, n_layers)
-    if focus == "tail":
-        return tuple(range(n_layers - count, n_layers))
-    if focus == "head":
-        return tuple(range(count))
-    raise ConfigError(f"focus must be one of {FOCUS_CHOICES}")
+    return tuple(range(n_layers - count, n_layers))
 
 
 def per_layer_target(config: PruneConfig) -> float:
-    """Skip-ratio target for each in-scope layer.
-
-    Focused modes inflate the global budget by 1/Y so the global ratio still
-    lands on p_global; uniform applies p_global everywhere.
-    """
-    if config.focus == "uniform":
-        return config.p_global
-    target = config.p_global / config.tail_fraction
-    if target > 1.0 + 1e-12:
-        raise ConfigError("p_global / tail_fraction exceeds 1")
-    return min(target, 1.0)
+    """Skip-ratio target for each in-scope layer: p_global / Y, so the global
+    ratio lands on p_global. PruneConfig rejects a target above 1 by more
+    than rounding; the clamp absorbs the rounding."""
+    return min(config.p_global / config.tail_fraction, 1.0)
 
 
 def update_threshold(tau: float, rho_current: float, rho_target: float, eta: float) -> float:
@@ -122,40 +89,6 @@ def update_threshold(tau: float, rho_current: float, rho_target: float, eta: flo
         return tau
     new_tau = tau + eta * (rho_current - rho_target)
     return max(-1.0, min(new_tau, 1.0 + eta))
-
-
-class RatioEstimator:
-    """Running estimate of a layer's skip ratio.
-
-    cumulative: skips observed / decisions observed, the simplest reading of a
-    running estimate. ema: exponentially weighted indicator for streams whose
-    statistics drift.
-    """
-
-    def __init__(self, mode: str = "cumulative", gamma: float = 0.9):
-        if mode not in RATIO_ESTIMATOR_CHOICES:
-            raise ConfigError(f"ratio_estimator must be one of {RATIO_ESTIMATOR_CHOICES}")
-        self.mode = mode
-        self.gamma = gamma
-        self.count = 0
-        self.total = 0.0
-        self._ema = None
-
-    def update(self, indicator: float) -> None:
-        indicator = float(indicator)
-        self.count += 1
-        self.total += indicator
-        if self._ema is None:
-            self._ema = indicator
-        else:
-            self._ema = self.gamma * self._ema + (1.0 - self.gamma) * indicator
-
-    def value(self) -> float:
-        if self.count == 0:
-            return 0.0
-        if self.mode == "cumulative":
-            return self.total / self.count
-        return self._ema
 
 
 def parse_config_text(text: str) -> dict:

@@ -154,6 +154,8 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
             source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
             format_version=version,
         )
+        if header.prefill_steps < 0:
+            raise TraceFormatError("prefill_steps must be non-negative")
         return header, (header.n_seqs, header.n_steps, header.n_layers)
     except TraceFormatError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from exc

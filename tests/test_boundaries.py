@@ -31,7 +31,7 @@ class TestNonFiniteKV:
         assert (mean, var) == (0.5, 0.25)   # heads score 1.0 and 0.0
 
     def test_nan_token_is_degenerate_and_not_skipped(self):
-        prune = PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=0,
+        prune = PruneConfig(tail_fraction=1.0, warmup_steps=0,
                             tau_init=0.5, p_global=0.5)
         engine = FilterEngine(1, 2, 4, prune)
         token = np.ones((2, 4), dtype=np.float32)
@@ -50,7 +50,7 @@ class TestCompactedRows:
     def _record(self, cache_on_skip):
         cfg = ModelConfig(n_layers=4, n_heads=4, d_model=32, d_head=8, d_ff=48,
                           max_seq=96, seed=22)
-        prune = PruneConfig(focus="tail", tail_fraction=0.5, p_global=0.25,
+        prune = PruneConfig(tail_fraction=0.5, p_global=0.25,
                             warmup_steps=6, tau_init=0.35, cache_on_skip=cache_on_skip)
         rec = TraceRecorder(cfg.n_layers, cfg.n_heads, cfg.d_head,
                             generator_params={"prefill_steps": "3"})
@@ -128,7 +128,7 @@ class TestNonFiniteAnchor:
     N_HEADS, D_HEAD, N_STEPS, BAD_STEP = 2, 4, 8, 3
 
     def _prune(self, anchor_mode):
-        return PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=0,
+        return PruneConfig(tail_fraction=1.0, warmup_steps=0,
                            tau_init=-1.0, p_global=0.5, anchor_mode=anchor_mode)
 
     def _stream(self, bad, target="k"):

@@ -18,10 +18,13 @@ def read_csv(path):
 
 class TestExitCodes:
     def test_unknown_flag_exits_2_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("synth", "--pattern", "random", "--out", "x", "--bogus-flag", "1")
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+        # unknown flags, those of removed config fields included, are rejected
+        for argv in (("synth", "--pattern", "random", "--out", "x", "--bogus-flag", "1"),
+                     ("replay", "--trace", "t", "--out", "x", "--fusion-formula", "literal_eq2")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+            assert "usage" in capsys.readouterr().err
 
     def test_invalid_pattern_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -35,7 +38,8 @@ class TestExitCodes:
         assert "p_global" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, field", [("gamma = abc", "gamma"),
-                                             ("warmup_steps = 2.5", "warmup_steps")])
+                                             ("warmup_steps = 2.5", "warmup_steps"),
+                                             ("variance_mode = instant", "variance_mode")])
     def test_non_numeric_prune_config_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                                      line, field):
         cfg = tmp_path / "prune.cfg"
@@ -88,7 +92,7 @@ class TestGenerateCommand:
         rep = tmp_path / "rep.ndjson"
         summ = tmp_path / "s.csv"
         rc = run_cli("generate", "--steps", "0", "--prompt-bytes", "abc",
-                     "--focus", "uniform", "--tail-fraction", "1.0",
+                     "--tail-fraction", "1.0",
                      "--report", str(rep), "--summary", str(summ), "--seed", "1")
         assert rc == 0
         assert rep.read_text().strip()
@@ -142,7 +146,7 @@ class TestGenerateCommand:
         assert rc == 0
         out = tmp_path / "summary.csv"
         rc = run_cli("replay", "--trace", str(trace), "--out", str(out),
-                     "--p-global", "0.0", "--focus", "uniform", "--tail-fraction", "1.0")
+                     "--p-global", "0.0", "--tail-fraction", "1.0")
         assert rc == 0
         rows = read_csv(out)
         header = rows[0]
@@ -165,26 +169,28 @@ class TestGenerateCommand:
 
     def test_prune_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "prune.cfg"
-        cfg.write_text("p_global=0.2\nfocus=uniform\ntail_fraction=1.0\n")
+        cfg.write_text("p_global=0.2\ntail_fraction=1.0\n")
         rep = tmp_path / "rep.ndjson"
         rc = run_cli("generate", "--steps", "6", "--prompt-bytes", "ab", "--seed", "3",
                      "--prune-config", str(cfg), "--p-global", "0.1",
                      "--report", str(rep))
         assert rc == 0
         first = json.loads(rep.read_text().splitlines()[0])
-        assert first["layer"] == 0  # uniform focus from file reaches layer 0
+        assert first["layer"] == 0  # tail_fraction=1.0 from file reaches layer 0
 
 
 class TestGridParsing:
     def test_example_grid(self):
         grid = parse_grid("Y=0.4,0.5,0.6;gamma=0.8,0.9,0.95;p_global=0.2,0.33,0.5;"
-                          "focus=tail,head,uniform;fusion=kv,key_only,value_only")
+                          "fusion=kv,key_only,value_only")
         assert grid["tail_fraction"] == ["0.4", "0.5", "0.6"]
         assert grid["fusion"] == ["kv", "key_only", "value_only"]
 
     def test_unknown_key_names_token(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            parse_grid("bogus=1,2")
+        # unknown keys, removed config fields included, are rejected, not ignored
+        for spec, token in (("bogus=1,2", "bogus"), ("focus=tail,uniform", "focus")):
+            with pytest.raises(ConfigError, match=token):
+                parse_grid(spec)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -202,12 +208,11 @@ class TestSweepCommand:
         trace = self._trace(tmp_path)
         sweep_out = tmp_path / "sweep.csv"
         rc = run_cli("sweep", "--trace", str(trace), "--grid", "p_global=0.25",
-                     "--out", str(sweep_out), "--focus", "uniform",
-                     "--tail-fraction", "1.0")
+                     "--out", str(sweep_out), "--tail-fraction", "1.0")
         assert rc == 0
         replay_out = tmp_path / "replay.csv"
         run_cli("replay", "--trace", str(trace), "--out", str(replay_out),
-                "--p-global", "0.25", "--focus", "uniform", "--tail-fraction", "1.0")
+                "--p-global", "0.25", "--tail-fraction", "1.0")
         sweep_rows = read_csv(sweep_out)
         replay_rows = read_csv(replay_out)
         g = replay_rows[-1]
@@ -220,7 +225,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         rc = run_cli("sweep", "--trace", str(trace), "--out", str(out),
                      "--grid", "p_global=0.1,0.2,0.3;gamma=0.8,0.9,0.95",
-                     "--focus", "uniform", "--tail-fraction", "1.0")
+                     "--tail-fraction", "1.0")
         assert rc == 0
         assert len(read_csv(out)) == 10
 
@@ -228,7 +233,7 @@ class TestSweepCommand:
         trace = self._trace(tmp_path)
         out = tmp_path / "sweep.csv"
         rc = run_cli("sweep", "--trace", str(trace), "--out", str(out),
-                     "--grid", "p_global=0.2,0.9;Y=0.5;focus=tail")
+                     "--grid", "p_global=0.2,0.9;Y=0.5")
         assert rc == 0
         assert len(read_csv(out)) == 2  # the 0.9/0.5 cell is unreachable
         assert "skipping" in capsys.readouterr().err

@@ -31,7 +31,7 @@ def drive(engine, layer, stream, prefill=0, enact=True, seq=0):
 
 
 def single_layer_engine(d_head=4, **prune_kwargs) -> FilterEngine:
-    kwargs = dict(focus="uniform", warmup_steps=0)
+    kwargs = dict(tail_fraction=1.0, warmup_steps=0)
     kwargs.update(prune_kwargs)
     return FilterEngine(1, 2, d_head, PruneConfig(**kwargs))
 
@@ -125,9 +125,6 @@ class TestFuse:
         # var_k = 0.01 < var_v = 0.04: the key similarity dominates
         score = fuse(1.0, 0.0, 0.01, 0.04)
         assert score.alpha == pytest.approx(0.8, abs=1e-4)
-        literal = fuse(1.0, 0.0, 0.01, 0.04, formula="literal_eq2")
-        assert literal.alpha == pytest.approx(0.2, abs=1e-4)
-        assert score.alpha + literal.alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_in_unit_interval_on_grid(self):
         grid = np.linspace(0.0, 2.0, 101)
@@ -200,7 +197,7 @@ def random_unit_heads(rng, n_heads, d_head):
 
 class TestSkipDecision:
     def test_layer_outside_scope_is_misconfiguration(self):
-        engine = FilterEngine(4, 2, 4, PruneConfig(focus="tail", tail_fraction=0.5))
+        engine = FilterEngine(4, 2, 4, PruneConfig(tail_fraction=0.5))
         with pytest.raises(MisconfigurationError):
             engine.process(0, 0, np.ones((2, 4)), np.ones((2, 4)), 0, enact=True)
 
@@ -213,19 +210,6 @@ class TestSkipDecision:
             engine.score_steps([[(0, 0)]], np.ones((1, 2, 2, 8)))
         engine.process(0, 0, np.ones((2, 4)), np.ones((2, 4)), 0, enact=True)
         assert engine.anchors(0)[0].shape == (2, 4)
-
-    def test_warmup_feedback_picks_the_ratio_the_controller_reads(self):
-        # Identical tokens would always skip, but none is enacted in warm-up:
-        # literal feedback sees a skip ratio of 0, shadow feedback one of 1.
-        k = np.ones((2, 4), dtype=np.float32)
-        for feedback, rho in (("literal", 0.0), ("shadow", 1.0)):
-            engine = single_layer_engine(warmup_steps=10, tau_init=0.5, p_global=0.4,
-                                         tail_fraction=1.0, warmup_feedback=feedback)
-            skips, reports = drive(engine, 0, [(k, k)] * 6)
-            assert not any(skips) and len(reports) == 5
-            taus = [r.tau for r in reports]
-            for a, b in zip(taus, taus[1:]):
-                assert b == pytest.approx(a + 0.01 * (rho - 0.4), abs=1e-12)
 
     def test_infinite_tau_never_skips_but_still_reports(self):
         engine = single_layer_engine(tau_init=math.inf, p_global=0.5, tail_fraction=1.0)
@@ -280,8 +264,7 @@ class TestSkipDecision:
 
         def run(scaled):
             engine = FilterEngine(1, n_heads, d, PruneConfig(
-                focus="uniform", warmup_steps=4, tau_init=0.6, p_global=0.5,
-                tail_fraction=1.0))
+                warmup_steps=4, tau_init=0.6, p_global=0.5, tail_fraction=1.0))
             seq = [((k * scales).astype(np.float32), (v * scales).astype(np.float32))
                    if scaled else (k, v) for k, v in stream]
             return drive(engine, 0, seq)
@@ -316,8 +299,7 @@ class TestSkipDecision:
 
         def would_skips(warmup):
             engine = single_layer_engine(d_head=8, warmup_steps=warmup, tau_init=0.3,
-                                         p_global=0.4, tail_fraction=1.0,
-                                         warmup_feedback="shadow")
+                                         p_global=0.4, tail_fraction=1.0)
             _, reports = drive(engine, 0, stream)
             return [(r.s_kv > r.tau) for r in reports], [r.tau for r in reports]
 
@@ -345,20 +327,6 @@ class TestSkipDecision:
         _, rep = engine.process(0, 0, zero, zero, 1, enact=True)
         engine.end_step()
         assert rep.degenerate
-
-    def test_variance_modes_differ_and_ema_smooths(self):
-        rng = np.random.default_rng(114)
-        stream = [(random_unit_heads(rng, 4, 8), random_unit_heads(rng, 4, 8))
-                  for _ in range(50)]
-        cfg = dict(tail_fraction=1.0, warmup_steps=0, focus="uniform")
-        _, inst = drive(FilterEngine(1, 4, 8, PruneConfig(variance_mode="instant", **cfg)),
-                        0, stream)
-        _, ema = drive(FilterEngine(1, 4, 8, PruneConfig(variance_mode="ema", **cfg)),
-                       0, stream)
-        v_inst = np.array([r.var_k for r in inst])
-        v_ema = np.array([r.var_k for r in ema])
-        assert not np.allclose(v_inst, v_ema)
-        assert v_ema[5:].std() < v_inst[5:].std()
 
     def test_exact_mean_anchor_mode(self):
         rng = np.random.default_rng(115)

@@ -170,7 +170,7 @@ class TestKVCache:
         cfg = ModelConfig(n_layers=2, max_seq=64, seed=6)
         rng = np.random.default_rng(204)
         for policy, grows in (("drop", 0), ("keep", 1)):
-            prune = PruneConfig(cache_on_skip=policy, focus="uniform", tail_fraction=1.0,
+            prune = PruneConfig(cache_on_skip=policy, tail_fraction=1.0,
                                 warmup_steps=0, tau_init=0.5)
             sess = DecodeSession(cfg, prune, mode="filtered")
             lens = []
@@ -194,7 +194,7 @@ class TestBlockSemantics:
     def _session(self, **prune_kwargs):
         cfg = ModelConfig(n_layers=8, n_heads=4, d_model=64, d_head=16, d_ff=96,
                           max_seq=128, seed=7)
-        defaults = dict(focus="uniform", tail_fraction=1.0)
+        defaults = dict(tail_fraction=1.0)
         defaults.update(prune_kwargs)
         return DecodeSession(cfg, PruneConfig(**defaults), mode="filtered")
 
@@ -218,7 +218,7 @@ class TestBlockSemantics:
                           max_seq=128, seed=8)
         weights = init_weights(cfg)
         prompt = [3, 1, 4, 1, 5]
-        prune = PruneConfig(tau_init=math.inf, focus="uniform", tail_fraction=1.0,
+        prune = PruneConfig(tau_init=math.inf, tail_fraction=1.0,
                             p_global=0.5, warmup_steps=0)
         dense = DecodeSession(cfg, prune, mode="dense", weights=weights)
         filt = DecodeSession(cfg, prune, mode="filtered", weights=weights)
@@ -247,7 +247,7 @@ class TestDecode:
             sess.decode([1, 2, 3], 6)
 
     def test_zero_steps_echoes_prompt_with_prefill_reports(self):
-        sess = DecodeSession(self._cfg(), PruneConfig(focus="uniform", tail_fraction=1.0),
+        sess = DecodeSession(self._cfg(), PruneConfig(tail_fraction=1.0),
                              mode="filtered")
         res = sess.decode([10, 11, 12], 0)
         assert res.tokens == [10, 11, 12]
@@ -259,7 +259,7 @@ class TestDecode:
     def test_p_global_zero_matches_dense_tokens(self):
         cfg = self._cfg()
         weights = init_weights(cfg)
-        prune = PruneConfig(p_global=0.0, focus="uniform", tail_fraction=1.0,
+        prune = PruneConfig(p_global=0.0, tail_fraction=1.0,
                             warmup_steps=0, tau_init=0.0)
         dense = DecodeSession(cfg, prune, mode="dense", weights=weights)
         filt = DecodeSession(cfg, prune, mode="filtered", weights=weights)
@@ -282,7 +282,7 @@ class TestDecode:
 
     def test_every_decode_step_reports_in_scope_layers(self):
         cfg = self._cfg()
-        prune = PruneConfig(focus="tail", tail_fraction=0.5)
+        prune = PruneConfig(tail_fraction=0.5)
         sess = DecodeSession(cfg, prune, mode="filtered")
         res = sess.decode([1, 2, 3], 10)
         decode_positions = range(3, 13)
@@ -293,8 +293,7 @@ class TestDecode:
 
     def test_flops_conservation_within_run(self):
         cfg = self._cfg()
-        prune = PruneConfig(warmup_steps=2, tau_init=0.3, focus="uniform",
-                            tail_fraction=1.0, p_global=0.5)
+        prune = PruneConfig(warmup_steps=2, tau_init=0.3, tail_fraction=1.0, p_global=0.5)
         sess = DecodeSession(cfg, prune, mode="filtered")
         res = sess.decode([1, 2, 3], 30)
         assert sum(1 for r in res.reports if r.skipped) > 0
@@ -305,8 +304,8 @@ class TestDecode:
         # the dense run's actual compute equals the filtered run's accounting
         cfg = self._cfg()
         weights = init_weights(cfg)
-        prune = PruneConfig(warmup_steps=2, tau_init=0.3, focus="uniform",
-                            tail_fraction=1.0, p_global=0.5, cache_on_skip="keep")
+        prune = PruneConfig(warmup_steps=2, tau_init=0.3, tail_fraction=1.0, p_global=0.5,
+                            cache_on_skip="keep")
         dense = DecodeSession(cfg, None, mode="dense", weights=weights)
         filt = DecodeSession(cfg, prune, mode="filtered", weights=weights)
         rd = dense.decode([1, 2, 3], 30)

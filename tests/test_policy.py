@@ -6,7 +6,6 @@ import pytest
 from tokenskip.policy import (
     ConfigError,
     PruneConfig,
-    RatioEstimator,
     parse_config_text,
     per_layer_target,
     prune_config_from_mapping,
@@ -18,16 +17,12 @@ from tokenskip.policy import (
 class TestPruneConfig:
     def test_defaults_valid(self):
         cfg = PruneConfig()
-        assert cfg.focus == "tail"
+        assert (cfg.fusion, cfg.anchor_mode) == ("kv", "ema")
         assert cfg.cache_on_skip == "drop"
 
     def test_rejects_unreachable_budget_for_focused_modes(self):
         with pytest.raises(ConfigError):
             PruneConfig(p_global=0.6, tail_fraction=0.5)
-        with pytest.raises(ConfigError):
-            PruneConfig(p_global=0.6, tail_fraction=0.5, focus="head")
-        # uniform ignores the inflation entirely
-        PruneConfig(p_global=0.6, tail_fraction=0.5, focus="uniform")
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
@@ -39,7 +34,7 @@ class TestPruneConfig:
         with pytest.raises(ConfigError):
             PruneConfig(warmup_steps=-1)
         with pytest.raises(ConfigError):
-            PruneConfig(focus="middle")
+            PruneConfig(fusion="middle")
 
     def test_inf_tau_is_allowed_as_never_skip(self):
         cfg = PruneConfig(tau_init=math.inf)
@@ -48,19 +43,14 @@ class TestPruneConfig:
 
 class TestSelectLayers:
     def test_forty_layers_half_tail(self):
-        assert select_layers(40, "tail", 0.5) == tuple(range(20, 40))
+        assert select_layers(40, 0.5) == tuple(range(20, 40))
 
     def test_full_fraction_selects_all(self):
-        for focus in ("tail", "head", "uniform"):
-            assert select_layers(12, focus, 1.0) == tuple(range(12))
+        assert select_layers(12, 1.0) == tuple(range(12))
 
     def test_ceiling_rule(self):
         # ceil(0.5 * 7) = 4 trailing layers
-        assert select_layers(7, "tail", 0.5) == (3, 4, 5, 6)
-        assert select_layers(7, "head", 0.5) == (0, 1, 2, 3)
-
-    def test_uniform_ignores_fraction(self):
-        assert select_layers(6, "uniform", 0.25) == tuple(range(6))
+        assert select_layers(7, 0.5) == (3, 4, 5, 6)
 
 
 class TestPerLayerTarget:
@@ -74,9 +64,8 @@ class TestPerLayerTarget:
         cfg = PruneConfig(p_global=0.33, tail_fraction=0.4)
         assert per_layer_target(cfg) == pytest.approx(0.825, abs=1e-12)
 
-    def test_uniform_uses_global_budget(self):
-        cfg = PruneConfig(p_global=0.33, tail_fraction=0.4, focus="uniform")
-        assert per_layer_target(cfg) == 0.33
+    def test_full_fraction_uses_global_budget(self):
+        assert per_layer_target(PruneConfig(p_global=0.33, tail_fraction=1.0)) == 0.33
 
 
 class TestUpdateThreshold:
@@ -112,37 +101,22 @@ class TestUpdateThreshold:
         assert update_threshold(math.inf, 0.0, 1.0, 0.01) == math.inf
 
 
-class TestSkipRatio:
-    def test_ema_alternating_stream_converges_to_half(self):
-        est = RatioEstimator("ema", gamma=0.9)
-        for t in range(100):
-            est.update(float(t % 2))
-        # Steady state of an alternating 0/1 stream oscillates between
-        # gamma/(1+gamma) and 1/(1+gamma); both sit within 0.05 of 0.5.
-        assert abs(est.value() - 0.5) < 0.05
-
-    def test_cumulative_estimator_counts(self):
-        est = RatioEstimator("cumulative")
-        for v in (1, 0, 1, 1):
-            est.update(float(v))
-        assert est.value() == 0.75
-
-
 class TestControllerConvergence:
     """Closed-loop check against a brute-force quantile oracle."""
 
     def _simulate(self, target, steps=5000, eta=0.01, seed=0):
         rng = np.random.default_rng(seed)
         scores = rng.normal(0.5, 0.15, size=steps)
-        est = RatioEstimator("ema", gamma=0.9)
+        gamma, ratio = 0.9, None
         tau = 0.9
         skips = 0
         taus = []
         for t in range(steps):
             skip = scores[t] > tau
             skips += int(skip)
-            est.update(1.0 if skip else 0.0)
-            tau = update_threshold(tau, est.value(), target, eta)
+            # An EMA of the skip indicator, seeded with the first one.
+            ratio = float(skip) if ratio is None else gamma * ratio + (1.0 - gamma) * float(skip)
+            tau = update_threshold(tau, ratio, target, eta)
             taus.append(tau)
         return skips / steps, float(np.mean(taus[-1000:]))
 
@@ -164,12 +138,12 @@ class TestControllerConvergence:
 
 class TestConfigParsing:
     def test_key_value_format(self):
-        text = "p_global = 0.2\n# comment\ngamma=0.85\nfocus=uniform\n"
+        text = "p_global = 0.2\n# comment\ngamma=0.85\ntail_fraction=1.0\n"
         mapping = parse_config_text(text)
         cfg = prune_config_from_mapping(mapping)
         assert cfg.p_global == 0.2
         assert cfg.gamma == 0.85
-        assert cfg.focus == "uniform"
+        assert cfg.tail_fraction == 1.0
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):

@@ -31,7 +31,6 @@ def live_runs(draw):
         tail_fraction=draw(st.sampled_from([t for t in (0.25, 0.5, 1.0) if t >= p_global])),
         warmup_steps=draw(st.integers(0, 4)),
         tau_init=draw(st.sampled_from([-1.0, 0.0, 0.3, 0.9])),
-        focus=draw(st.sampled_from(["tail", "head", "uniform"])),
         anchor_mode=draw(st.sampled_from(["ema", "exact_mean"])),
         cache_on_skip=draw(st.sampled_from(["drop", "keep"])),
     )
@@ -59,15 +58,14 @@ def test_replay_of_a_live_trace_makes_the_same_decisions(run):
 similarities = st.floats(-1.0, 1.0)
 # A head variance of cosines in [-1, 1] lies in [0, 1].
 variances = st.floats(0.0, 1.0)
-formulas = st.sampled_from(["text", "literal_eq2"])
 ratios = st.floats(0.0, 1.0)
 etas = st.floats(1e-6, 1.0)
 
 
-@given(similarities, similarities, variances, variances, formulas)
+@given(similarities, similarities, variances, variances)
 def test_fusion_weight_lies_in_unit_interval_and_score_between_its_inputs(
-        s_k, s_v, var_k, var_v, formula):
-    score = fuse(s_k, s_v, var_k, var_v, formula=formula)
+        s_k, s_v, var_k, var_v):
+    score = fuse(s_k, s_v, var_k, var_v)
     assert 0.0 <= score.alpha <= 1.0
     # alpha * s_k + (1 - alpha) * s_v rounds three times, so it may leave the
     # interval by a few ulps of 1 (for s_k == s_v as well).
@@ -75,10 +73,10 @@ def test_fusion_weight_lies_in_unit_interval_and_score_between_its_inputs(
     assert min(s_k, s_v) - slack <= score.s_kv <= max(s_k, s_v) + slack
 
 
-@given(similarities, similarities, variances, variances, formulas)
-def test_single_feature_modes_return_that_feature(s_k, s_v, var_k, var_v, formula):
-    assert fuse(s_k, s_v, var_k, var_v, formula=formula, mode="key_only").s_kv == s_k
-    assert fuse(s_k, s_v, var_k, var_v, formula=formula, mode="value_only").s_kv == s_v
+@given(similarities, similarities, variances, variances)
+def test_single_feature_modes_return_that_feature(s_k, s_v, var_k, var_v):
+    assert fuse(s_k, s_v, var_k, var_v, mode="key_only").s_kv == s_k
+    assert fuse(s_k, s_v, var_k, var_v, mode="value_only").s_kv == s_v
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False), ratios, ratios, etas)

@@ -29,9 +29,8 @@ def step_runs(draw):
     n_layers, n_heads, d_head = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(
         st.integers(1, 6))
     config = PruneConfig(
-        p_global=draw(st.sampled_from([0.0, 0.25, 0.5])), focus="uniform",
+        p_global=draw(st.sampled_from([0.0, 0.25, 0.5])), tail_fraction=1.0,
         anchor_mode=draw(st.sampled_from(["ema", "exact_mean"])),
-        variance_mode=draw(st.sampled_from(["instant", "ema"])),
         warmup_steps=draw(st.integers(0, 2)),
         tau_init=draw(st.sampled_from([-1.0, 0.0, 0.5, 0.9])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -84,7 +83,7 @@ def test_a_step_batch_decides_like_one_process_call_per_row(run):
 
 
 def test_a_repeated_row_in_one_batch_is_rejected():
-    engine = FilterEngine(1, 2, 4, PruneConfig(focus="uniform"))
+    engine = FilterEngine(1, 2, 4, PruneConfig(tail_fraction=1.0))
     kv = np.ones((2, 2, 2, 4), dtype=np.float32)
     with pytest.raises(ValueError, match="more than once"):
         engine.score_steps([[(0, 0), (0, 0)]], kv)
@@ -93,7 +92,7 @@ def test_a_repeated_row_in_one_batch_is_rejected():
 
 
 def test_a_bad_batch_leaves_the_engine_untouched():
-    engine = FilterEngine(2, 2, 4, PruneConfig(focus="tail", tail_fraction=0.5))
+    engine = FilterEngine(2, 2, 4, PruneConfig(tail_fraction=0.5))
     kv = np.ones((2, 2, 2, 4), dtype=np.float32)
     with pytest.raises(MisconfigurationError):
         engine.score_steps([[(1, 0)], [(0, 0)]], kv)

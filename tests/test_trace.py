@@ -53,7 +53,7 @@ class TestSynthesize:
     def test_fully_repetitive_similarity_is_exactly_one(self):
         header, events = synthesize("repetitive", 1, 2, 8, 24, seed=3,
                                     dict_size=1, noise=0.0)
-        prune = PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=0,
+        prune = PruneConfig(tail_fraction=1.0, warmup_steps=0,
                             eta=1e-12, tau_init=2.0)
         result = replay(header, events, prune)
         assert result.reports  # from the second step onward
@@ -147,7 +147,7 @@ class TestRecording:
     def _record(self, tmp_path, mode="dense", steps=1, prompt=(5,), seed=11, prune=None):
         cfg = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=24,
                           max_seq=32, seed=seed)
-        prune = prune or PruneConfig(focus="uniform", tail_fraction=1.0)
+        prune = prune or PruneConfig(tail_fraction=1.0)
         sess = DecodeSession(cfg, prune, mode=mode, record=True)
         rec = TraceRecorder(cfg.n_layers, cfg.n_heads, cfg.d_head, source="toy_model",
                             generator_params={"prefill_steps": str(len(prompt))})
@@ -175,7 +175,7 @@ class TestRecording:
         header, events = read_trace(path)
         cfg2 = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=24,
                            max_seq=32, seed=13)
-        sess = DecodeSession(cfg2, PruneConfig(focus="uniform", tail_fraction=1.0),
+        sess = DecodeSession(cfg2, PruneConfig(tail_fraction=1.0),
                              mode="dense", record=True)
         rec = TraceRecorder(2, 2, 8, generator_params={"prefill_steps": "2"})
         sess.decode([3, 4], 4, recorder=rec)
@@ -185,7 +185,7 @@ class TestRecording:
             np.testing.assert_array_equal(a.k, b.k)
 
     def test_recording_filtered_run_includes_rows_for_skips(self, tmp_path):
-        prune = PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=0,
+        prune = PruneConfig(tail_fraction=1.0, warmup_steps=0,
                             tau_init=-1.0, p_global=1.0)  # skip everything decidable
         cfg, res, path = self._record(tmp_path, mode="filtered", steps=6,
                                       prompt=(1, 2), prune=prune)
@@ -203,8 +203,7 @@ class TestReplay:
 
     def test_zero_budget_zero_skips_zero_mass(self):
         header, events = self._trace()
-        result = replay(header, events, PruneConfig(p_global=0.0, focus="uniform",
-                                                    tail_fraction=1.0))
+        result = replay(header, events, PruneConfig(p_global=0.0, tail_fraction=1.0))
         assert result.global_skip_ratio == 0.0
         assert result.global_mass_lost == 0.0
         assert all(not r.skipped for r in result.reports)
@@ -220,7 +219,7 @@ class TestReplay:
 
     def test_out_of_scope_layers_never_skip(self):
         header, events = self._trace(n_steps=128)
-        prune = PruneConfig(focus="tail", tail_fraction=0.5, p_global=0.25,
+        prune = PruneConfig(tail_fraction=0.5, p_global=0.25,
                             warmup_steps=8, tau_init=0.6)
         result = replay(header, events, prune)
         for row in result.summary[:2]:  # layers 0 and 1 are out of scope
@@ -229,7 +228,7 @@ class TestReplay:
     def test_fully_repetitive_converges_to_target(self):
         header, events = synthesize("repetitive", 1, 2, 8, 1500, seed=21,
                                     dict_size=1, noise=0.0, with_attn=False)
-        prune = PruneConfig(p_global=0.5, focus="uniform", tail_fraction=1.0,
+        prune = PruneConfig(p_global=0.5, tail_fraction=1.0,
                             warmup_steps=16, tau_init=0.9)
         result = replay(header, events, prune)
         ratio = result.summary[0]["skip_ratio"]
@@ -237,8 +236,7 @@ class TestReplay:
 
     def test_flops_conservation(self):
         header, events = self._trace(n_steps=200)
-        prune = PruneConfig(warmup_steps=8, tau_init=0.5, focus="uniform",
-                            tail_fraction=1.0, p_global=0.4)
+        prune = PruneConfig(warmup_steps=8, tau_init=0.5, tail_fraction=1.0, p_global=0.4)
         result = replay(header, events, prune)
         assert any(r.skipped for r in result.reports)
         assert result.ledger.conserved()
@@ -248,7 +246,7 @@ class TestReplay:
         reproduces its decisions bit for bit."""
         cfg = ModelConfig(n_layers=4, n_heads=4, d_model=32, d_head=8, d_ff=48,
                           max_seq=96, seed=22)
-        prune = PruneConfig(focus="tail", tail_fraction=0.5, p_global=0.25,
+        prune = PruneConfig(tail_fraction=0.5, p_global=0.25,
                             warmup_steps=6, tau_init=0.35)
         sess = DecodeSession(cfg, prune, mode="filtered", record=True)
         rec = TraceRecorder(cfg.n_layers, cfg.n_heads, cfg.d_head,
@@ -275,10 +273,8 @@ class TestReplay:
 
     def test_mass_lost_zero_without_skips_and_grows_with_skips(self):
         header, events = self._trace(n_steps=256)
-        gentle = replay(header, events, PruneConfig(p_global=0.1, focus="uniform",
-                                                    tail_fraction=1.0, tau_init=0.7))
-        harsh = replay(header, events, PruneConfig(p_global=0.6, focus="uniform",
-                                                   tail_fraction=1.0, tau_init=0.3,
+        gentle = replay(header, events, PruneConfig(p_global=0.1, tail_fraction=1.0, tau_init=0.7))
+        harsh = replay(header, events, PruneConfig(p_global=0.6, tail_fraction=1.0, tau_init=0.3,
                                                    warmup_steps=4))
         assert harsh.global_skip_ratio > gentle.global_skip_ratio
         assert harsh.global_mass_lost >= gentle.global_mass_lost
@@ -294,7 +290,7 @@ class TestReplay:
 
     def test_multi_seq_replay_keeps_anchors_separate(self):
         header, events = self._trace(n_seqs=2, n_steps=48)
-        prune = PruneConfig(focus="uniform", tail_fraction=1.0, warmup_steps=4,
+        prune = PruneConfig(tail_fraction=1.0, warmup_steps=4,
                             tau_init=0.5)
         result = replay(header, events, prune)
         seqs = {r.seq for r in result.reports}

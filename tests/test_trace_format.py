@@ -179,6 +179,16 @@ class TestReadTraceRejects:
         WRITERS[version](path, header, events)
         assert_same_events(read_trace(path)[1], events)
 
+    @pytest.mark.parametrize("prefill_steps", ["abc", "-5", "1.5"])
+    def test_bad_prefill_steps_rejected_at_the_header(self, tmp_path, prefill_steps):
+        header, events = self._trace()
+        params = {**header.generator_params, "prefill_steps": prefill_steps}
+        path = tmp_path / "t.ndjson"
+        write_trace(path, dataclasses.replace(header, generator_params=params), events)
+        with pytest.raises(TraceFormatError, match="line 1: "):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
     @pytest.mark.parametrize("record", ["[1, 2]", '{"type": "event", "seq": 0}'])
     def test_malformed_record_names_line(self, tmp_path, record):
         header, events = self._trace()
