@@ -16,17 +16,21 @@ and variance state) is sequential. score_steps therefore scores a whole block
 of steps at once: per step one gather of the rows' anchors and one fold of the
 finite rows, then one head_similarity call over every row of the block;
 decide then runs the controller row by row, in the same order. process does
-both halves for one row, without the gather, so live decode (one process call
-per layer) and replay (one score_steps call per block of steps) share one
-decision path. Anchors are per (layer, sequence) and the controller and
-variance state move only at the step barrier, so the kernels are elementwise
-or row-wise and equal their one-row forms bit for bit. A token with a
-non-finite key or value is reported as degenerate, never skipped, and never
-folded into its anchor.
+both halves for one row: its evidence comes from row_evidence, a one-row
+kernel that makes head_similarity's three dot products and does the rest in
+Python floats, and its anchor folds in place. Live decode (one process call
+per layer) and replay (one score_steps call per block of steps) share decide,
+and row_evidence equals head_similarity bit for bit, so both make the same
+decisions. Anchors are per (layer, sequence) and the controller and variance
+state move only at the step barrier, so the kernels are elementwise or
+row-wise and equal their one-row forms bit for bit. A token with a non-finite
+key or value is reported as degenerate, never skipped, and never folded into
+its anchor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +90,14 @@ def update_anchor_mean(anchor: np.ndarray | None, current: np.ndarray, count) ->
         return current.copy()
     anchor = np.asarray(anchor, dtype=np.float64)
     if np.ndim(count):
-        count = np.reshape(count, np.shape(count) + (1,) * (current.ndim - np.ndim(count)))
-        return np.where(count > 1, anchor + (current - anchor) / count, current)
+        count = np.asarray(count)
+        shaped = count.reshape(count.shape + (1,) * (current.ndim - count.ndim))
+        folded = anchor + (current - anchor) / shaped
+        # The engine folds only rows that already have an anchor, so there
+        # every count is at least 2 and no row needs the where.
+        if count.size and count.min() <= 1:
+            return np.where(shaped > 1, folded, current)
+        return folded
     if count <= 1:
         return current.copy()
     return anchor + (current - anchor) / count
@@ -113,6 +123,71 @@ def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:
     if anchors.ndim == 2:
         return float(mean), float(var), bool(degenerate)
     return mean, var, degenerate
+
+
+def _add_reduce(values: list) -> float:
+    """np.add.reduce of a float64 vector, in Python floats and in its order:
+    0.0 plus NumPy's pairwise sum, which adds sequentially below 8 values,
+    in 8 interleaved partial sums up to 128, and by halves above that. (Not
+    the builtin sum: from Python 3.12 it compensates its rounding.)"""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(values[:half]) + _add_reduce(values[half:])
+    partial = values[:8]
+    stop = n - n % 8
+    for start in range(8, stop, 8):
+        for j in range(8):
+            partial[j] += values[start + j]
+    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+        (partial[4] + partial[5]) + (partial[6] + partial[7]))
+    for value in values[stop:]:
+        total += value
+    return 0.0 + total
+
+
+def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
+    """The evidence of one (2, n_heads, d_head) float64 row against its
+    anchor, keys over values, in the form decide takes: ([s_k, s_v],
+    [var_k, var_v], [degenerate_k, degenerate_v], finite).
+
+    The live decision's kernel. It makes the three dot products of
+    cosine_rows, each the same batched np.matmul (one BLAS ddot per head),
+    then takes the cosine, the flags and the across-head mean and population
+    variance in Python floats, summed as np.add.reduce sums. So it equals
+    head_similarity of the row bit for bit, without its thirty-odd
+    small-array calls. finite says whether current is all finite.
+    """
+    rows, cols = anchor[..., None, :], current[..., :, None]
+    # Degenerate heads are an expected, flagged input here: no warnings.
+    with np.errstate(all="ignore"):
+        dots = np.matmul(rows, cols).ravel().tolist()
+        norms_a = np.matmul(rows, anchor[..., :, None]).ravel().tolist()
+        norms_b = np.matmul(current[..., None, :], cols).ravel().tolist()
+    n = anchor.shape[-2]
+    means, variances, degenerate = [], [], []
+    for start in (0, n):
+        sims, flagged = [], False
+        for i in range(start, start + n):
+            dot, den = dots[i], norms_a[i] * norms_b[i]
+            if 0.0 < den < math.inf and math.isfinite(dot):
+                sims.append(math.copysign(math.sqrt(min(1.0, dot * dot / den)), dot))
+            else:
+                sims.append(0.0)
+                flagged = True
+        mean = _add_reduce(sims) / n
+        means.append(mean)
+        variances.append(_add_reduce([(s - mean) * (s - mean) for s in sims]) / n)
+        degenerate.append(flagged)
+    # A non-finite value makes its head degenerate, so only a degenerate row
+    # needs the check.
+    finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(current).all())
+    return means, variances, degenerate, finite
 
 
 def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
@@ -146,13 +221,6 @@ def anchor_memory_bytes(n_heads: int, d_head: int, tail_layer_count: int,
     if min(n_heads, d_head, tail_layer_count, sequences_per_batch) < 1:
         raise ValueError("all dimensions must be positive")
     return tail_layer_count * n_heads * d_head * 2 * 8 * sequences_per_batch
-
-
-def _step_mean(values: list) -> float:
-    """np.mean of one step's values (the same pairwise sum, without the
-    wrapper); a single value is its own mean."""
-    n = len(values)
-    return values[0] if n == 1 else float(np.add.reduce(np.array(values)) / n)
 
 
 class MisconfigurationError(ValueError):
@@ -226,8 +294,13 @@ class FilterEngine:
                     st.ratio_steps += 1
                     st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps,
                                               self.target, self.config.eta)
-                fresh_k = _step_mean(st.pending_var_k)
-                fresh_v = _step_mean(st.pending_var_v)
+                if n == 1:
+                    # One decision this step (every live decode): its head
+                    # variances are the step's means.
+                    fresh_k, fresh_v = st.pending_var_k[0], st.pending_var_v[0]
+                else:
+                    fresh_k = _add_reduce(st.pending_var_k) / n
+                    fresh_v = _add_reduce(st.pending_var_v) / n
                 if st.var_k is None:
                     st.var_k, st.var_v = fresh_k, fresh_v
                 else:
@@ -248,7 +321,9 @@ class FilterEngine:
 
         The one-row form of score_steps followed by decide: the same
         first-observation, evidence, controller and anchor-update steps,
-        without the batch gather, so live decode pays nothing for batching.
+        without the batch gather. The evidence comes from row_evidence,
+        which equals score_steps' head_similarity bit for bit at a fraction
+        of its per-call cost, and the anchor folds in place.
 
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or enact=False telemetry runs). The first
@@ -269,16 +344,18 @@ class FilterEngine:
             self._observe_first(key, kv)
             return False, None
         anchor = self._anchor_rows[slot]
-        means, variances, degenerate = head_similarity(anchor, kv)
-        degenerate = degenerate.tolist()
-        # A non-finite value makes its head degenerate, so only a degenerate
-        # row needs the check.
-        finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(kv).all())
-        skipped, report = self.decide(
-            layer, seq, (means.tolist(), variances.tolist(), degenerate, finite), step, enact)
+        evidence = row_evidence(anchor, kv)
+        skipped, report = self.decide(layer, seq, evidence, step, enact)
+        *_, finite = evidence
         if finite:
             self._obs_counts[slot] += 1
-            self._anchor_rows[slot] = self._fold(anchor, kv, self._obs_counts[slot])
+            # _fold's arithmetic, in place on the anchor's row: the same
+            # roundings, no new array.
+            if self.config.anchor_mode == "ema":
+                anchor *= self.config.gamma
+                anchor += (1.0 - self.config.gamma) * kv
+            else:
+                anchor += (kv - anchor) / self._obs_counts[slot]
         return skipped, report
 
     def score_steps(self, step_keys: list, kv: np.ndarray) -> list:

@@ -63,11 +63,11 @@ class TraceHeader:
 
     @property
     def n_seqs(self) -> int:
-        return int(self.generator_params.get("n_seqs", "1"))
+        return _whole(self.generator_params.get("n_seqs", "1"), "n_seqs")
 
     @property
     def prefill_steps(self) -> int:
-        return int(self.generator_params.get("prefill_steps", "0"))
+        return _whole(self.generator_params.get("prefill_steps", "0"), "prefill_steps")
 
 
 @dataclass
@@ -142,6 +142,14 @@ def write_trace(path, header: TraceHeader, events) -> int:
     return n
 
 
+def _whole(value, name: str) -> int:
+    """A header count as an int: a fractional number is an error, never
+    truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TraceFormatError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
     """The header, and the exclusive upper bounds of (seq, step, layer)."""
     version = obj.get("format_version")
@@ -149,8 +157,10 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
         raise TraceFormatError(f"line {lineno}: unsupported format_version {version}")
     try:
         header = TraceHeader(
-            n_layers=int(obj["n_layers"]), n_heads=int(obj["n_heads"]),
-            d_head=int(obj["d_head"]), n_steps=int(obj["n_steps"]),
+            n_layers=_whole(obj["n_layers"], "n_layers"),
+            n_heads=_whole(obj["n_heads"], "n_heads"),
+            d_head=_whole(obj["d_head"], "d_head"),
+            n_steps=_whole(obj["n_steps"], "n_steps"),
             source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
             format_version=version,
         )

@@ -1,7 +1,8 @@
 """The batched kernels equal their one-vector-at-a-time definitions bit for
-bit: head similarity against a per-head np.dot loop, softmax along the last
-axis against a per-row loop, and layer norm against np.mean/np.var. Rows
-too small or large for the squared-norm cosine are degenerate."""
+bit: head similarity against a per-head np.dot loop, the live one-row
+evidence against head similarity, softmax along the last axis against a
+per-row loop, and layer norm against np.mean/np.var. Rows too small or large
+for the squared-norm cosine are degenerate."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenskip.filtering import head_similarity
+from tokenskip.filtering import _add_reduce, head_similarity, row_evidence
 from tokenskip.numerics import DegenerateInputError, cosine_similarity, layer_norm, softmax
 
 SPECIALS = (0.0, np.nan, np.inf, -np.inf)
@@ -87,6 +88,57 @@ def test_rows_outside_the_squared_norm_range_are_degenerate(scale):
         cosine_similarity(a, b)
     assert head_similarity(a[None], b[None]) == (0.0, 0.0, True)
     assert cosine_similarity(a / scale, b / scale) == pytest.approx(2 ** -0.5, abs=1e-15)
+
+
+@st.composite
+def evidence_rows(draw):
+    """One (2, n_heads, d_head) float64 anchor and current, with whole heads
+    of zero, NaN, +-inf, 1e-160 or 1e160 values mixed in (the last two are
+    beyond float32, so the squared norms under- or overflow)."""
+    n_heads, d_head = draw(st.integers(1, 20)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, 2, n_heads, d_head))
+    if draw(st.booleans()):
+        b = a * draw(st.sampled_from([1.0, -1.0, 0.5, 3.0])) + 1e-3 * b
+    for _ in range(draw(st.integers(0, 4))):
+        side = a if draw(st.booleans()) else b
+        head = side[draw(st.integers(0, 1)), draw(st.integers(0, n_heads - 1))]
+        special = draw(st.sampled_from(SPECIALS + (1e-160, 1e160)))
+        if draw(st.booleans()):
+            head[...] = special
+        else:
+            head[draw(st.integers(0, d_head - 1))] = special
+    return a, b
+
+
+@settings(deadline=None, max_examples=400)
+@given(evidence_rows())
+def test_one_row_evidence_equals_head_similarity_of_the_row(row):
+    a, b = row
+    means, variances, degenerate, finite = row_evidence(a, b)
+    want_means, want_vars, want_degenerate = head_similarity(a, b)
+    assert all(type(x) is float for x in means + variances)
+    assert bits(means) == bits(want_means)
+    assert bits(variances) == bits(want_vars)
+    assert degenerate == want_degenerate.tolist()
+    assert finite is bool(np.isfinite(b).all())
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+def test_add_reduce_sums_in_numpy_order(n, seed, zeros):
+    # Lengths past 8 and 128 take the pairwise branches, and mixed magnitudes
+    # make the grouping show in the last bits.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    if zeros:
+        values[rng.random(n) < 0.5] = -0.0
+    assert bits(_add_reduce(values.tolist())) == bits(np.add.reduce(values))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 20, 200])
+def test_add_reduce_of_negative_zeros_is_positive_zero(n):
+    assert bits(_add_reduce([-0.0] * n)) == bits(np.add.reduce(np.full(n, -0.0))) == bits(0.0)
 
 
 def reference_softmax_row(x):

@@ -189,6 +189,40 @@ class TestReadTraceRejects:
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
+    def _edited_header(self, tmp_path, edit):
+        """A valid trace file whose header object edit() changed in place."""
+        header, events = self._trace()
+        path = tmp_path / "t.ndjson"
+        write_trace(path, header, events)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        obj = json.loads(lines[0])
+        edit(obj)
+        lines[0] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return header, path
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 2.9), ("n_heads", 1.5), ("d_head", 4.5), ("n_steps", 3.5),
+        ("n_layers", float("nan")), ("n_steps", float("inf")),
+        ("prefill_steps", 2.7), ("n_seqs", 1.9)])
+    def test_fractional_header_counts_are_rejected_not_truncated(self, tmp_path, field, value):
+        def edit(obj):
+            (obj["generator_params"] if field in ("prefill_steps", "n_seqs") else obj)[field] = value
+
+        _, path = self._edited_header(tmp_path, edit)
+        with pytest.raises(TraceFormatError, match=f"line 1: {field} must be an integer"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_integral_header_numbers_are_read(self, tmp_path):
+        def edit(obj):
+            obj["n_steps"] = float(obj["n_steps"])
+            obj["generator_params"]["prefill_steps"] = 1
+
+        header, path = self._edited_header(tmp_path, edit)
+        got, _ = read_trace(path)
+        assert (got.n_steps, got.prefill_steps) == (header.n_steps, 1)
+
     @pytest.mark.parametrize("record", ["[1, 2]", '{"type": "event", "seq": 0}'])
     def test_malformed_record_names_line(self, tmp_path, record):
         header, events = self._trace()
