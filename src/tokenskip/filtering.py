@@ -190,15 +190,10 @@ def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
     return means, variances, degenerate, finite
 
 
-def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
-         mode: str = "kv") -> SimilarityScore:
-    """Combine key and value similarity, weighting the lower-variance feature
-    higher.
-
-    The key similarity gets a weight alpha proportional to the inverse key
-    variance, the value similarity the rest. mode selects the fused score,
-    key similarity alone, or value similarity alone.
-    """
+def fuse_scalar(s_k: float, s_v: float, var_k: float, var_v: float,
+                mode: str = "kv") -> tuple[float, float]:
+    """(alpha, s_kv) of fuse, without building its SimilarityScore: the
+    scalar arithmetic decide runs once per decision."""
     if var_k < 0.0 or var_v < 0.0:
         raise ValueError("variances must be non-negative")
     inv_k = 1.0 / (var_k + EPS_VAR)
@@ -210,7 +205,19 @@ def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
         alpha = 0.0
     elif mode != "kv":
         raise ValueError("mode must be 'kv', 'key_only', or 'value_only'")
-    s_kv = alpha * s_k + (1.0 - alpha) * s_v
+    return alpha, alpha * s_k + (1.0 - alpha) * s_v
+
+
+def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
+         mode: str = "kv") -> SimilarityScore:
+    """Combine key and value similarity, weighting the lower-variance feature
+    higher.
+
+    The key similarity gets a weight alpha proportional to the inverse key
+    variance, the value similarity the rest. mode selects the fused score,
+    key similarity alone, or value similarity alone.
+    """
+    alpha, s_kv = fuse_scalar(s_k, s_v, var_k, var_v, mode)
     return SimilarityScore(s_k=s_k, s_v=s_v, var_k=var_k, var_v=var_v, alpha=alpha, s_kv=s_kv)
 
 
@@ -457,10 +464,10 @@ class FilterEngine:
             dec_var_k = g * st.var_k + (1.0 - g) * fresh_var_k
             dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
 
-        score = fuse(s_k, s_v, dec_var_k, dec_var_v, self.config.fusion)
+        alpha, s_kv = fuse_scalar(s_k, s_v, dec_var_k, dec_var_v, self.config.fusion)
         # A non-finite token is never skipped (nor folded into its anchor:
         # one corrupt token must not make every later one degenerate).
-        would_skip = finite and score.s_kv > st.tau
+        would_skip = finite and s_kv > st.tau
         skipped = would_skip and not shadow
 
         st.eligible_count += 1
@@ -471,8 +478,8 @@ class FilterEngine:
 
         report = StepReport(
             seq=seq, step=step, layer=layer,
-            s_k=score.s_k, s_v=score.s_v, var_k=score.var_k, var_v=score.var_v,
-            alpha=score.alpha, s_kv=score.s_kv, tau=st.tau,
+            s_k=s_k, s_v=s_v, var_k=dec_var_k, var_v=dec_var_v,
+            alpha=alpha, s_kv=s_kv, tau=st.tau,
             shadow=shadow, skipped=skipped, degenerate=degen,
         )
         return skipped, report

@@ -5,6 +5,23 @@ byte-level vocabulary with sinusoidal positions and greedy decoding. The
 filter sits between the K/V projection and the attention computation; on a
 skip, the attention contribution is exactly zero and the residual passes the
 input through unchanged, while the FFN still executes.
+
+A generated token runs one position at a time (forward_position, then
+block_forward per layer). The prompt runs in chunks of PREFILL_CHUNK
+positions (DecodeSession.prefill): no prompt position skips, because prefill
+decisions are always shadow, and none waits on a sampled token, so each layer
+runs once over all of a chunk's rows, and the filter then scores the chunk
+with FilterEngine.score_steps and decides it position by position, as replay
+does. Every stacked kernel gives the bits of its one-position form:
+layer_norm_rows reduces each row as layer_norm does; _matvecs makes one BLAS
+gemv per row, as W @ x does (x @ W.T would be one gemm, with other bits); the
+scores are one einsum over the cache with the future columns set to -inf
+afterwards. The softmax sums stay per row, over that row's own columns:
+summing a padded row, or np.add.reduceat, regroups NumPy's pairwise sum and
+changes bits. The context sums run over the whole chunk with zero weights on
+the future columns, which adds exact zeros, unless a value row of the chunk
+is non-finite: then 0 x inf would be NaN in the rows before it, and each
+row sums over its own columns instead.
 """
 
 from __future__ import annotations
@@ -16,11 +33,16 @@ import numpy as np
 
 from .filtering import FilterEngine
 from .metrics import FlopsLedger, FlopsModel
-from .numerics import layer_norm, softmax, substream
+from .numerics import layer_norm, layer_norm_rows, softmax, substream
 from .policy import ConfigError, PruneConfig
 
 WEIGHTS_MAGIC = b"TKSK"
 WEIGHTS_VERSION = 1
+
+# Prompt positions run through the layers per prefill chunk: one stacked
+# kernel per layer for the whole chunk, whose float32 score and probability
+# arrays stay small (256 KB each at 4 heads over 256 cached positions).
+PREFILL_CHUNK = 64
 
 
 class SequenceLengthError(RuntimeError):
@@ -189,6 +211,18 @@ class KVCache:
         self._v[layer, :, n, :] = v_heads
         self.lens[layer] = n + 1
 
+    def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Append a block of (rows, n_heads, d_head) keys and values, as one
+        append call per row would."""
+        n = self.lens[layer]
+        end = n + len(k_rows)
+        if end > self.max_seq:
+            raise SequenceLengthError(f"layer {layer} cache would hold {end} positions, "
+                                      f"more than {self.max_seq}")
+        self._k[layer, :, n:end, :] = np.swapaxes(k_rows, 0, 1)
+        self._v[layer, :, n:end, :] = np.swapaxes(v_rows, 0, 1)
+        self.lens[layer] = end
+
     def view(self, layer: int):
         n = self.lens[layer]
         return self._k[layer, :, :n, :], self._v[layer, :, :n, :]
@@ -245,6 +279,12 @@ def ffn_forward(weights: Weights, layer: int, x: np.ndarray) -> np.ndarray:
     lw = weights.layers[layer]
     h = np.maximum(lw.w1 @ x, np.float32(0.0))
     return (lw.w2 @ h).astype(np.float32)
+
+
+def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w @ row for each row of rows, in one call: NumPy makes one BLAS gemv per
+    row, the bits of w @ row (rows @ w.T is one gemm, with other bits)."""
+    return np.matmul(w, rows[..., None])[..., 0]
 
 
 @dataclass
@@ -360,22 +400,138 @@ class DecodeSession:
             self.engine.end_step(frozen=(self.mode == "dense"))
         return hidden, reports
 
+    def prefill(self, tokens, recorder=None):
+        """Run prompt tokens, at positions 0, 1, ..., through every block,
+        PREFILL_CHUNK positions at a time. Returns (hidden, reports) as
+        forward_position(prefill=True) per position would, bit for bit:
+        the last position's hidden state and the filter's reports, with the
+        same cache, engine, ledger and recorder effects.
+
+        The prompt is checked before any state changes: an empty prompt or
+        a token outside the vocabulary raises ConfigError, and a prompt the
+        cache cannot hold raises SequenceLengthError."""
+        ids = np.asarray(tokens)
+        if ids.size == 0:
+            raise ConfigError("prompt must be non-empty")
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ConfigError("prompt tokens must be a sequence of integers")
+        bad = (ids < 0) | (ids >= self.config.vocab_size)
+        if bad.any():
+            raise ConfigError(f"token {ids[bad][0]} outside vocabulary")
+        if len(ids) > self.config.max_seq - max(self.cache.lens):
+            raise SequenceLengthError("the prompt does not fit in the cache")
+        reports = []
+        for start in range(0, len(ids), PREFILL_CHUNK):
+            hidden, chunk_reports = self._prefill_chunk(ids[start:start + PREFILL_CHUNK],
+                                                        start, recorder)
+            reports.extend(chunk_reports)
+        return hidden, reports
+
+    def _prefill_chunk(self, ids: np.ndarray, start: int, recorder):
+        """One prefill chunk: every layer over all of its rows, then the
+        filter's two passes (score_steps over the chunk, then decide, the
+        ledger charge and the recorder per position and layer). Returns the
+        last row's hidden state and the chunk's reports."""
+        c = self.config
+        rows = len(ids)
+        x = (self.weights.embed[ids] + self.positions[start:start + rows]).astype(np.float32)
+        lens = list(self.cache.lens)
+        kv = []
+        attn_rows = []
+        for layer, lw in enumerate(self.weights.layers):
+            ln1 = layer_norm_rows(x, lw.ln1_g, lw.ln1_b)
+            k = _matvecs(lw.wk, ln1).reshape(rows, c.n_heads, c.d_head)
+            v = _matvecs(lw.wv, ln1).reshape(rows, c.n_heads, c.d_head)
+            kv.append((k, v))
+            self.cache.append_rows(layer, k, v)
+            attn, probs = self._attention_rows(layer, ln1, lens[layer])
+            attn_rows.append(probs)
+            x = (x + attn).astype(np.float32)
+            ln2 = layer_norm_rows(x, lw.ln2_g, lw.ln2_b)
+            h = np.maximum(_matvecs(lw.w1, ln2), np.float32(0.0))
+            x = (x + _matvecs(lw.w2, h).astype(np.float32)).astype(np.float32)
+
+        engine = self.engine
+        filtered = self.mode == "filtered"
+        active = [] if engine is None else sorted(engine.layers)
+        evidence = iter(())
+        if active:
+            stacked = np.stack([np.stack(kv[layer], axis=1) for layer in active], axis=1)
+            evidence = iter(engine.score_steps(
+                [[(layer, 0) for layer in active]] * rows,
+                stacked.reshape((-1,) + stacked.shape[2:])))
+        reports = []
+        for t in range(rows):
+            pos = start + t
+            if engine is not None:
+                engine.begin_step(prefill=True)
+            for layer in range(c.n_layers):
+                report = None
+                if layer in active:
+                    # A prompt position is shadow: never skipped.
+                    _, report = engine.decide(layer, 0, next(evidence), pos, enact=filtered)
+                    if report is not None:
+                        reports.append(report)
+                self.ledger.charge_event(lens[layer] + t + 1, self.flops_model, False,
+                                         report if filtered else None)
+                if recorder is not None:
+                    probs = attn_rows[layer]
+                    recorder.add_event(
+                        seq=0, step=pos, layer=layer, k=kv[layer][0][t], v=kv[layer][1][t],
+                        attn=None if probs is None
+                        else probs[t, :, :lens[layer] + t + 1].astype(np.float32))
+            if engine is not None:
+                engine.end_step(frozen=not filtered)
+        return x[-1], reports
+
+    def _attention_rows(self, layer: int, ln1: np.ndarray, n: int):
+        """attention_forward of each row of ln1, the row t query at cache
+        length n + t + 1, with the chunk's K/V already appended. Returns the
+        outputs and, when recording, the attention rows (zero past each row's
+        own columns), else None."""
+        c = self.config
+        lw = self.weights.layers[layer]
+        rows = len(ln1)
+        q = _matvecs(lw.wq, ln1).reshape(rows, c.n_heads, c.d_head)
+        k, v = self.cache.view(layer)
+        scores = np.einsum("hld,thd->thl", k, q) / np.float32(np.sqrt(c.d_head))
+        cols = n + np.arange(1, rows + 1)
+        lengths = cols.tolist()
+        np.copyto(scores, -np.inf, where=(np.arange(n + rows) >= cols[:, None])[:, None, :])
+        e = np.exp(np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
+                               order="C"))
+        # Per row, over its own columns: softmax's sums, bit for bit.
+        sums = np.empty((rows, c.n_heads, 1), dtype=e.dtype)
+        for t, m in enumerate(lengths):
+            sums[t] = np.add.reduce(e[t, :, :m], axis=-1, keepdims=True)
+        probs = e / sums
+        if np.isfinite(v[:, n:]).all():
+            ctx = np.einsum("thl,hld->thd", probs, v)
+        else:
+            # 0 x inf is NaN: each row sums over its own columns only.
+            ctx = np.stack([np.einsum("hl,hld->hd", np.ascontiguousarray(probs[t, :, :m]),
+                                      v[:, :m]) for t, m in enumerate(lengths)])
+        ctx = ctx.reshape(rows, c.d_model).astype(np.float32)
+        out = _matvecs(lw.wo, ctx).astype(np.float32)
+        return out, (probs if self.record else None)
+
     def logits(self, hidden: np.ndarray) -> np.ndarray:
         h = layer_norm(hidden, self.weights.lnf_g, self.weights.lnf_b)
         return self.weights.embed @ h
 
     def decode(self, prompt_tokens, n_steps: int, recorder=None) -> DecodeResult:
-        """Greedy decoding: prefill the prompt, then generate n_steps tokens."""
+        """Greedy decoding: prefill the prompt, then generate n_steps tokens.
+
+        The prompt runs through prefill, PREFILL_CHUNK positions at a time,
+        and each generated token through forward_position. Tokens, reports,
+        ledger, cache and recorded events are those of forward_position(
+        prefill=True) per prompt position, bit for bit: each softmax sum runs
+        over its own row, and a chunk with a non-finite value row sums each
+        context row over its own columns (see the module docstring)."""
         prompt = list(prompt_tokens)
-        if not prompt:
-            raise ConfigError("prompt must be non-empty")
         if len(prompt) + n_steps > self.config.max_seq:
             raise SequenceLengthError("prompt length + n_steps exceeds max_seq")
-        reports = []
-        hidden = None
-        for pos, tok in enumerate(prompt):
-            hidden, rs = self.forward_position(tok, pos, prefill=True, recorder=recorder)
-            reports.extend(rs)
+        hidden, reports = self.prefill(prompt, recorder=recorder)
         tokens = list(prompt)
         for s in range(n_steps):
             nxt = int(np.argmax(self.logits(hidden)))

@@ -5,8 +5,9 @@ pure and operate on caller-owned numpy arrays.
 
 The kernels take whole arrays: cosine_rows compares matching rows under any
 leading batch axes, softmax normalizes along one axis (the last by default),
-and population_mean_var reduces the last axis. Each gives the same bits as
-its one-vector-at-a-time form, so batching never changes a decision.
+layer_norm_rows normalizes each row, and population_mean_var reduces the last
+axis. Each gives the same bits as its one-vector-at-a-time form, so batching
+never changes a decision.
 """
 
 from __future__ import annotations
@@ -92,6 +93,26 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     centred = x64 - np.add.reduce(x64, axis=None) / x64.size
     var = np.add.reduce(centred * centred, axis=None) / x64.size
     # float32 gain and bias promote to float64 exactly inside the ufuncs.
+    out = centred / np.sqrt(var + eps) * gain + bias
+    return out.astype(np.float32)
+
+
+def layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                    eps: float = 1e-5) -> np.ndarray:
+    """layer_norm of each row (the last axis) of x.
+
+    Each row's moments reduce along a contiguous last axis, in the same
+    pairwise order as layer_norm's whole-vector sums, so every row equals
+    layer_norm of that row bit for bit. A separate function, not a
+    generalized layer_norm: the axis handling would cost the one-vector
+    decode path about 3 us a call.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    x64 = np.asarray(x, dtype=np.float64)
+    n = x64.shape[-1]
+    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     out = centred / np.sqrt(var + eps) * gain + bias
     return out.astype(np.float32)
 

@@ -175,9 +175,9 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
 
 def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
     """Read and validate a trace file of format version 1 or 2: header first,
-    dimensions fixed, ids inside the header's ranges, events ordered by
-    (seq, step, layer), values finite, attention rows normalized. The
-    returned header's format_version is the version the file holds."""
+    dimensions fixed, ids JSON integers inside the header's ranges, events
+    ordered by (seq, step, layer), values finite, attention rows normalized.
+    The returned header's format_version is the version the file holds."""
     header = None
     events: list[TraceEvent] = []
     last_key = None
@@ -203,13 +203,18 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
             if kind != "event":
                 raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
             try:
-                key = (int(obj["seq"]), int(obj["step"]), int(obj["layer"]))
+                key = (obj["seq"], obj["step"], obj["layer"])
                 k_obj, v_obj = obj["k"], obj["v"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
                 raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
             k = decode(k_obj, "k", lineno)
             v = decode(v_obj, "v", lineno)
             for name, value, limit in zip(("seq", "step", "layer"), key, limits):
+                # A JSON integer only: a fraction, string or boolean is never
+                # truncated or coerced into an id.
+                if type(value) is not int:
+                    raise TraceFormatError(
+                        f"line {lineno}: {name} must be an integer, got {value!r}")
                 if not 0 <= value < limit:
                     raise TraceFormatError(
                         f"line {lineno}: {name} {value} outside the header's range [0, {limit})")

@@ -172,6 +172,28 @@ class TestReadTraceRejects:
         with pytest.raises(TraceFormatError, match=f"line {lineno}: {message}"):
             read_trace(path)
 
+    # Each bad id would truncate or coerce to the event's own id.
+    ID_CASES = {
+        "fractional_step": (4, "step", lambda e: e.step + 0.7),
+        "fractional_layer": (5, "layer", lambda e: e.layer + 0.9),
+        "integral_float_seq": (7, "seq", lambda e: float(e.seq)),
+        "string_step": (3, "step", lambda e: str(e.step)),
+        "true_layer": (1, "layer", lambda e: bool(e.layer)),
+        "false_seq": (0, "seq", lambda e: bool(e.seq)),
+    }
+
+    @pytest.mark.parametrize("version", sorted(WRITERS))
+    @pytest.mark.parametrize("case", sorted(ID_CASES))
+    def test_non_integer_event_id_names_line(self, tmp_path, version, case):
+        header, events = self._trace()
+        index, name, change = self.ID_CASES[case]
+        lineno = _corrupt(events, index, **{name: change(events[index])})
+        path = tmp_path / "t.ndjson"
+        WRITERS[version](path, header, events)
+        with pytest.raises(TraceFormatError, match=f"line {lineno}: {name} must be an integer"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
     @pytest.mark.parametrize("version", sorted(WRITERS))
     def test_valid_trace_reads(self, tmp_path, version):
         header, events = self._trace()
