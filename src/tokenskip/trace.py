@@ -23,13 +23,22 @@ Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
 generator_params is a free-form string map; recognized keys include
 "n_seqs" (default 1), "prefill_steps" (positions that replay must treat as
 prompt) and the synthesis parameters.
+
+Both directions work READ_CHUNK events at a time. read_trace checks each
+line's structure as it reads it and each chunk's values in a few NumPy
+calls; the events it returns hold writable float32 views into per-chunk
+arrays. write_trace checks ids and finiteness before it opens the file, so
+a rejected write creates no file and leaves an existing one untouched, then
+writes each event line as a string laid out as json.dumps lays it out.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -39,10 +48,15 @@ FORMAT_VERSION = 2
 READ_VERSIONS = (1, 2)
 SOURCES = ("toy_model", "synthetic", "external")
 PATTERNS = ("repetitive", "random", "depth_concentrated")
+# Events per chunk: read_trace checks values and write_trace checks
+# finiteness this many events at a time.
+READ_CHUNK = 64
+_IDS = ("seq", "step", "layer")
 
 
 class TraceFormatError(ValueError):
-    """Malformed or inconsistent trace file; message carries the line number."""
+    """Malformed or inconsistent trace file; the message carries the line
+    number, or from write_trace the index of the event."""
 
 
 @dataclass(frozen=True)
@@ -80,40 +94,92 @@ class TraceEvent:
     attn: np.ndarray | None = None
 
 
-def _array2d(values, name, lineno) -> np.ndarray:
-    """Decode one version 1 array: a nested list of decimal floats."""
+def _array2d(values, name, lineno) -> tuple[int, int, bytes]:
+    """Decode one version 1 array, a nested list of decimal floats, to
+    (rows, cols, little-endian float32 bytes)."""
     try:
-        arr = np.asarray(values, dtype=np.float32)
+        arr = np.asarray(values, dtype="<f4")
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array") from exc
     if arr.ndim != 2:
         raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array")
-    return arr
+    return arr.shape[0], arr.shape[1], arr.tobytes()
 
 
-def _encode_f32(arr) -> dict:
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    return {"shape": list(a.shape), "f32": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _decode_f32(obj, name, lineno) -> np.ndarray:
-    """Decode one version 2 array: a shape and base64 float32 bytes."""
+def _decode_f32(obj, name, lineno) -> tuple[int, int, bytes]:
+    """Decode one version 2 array, a shape and base64 float32 bytes, to
+    (rows, cols, little-endian float32 bytes)."""
     try:
-        rows, cols = (int(n) for n in obj["shape"])
+        rows, cols = obj["shape"]
         data = base64.b64decode(obj["f32"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float32 array") from exc
+    # JSON integers only: a fraction, string or boolean is never coerced into a size.
+    if type(rows) is not int or type(cols) is not int:
+        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float32 array")
     if min(rows, cols) < 0 or len(data) != 4 * rows * cols:
         raise TraceFormatError(
             f"line {lineno}: {name} holds {len(data)} bytes, not shape [{rows}, {cols}]")
-    # astype copies into a writable native float32 array.
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float32)
+    return rows, cols, data
+
+
+def _f32_json(arr) -> str:
+    """One array as the text json.dumps writes for {"shape": [...], "f32": "..."}."""
+    a = np.ascontiguousarray(arr, dtype="<f4")
+    data = binascii.b2a_base64(a, newline=False).decode("ascii")
+    return f'{{"shape": {list(a.shape)}, "f32": "{data}"}}'
+
+
+def _check_ids(key, limits, where: str, index: int) -> None:
+    """Each of (seq, step, layer) must be an int inside [0, limit): a
+    fraction, string or boolean is never truncated or coerced into an id."""
+    seq, step, layer = key
+    n_seqs, n_steps, n_layers = limits
+    if (type(seq) is int and type(step) is int and type(layer) is int
+            and 0 <= seq < n_seqs and 0 <= step < n_steps and 0 <= layer < n_layers):
+        return
+    for name, value, limit in zip(_IDS, key, limits):
+        if type(value) is not int:
+            raise TraceFormatError(
+                f"{where} {index}: {name} must be an integer, got {value!r}")
+        if not 0 <= value < limit:
+            raise TraceFormatError(
+                f"{where} {index}: {name} {value} outside the header's range [0, {limit})")
+
+
+def _check_events(header: TraceHeader, events: list) -> None:
+    """Raise TraceFormatError naming the first event that read_trace would
+    reject for its ids (not an int, or outside the header's ranges) or for a
+    k, v or attn value that is not finite once cast to float32."""
+    limits = (header.n_seqs, header.n_steps, header.n_layers)
+    for start in range(0, len(events), READ_CHUNK):
+        chunk = events[start:start + READ_CHUNK]
+        # One check over the whole chunk, cast as _f32_json casts.
+        finite = np.isfinite(np.concatenate(
+            [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))],
+            axis=None, dtype="<f4", casting="unsafe")).all()
+        for i, e in enumerate(chunk, start):
+            # write_trace's f-strings need the type check: they would print
+            # True for a bool and 0 for the string "0".
+            _check_ids((e.seq, e.step, e.layer), limits, "event", i)
+            if not finite:
+                for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
+                    if arr is not None and not np.isfinite(np.asarray(arr, dtype="<f4")).all():
+                        raise TraceFormatError(f"event {i}: {name} values must be finite")
 
 
 def write_trace(path, header: TraceHeader, events) -> int:
     """Write header + events in format version 2, whatever version the
-    header was read from; returns the number of events written."""
-    n = 0
+    header was read from; returns the number of events written.
+
+    Every event is checked before the file is opened. An id that is not an
+    int inside the header's [0, n_seqs), [0, n_steps) or [0, n_layers), or a
+    k, v or attn value that is not finite as float32, raises TraceFormatError
+    naming the event's index, and then no file is created and an existing
+    one is left as it was. Event lines are built as strings in json.dumps's
+    layout, byte for byte, and written one at a time."""
+    events = list(events)
+    _check_events(header, events)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "type": "header",
@@ -127,19 +193,11 @@ def write_trace(path, header: TraceHeader, events) -> int:
         }))
         fh.write("\n")
         for e in events:
-            obj = {
-                "type": "event",
-                "seq": e.seq,
-                "step": e.step,
-                "layer": e.layer,
-                "k": _encode_f32(e.k),
-                "v": _encode_f32(e.v),
-                "attn": None if e.attn is None else _encode_f32(e.attn),
-            }
-            fh.write(json.dumps(obj))
-            fh.write("\n")
-            n += 1
-    return n
+            attn = "null" if e.attn is None else _f32_json(e.attn)
+            fh.write(f'{{"type": "event", "seq": {e.seq}, "step": {e.step}, '
+                     f'"layer": {e.layer}, "k": {_f32_json(e.k)}, "v": {_f32_json(e.v)}, '
+                     f'"attn": {attn}}}\n')
+    return len(events)
 
 
 def _whole(value, name: str) -> int:
@@ -173,13 +231,118 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
         raise TraceFormatError(f"line {lineno}: malformed header ({exc!r})") from exc
 
 
+def _record(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"line {lineno}: record must be a JSON object")
+    return obj
+
+
+def _parse_event(obj, lineno, header, limits, decode, last_key) -> tuple:
+    """The per-line checks of one event record, in order: record type, ids,
+    K/V shape, attn head count and event order. Returns (lineno, key, k bytes,
+    v bytes, attn cols or None, attn bytes or None); _chunk_events checks the
+    values."""
+    kind = obj.get("type")
+    if kind != "event":
+        raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
+    try:
+        key = (obj["seq"], obj["step"], obj["layer"])
+        k_obj, v_obj = obj["k"], obj["v"]
+    except KeyError as exc:
+        raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
+    k_rows, k_cols, k = decode(k_obj, "k", lineno)
+    v_rows, v_cols, v = decode(v_obj, "v", lineno)
+    _check_ids(key, limits, "line", lineno)
+    expected = (header.n_heads, header.d_head)
+    if (k_rows, k_cols) != expected or (v_rows, v_cols) != expected:
+        raise TraceFormatError(
+            f"line {lineno}: K/V shape {(k_rows, k_cols)} does not match header {expected}")
+    cols = data = None
+    if obj.get("attn") is not None:
+        rows, cols, data = decode(obj["attn"], "attn", lineno)
+        if rows != header.n_heads:
+            raise TraceFormatError(f"line {lineno}: attn head count mismatch")
+    if last_key is not None and key <= last_key:
+        raise TraceFormatError(f"line {lineno}: events out of (seq, step, layer) order")
+    return lineno, key, k, v, cols, data
+
+
+def _chunk_events(header: TraceHeader, pending: list) -> list[TraceEvent]:
+    """Check the values of a chunk of parsed event lines, then build their
+    events.
+
+    The chunk's K/V is one float32 array and its attention rows another,
+    each made from the lines' bytes in one join, writable and native-endian;
+    each event's k, v and attn are disjoint views into them. The values are
+    checked by one isfinite over the K/V, one isfinite and one >= 0 over the
+    rows, and one row sum per run of consecutive events with the same attn
+    shape. A row sum over an (m, H, L) block equals each event's own
+    attn.sum(axis=1) bit for bit; np.add.reduceat or a float64 sum would
+    group the additions differently and could flip a row near the 1e-5
+    tolerance. A chunk that fails is checked again event by event, so the
+    error names its first bad line."""
+    if not pending:
+        return []
+    n_heads = header.n_heads
+    kv = np.frombuffer(bytearray().join([b for p in pending for b in (p[2], p[3])]),
+                       dtype="<f4").reshape(len(pending), 2, n_heads, header.d_head)
+    rows = np.frombuffer(bytearray().join([p[5] for p in pending if p[4] is not None]),
+                         dtype="<f4")
+    attn = [None] * len(pending)
+    blocks = []
+    offset = 0
+    with_attn = (i for i, p in enumerate(pending) if p[4] is not None)
+    for cols, run in groupby(with_attn, key=lambda i: pending[i][4]):
+        members = list(run)
+        size = len(members) * n_heads * cols
+        block = rows[offset:offset + size].reshape(len(members), n_heads, cols)
+        offset += size
+        blocks.append(block)
+        for j, i in enumerate(members):
+            attn[i] = block[j]
+    ok = np.isfinite(kv).all() and np.isfinite(rows).all() and (rows >= 0).all()
+    if ok and blocks:
+        sums = np.concatenate([b.sum(axis=-1).ravel() for b in blocks])
+        ok = not (np.abs(sums - 1.0) > 1e-5).any()
+    if not ok:
+        _raise_first_fault(pending, kv, attn)
+    return [TraceEvent(seq=p[1][0], step=p[1][1], layer=p[1][2], k=pair[0], v=pair[1], attn=a)
+            for p, pair, a in zip(pending, kv, attn)]
+
+
+def _raise_first_fault(pending, kv, attn) -> None:
+    """Check a chunk's values one event at a time and raise for the first
+    bad one."""
+    for p, pair, a in zip(pending, kv, attn):
+        lineno = p[0]
+        if not np.isfinite(pair).all():
+            raise TraceFormatError(f"line {lineno}: K/V values must be finite")
+        if a is not None:
+            if not np.isfinite(a).all():
+                raise TraceFormatError(f"line {lineno}: attn values must be finite")
+            if np.any(a < 0) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-5):
+                raise TraceFormatError(
+                    f"line {lineno}: attn rows must be non-negative and sum to 1")
+
+
 def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
     """Read and validate a trace file of format version 1 or 2: header first,
     dimensions fixed, ids JSON integers inside the header's ranges, events
     ordered by (seq, step, layer), values finite, attention rows normalized.
-    The returned header's format_version is the version the file holds."""
+    The returned header's format_version is the version the file holds.
+
+    Each line's structure is checked as it is read; values are checked
+    READ_CHUNK events at a time, and the events' k, v and attn are writable
+    float32 views into per-chunk arrays. An error names the first bad line
+    of the file: before a line's own error is raised, the chunk read so far
+    is checked, so an earlier line's bad value is named first."""
     header = None
     events: list[TraceEvent] = []
+    pending: list[tuple] = []
     last_key = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -187,58 +350,25 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise TraceFormatError(f"line {lineno}: record must be a JSON object")
-            kind = obj.get("type")
-            if header is None:
-                if kind != "header":
-                    raise TraceFormatError(f"line {lineno}: first record must be the header")
-                header, limits = _parse_header(obj, lineno)
-                decode = _array2d if header.format_version == 1 else _decode_f32
-                expected = (header.n_heads, header.d_head)
-                continue
-            if kind != "event":
-                raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
-            try:
-                key = (obj["seq"], obj["step"], obj["layer"])
-                k_obj, v_obj = obj["k"], obj["v"]
-            except KeyError as exc:
-                raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
-            k = decode(k_obj, "k", lineno)
-            v = decode(v_obj, "v", lineno)
-            for name, value, limit in zip(("seq", "step", "layer"), key, limits):
-                # A JSON integer only: a fraction, string or boolean is never
-                # truncated or coerced into an id.
-                if type(value) is not int:
-                    raise TraceFormatError(
-                        f"line {lineno}: {name} must be an integer, got {value!r}")
-                if not 0 <= value < limit:
-                    raise TraceFormatError(
-                        f"line {lineno}: {name} {value} outside the header's range [0, {limit})")
-            if k.shape != expected or v.shape != expected:
-                raise TraceFormatError(
-                    f"line {lineno}: K/V shape {k.shape} does not match header {expected}")
-            if not (np.isfinite(k).all() and np.isfinite(v).all()):
-                raise TraceFormatError(f"line {lineno}: K/V values must be finite")
-            attn = None
-            if obj.get("attn") is not None:
-                attn = decode(obj["attn"], "attn", lineno)
-                if attn.shape[0] != header.n_heads:
-                    raise TraceFormatError(f"line {lineno}: attn head count mismatch")
-                if not np.isfinite(attn).all():
-                    raise TraceFormatError(f"line {lineno}: attn values must be finite")
-                if np.any(attn < 0) or np.any(np.abs(attn.sum(axis=1) - 1.0) > 1e-5):
-                    raise TraceFormatError(
-                        f"line {lineno}: attn rows must be non-negative and sum to 1")
-            if last_key is not None and key <= last_key:
-                raise TraceFormatError(f"line {lineno}: events out of (seq, step, layer) order")
-            last_key = key
-            events.append(TraceEvent(seq=key[0], step=key[1], layer=key[2], k=k, v=v, attn=attn))
+                obj = _record(line, lineno)
+                if header is None:
+                    if obj.get("type") != "header":
+                        raise TraceFormatError(f"line {lineno}: first record must be the header")
+                    header, limits = _parse_header(obj, lineno)
+                    decode = _array2d if header.format_version == 1 else _decode_f32
+                    continue
+                parsed = _parse_event(obj, lineno, header, limits, decode, last_key)
+            except TraceFormatError:
+                _chunk_events(header, pending)
+                raise
+            last_key = parsed[1]
+            pending.append(parsed)
+            if len(pending) == READ_CHUNK:
+                events += _chunk_events(header, pending)
+                pending = []
     if header is None:
         raise TraceFormatError("line 1: empty trace file")
+    events += _chunk_events(header, pending)
     return header, events
 
 

@@ -1,5 +1,6 @@
-"""Trace file formats: the version 2 layout, reading version 1 files, and the
-checks read_trace applies to both."""
+"""Trace file formats: the version 2 layout, reading version 1 files, the
+checks read_trace applies to both, and the checks write_trace applies before
+it writes."""
 
 import base64
 import dataclasses
@@ -12,13 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokenskip.cli import main
+from tokenskip.model import DecodeSession, ModelConfig
 from tokenskip.policy import PruneConfig
 from tokenskip.replay import replay
 from tokenskip.trace import (
+    PATTERNS,
+    READ_CHUNK,
     SOURCES,
     TraceEvent,
     TraceFormatError,
     TraceHeader,
+    TraceRecorder,
     read_trace,
     synthesize,
     write_trace,
@@ -46,7 +51,41 @@ def write_v1(path, header, events):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-WRITERS = {1: write_v1, 2: write_trace}
+def _raw_f32(arr):
+    a = np.ascontiguousarray(arr, dtype="<f4")
+    return {"shape": list(a.shape), "f32": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def raw_event_record(e):
+    """One version 2 event line, by json.dumps, with no checks."""
+    return json.dumps({
+        "type": "event", "seq": e.seq, "step": e.step, "layer": e.layer,
+        "k": _raw_f32(e.k), "v": _raw_f32(e.v),
+        "attn": None if e.attn is None else _raw_f32(e.attn),
+    })
+
+
+def write_v2_raw(path, header, events):
+    """Write a format version 2 trace with one json.dumps per record and no
+    checks on the events: the reference for write_trace's bytes, and the way
+    to build files that hold bad events, which write_trace refuses to write."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({
+            "type": "header", "format_version": 2, "n_layers": header.n_layers,
+            "n_heads": header.n_heads, "d_head": header.d_head, "n_steps": header.n_steps,
+            "source": header.source,
+            "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
+        }))
+        fh.write("\n")
+        for e in events:
+            fh.write(raw_event_record(e))
+            fh.write("\n")
+            n += 1
+    return n
+
+
+WRITERS = {1: write_v1, 2: write_v2_raw}
 
 
 def bits(arr):
@@ -118,6 +157,12 @@ class TestVersion2Layout:
         {"shape": [1, 4], "f32": "not base64!"},
         {"shape": [4], "f32": base64.b64encode(b"\0" * 16).decode()},
         [[0.1, 0.2, 0.3, 0.4]],                                            # a v1 array
+        # Shape entries that are not JSON integers are never coerced to (1, 4).
+        {"shape": [1.0, 4.0], "f32": base64.b64encode(b"\0" * 16).decode()},
+        {"shape": [1.7, 4], "f32": base64.b64encode(b"\0" * 16).decode()},
+        {"shape": ["1", "4"], "f32": base64.b64encode(b"\0" * 16).decode()},
+        {"shape": [True, 4], "f32": base64.b64encode(b"\0" * 16).decode()},
+        {"shape": "14", "f32": base64.b64encode(b"\0" * 16).decode()},
     ])
     def test_malformed_v2_array_names_line(self, tmp_path, array):
         header, events = synthesize("random", 1, 1, 4, 2, seed=5)
@@ -256,6 +301,189 @@ class TestReadTraceRejects:
             read_trace(path)
 
 
+# -- chunk boundaries ------------------------------------------------------------
+
+
+def _long_trace():
+    """2 layers x (READ_CHUNK + 1) steps: 2 * READ_CHUNK + 2 events, so event
+    indices READ_CHUNK - 1 and READ_CHUNK straddle the first chunk boundary
+    and the last event starts a third chunk. Event i is on line i + 2."""
+    return synthesize("repetitive", 2, 2, 4, READ_CHUNK + 1, seed=41)
+
+
+def _record_of(e, **changes):
+    return raw_event_record(dataclasses.replace(e, **changes))
+
+
+def _with_bad_k_base64(e):
+    obj = json.loads(raw_event_record(e))
+    obj["k"]["f32"] = "not base64!"
+    return json.dumps(obj)
+
+
+def _scaled(arr, factor):
+    out = np.array(arr, dtype=np.float32)
+    out[0] *= np.float32(factor)
+    return out
+
+
+def _negated(arr):
+    out = np.array(arr, dtype=np.float32)
+    out[-1, 0] = -0.5
+    return out
+
+
+# kind: (the bad line for event i of events, the error message after "line N: ")
+EDGE_FAULTS = {
+    "nan_k": (lambda ev, i: _record_of(ev[i], k=_with_nan(ev[i].k)),
+              "K/V values must be finite"),
+    "inf_v": (lambda ev, i: _record_of(ev[i], v=_with_nan(ev[i].v, np.inf)),
+              "K/V values must be finite"),
+    "nan_attn": (lambda ev, i: _record_of(ev[i], attn=_with_nan(ev[i].attn)),
+                 "attn values must be finite"),
+    "negative_attn": (lambda ev, i: _record_of(ev[i], attn=_negated(ev[i].attn)),
+                      "attn rows must be non-negative and sum to 1"),
+    "unnormalized_attn": (lambda ev, i: _record_of(ev[i], attn=_scaled(ev[i].attn, 1.001)),
+                          "attn rows must be non-negative and sum to 1"),
+    "fractional_step": (lambda ev, i: _record_of(ev[i], step=ev[i].step + 0.5),
+                        "step must be an integer"),
+    "layer_past_header": (lambda ev, i: _record_of(ev[i], layer=2), "layer 2 outside"),
+    "kv_shape": (lambda ev, i: _record_of(ev[i], k=ev[i].k[:, :2]),
+                 r"K/V shape \(2, 2\) does not match header \(2, 4\)"),
+    "attn_heads": (lambda ev, i: _record_of(ev[i], attn=ev[i].attn[:1]),
+                   "attn head count mismatch"),
+    "out_of_order": (lambda ev, i: _record_of(ev[i], seq=ev[i - 1].seq, step=ev[i - 1].step,
+                                              layer=ev[i - 1].layer),
+                     r"events out of \(seq, step, layer\) order"),
+    "invalid_json": (lambda ev, i: "{broken", "invalid JSON"),
+    "bad_base64": (lambda ev, i: _with_bad_k_base64(ev[i]), "k must be a 2-D float32 array"),
+}
+EDGE_INDICES = (0, READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1, 2 * READ_CHUNK + 1)
+
+
+def _write_with_faults(path, faults):
+    """The long trace, written raw, with the line of each event index in
+    faults (index -> kind) replaced by that fault's bad line."""
+    header, events = _long_trace()
+    write_v2_raw(path, header, events)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for index, kind in faults.items():
+        lines[index + 1] = EDGE_FAULTS[kind][0](events, index)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestChunkEdges:
+    """Faults at and around the boundaries of read_trace's chunks."""
+
+    # The first event has no predecessor to be out of order with.
+    @pytest.mark.parametrize("kind, index", [
+        (kind, index) for kind in sorted(EDGE_FAULTS) for index in EDGE_INDICES
+        if (kind, index) != ("out_of_order", 0)])
+    def test_single_fault_names_its_line(self, tmp_path, kind, index):
+        path = tmp_path / "t.ndjson"
+        _write_with_faults(path, {index: kind})
+        with pytest.raises(TraceFormatError, match=f"^line {index + 2}: {EDGE_FAULTS[kind][1]}"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("faults", [
+        {10: "nan_k", READ_CHUNK + 30: "nan_attn"},                # two value faults
+        {20: "fractional_step", READ_CHUNK + 5: "inf_v"},          # a line fault first
+        {30: "unnormalized_attn", READ_CHUNK + 2: "invalid_json"},  # a value fault first
+        {READ_CHUNK - 1: "negative_attn", READ_CHUNK: "nan_k"},    # across the boundary
+    ])
+    def test_of_two_faults_in_different_chunks_the_first_is_named(self, tmp_path, faults):
+        path = tmp_path / "t.ndjson"
+        _write_with_faults(path, faults)
+        first = min(faults)
+        with pytest.raises(TraceFormatError,
+                           match=f"^line {first + 2}: {EDGE_FAULTS[faults[first]][1]}"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("faults", [
+        {READ_CHUNK + 1: "nan_k", READ_CHUNK + 6: "fractional_step"},
+        {3: "unnormalized_attn", READ_CHUNK - 4: "layer_past_header"},
+        {0: "nan_attn", READ_CHUNK - 1: "invalid_json"},
+        {40: "inf_v", 41: "kv_shape"},
+    ])
+    def test_a_value_fault_beats_a_later_line_fault_in_its_chunk(self, tmp_path, faults):
+        path = tmp_path / "t.ndjson"
+        _write_with_faults(path, faults)
+        first = min(faults)
+        with pytest.raises(TraceFormatError,
+                           match=f"^line {first + 2}: {EDGE_FAULTS[faults[first]][1]}"):
+            read_trace(path)
+
+    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path):
+        header, events = _long_trace()
+        path = tmp_path / "t.ndjson"
+        write_trace(path, header, events)
+        _, got = read_trace(path)
+        _, fresh = read_trace(path)
+        assert_same_events(got, events)
+        for e in got:
+            for arr in (e.k, e.v, e.attn):
+                assert arr.dtype == np.float32 and arr.flags.writeable
+        edited = (0, READ_CHUNK - 1, READ_CHUNK, len(got) - 1)
+        for i in edited:
+            got[i].k[...] = 7.0
+            got[i].v[...] = 8.0
+            got[i].attn[...] = 9.0
+        for i, (a, b) in enumerate(zip(got, fresh)):
+            if i in edited:
+                assert (a.k == 7.0).all() and (a.v == 8.0).all() and (a.attn == 9.0).all()
+            else:
+                assert_same_events([a], [b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 6), heads=st.integers(1, 4), cols=st.integers(1, 300),
+       lead=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_run_stacked_row_sums_equal_per_event_sums_bitwise(m, heads, cols, lead, seed):
+    """read_trace sums the rows of m same-shape events as one (m, H, L) block
+    of a buffer joined from the lines' bytes, at any offset in it; each
+    event's sums must equal its own array's attn.sum(axis=1) bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.random((heads, cols), dtype=np.float32) for _ in range(m)]
+    joined = bytearray().join([b"\0" * 4 * lead] + [r.tobytes() for r in rows])
+    block = np.frombuffer(joined, dtype="<f4")[lead:].reshape(m, heads, cols)
+    sums = block.sum(axis=-1)
+    for r, s in zip(rows, sums):
+        np.testing.assert_array_equal(bits(s), bits(r.sum(axis=1)))
+
+
+# A drift of 1e-5 give or take a few float32 ulps of 1.0 (1.2e-7 each).
+near_tolerance = st.tuples(st.sampled_from([-1e-5, 1e-5]), st.floats(-4e-7, 4e-7)).map(sum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 5), cols=st.integers(1, 200),
+       drift=st.lists(near_tolerance, min_size=5, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed):
+    """Rows whose sums sit within a few ulps of 1 +- 1e-5: read_trace rejects
+    the trace exactly when one of its events fails the check on its own row
+    sums."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for step in range(m):
+        w = rng.random((2, cols)) + 1e-3
+        attn = (w / w.sum(axis=1, keepdims=True) * (1.0 + drift[step])).astype(np.float32)
+        events.append(TraceEvent(seq=0, step=step, layer=0, k=np.zeros((2, 4), np.float32),
+                                 v=np.zeros((2, 4), np.float32), attn=attn))
+    header = TraceHeader(n_layers=1, n_heads=2, d_head=4, n_steps=m, source="synthetic",
+                         generator_params={})
+    bad = [i for i, e in enumerate(events)
+           if np.any(np.abs(e.attn.sum(axis=1) - 1.0) > 1e-5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        write_v2_raw(path, header, events)
+        if bad:
+            with pytest.raises(TraceFormatError, match=f"^line {bad[0] + 2}: attn rows"):
+                read_trace(path)
+        else:
+            assert_same_events(read_trace(path)[1], events)
+
+
 # -- property tests --------------------------------------------------------------
 
 # Every finite float32, including -0.0, +0.0 and subnormals.
@@ -337,6 +565,99 @@ class TestRoundTripProperties:
         assert decisions(v1) == decisions(v2)
         assert v1.summary == v2.summary
         assert v1.global_mass_lost == v2.global_mass_lost
+
+
+# -- write_trace -----------------------------------------------------------------
+
+
+def _recorded_trace():
+    """The trace of a filtered toy-model session: a prompt of 3 and 20
+    generated positions over 2 layers."""
+    cfg = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=24, max_seq=32, seed=23)
+    session = DecodeSession(cfg, PruneConfig(tail_fraction=1.0), mode="filtered", record=True)
+    recorder = TraceRecorder(cfg.n_layers, cfg.n_heads, cfg.d_head,
+                             generator_params={"prefill_steps": "3"})
+    session.decode([3, 1, 4], 20, recorder=recorder)
+    return recorder
+
+
+class TestWriteTrace:
+    @staticmethod
+    def _assert_raw_bytes(path, header, events):
+        """write_trace (given a one-pass iterator) writes what the raw
+        json.dumps writer writes, byte for byte."""
+        assert write_trace(path, header, iter(events)) == len(events)
+        raw = path.with_suffix(".raw")
+        write_v2_raw(raw, header, events)
+        assert path.read_bytes() == raw.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces())
+    def test_bytes_equal_json_dumps_on_any_valid_trace(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_raw_bytes(Path(tmp) / "t.ndjson", *trace)
+
+    @pytest.mark.parametrize("with_attn", [True, False])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_bytes_equal_json_dumps_on_synthesized_traces(self, tmp_path, pattern, with_attn):
+        header, events = synthesize(pattern, 3, 2, 8, 50, seed=31, n_seqs=2,
+                                    with_attn=with_attn)
+        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
+
+    def test_bytes_equal_json_dumps_on_a_recorded_session(self, tmp_path):
+        recorder = _recorded_trace()
+        assert recorder.save(tmp_path / "t.ndjson") == len(recorder.events)
+        write_v2_raw(tmp_path / "t.raw", recorder.header(), recorder.events)
+        assert (tmp_path / "t.ndjson").read_bytes() == (tmp_path / "t.raw").read_bytes()
+
+    # case: (field, the bad value given the event, the error message after "event N: ")
+    BAD = {
+        "bool_layer": ("layer", lambda e: True, "layer must be an integer, got True"),
+        "float_step": ("step", lambda e: float(e.step), "step must be an integer"),
+        "str_seq": ("seq", lambda e: str(e.seq), "seq must be an integer, got '0'"),
+        "int64_layer": ("layer", lambda e: np.int64(e.layer), "layer must be an integer"),
+        "negative_step": ("step", lambda e: -1, r"step -1 outside the header's range \[0, "),
+        "seq_past_header": ("seq", lambda e: 1, r"seq 1 outside the header's range \[0, 1\)"),
+        "layer_past_header": ("layer", lambda e: 2, r"layer 2 outside the header's range"),
+        "step_past_header": ("step", lambda e: READ_CHUNK + 1, f"step {READ_CHUNK + 1} outside"),
+        "nan_k": ("k", lambda e: _with_nan(e.k), "k values must be finite"),
+        "inf_v": ("v", lambda e: _with_nan(e.v, np.inf), "v values must be finite"),
+        "nan_attn": ("attn", lambda e: _with_nan(e.attn), "attn values must be finite"),
+        "neg_inf_attn": ("attn", lambda e: _with_nan(e.attn, -np.inf),
+                         "attn values must be finite"),
+    }
+
+    @pytest.mark.parametrize("index", [0, READ_CHUNK - 1, READ_CHUNK, 2 * READ_CHUNK + 1])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_event_is_refused_before_any_file_changes(self, tmp_path, case, index):
+        header, events = _long_trace()
+        name, change, message = self.BAD[case]
+        _corrupt(events, index, **{name: change(events[index])})
+        match = f"^event {index}: {message}"
+        path = tmp_path / "new.ndjson"
+        with pytest.raises(TraceFormatError, match=match):
+            write_trace(path, header, events)
+        assert not path.exists()
+        old = tmp_path / "old.ndjson"
+        write_trace(old, *synthesize("random", 1, 1, 4, 2, seed=5))
+        before = old.read_bytes()
+        with pytest.raises(TraceFormatError, match=match):
+            write_trace(old, header, events)
+        assert old.read_bytes() == before
+
+    def test_of_two_bad_events_the_first_is_named(self, tmp_path):
+        header, events = _long_trace()
+        _corrupt(events, READ_CHUNK + 3, step=0.5)
+        _corrupt(events, 5, v=_with_nan(events[5].v))
+        with pytest.raises(TraceFormatError, match="^event 5: v values must be finite"):
+            write_trace(tmp_path / "t.ndjson", header, events)
+
+    def test_recorder_save_refuses_a_non_finite_event(self, tmp_path):
+        recorder = _recorded_trace()
+        recorder.events[7].attn = _with_nan(recorder.events[7].attn, np.inf)
+        with pytest.raises(TraceFormatError, match="^event 7: attn values must be finite"):
+            recorder.save(tmp_path / "t.ndjson")
+        assert not (tmp_path / "t.ndjson").exists()
 
 
 def test_cli_replay_of_v1_file_matches_its_v2_rewrite(tmp_path):
