@@ -8,20 +8,19 @@ filtering  anchors, head-wise similarity, variance-aware fusion, skip decisions
 model      toy multi-head decoder with KV cache hosting the filter
 trace      NDJSON KV traces: record, read, synthesize
 replay     offline policy evaluation over traces
-metrics    FLOPs accounting, similarity/attention correlation, loss proxies
+metrics    FLOPs accounting, the attention-mass-lost proxy
 cli        command-line front end (generate / synth / replay / sweep / report)
 """
 
 from .filtering import (
     FilterEngine,
     SimilarityScore,
-    anchor_memory_bytes,
     fuse,
     head_similarity,
     update_anchor,
     update_anchor_mean,
 )
-from .metrics import FlopsLedger, FlopsModel, correlation_entries, spearman
+from .metrics import FlopsLedger, FlopsModel
 from .model import (
     DecodeSession,
     KVCache,
@@ -44,11 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DecodeSession", "FilterEngine", "FlopsLedger", "FlopsModel", "KVCache",
     "ModelConfig", "PruneConfig", "ReplayResult", "SimilarityScore",
-    "StepReport", "TraceHeader", "TraceRecorder", "Weights", "anchor_memory_bytes",
-    "attention_forward", "correlation_entries",
+    "StepReport", "TraceHeader", "TraceRecorder", "Weights", "attention_forward",
     "cosine_similarity", "fuse", "head_similarity", "init_weights",
     "layer_norm", "load_weights", "per_layer_target", "project_kv", "read_trace",
-    "replay", "save_weights", "select_layers", "softmax", "spearman",
-    "substream", "synthesize", "update_anchor", "update_anchor_mean",
-    "update_threshold", "write_trace",
+    "replay", "save_weights", "select_layers", "softmax", "substream", "synthesize",
+    "update_anchor", "update_anchor_mean", "update_threshold", "write_trace",
 ]

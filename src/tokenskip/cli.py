@@ -179,8 +179,10 @@ def parse_grid(spec: str) -> dict[str, list[str]]:
     return grid
 
 
-SWEEP_METRICS = ("global_skip_ratio", "global_mass_lost", "flops_saved",
-                 "mean_s_kv", "mean_alpha")
+# Sweep CSV column -> the global summary column it reports.
+SWEEP_METRICS = {"global_skip_ratio": "skip_ratio", "global_mass_lost": "mass_lost",
+                 "flops_saved": "flops_saved", "mean_s_kv": "mean_s_kv",
+                 "mean_alpha": "mean_alpha"}
 
 
 def cmd_sweep(args) -> int:
@@ -203,14 +205,8 @@ def cmd_sweep(args) -> int:
             print(f"sweep: skipping cell {mapping}: {exc}", file=sys.stderr)
             continue
         result = run_replay(header, events, prune)
-        gl = result.summary[-1]
-        rows.append(list(combo) + [
-            repr(result.global_skip_ratio),
-            "" if result.global_mass_lost is None else repr(result.global_mass_lost),
-            gl["flops_saved"],
-            repr(gl["mean_s_kv"]) if isinstance(gl["mean_s_kv"], float) else "",
-            repr(gl["mean_alpha"]) if isinstance(gl["mean_alpha"], float) else "",
-        ])
+        rows.append(list(combo) + reporting.csv_cells(result.summary[-1],
+                                                      SWEEP_METRICS.values()))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(keys + list(SWEEP_METRICS))

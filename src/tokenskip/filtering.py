@@ -221,15 +221,6 @@ def fuse(s_k: float, s_v: float, var_k: float, var_v: float,
     return SimilarityScore(s_k=s_k, s_v=s_v, var_k=var_k, var_v=var_v, alpha=alpha, s_kv=s_kv)
 
 
-def anchor_memory_bytes(n_heads: int, d_head: int, tail_layer_count: int,
-                        sequences_per_batch: int = 1) -> int:
-    """Bytes held by anchors: one float64 key and value vector per head, per
-    in-scope layer, per sequence."""
-    if min(n_heads, d_head, tail_layer_count, sequences_per_batch) < 1:
-        raise ValueError("all dimensions must be positive")
-    return tail_layer_count * n_heads * d_head * 2 * 8 * sequences_per_batch
-
-
 class MisconfigurationError(ValueError):
     """A decision was requested for a layer outside the configured scope."""
 
@@ -243,8 +234,6 @@ class _LayerState:
     tau: float
     var_k: float | None = None
     var_v: float | None = None
-    eligible_count: int = 0
-    skip_count: int = 0
     ratio_sum: float = 0.0
     ratio_steps: int = 0
     # Per-step accumulators, flushed at the step barrier: the count of
@@ -470,8 +459,6 @@ class FilterEngine:
         would_skip = finite and s_kv > st.tau
         skipped = would_skip and not shadow
 
-        st.eligible_count += 1
-        st.skip_count += skipped
         st.pending_shadow += would_skip
         st.pending_var_k.append(fresh_var_k)
         st.pending_var_v.append(fresh_var_v)
@@ -521,7 +508,3 @@ class FilterEngine:
             return None
         kv = self._anchor_rows[slot].copy()
         return kv[0], kv[1]
-
-    def counters(self, layer: int) -> tuple[int, int]:
-        st = self.layers[layer]
-        return st.skip_count, st.eligible_count

@@ -1,5 +1,4 @@
-"""Analytic FLOPs accounting, similarity-vs-attention correlation, and the
-attention-mass-lost proxy.
+"""Analytic FLOPs accounting and the attention-mass-lost proxy.
 
 FLOPs conventions, fixed so numbers are comparable across runs: one
 multiply-accumulate counts as 2 FLOPs, softmax costs 5 FLOPs per element.
@@ -10,11 +9,9 @@ of every identity we track.
 
 from __future__ import annotations
 
-import csv
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -154,142 +151,6 @@ class FlopsLedger:
 
     def conserved(self) -> bool:
         return self.dense_equiv == self.actual + self.saved_net + self.overhead
-
-
-# -- rank correlation ---------------------------------------------------------
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties shared."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need two equal-length samples of size >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-    if denom == 0.0:
-        raise ValueError("constant input has no defined correlation")
-    r = float(np.dot(xc, yc)) / denom
-    return min(1.0, max(-1.0, r))
-
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Rank correlation. Tie-free inputs use the exact d^2 formula in integer
-    arithmetic, so perfectly monotone data yields exactly +-1.0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need two equal-length samples of size >= 2")
-    rx = _ranks(x)
-    ry = _ranks(y)
-    if len(set(x.tolist())) == len(x) and len(set(y.tolist())) == len(y):
-        d = (rx - ry).astype(np.int64)
-        n = len(x)
-        return 1.0 - (6 * int(np.dot(d, d))) / (n * (n * n - 1))
-    return pearson(rx, ry)
-
-
-@dataclass(frozen=True)
-class CorrelationEntry:
-    layer: int
-    head: int
-    n: int
-    spearman: float
-    pearson: float
-
-
-MIN_CORRELATION_SAMPLES = 8
-
-
-def future_attention_mass(rows_by_step: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Per cache position: mean attention weight assigned by strictly later
-    queries, per head.
-
-    rows_by_step maps a step to that step's (n_heads, cache_len) row; cache
-    position p corresponds to step p (full-cache traces only).
-    """
-    steps = sorted(rows_by_step)
-    if not steps:
-        return {}
-    n_heads = rows_by_step[steps[0]].shape[0]
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for q in steps:
-        row = rows_by_step[q]
-        for p in range(row.shape[1]):
-            if p == q:
-                continue  # only strictly later queries count
-            if p not in sums:
-                sums[p] = np.zeros(n_heads, dtype=np.float64)
-                counts[p] = 0
-            sums[p] += row[:, p]
-            counts[p] += 1
-    return {p: sums[p] / counts[p] for p in sums if counts[p] > 0}
-
-
-def correlation_entries(scores: dict[tuple[int, int, int], float],
-                        rows: dict[tuple[int, int, int], np.ndarray]) -> list[CorrelationEntry]:
-    """Correlate each token's fused similarity at its insertion step with the
-    mean attention mass later queries give its position.
-
-    scores and rows are keyed by (seq, step, layer); rows must come from a
-    full-cache trace (cache position == step). Entries with fewer than 8
-    paired samples are omitted.
-    """
-    by_layer: dict[int, dict[int, dict[int, np.ndarray]]] = defaultdict(dict)
-    for (s, t, l), row in rows.items():
-        by_layer[l].setdefault(s, {})[t] = np.asarray(row, dtype=np.float64)
-
-    pairs: dict[tuple[int, int], list[tuple[float, float]]] = defaultdict(list)
-    for layer, seq_rows in by_layer.items():
-        for seq, rows_by_step in seq_rows.items():
-            for t, row in rows_by_step.items():
-                if row.shape[1] != t + 1:
-                    raise ValueError(
-                        f"alignment mismatch at seq={seq} step={t} layer={layer}: "
-                        f"row covers {row.shape[1]} positions, expected {t + 1}")
-            mass = future_attention_mass(rows_by_step)
-            for t, per_head in mass.items():
-                score = scores.get((seq, t, layer))
-                if score is None:
-                    continue
-                for h in range(len(per_head)):
-                    pairs[(layer, h)].append((score, float(per_head[h])))
-
-    entries = []
-    for (layer, head), pts in sorted(pairs.items()):
-        if len(pts) < MIN_CORRELATION_SAMPLES:
-            continue
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        try:
-            sp = spearman(xs, ys)
-            pe = pearson(xs, ys)
-        except ValueError:
-            continue  # constant side, no defined coefficient
-        entries.append(CorrelationEntry(layer=layer, head=head, n=len(pts), spearman=sp, pearson=pe))
-    return entries
-
-
-def write_correlation_csv(entries: Iterable[CorrelationEntry], fh: IO[str]) -> None:
-    w = csv.writer(fh)
-    w.writerow(["layer", "head", "n", "spearman", "pearson"])
-    for e in entries:
-        w.writerow([e.layer, e.head, e.n, repr(e.spearman), repr(e.pearson)])
 
 
 # -- attention mass lost -------------------------------------------------------

@@ -379,15 +379,15 @@ class DecodeSession:
         return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row,
                            kv=(k_heads, v_heads))
 
-    def forward_position(self, token: int, position: int, prefill: bool,
-                         recorder=None, seq: int = 0):
-        """Run one token through every block; returns (hidden, reports)."""
+    def forward_position(self, token: int, position: int, recorder=None, seq: int = 0):
+        """Run one generated token through every block; returns (hidden,
+        reports)."""
         if not 0 <= token < self.config.vocab_size:
             raise ConfigError(f"token {token} outside vocabulary")
         hidden = (self.weights.embed[token] + self.positions[position]).astype(np.float32)
         reports = []
         if self.engine is not None:
-            self.engine.begin_step(prefill=prefill)
+            self.engine.begin_step()
         for layer in range(self.config.n_layers):
             out = self.block_forward(layer, hidden, seq=seq, step=position)
             hidden = out.hidden
@@ -402,14 +402,18 @@ class DecodeSession:
 
     def prefill(self, tokens, recorder=None):
         """Run prompt tokens, at positions 0, 1, ..., through every block,
-        PREFILL_CHUNK positions at a time. Returns (hidden, reports) as
-        forward_position(prefill=True) per position would, bit for bit:
-        the last position's hidden state and the filter's reports, with the
-        same cache, engine, ledger and recorder effects.
+        PREFILL_CHUNK positions at a time. Returns the last position's hidden
+        state and the filter's reports, with the cache, engine, ledger and
+        recorder effects of running each position through the blocks alone
+        as a prefill step, bit for bit (the per-position reference in
+        tests/test_prefill.py).
 
-        The prompt is checked before any state changes: an empty prompt or
-        a token outside the vocabulary raises ConfigError, and a prompt the
-        cache cannot hold raises SequenceLengthError."""
+        A session prefills once. Before any state changes, a session whose
+        cache already holds positions, an empty prompt or a token outside the
+        vocabulary raises ConfigError, and a prompt longer than max_seq
+        raises SequenceLengthError."""
+        if any(self.cache.lens):
+            raise ConfigError("a session decodes once: its cache already holds positions")
         ids = np.asarray(tokens)
         if ids.size == 0:
             raise ConfigError("prompt must be non-empty")
@@ -418,7 +422,7 @@ class DecodeSession:
         bad = (ids < 0) | (ids >= self.config.vocab_size)
         if bad.any():
             raise ConfigError(f"token {ids[bad][0]} outside vocabulary")
-        if len(ids) > self.config.max_seq - max(self.cache.lens):
+        if len(ids) > self.config.max_seq:
             raise SequenceLengthError("the prompt does not fit in the cache")
         reports = []
         for start in range(0, len(ids), PREFILL_CHUNK):
@@ -430,12 +434,13 @@ class DecodeSession:
     def _prefill_chunk(self, ids: np.ndarray, start: int, recorder):
         """One prefill chunk: every layer over all of its rows, then the
         filter's two passes (score_steps over the chunk, then decide, the
-        ledger charge and the recorder per position and layer). Returns the
-        last row's hidden state and the chunk's reports."""
+        ledger charge and the recorder per position and layer). No prompt
+        position skips, so every layer's cache holds start positions before
+        the chunk. Returns the last row's hidden state and the chunk's
+        reports."""
         c = self.config
         rows = len(ids)
         x = (self.weights.embed[ids] + self.positions[start:start + rows]).astype(np.float32)
-        lens = list(self.cache.lens)
         kv = []
         attn_rows = []
         for layer, lw in enumerate(self.weights.layers):
@@ -444,7 +449,7 @@ class DecodeSession:
             v = _matvecs(lw.wv, ln1).reshape(rows, c.n_heads, c.d_head)
             kv.append((k, v))
             self.cache.append_rows(layer, k, v)
-            attn, probs = self._attention_rows(layer, ln1, lens[layer])
+            attn, probs = self._attention_rows(layer, ln1, start)
             attn_rows.append(probs)
             x = (x + attn).astype(np.float32)
             ln2 = layer_norm_rows(x, lw.ln2_g, lw.ln2_b)
@@ -472,14 +477,14 @@ class DecodeSession:
                     _, report = engine.decide(layer, 0, next(evidence), pos, enact=filtered)
                     if report is not None:
                         reports.append(report)
-                self.ledger.charge_event(lens[layer] + t + 1, self.flops_model, False,
+                self.ledger.charge_event(pos + 1, self.flops_model, False,
                                          report if filtered else None)
                 if recorder is not None:
                     probs = attn_rows[layer]
                     recorder.add_event(
                         seq=0, step=pos, layer=layer, k=kv[layer][0][t], v=kv[layer][1][t],
                         attn=None if probs is None
-                        else probs[t, :, :lens[layer] + t + 1].astype(np.float32))
+                        else probs[t, :, :pos + 1].astype(np.float32))
             if engine is not None:
                 engine.end_step(frozen=not filtered)
         return x[-1], reports
@@ -521,11 +526,13 @@ class DecodeSession:
 
     def decode(self, prompt_tokens, n_steps: int, recorder=None) -> DecodeResult:
         """Greedy decoding: prefill the prompt, then generate n_steps tokens.
+        A session decodes once: a second call raises ConfigError and changes
+        nothing.
 
         The prompt runs through prefill, PREFILL_CHUNK positions at a time,
         and each generated token through forward_position. Tokens, reports,
-        ledger, cache and recorded events are those of forward_position(
-        prefill=True) per prompt position, bit for bit: each softmax sum runs
+        ledger, cache and recorded events are those of the per-position
+        prefill in tests/test_prefill.py, bit for bit: each softmax sum runs
         over its own row, and a chunk with a non-finite value row sums each
         context row over its own columns (see the module docstring)."""
         prompt = list(prompt_tokens)
@@ -536,7 +543,6 @@ class DecodeSession:
         for s in range(n_steps):
             nxt = int(np.argmax(self.logits(hidden)))
             tokens.append(nxt)
-            hidden, rs = self.forward_position(nxt, len(prompt) + s, prefill=False,
-                                               recorder=recorder)
+            hidden, rs = self.forward_position(nxt, len(prompt) + s, recorder=recorder)
             reports.extend(rs)
         return DecodeResult(tokens=tokens, reports=reports, flops=self.ledger)

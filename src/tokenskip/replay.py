@@ -50,21 +50,15 @@ class ReplayResult:
         mass = self.summary[-1]["mass_lost"]
         return None if mass == "" else mass
 
-    @property
-    def mass_by_layer(self) -> dict[int, float]:
-        if self.global_mass_lost is None:
-            return {}
-        return {row["layer"]: row["mass_lost"] for row in self.summary[:-1]}
 
-
-def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
-           require_attn: bool = False) -> ReplayResult:
+def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) -> ReplayResult:
     """Drive the filter and threshold controller over a trace.
 
     Decisions consume only the per-token K/V, so a replay of a recorded live
     session under the same policy reproduces the live skip sequence bit for
     bit. Skipped events attribute their recorded attention mass to the loss
-    proxy. Prompt positions named by the header replay in shadow, exactly as
+    proxy; a trace without full-cache rows (none, or compacted ones) has no
+    mass metrics, and global_mass_lost is None. Prompt positions named by the header replay in shadow, exactly as
     the live engine treats them.
     """
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
@@ -113,9 +107,5 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig,
             engine.end_step()
 
     lost = mass_lost_by_layer(events, reports)
-    if require_attn and lost is None:
-        raise TraceCompatibilityError(
-            "metric requires full-cache attention rows, but the trace lacks them "
-            "or has compacted rows")
     return ReplayResult(header=header, reports=reports,
                         summary=summarize(reports, header.n_layers, lost), ledger=ledger)

@@ -100,12 +100,13 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
     return rows
 
 
+def csv_cells(row: dict, columns: Iterable[str]) -> list:
+    """A summary row's values under columns, as the CSVs write them: floats
+    as their repr, ints and "" (no value) as they are."""
+    return [repr(row[col]) if isinstance(row[col], float) else row[col] for col in columns]
+
+
 def write_summary_csv(summary: list[dict], fh: IO[str]) -> None:
     w = csv.writer(fh)
     w.writerow(SUMMARY_COLUMNS)
-    for row in summary:
-        out = []
-        for col in SUMMARY_COLUMNS:
-            v = row[col]
-            out.append(repr(v) if isinstance(v, float) else v)
-        w.writerow(out)
+    w.writerows(csv_cells(row, SUMMARY_COLUMNS) for row in summary)

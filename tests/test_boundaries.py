@@ -10,7 +10,7 @@ from tokenskip.filtering import FilterEngine, head_similarity
 from tokenskip.model import DecodeSession, ModelConfig, init_weights, load_weights, save_weights
 from tokenskip.numerics import DegenerateInputError, cosine_similarity
 from tokenskip.policy import ConfigError, PruneConfig
-from tokenskip.replay import TraceCompatibilityError, replay
+from tokenskip.replay import replay
 from tokenskip.trace import TraceEvent, TraceHeader, TraceRecorder
 
 
@@ -63,10 +63,7 @@ class TestCompactedRows:
         assert any(e.attn.shape[1] != e.step + 1 for e in events)
         result = replay(header, events, prune)
         assert result.global_mass_lost is None
-        assert result.mass_by_layer == {}
         assert all(row["mass_lost"] == "" for row in result.summary)
-        with pytest.raises(TraceCompatibilityError, match="compacted"):
-            replay(header, events, prune, require_attn=True)
         key = [(r.step, r.layer, r.s_kv, r.tau, r.skipped, r.flops_saved) for r in live.reports]
         assert key == [(r.step, r.layer, r.s_kv, r.tau, r.skipped, r.flops_saved)
                        for r in result.reports]
@@ -75,9 +72,10 @@ class TestCompactedRows:
         prune, live, header, events = self._record("keep")
         assert any(r.skipped for r in live.reports)
         assert all(e.attn.shape[1] == e.step + 1 for e in events)
-        result = replay(header, events, prune, require_attn=True)
+        result = replay(header, events, prune)
         assert result.global_mass_lost > 0.0
-        assert set(result.mass_by_layer) == set(range(4))
+        assert [row["layer"] for row in result.summary[:-1]] == [0, 1, 2, 3]
+        assert all(isinstance(row["mass_lost"], float) for row in result.summary)
 
 
 class TestWeightsBoundary:

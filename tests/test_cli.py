@@ -220,6 +220,31 @@ class TestSweepCommand:
         assert sweep_rows[1][sweep_rows[0].index("global_skip_ratio")] == \
             g[header.index("skip_ratio")]
 
+    @pytest.mark.parametrize("source", ["synth", "compacted"])
+    def test_every_metric_is_written_as_the_summary_csv_writes_it(self, tmp_path, source):
+        prune = ("--tail-fraction", "1.0", "--warmup-steps", "4", "--tau-init", "0.5")
+        if source == "synth":
+            trace = self._trace(tmp_path)
+        else:
+            # A dropped cache compacts the recorded rows: no mass to report.
+            trace = tmp_path / "t.ndjson"
+            assert run_cli("generate", "--steps", "24", "--prompt-bytes", "hey", "--seed", "5",
+                           "--record", str(trace), "--cache-on-skip", "drop", *prune) == 0
+        sweep_out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--trace", str(trace), "--grid", "p_global=0.25",
+                       "--out", str(sweep_out), *prune) == 0
+        replay_out = tmp_path / "replay.csv"
+        assert run_cli("replay", "--trace", str(trace), "--out", str(replay_out),
+                       "--p-global", "0.25", *prune) == 0
+        (sweep_header, sweep_row), replay_rows = read_csv(sweep_out), read_csv(replay_out)
+        summary = dict(zip(replay_rows[0], replay_rows[-1]))
+        assert sweep_header == ["p_global", "global_skip_ratio", "global_mass_lost",
+                                "flops_saved", "mean_s_kv", "mean_alpha"]
+        assert sweep_row[1:] == [summary[col] for col in
+                                 ("skip_ratio", "mass_lost", "flops_saved", "mean_s_kv",
+                                  "mean_alpha")]
+        assert (sweep_row[2] == "") == (source == "compacted")
+
     def test_three_by_three_grid_yields_nine_rows(self, tmp_path):
         trace = self._trace(tmp_path)
         out = tmp_path / "sweep.csv"

@@ -2,20 +2,9 @@ import io
 
 import numpy as np
 import pytest
-import scipy.stats
 
-from tokenskip.metrics import (
-    FlopsLedger,
-    FlopsModel,
-    correlation_entries,
-    flops_saved,
-    future_attention_mass,
-    mass_lost_by_layer,
-    pearson,
-    spearman,
-    write_correlation_csv,
-)
-from tokenskip.reporting import StepReport, summarize, write_summary_csv
+from tokenskip.metrics import FlopsLedger, FlopsModel, flops_saved, mass_lost_by_layer
+from tokenskip.reporting import StepReport, csv_cells, summarize, write_summary_csv
 from tokenskip.trace import TraceEvent
 
 
@@ -70,56 +59,6 @@ class TestFlopsModel:
         assert ledger.conserved()
 
 
-class TestCorrelationStats:
-    def test_perfect_monotone_is_exactly_one(self):
-        x = [1.0, 2.0, 5.0, 9.0, 12.0]
-        up = [0.1, 0.4, 0.5, 0.8, 0.9]
-        assert spearman(x, up) == 1.0
-        assert spearman(x, [-v for v in up]) == -1.0
-
-    def test_matches_scipy_without_ties(self):
-        rng = np.random.default_rng(71)
-        for _ in range(50):
-            x = rng.standard_normal(40)
-            y = rng.standard_normal(40)
-            assert spearman(x, y) == pytest.approx(
-                scipy.stats.spearmanr(x, y).statistic, abs=1e-12)
-            assert pearson(x, y) == pytest.approx(
-                scipy.stats.pearsonr(x, y).statistic, abs=1e-12)
-
-    def test_matches_scipy_with_ties(self):
-        rng = np.random.default_rng(72)
-        for _ in range(50):
-            x = rng.integers(0, 5, size=30).astype(float)
-            y = rng.integers(0, 5, size=30).astype(float)
-            if len(set(x)) < 2 or len(set(y)) < 2:
-                continue
-            assert spearman(x, y) == pytest.approx(
-                scipy.stats.spearmanr(x, y).statistic, abs=1e-12)
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            spearman([1.0], [2.0])
-        with pytest.raises(ValueError):
-            pearson([1.0, 1.0], [2.0, 3.0])
-
-
-class TestFutureMass:
-    def test_hand_computed(self):
-        rows = {
-            0: np.array([[1.0]]),
-            1: np.array([[0.3, 0.7]]),
-            2: np.array([[0.2, 0.5, 0.3]]),
-        }
-        mass = future_attention_mass(rows)
-        # position 0 seen by queries 1 and 2: (0.3 + 0.2) / 2
-        assert mass[0][0] == pytest.approx(0.25, abs=1e-12)
-        # position 1 seen by query 2 only
-        assert mass[1][0] == pytest.approx(0.5, abs=1e-12)
-        # position 2 has no later queries
-        assert 2 not in mass
-
-
 class TestAttentionMassLost:
     def _events(self, T, heads=2):
         rng = np.random.default_rng(73)
@@ -158,45 +97,6 @@ class TestAttentionMassLost:
         events = self._events(1)  # a first observation gets no decision
         assert mass_lost_by_layer(events, []) == {}
         assert summarize([], 1, {})[-1]["mass_lost"] == 0.0
-
-
-class TestCorrelationEntries:
-    def test_constructed_inverse_relation_gives_minus_one(self):
-        # token t's score increases with t; later queries attend mostly to the
-        # lowest-score positions, so future mass strictly decreases with score
-        T = 12
-        scores = {(0, t, 0): t / T for t in range(T)}
-        rows = {}
-        for q in range(T):
-            w = np.array([[T - p for p in range(q + 1)]], dtype=np.float64)
-            rows[(0, q, 0)] = w / w.sum()
-        entries = correlation_entries(scores, rows)
-        assert len(entries) == 1
-        assert entries[0].spearman == -1.0
-        assert entries[0].n == T - 1
-
-    def test_small_samples_omitted(self):
-        scores = {(0, t, 0): float(t) for t in range(5)}
-        rows = {(0, q, 0): np.ones((1, q + 1)) / (q + 1) for q in range(5)}
-        assert correlation_entries(scores, rows) == []
-
-    def test_alignment_mismatch_raises(self):
-        scores = {(0, 1, 0): 0.5}
-        rows = {(0, 1, 0): np.ones((1, 3)) / 3}  # row covers 3 positions at step 1
-        with pytest.raises(ValueError, match="alignment"):
-            correlation_entries(scores, rows)
-
-    def test_csv_output(self):
-        scores = {(0, t, 0): t / 20 for t in range(20)}
-        rows = {}
-        for q in range(20):
-            w = np.array([[20 - p for p in range(q + 1)]], dtype=np.float64)
-            rows[(0, q, 0)] = w / w.sum()
-        buf = io.StringIO()
-        write_correlation_csv(correlation_entries(scores, rows), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "layer,head,n,spearman,pearson"
-        assert lines[1].startswith("0,0,19,-1.0,")
 
 
 class TestAggregateReport:
@@ -257,3 +157,18 @@ class TestAggregateReport:
         assert lines[0] == ("layer,eligible,skipped,skip_ratio,mean_s_kv,mean_alpha,"
                             "mass_lost,flops_saved")
         assert len(lines) == 3
+
+
+class TestCsvCells:
+    def test_floats_as_their_repr(self):
+        row = {"a": 0.1 + 0.2, "b": -0.0, "c": float("nan"), "d": 1e-17}
+        assert csv_cells(row, "abcd") == ["0.30000000000000004", "-0.0", "nan", "1e-17"]
+
+    def test_ints_and_blanks_as_they_are(self):
+        row = {"layer": "global", "eligible": 7, "mass_lost": ""}
+        assert csv_cells(row, ["layer", "eligible", "mass_lost"]) == ["global", 7, ""]
+
+    def test_columns_pick_and_order_the_cells(self):
+        row = summarize([make_report(skipped=True, saved=12)], n_layers=1)[-1]
+        assert csv_cells(row, ["flops_saved", "skip_ratio"]) == [12, "1.0"]
+        assert csv_cells(row, []) == []

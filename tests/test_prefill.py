@@ -1,8 +1,9 @@
 """Chunked prefill: DecodeSession.decode runs the prompt PREFILL_CHUNK positions
-at a time, and must leave exactly what forward_position(prefill=True) per
-prompt position leaves: tokens, every report field, the ledger, the cache,
-the filter's state and the recorded events, byte for byte. Also the stacked
-kernels it is built from, pinned bitwise to their one-vector forms."""
+at a time, and must leave exactly what running each prompt position through
+the blocks alone (prefill_position, the reference) leaves: tokens, every
+report field, the ledger, the cache, the filter's state and the recorded
+events, byte for byte. Also the stacked kernels it is built from, pinned
+bitwise to their one-vector forms."""
 
 import dataclasses
 import struct
@@ -55,19 +56,39 @@ def prompt_of(length: int, seed: int = 0) -> list:
     return np.random.default_rng([seed, length]).integers(0, 256, length).tolist()
 
 
+def prefill_position(session, token, position, recorder=None):
+    """One prompt position through every block: forward_position with the
+    filter's step begun as a prefill step. Returns (hidden, reports)."""
+    hidden = (session.weights.embed[token] + session.positions[position]).astype(np.float32)
+    engine = session.engine
+    if engine is not None:
+        engine.begin_step(prefill=True)
+    reports = []
+    for layer in range(session.config.n_layers):
+        out = session.block_forward(layer, hidden, step=position)
+        hidden = out.hidden
+        if out.report is not None:
+            reports.append(out.report)
+        if recorder is not None:
+            recorder.add_event(seq=0, step=position, layer=layer, k=out.kv[0], v=out.kv[1],
+                               attn=out.attn_row)
+    if engine is not None:
+        engine.end_step(frozen=session.mode == "dense")
+    return hidden, reports
+
+
 def reference_decode(session, prompt, n_steps, recorder=None):
     """decode's generation loop, with every prompt position run through
-    forward_position(prefill=True)."""
+    prefill_position."""
     reports = []
     for pos, tok in enumerate(prompt):
-        hidden, rs = session.forward_position(tok, pos, prefill=True, recorder=recorder)
+        hidden, rs = prefill_position(session, tok, pos, recorder)
         reports.extend(rs)
     tokens = list(prompt)
     for s in range(n_steps):
         nxt = int(np.argmax(session.logits(hidden)))
         tokens.append(nxt)
-        hidden, rs = session.forward_position(nxt, len(prompt) + s, prefill=False,
-                                              recorder=recorder)
+        hidden, rs = session.forward_position(nxt, len(prompt) + s, recorder=recorder)
         reports.extend(rs)
     return tokens, reports
 
@@ -110,24 +131,19 @@ def state(session, tokens, reports, recorder):
     return out
 
 
-def both_ways(config, weights, prune, mode, record, prompt, n_steps, decodes=1):
+def both_ways(config, weights, prune, mode, record, prompt, n_steps):
     """The state after decode, and after the per-position reference, from
     two fresh sessions over the same weights."""
     states = []
     for chunked in (True, False):
         session = DecodeSession(config, prune, mode=mode, weights=weights, record=record)
         recorder = TraceRecorder(config.n_layers, config.n_heads, config.d_head)
-        tokens, reports = [], []
-        for _ in range(decodes):
-            if chunked:
-                result = session.decode(prompt, n_steps, recorder=recorder)
-                assert result.flops is session.ledger
-                tokens.append(result.tokens)
-                reports.extend(result.reports)
-            else:
-                got_tokens, got_reports = reference_decode(session, prompt, n_steps, recorder)
-                tokens.append(got_tokens)
-                reports.extend(got_reports)
+        if chunked:
+            result = session.decode(prompt, n_steps, recorder=recorder)
+            assert result.flops is session.ledger
+            tokens, reports = result.tokens, result.reports
+        else:
+            tokens, reports = reference_decode(session, prompt, n_steps, recorder)
         states.append(state(session, tokens, reports, recorder))
     return states
 
@@ -164,16 +180,22 @@ def test_decode_equals_per_position_prefill_on_random_models(prompt_len, n_steps
     assert_same(chunked, reference)
 
 
-def test_a_reused_session_prefills_over_uneven_caches():
-    """A second decode on one session starts from caches of different
-    lengths per layer (skipped tokens dropped their K/V): each layer's chunk
-    attends from its own cache length."""
-    prune = PruneConfig(warmup_steps=0, p_global=0.5, tau_init=0.0)
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_a_session_decodes_once(config_name):
+    """A second decode would restart positions at 0 over the first one's
+    caches and anchors: it raises, as does a second prefill, and neither
+    changes the caches, the ledger, the filter or the recording."""
+    prune, mode, record = CONFIGS[config_name]
     config = model(300, n_steps=0)
-    chunked, reference = both_ways(config, init_weights(config), prune, "filtered", True,
-                                   prompt_of(70), 40, decodes=2)
-    assert_same(chunked, reference)
-    assert len(set(chunked["cache_lens"])) > 1
+    session = DecodeSession(config, prune, mode=mode, record=record)
+    recorder = TraceRecorder(config.n_layers, config.n_heads, config.d_head)
+    session.decode(prompt_of(70), 40, recorder=recorder)
+    before = state(session, [], [], recorder)
+    with pytest.raises(ConfigError, match="decodes once"):
+        session.decode(prompt_of(3), 4, recorder=recorder)
+    with pytest.raises(ConfigError, match="decodes once"):
+        session.prefill(prompt_of(3), recorder=recorder)
+    assert state(session, [], [], recorder) == before
 
 
 @pytest.mark.parametrize("bad_pos", [0, 5, 30, 63, 64, 70, 99])
@@ -220,10 +242,11 @@ def test_non_integer_prompt_tokens_are_rejected(tokens):
 def test_prefill_checks_the_cache_before_any_append():
     config = model(8, n_steps=0)
     session = DecodeSession(config, PruneConfig(), mode="filtered")
-    session.prefill(prompt_of(5))
     with pytest.raises(SequenceLengthError, match="does not fit"):
-        session.prefill(prompt_of(4))
-    assert session.cache.lens == [5] * 4
+        session.prefill(prompt_of(9))
+    assert session.cache.lens == [0] * 4
+    session.prefill(prompt_of(8))
+    assert session.cache.lens == [8] * 4
 
 
 # -- the stacked kernels -------------------------------------------------------

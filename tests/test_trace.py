@@ -282,11 +282,9 @@ class TestReplay:
 
     def test_missing_rows_block_mass_metrics(self):
         header, events = synthesize("repetitive", 1, 2, 8, 16, seed=23, with_attn=False)
-        from tokenskip.replay import TraceCompatibilityError
-        with pytest.raises(TraceCompatibilityError):
-            replay(header, events, PruneConfig(), require_attn=True)
         result = replay(header, events, PruneConfig())
         assert result.global_mass_lost is None
+        assert all(row["mass_lost"] == "" for row in result.summary)
 
     def test_multi_seq_replay_keeps_anchors_separate(self):
         header, events = self._trace(n_seqs=2, n_steps=48)
