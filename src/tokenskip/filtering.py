@@ -311,9 +311,11 @@ class FilterEngine:
 
     # -- decisions ---------------------------------------------------------
 
-    def process(self, layer: int, seq: int, k_heads: np.ndarray, v_heads: np.ndarray,
-                step: int, enact: bool) -> tuple[bool, StepReport | None]:
-        """Observe one token's per-head K/V at one layer and decide.
+    def process(self, layer: int, seq: int, kv, step: int,
+                enact: bool) -> tuple[bool, StepReport | None]:
+        """Observe one token's per-head K/V at one layer and decide. kv is
+        (2, n_heads, d_head), keys over values, as project_kv returns it (or
+        any array-like of that shape, such as a (k, v) pair).
 
         The one-row form of score_steps followed by decide: the same
         first-observation, evidence, controller and anchor-update steps,
@@ -331,10 +333,11 @@ class FilterEngine:
             raise MisconfigurationError(f"layer {layer} is outside the filtered set")
         key = (layer, seq)
         # Canonical wire precision: the live engine and a trace replay must see
-        # bit-identical inputs, so K/V pass through float32 before filter math.
-        kv = np.array((k_heads, v_heads), dtype=np.float32).astype(np.float64)
+        # bit-identical inputs, so K/V pass through float32 before filter math
+        # (no copy for the float32 block project_kv makes).
+        kv = np.asarray(kv, dtype=np.float32).astype(np.float64)
         if kv.shape != self._kv_shape:
-            raise ValueError(f"expected K/V of shape {self._kv_shape[1:]}, got {kv.shape[1:]}")
+            raise ValueError(f"expected K/V of shape {self._kv_shape}, got {kv.shape}")
         slot = self._slots.get(key)
         if slot is None:
             self._observe_first(key, kv)

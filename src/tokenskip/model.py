@@ -22,6 +22,16 @@ changes bits. The context sums run over the whole chunk with zero weights on
 the future columns, which adds exact zeros, unless a value row of the chunk
 is non-finite: then 0 x inf would be NaN in the rows before it, and each
 row sums over its own columns instead.
+
+A generated token's step makes few NumPy calls and no float32-to-float32
+copies. Each layer's key and value projections are one (2, d_model, d_model)
+array, LayerWeights.wkv, so project_kv makes both in one batched product:
+one BLAS gemv per half, the bits of wk @ x and of wv @ x. (A single
+(2 d_model, d_model) gemv is cheaper but blocks its rows differently: with
+OpenBLAS 0.3.31's Haswell kernel it changes bits when d_model is not a
+multiple of 4.) Prefill uses the same stacked array. The attention scale,
+sqrt(d_head) in float32, is computed once per Weights (attn_scale), and the
+scores divide by it in place.
 """
 
 from __future__ import annotations
@@ -72,16 +82,45 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
+    """One block's weights. The key and value projections are one
+    (2, d_model, d_model) array, keys over values: wk and wv are its two
+    halves, views that read and write it. Assigning wk or wv swaps in a new
+    stacked array holding the assigned matrix (cast to the stack's float32),
+    so project_kv sees it; a matrix of another shape raises ValueError."""
+
     ln1_g: np.ndarray
     ln1_b: np.ndarray
     wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    wkv: np.ndarray
     wo: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
+
+    @property
+    def wk(self) -> np.ndarray:
+        return self.wkv[0]
+
+    @wk.setter
+    def wk(self, value) -> None:
+        self._assign_half(0, value)
+
+    @property
+    def wv(self) -> np.ndarray:
+        return self.wkv[1]
+
+    @wv.setter
+    def wv(self, value) -> None:
+        self._assign_half(1, value)
+
+    def _assign_half(self, half: int, value) -> None:
+        if np.shape(value) != self.wkv.shape[1:]:
+            raise ValueError(f"expected a {self.wkv.shape[1:]} projection, "
+                             f"got {np.shape(value)}")
+        wkv = self.wkv.copy()
+        wkv[half] = value
+        self.wkv = wkv
 
 
 @dataclass
@@ -91,6 +130,11 @@ class Weights:
     layers: list[LayerWeights]
     lnf_g: np.ndarray
     lnf_b: np.ndarray
+    # The attention scores' divisor, sqrt(d_head) in float32, computed once.
+    attn_scale: np.float32 = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.attn_scale = np.float32(np.sqrt(self.config.d_head))
 
 
 def _gaussian(rng, shape, fan_in) -> np.ndarray:
@@ -105,8 +149,9 @@ def init_weights(config: ModelConfig) -> Weights:
     for _ in range(config.n_layers):
         layers.append(LayerWeights(
             ln1_g=np.ones(d, dtype=np.float32), ln1_b=np.zeros(d, dtype=np.float32),
-            wq=_gaussian(rng, (d, d), d), wk=_gaussian(rng, (d, d), d),
-            wv=_gaussian(rng, (d, d), d), wo=_gaussian(rng, (d, d), d),
+            # One (2, d, d) draw is the wk draw then the wv draw, bit for bit.
+            wq=_gaussian(rng, (d, d), d), wkv=_gaussian(rng, (2, d, d), d),
+            wo=_gaussian(rng, (d, d), d),
             ln2_g=np.ones(d, dtype=np.float32), ln2_b=np.zeros(d, dtype=np.float32),
             w1=_gaussian(rng, (f, d), d), w2=_gaussian(rng, (d, f), f),
         ))
@@ -179,8 +224,8 @@ def load_weights(blob: bytes) -> Weights:
     layers = []
     for _ in range(n_layers):
         layers.append(LayerWeights(
-            ln1_g=take((d,)), ln1_b=take((d,)), wq=take((d, d)), wk=take((d, d)),
-            wv=take((d, d)), wo=take((d, d)), ln2_g=take((d,)), ln2_b=take((d,)),
+            ln1_g=take((d,)), ln1_b=take((d,)), wq=take((d, d)), wkv=take((2, d, d)),
+            wo=take((d, d)), ln2_g=take((d,)), ln2_b=take((d,)),
             w1=take((f, d)), w2=take((d, f)),
         ))
     lnf_g = take((d,))
@@ -200,44 +245,60 @@ class KVCache:
         shape = (config.n_layers, config.n_heads, config.max_seq, config.d_head)
         self._k = np.zeros(shape, dtype=np.float32)
         self._v = np.zeros(shape, dtype=np.float32)
+        # Each layer's (n_heads, max_seq, d_head) key and value views: one
+        # index per append or view, not two slices of the 4-D arrays.
+        self._layers = list(zip(self._k, self._v))
+        self._head_shape = (config.n_heads, config.d_head)
         self.lens = [0] * config.n_layers
         self.max_seq = config.max_seq
 
     def append(self, layer: int, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
+        """Append one position's (n_heads, d_head) key and value arrays; any
+        other shape (which would broadcast) raises ValueError."""
+        if k_heads.shape != self._head_shape or v_heads.shape != self._head_shape:
+            raise ValueError(f"expected K/V of shape {self._head_shape}, "
+                             f"got {k_heads.shape} and {v_heads.shape}")
         n = self.lens[layer]
         if n >= self.max_seq:
             raise SequenceLengthError(f"layer {layer} cache is full at {self.max_seq}")
-        self._k[layer, :, n, :] = k_heads
-        self._v[layer, :, n, :] = v_heads
+        k, v = self._layers[layer]
+        k[:, n] = k_heads
+        v[:, n] = v_heads
         self.lens[layer] = n + 1
 
     def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
         """Append a block of (rows, n_heads, d_head) keys and values, as one
-        append call per row would."""
+        append call per row would; any other shape raises ValueError."""
+        if (k_rows.shape[1:] != self._head_shape or k_rows.ndim != 3
+                or v_rows.shape != k_rows.shape):
+            raise ValueError(f"expected K/V of shape (rows,) + {self._head_shape}, "
+                             f"got {k_rows.shape} and {v_rows.shape}")
         n = self.lens[layer]
         end = n + len(k_rows)
         if end > self.max_seq:
             raise SequenceLengthError(f"layer {layer} cache would hold {end} positions, "
                                       f"more than {self.max_seq}")
-        self._k[layer, :, n:end, :] = np.swapaxes(k_rows, 0, 1)
-        self._v[layer, :, n:end, :] = np.swapaxes(v_rows, 0, 1)
+        k, v = self._layers[layer]
+        k[:, n:end] = np.swapaxes(k_rows, 0, 1)
+        v[:, n:end] = np.swapaxes(v_rows, 0, 1)
         self.lens[layer] = end
 
     def view(self, layer: int):
         n = self.lens[layer]
-        return self._k[layer, :, :n, :], self._v[layer, :, :n, :]
+        k, v = self._layers[layer]
+        return k[:, :n], v[:, :n]
 
 
 # -- forward ops -----------------------------------------------------------------
 
 
-def project_kv(weights: Weights, layer: int, hidden: np.ndarray):
-    """Key/value projections of one hidden vector, split into heads."""
+def project_kv(weights: Weights, layer: int, hidden: np.ndarray) -> np.ndarray:
+    """Key/value projections of one hidden vector, split into heads: one
+    (2, n_heads, d_head) array, keys over values, which unpacks as (k, v).
+    One batched product makes the gemv of wk @ hidden and that of
+    wv @ hidden, so each half has their bits."""
     c = weights.config
-    lw = weights.layers[layer]
-    k = (lw.wk @ hidden).reshape(c.n_heads, c.d_head)
-    v = (lw.wv @ hidden).reshape(c.n_heads, c.d_head)
-    return k, v
+    return (weights.layers[layer].wkv @ hidden).reshape(2, c.n_heads, c.d_head)
 
 
 def attention_forward(weights: Weights, layer: int, query_hidden: np.ndarray, cache: KVCache,
@@ -253,12 +314,12 @@ def attention_forward(weights: Weights, layer: int, query_hidden: np.ndarray, ca
     lw = weights.layers[layer]
     q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head)
     k, v = cache.view(layer)
-    scores = np.einsum("hld,hd->hl", k, q) / np.float32(np.sqrt(c.d_head))
+    scores = np.einsum("hld,hd->hl", k, q)
+    scores /= weights.attn_scale
     probs = softmax(scores)
-    ctx = np.einsum("hl,hld->hd", probs, v).reshape(c.d_model).astype(np.float32)
-    out = (lw.wo @ ctx).astype(np.float32)
+    out = lw.wo @ np.einsum("hl,hld->hd", probs, v).reshape(c.d_model)
     if return_weights:
-        return out, probs.astype(np.float32)
+        return out, probs
     return out
 
 
@@ -271,19 +332,25 @@ def attention_row_if_kept(weights: Weights, layer: int, query_hidden: np.ndarray
     q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head)
     k_old, _ = cache.view(layer)
     k = np.concatenate([k_old, k_new[:, None, :]], axis=1)
-    scores = np.einsum("hld,hd->hl", k, q) / np.float32(np.sqrt(c.d_head))
-    return softmax(scores).astype(np.float32)
+    scores = np.einsum("hld,hd->hl", k, q)
+    scores /= weights.attn_scale
+    return softmax(scores)
+
+
+_ZERO = np.float32(0.0)
 
 
 def ffn_forward(weights: Weights, layer: int, x: np.ndarray) -> np.ndarray:
     lw = weights.layers[layer]
-    h = np.maximum(lw.w1 @ x, np.float32(0.0))
-    return (lw.w2 @ h).astype(np.float32)
+    h = lw.w1 @ x
+    np.maximum(h, _ZERO, out=h)
+    return lw.w2 @ h
 
 
 def _matvecs(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """w @ row for each row of rows, in one call: NumPy makes one BLAS gemv per
-    row, the bits of w @ row (rows @ w.T is one gemm, with other bits)."""
+    row, the bits of w @ row (rows @ w.T is one gemm, with other bits). A
+    stacked (2, n, d) w takes rows of shape (rows, 1, d)."""
     return np.matmul(w, rows[..., None])[..., 0]
 
 
@@ -293,7 +360,7 @@ class BlockOutput:
     skipped: bool
     report: object = None
     attn_row: np.ndarray | None = None
-    kv: tuple | None = None
+    kv: np.ndarray | None = None  # (2, n_heads, d_head), keys over values
 
 
 @dataclass
@@ -341,50 +408,49 @@ class DecodeSession:
 
         A dense session still runs the filter on its layers, as shadow
         telemetry: it never skips and pays no decision overhead."""
-        lw = self.weights.layers[layer]
+        weights, cache = self.weights, self.cache
+        lw = weights.layers[layer]
         x = hidden
         ln1 = layer_norm(x, lw.ln1_g, lw.ln1_b)
-        k_heads, v_heads = project_kv(self.weights, layer, ln1)
+        kv = project_kv(weights, layer, ln1)
+        k_heads, v_heads = kv[0], kv[1]
 
         skip = False
         report = None
         filtered = self.mode == "filtered"
         if self.engine is not None and layer in self.engine.layers:
-            skip, report = self.engine.process(layer, seq, k_heads, v_heads, step,
-                                               enact=filtered)
+            skip, report = self.engine.process(layer, seq, kv, step, enact=filtered)
 
-        cache_len_if_kept = self.cache.lens[layer] + 1
+        cache_len_if_kept = cache.lens[layer] + 1
         attn_row = None
         if skip:
             if self.record:
-                attn_row = attention_row_if_kept(self.weights, layer, ln1, self.cache,
-                                                 k_heads, v_heads)
+                attn_row = attention_row_if_kept(weights, layer, ln1, cache, k_heads, v_heads)
             if self.prune.cache_on_skip == "keep":
-                self.cache.append(layer, k_heads, v_heads)
+                cache.append(layer, k_heads, v_heads)
             # Attention contribution is exactly zero: the residual passes the
             # input through untouched, no arithmetic applied.
         else:
-            self.cache.append(layer, k_heads, v_heads)
+            cache.append(layer, k_heads, v_heads)
             if self.record:
-                attn_out, attn_row = attention_forward(self.weights, layer, ln1, self.cache,
+                attn_out, attn_row = attention_forward(weights, layer, ln1, cache,
                                                        return_weights=True)
             else:
-                attn_out = attention_forward(self.weights, layer, ln1, self.cache)
-            x = (x + attn_out).astype(np.float32)
+                attn_out = attention_forward(weights, layer, ln1, cache)
+            x = x + attn_out
         self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip,
                                  report if filtered else None)
 
         ln2 = layer_norm(x, lw.ln2_g, lw.ln2_b)
-        x = (x + ffn_forward(self.weights, layer, ln2)).astype(np.float32)
-        return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row,
-                           kv=(k_heads, v_heads))
+        x = x + ffn_forward(weights, layer, ln2)
+        return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row, kv=kv)
 
     def forward_position(self, token: int, position: int, recorder=None, seq: int = 0):
         """Run one generated token through every block; returns (hidden,
         reports)."""
         if not 0 <= token < self.config.vocab_size:
             raise ConfigError(f"token {token} outside vocabulary")
-        hidden = (self.weights.embed[token] + self.positions[position]).astype(np.float32)
+        hidden = self.weights.embed[token] + self.positions[position]
         reports = []
         if self.engine is not None:
             self.engine.begin_step()
@@ -440,28 +506,28 @@ class DecodeSession:
         reports."""
         c = self.config
         rows = len(ids)
-        x = (self.weights.embed[ids] + self.positions[start:start + rows]).astype(np.float32)
+        x = self.weights.embed[ids] + self.positions[start:start + rows]
         kv = []
         attn_rows = []
         for layer, lw in enumerate(self.weights.layers):
             ln1 = layer_norm_rows(x, lw.ln1_g, lw.ln1_b)
-            k = _matvecs(lw.wk, ln1).reshape(rows, c.n_heads, c.d_head)
-            v = _matvecs(lw.wv, ln1).reshape(rows, c.n_heads, c.d_head)
-            kv.append((k, v))
-            self.cache.append_rows(layer, k, v)
+            # (rows, 2, n_heads, d_head): each row's project_kv, bit for bit.
+            kv.append(_matvecs(lw.wkv, ln1[:, None]).reshape(rows, 2, c.n_heads, c.d_head))
+            self.cache.append_rows(layer, kv[-1][:, 0], kv[-1][:, 1])
             attn, probs = self._attention_rows(layer, ln1, start)
             attn_rows.append(probs)
-            x = (x + attn).astype(np.float32)
+            x = x + attn
             ln2 = layer_norm_rows(x, lw.ln2_g, lw.ln2_b)
-            h = np.maximum(_matvecs(lw.w1, ln2), np.float32(0.0))
-            x = (x + _matvecs(lw.w2, h).astype(np.float32)).astype(np.float32)
+            h = _matvecs(lw.w1, ln2)
+            np.maximum(h, _ZERO, out=h)
+            x = x + _matvecs(lw.w2, h)
 
         engine = self.engine
         filtered = self.mode == "filtered"
         active = [] if engine is None else sorted(engine.layers)
         evidence = iter(())
         if active:
-            stacked = np.stack([np.stack(kv[layer], axis=1) for layer in active], axis=1)
+            stacked = np.stack([kv[layer] for layer in active], axis=1)
             evidence = iter(engine.score_steps(
                 [[(layer, 0) for layer in active]] * rows,
                 stacked.reshape((-1,) + stacked.shape[2:])))
@@ -482,7 +548,7 @@ class DecodeSession:
                 if recorder is not None:
                     probs = attn_rows[layer]
                     recorder.add_event(
-                        seq=0, step=pos, layer=layer, k=kv[layer][0][t], v=kv[layer][1][t],
+                        seq=0, step=pos, layer=layer, k=kv[layer][t, 0], v=kv[layer][t, 1],
                         attn=None if probs is None
                         else probs[t, :, :pos + 1].astype(np.float32))
             if engine is not None:
@@ -499,7 +565,8 @@ class DecodeSession:
         rows = len(ln1)
         q = _matvecs(lw.wq, ln1).reshape(rows, c.n_heads, c.d_head)
         k, v = self.cache.view(layer)
-        scores = np.einsum("hld,thd->thl", k, q) / np.float32(np.sqrt(c.d_head))
+        scores = np.einsum("hld,thd->thl", k, q)
+        scores /= self.weights.attn_scale
         cols = n + np.arange(1, rows + 1)
         lengths = cols.tolist()
         np.copyto(scores, -np.inf, where=(np.arange(n + rows) >= cols[:, None])[:, None, :])
@@ -516,8 +583,7 @@ class DecodeSession:
             # 0 x inf is NaN: each row sums over its own columns only.
             ctx = np.stack([np.einsum("hl,hld->hd", np.ascontiguousarray(probs[t, :, :m]),
                                       v[:, :m]) for t, m in enumerate(lengths)])
-        ctx = ctx.reshape(rows, c.d_model).astype(np.float32)
-        out = _matvecs(lw.wo, ctx).astype(np.float32)
+        out = _matvecs(lw.wo, ctx.reshape(rows, c.d_model))
         return out, (probs if self.record else None)
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
@@ -527,7 +593,7 @@ class DecodeSession:
     def decode(self, prompt_tokens, n_steps: int, recorder=None) -> DecodeResult:
         """Greedy decoding: prefill the prompt, then generate n_steps tokens.
         A session decodes once: a second call raises ConfigError and changes
-        nothing.
+        nothing, as does a negative n_steps.
 
         The prompt runs through prefill, PREFILL_CHUNK positions at a time,
         and each generated token through forward_position. Tokens, reports,
@@ -536,12 +602,14 @@ class DecodeSession:
         over its own row, and a chunk with a non-finite value row sums each
         context row over its own columns (see the module docstring)."""
         prompt = list(prompt_tokens)
+        if n_steps < 0:
+            raise ConfigError(f"n_steps must be non-negative, got {n_steps}")
         if len(prompt) + n_steps > self.config.max_seq:
             raise SequenceLengthError("prompt length + n_steps exceeds max_seq")
         hidden, reports = self.prefill(prompt, recorder=recorder)
         tokens = list(prompt)
         for s in range(n_steps):
-            nxt = int(np.argmax(self.logits(hidden)))
+            nxt = int(self.logits(hidden).argmax())
             tokens.append(nxt)
             hidden, rs = self.forward_position(nxt, len(prompt) + s, recorder=recorder)
             reports.extend(rs)

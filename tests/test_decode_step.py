@@ -1,0 +1,283 @@
+"""The live decode step, pinned to reference arithmetic written out here: the
+separate wk @ x and wv @ x products, the attention scale built per call, the
+float32 casts after every sum and product, a layer norm over NumPy scalars,
+and the cache written into its 4-D arrays. DecodeSession.decode must leave
+exactly what this reference leaves (tokens, every report field, the ledger,
+the cache and the recorded events, byte for byte), so a change to a kernel
+that prefill and the per-position path share cannot drift unseen. Also the
+stacked K/V weights, the cache's shape checks and the n_steps check."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tokenskip.cli import main
+from tokenskip.model import (
+    DecodeSession,
+    KVCache,
+    ModelConfig,
+    init_weights,
+    load_weights,
+    project_kv,
+    save_weights,
+)
+from tokenskip.numerics import softmax
+from tokenskip.policy import ConfigError, PruneConfig
+from tokenskip.trace import TraceRecorder
+
+# Everything a decode leaves behind, in comparable bytes: tokens, every report
+# field, the ledger, the caches, the filter's state and the recorded events.
+from test_prefill import state
+
+# (prune, mode, record). The filtered ones skip from their third generated
+# token on (tail_fraction 1, a low tau_init, a short warm-up).
+CONFIGS = {
+    "dense": (None, "dense", False),
+    "dense_shadow_filter": (PruneConfig(warmup_steps=2, tail_fraction=1.0), "dense", True),
+    "ema_drop_record": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5,
+                                    tau_init=0.0), "filtered", True),
+    "ema_keep": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5, tau_init=0.0,
+                             cache_on_skip="keep"), "filtered", False),
+    "exact_mean_keep_record": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5,
+                                           tau_init=0.0, anchor_mode="exact_mean",
+                                           cache_on_skip="keep"), "filtered", True),
+    "exact_mean_drop": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5,
+                                    tau_init=0.0, anchor_mode="exact_mean"), "filtered", False),
+}
+
+# (n_heads, d_head): one head of 8, eight heads of 4, and the bench's 4 x 16.
+SHAPES = ((1, 8), (8, 4), (4, 16))
+
+PROMPT_LEN, N_STEPS = 9, 20
+
+
+def model(n_heads: int, d_head: int, seed: int = 0) -> ModelConfig:
+    return ModelConfig(n_layers=4, n_heads=n_heads, d_head=d_head, d_model=n_heads * d_head,
+                       d_ff=40, max_seq=PROMPT_LEN + N_STEPS, seed=seed)
+
+
+# -- the reference step ----------------------------------------------------------
+
+
+def ref_layer_norm(x, gain, bias, eps=1e-5):
+    x64 = np.asarray(x, dtype=np.float64)
+    centred = x64 - np.add.reduce(x64, axis=None) / x64.size
+    var = np.add.reduce(centred * centred, axis=None) / x64.size
+    return (centred / np.sqrt(var + eps) * gain + bias).astype(np.float32)
+
+
+def ref_append(cache, layer, k, v):
+    n = cache.lens[layer]
+    cache._k[layer, :, n, :] = k
+    cache._v[layer, :, n, :] = v
+    cache.lens[layer] = n + 1
+
+
+def ref_scores(c, lw, ln1, keys):
+    q = (lw.wq @ ln1).reshape(c.n_heads, c.d_head)
+    return np.einsum("hld,hd->hl", keys, q) / np.float32(np.sqrt(c.d_head))
+
+
+def ref_block(session, layer, hidden, step):
+    """One block as the reference computes it, on the session's own cache,
+    filter engine and ledger. Returns (hidden, report, k, v, attention row)."""
+    c, cache, engine = session.config, session.cache, session.engine
+    lw = session.weights.layers[layer]
+    x = hidden
+    ln1 = ref_layer_norm(x, lw.ln1_g, lw.ln1_b)
+    k = (lw.wk @ ln1).reshape(c.n_heads, c.d_head)
+    v = (lw.wv @ ln1).reshape(c.n_heads, c.d_head)
+    filtered = session.mode == "filtered"
+    skip, report = False, None
+    if engine is not None and layer in engine.layers:
+        skip, report = engine.process(layer, 0, np.array((k, v), dtype=np.float32), step,
+                                      enact=filtered)
+    cache_len_if_kept = cache.lens[layer] + 1
+    row = None
+    if skip:
+        if session.record:
+            n = cache.lens[layer]
+            keys = np.concatenate([cache._k[layer, :, :n, :], k[:, None, :]], axis=1)
+            row = softmax(ref_scores(c, lw, ln1, keys)).astype(np.float32)
+        if session.prune.cache_on_skip == "keep":
+            ref_append(cache, layer, k, v)
+    else:
+        ref_append(cache, layer, k, v)
+        n = cache.lens[layer]
+        probs = softmax(ref_scores(c, lw, ln1, cache._k[layer, :, :n, :]))
+        ctx = np.einsum("hl,hld->hd", probs, cache._v[layer, :, :n, :])
+        ctx = ctx.reshape(c.d_model).astype(np.float32)
+        x = (x + (lw.wo @ ctx).astype(np.float32)).astype(np.float32)
+        row = probs.astype(np.float32) if session.record else None
+    session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip,
+                                report if filtered else None)
+    ln2 = ref_layer_norm(x, lw.ln2_g, lw.ln2_b)
+    h = np.maximum(lw.w1 @ ln2, np.float32(0.0))
+    x = (x + (lw.w2 @ h).astype(np.float32)).astype(np.float32)
+    return x, report, k, v, row
+
+
+def ref_position(session, token, position, recorder, prefill):
+    """Every block for one position, between the filter's step calls."""
+    w = session.weights
+    hidden = (w.embed[token] + session.positions[position]).astype(np.float32)
+    engine = session.engine
+    if engine is not None:
+        engine.begin_step(prefill=prefill)
+    reports = []
+    for layer in range(session.config.n_layers):
+        hidden, report, k, v, row = ref_block(session, layer, hidden, position)
+        if report is not None:
+            reports.append(report)
+        recorder.add_event(seq=0, step=position, layer=layer, k=k, v=v, attn=row)
+    if engine is not None:
+        engine.end_step(frozen=session.mode == "dense")
+    return hidden, reports
+
+
+def ref_decode(session, prompt, n_steps, recorder):
+    """Greedy decode, every position (prompt ones as prefill steps) through
+    the reference blocks."""
+    reports = []
+    for pos, tok in enumerate(prompt):
+        hidden, rs = ref_position(session, tok, pos, recorder, prefill=True)
+        reports.extend(rs)
+    tokens = list(prompt)
+    w = session.weights
+    for s in range(n_steps):
+        logits = w.embed @ ref_layer_norm(hidden, w.lnf_g, w.lnf_b)
+        nxt = int(np.argmax(logits))
+        tokens.append(nxt)
+        hidden, rs = ref_position(session, nxt, len(prompt) + s, recorder, prefill=False)
+        reports.extend(rs)
+    return tokens, reports
+
+
+# -- comparison ------------------------------------------------------------------
+
+
+def both_ways(config, weights, prune, mode, record, prompt, n_steps):
+    states = []
+    for reference in (False, True):
+        session = DecodeSession(config, prune, mode=mode, weights=weights, record=record)
+        recorder = TraceRecorder(config.n_layers, config.n_heads, config.d_head)
+        if reference:
+            tokens, reports = ref_decode(session, prompt, n_steps, recorder)
+        else:
+            result = session.decode(prompt, n_steps, recorder=recorder)
+            tokens, reports = result.tokens, result.reports
+        states.append(dict(state(session, tokens, reports, recorder),
+                           skipped=sum(r.skipped for r in reports)))
+    return states
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_decode_equals_reference_step(config_name, shape):
+    prune, mode, record = CONFIGS[config_name]
+    config = model(*shape, seed=len(config_name))
+    weights = init_weights(config)
+    prompt = np.random.default_rng(shape).integers(0, 256, PROMPT_LEN).tolist()
+    got, want = both_ways(config, weights, prune, mode, record, prompt, N_STEPS)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert got[key] == want[key], key
+    if mode == "filtered":
+        assert got["skipped"] > 0  # the skip branch ran
+
+
+# -- stacked K/V weights ---------------------------------------------------------
+
+
+def _u32(arr):
+    return np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_heads=st.integers(1, 8), d_head=st.integers(1, 17), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_project_kv_is_wk_and_wv_bit_for_bit(n_heads, d_head, seed, scale):
+    config = ModelConfig(n_layers=1, n_heads=n_heads, d_head=d_head, d_model=n_heads * d_head,
+                         d_ff=4, vocab_size=4, max_seq=2, seed=seed % 1000)
+    weights = init_weights(config)
+    lw = weights.layers[0]
+    hidden = (np.random.default_rng(seed).standard_normal(config.d_model) * scale).astype(
+        np.float32)
+    kv = project_kv(weights, 0, hidden)
+    assert kv.shape == (2, n_heads, d_head) and kv.dtype == np.float32
+    # Separate copies: the products of plain (d_model, d_model) matrices.
+    assert np.array_equal(_u32(kv[0].reshape(-1)), _u32(lw.wk.copy() @ hidden))
+    assert np.array_equal(_u32(kv[1].reshape(-1)), _u32(lw.wv.copy() @ hidden))
+
+
+def test_wk_and_wv_are_views_of_one_stacked_array():
+    weights = init_weights(model(4, 16))
+    for lw in weights.layers:
+        assert lw.wkv.shape == (2, 64, 64)
+        assert np.shares_memory(lw.wk, lw.wkv) and np.shares_memory(lw.wv, lw.wkv)
+    # The serialized layout is unchanged: wq, wk, wv, wo, ... in that order.
+    again = load_weights(save_weights(weights))
+    for a, b in zip(weights.layers, again.layers):
+        assert a.wk.tobytes() == b.wk.tobytes() and a.wv.tobytes() == b.wv.tobytes()
+
+
+def test_assigning_wk_or_wv_takes_effect_in_project_kv():
+    config = model(2, 4)
+    weights = init_weights(config)
+    lw = weights.layers[1]
+    hidden = np.arange(8, dtype=np.float32)
+    old_wv = lw.wv.copy()
+    lw.wk = np.eye(8, dtype=np.float32)
+    k, v = project_kv(weights, 1, hidden)
+    assert np.array_equal(k.reshape(-1), hidden)
+    assert np.array_equal(lw.wv, old_wv)
+    assert np.array_equal(_u32(v.reshape(-1)), _u32(old_wv @ hidden))
+    lw.wv = 2 * np.eye(8, dtype=np.float32)
+    _, v = project_kv(weights, 1, hidden)
+    assert np.array_equal(v.reshape(-1), 2 * hidden)
+    with pytest.raises(ValueError, match="projection"):
+        lw.wk = np.eye(4, dtype=np.float32)
+
+
+# -- boundary checks -------------------------------------------------------------
+
+
+def test_negative_n_steps_is_rejected_before_any_state_changes():
+    config = model(2, 4)
+    session = DecodeSession(config, PruneConfig(tail_fraction=1.0), mode="filtered")
+    recorder = TraceRecorder(config.n_layers, config.n_heads, config.d_head)
+    with pytest.raises(ConfigError, match="n_steps"):
+        session.decode([1, 2, 3], -3, recorder=recorder)
+    assert session.cache.lens == [0] * config.n_layers
+    assert not recorder.events
+    assert session.ledger.conserved() and session.ledger.dense_equiv == 0
+    # The session is untouched, so it can still decode.
+    assert len(session.decode([1, 2, 3], 2).tokens) == 5
+
+
+def test_generate_with_negative_steps_exits_2(capsys):
+    assert main(["generate", "--steps", "-3", "--prompt-bytes", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert "n_steps" in captured.err and "generated" not in captured.out
+
+
+@pytest.mark.parametrize("k_shape, v_shape", [((4,), (2, 4)), ((2, 4), (4,)), ((1, 4), (1, 4)),
+                                              ((2, 4, 1), (2, 4, 1)), ((2, 8), (2, 8))])
+def test_append_rejects_kv_that_is_not_one_row_per_head(k_shape, v_shape):
+    cache = KVCache(model(2, 4))
+    with pytest.raises(ValueError, match="shape"):
+        cache.append(0, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
+    assert cache.lens[0] == 0 and not cache._k.any() and not cache._v.any()
+
+
+@pytest.mark.parametrize("k_shape, v_shape", [((3, 4), (3, 4)), ((3, 2, 8), (3, 2, 8)),
+                                              ((3, 1, 4), (3, 1, 4)), ((3, 2, 4), (2, 2, 4)),
+                                              ((2, 4), (3, 2, 4)), ((3, 2, 4, 1), (3, 2, 4, 1))])
+def test_append_rows_rejects_kv_that_is_not_rows_by_heads(k_shape, v_shape):
+    cache = KVCache(model(2, 4))
+    with pytest.raises(ValueError, match="shape"):
+        cache.append_rows(0, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
+    assert cache.lens[0] == 0 and not cache._k.any() and not cache._v.any()
+    cache.append_rows(0, np.ones((3, 2, 4), np.float32), np.ones((3, 2, 4), np.float32))
+    assert cache.lens[0] == 3

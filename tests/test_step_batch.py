@@ -70,7 +70,7 @@ def test_a_step_batch_decides_like_one_process_call_per_row(run):
         batched.begin_step(prefill=prefill)
         single.begin_step(prefill=prefill)
         got = [batched.decide(layer, seq, next(evidence), step, enact) for layer, seq in keys]
-        want = [single.process(layer, seq, kv[i, 0], kv[i, 1], step, enact)
+        want = [single.process(layer, seq, kv[i], step, enact)
                 for i, (layer, seq) in enumerate(keys)]
         assert repr(got) == repr(want)
         batched.end_step()
@@ -113,7 +113,7 @@ def process_replay(header, events, prune):
         engine.begin_step(prefill=step < header.prefill_steps)
         for e in sorted((e for e in events if e.step == step), key=lambda e: (e.seq, e.layer)):
             if e.layer in engine.layers:
-                _, report = engine.process(e.layer, e.seq, e.k, e.v, step, enact=True)
+                _, report = engine.process(e.layer, e.seq, (e.k, e.v), step, enact=True)
                 if report is not None:
                     reports.append(report)
         engine.end_step()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,7 @@ from tokenskip.model import DecodeSession, ModelConfig
 from tokenskip.policy import PruneConfig
 from tokenskip.replay import replay
 from tokenskip.trace import (
-    TraceEvent,
     TraceFormatError,
-    TraceHeader,
     TraceRecorder,
     read_trace,
     synthesize,
