@@ -21,74 +21,43 @@ from pathlib import Path
 from . import metrics, reporting, trace as trace_mod
 from .model import DecodeSession, ModelConfig, load_weights, save_weights
 from .replay import replay as run_replay
-from .policy import (ConfigError, PruneConfig, parse_config_text, parse_number,
-                     prune_config_from_mapping)
+from .policy import ConfigError, PruneConfig, config_from_mapping, parse_config_text
 from .trace import TraceFormatError
 
 PRUNE_FIELDS = [f.name for f in fields(PruneConfig)]
-MODEL_FIELDS = [f.name for f in fields(ModelConfig)]
 GRID_KEY_ALIASES = {"y": "tail_fraction"}
 
 
-def _add_prune_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prune-config", "--config", dest="prune_config", metavar="PATH",
-                   help="flat key=value file with prune settings")
-    defaults = PruneConfig()
-    for f in fields(PruneConfig):
-        flag = "--" + f.name.replace("_", "-")
-        kind = type(getattr(defaults, f.name))
-        p.add_argument(flag, dest=f"prune_{f.name}", type=kind, default=None,
-                       help=f"override {f.name} (default {getattr(defaults, f.name)})")
+def _add_config_flags(p: argparse.ArgumentParser, prefix: str, cls, *aliases: str) -> None:
+    """A --<field> flag for each field of the config dataclass cls, and
+    --<prefix>-config (and its aliases) for a file of them."""
+    p.add_argument(f"--{prefix}-config", *aliases, dest=f"{prefix}_config", metavar="PATH",
+                   help=f"flat key=value file with {prefix} settings")
+    defaults = cls()
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f"{prefix}_{f.name}",
+                       type=type(default), default=None,
+                       help=f"override {f.name} (default {default})")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-config", metavar="PATH",
-                   help="flat key=value file with model settings")
-    defaults = ModelConfig()
-    for f in fields(ModelConfig):
-        if f.name == "seed":
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f"model_{f.name}", type=int, default=None,
-                       help=f"override {f.name} (default {getattr(defaults, f.name)})")
-
-
-def _build_prune_config(args) -> PruneConfig:
-    mapping = {}
-    if getattr(args, "prune_config", None):
-        mapping.update(parse_config_text(Path(args.prune_config).read_text()))
-    for name in PRUNE_FIELDS:
-        v = getattr(args, f"prune_{name}", None)
+def _build_config(args, prefix: str, cls):
+    """cls's defaults, overridden by its config file, overridden by its flags."""
+    path = getattr(args, f"{prefix}_config")
+    mapping = parse_config_text(Path(path).read_text()) if path else {}
+    for f in fields(cls):
+        v = getattr(args, f"{prefix}_{f.name}")
         if v is not None:
-            mapping[name] = v
-    return prune_config_from_mapping(mapping)
-
-
-def _build_model_config(args, seed: int | None) -> ModelConfig:
-    kwargs = {}
-    if getattr(args, "model_config", None):
-        raw = parse_config_text(Path(args.model_config).read_text())
-        for k, v in raw.items():
-            if k not in MODEL_FIELDS:
-                raise ConfigError(f"unknown model config field: {k}")
-            kwargs[k] = parse_number(k, v, int)
-    for name in MODEL_FIELDS:
-        if name == "seed":
-            continue
-        v = getattr(args, f"model_{name}", None)
-        if v is not None:
-            kwargs[name] = v
-    if seed is not None:
-        kwargs["seed"] = seed
-    return ModelConfig(**kwargs)
+            mapping[f.name] = v
+    return config_from_mapping(cls(), mapping)
 
 
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    prune = _build_prune_config(args)
-    config = _build_model_config(args, args.seed)
+    prune = _build_config(args, "prune", PruneConfig)
+    config = _build_config(args, "model", ModelConfig)
     prompt = list(args.prompt_bytes.encode("utf-8"))
     if not prompt:
         raise ConfigError("prompt_bytes must be non-empty")
@@ -140,7 +109,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    prune = _build_prune_config(args)
+    prune = _build_config(args, "prune", PruneConfig)
     header, events = trace_mod.read_trace(args.trace)
     result = run_replay(header, events, prune)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -193,14 +162,14 @@ def cmd_sweep(args) -> int:
     if n_cells > args.max_cells:
         raise ConfigError(f"grid has {n_cells} cells, over the cap of {args.max_cells}")
     header, events = trace_mod.read_trace(args.trace)
-    base = _build_prune_config(args)
+    base = _build_config(args, "prune", PruneConfig)
 
     keys = list(grid)
     rows = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         mapping = dict(zip(keys, combo))
         try:
-            prune = prune_config_from_mapping(mapping, base=base)
+            prune = config_from_mapping(base, mapping)
         except ConfigError as exc:
             print(f"sweep: skipping cell {mapping}: {exc}", file=sys.stderr)
             continue
@@ -268,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="run the toy decoder, optionally recording a trace")
-    _add_model_flags(g)
-    _add_prune_flags(g)
+    _add_config_flags(g, "model", ModelConfig)
+    _add_config_flags(g, "prune", PruneConfig, "--config")
     g.add_argument("--prompt-bytes", default="once upon a time", help="prompt text; bytes are tokens")
     g.add_argument("--steps", type=int, default=32, help="decode steps to generate")
     g.add_argument("--mode", choices=("dense", "filtered"), default="filtered")
@@ -277,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--report", metavar="PATH", help="write decision reports as NDJSON")
     g.add_argument("--summary", metavar="PATH",
                    help="write the per-layer summary CSV (replay's schema)")
-    g.add_argument("--seed", type=int, default=None, help="model seed override")
     g.add_argument("--save-weights", metavar="PATH", help="snapshot weights to a binary blob")
     g.add_argument("--load-weights", metavar="PATH", help="load weights from a binary blob")
     g.set_defaults(func=cmd_generate)
@@ -305,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("replay", help="evaluate a policy over a trace")
     r.add_argument("--trace", required=True, metavar="PATH")
-    _add_prune_flags(r)
+    _add_config_flags(r, "prune", PruneConfig, "--config")
     r.add_argument("--out", required=True, metavar="PATH", help="summary CSV path")
     r.add_argument("--report", metavar="PATH", help="write decision reports as NDJSON")
     r.set_defaults(func=cmd_replay)
@@ -314,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trace", required=True, metavar="PATH")
     w.add_argument("--grid", required=True,
                    help="e.g. 'Y=0.4,0.5;gamma=0.8,0.9;p_global=0.2,0.33;fusion=kv,key_only'")
-    _add_prune_flags(w)
+    _add_config_flags(w, "prune", PruneConfig, "--config")
     w.add_argument("--out", required=True, metavar="PATH")
     w.add_argument("--max-cells", type=int, default=1000)
     w.set_defaults(func=cmd_sweep)

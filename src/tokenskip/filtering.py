@@ -61,9 +61,9 @@ class SimilarityScore:
     degenerate: bool = False
 
 
-def update_anchor(anchor: np.ndarray | None, current: np.ndarray, gamma: float) -> np.ndarray:
-    """Exponential moving anchor. The first observation initializes the anchor
-    to the token itself rather than decaying from zero.
+def update_anchor(anchor: np.ndarray, current: np.ndarray, gamma: float) -> np.ndarray:
+    """Exponential moving anchor. (The engine starts an anchor at its first
+    observation, rather than decaying from zero.)
 
     Accumulates in float64: the anchor is a running statistic, and float32
     recursion would drift past closed-form values over long streams.
@@ -71,36 +71,22 @@ def update_anchor(anchor: np.ndarray | None, current: np.ndarray, gamma: float) 
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     current = np.asarray(current, dtype=np.float64)
-    if anchor is None:
-        return current.copy()
     anchor = np.asarray(anchor, dtype=np.float64)
     if anchor.shape != current.shape:
         raise ValueError("anchor and current must have equal shapes")
     return gamma * anchor + (1.0 - gamma) * current
 
 
-def update_anchor_mean(anchor: np.ndarray | None, current: np.ndarray, count) -> np.ndarray:
-    """Incremental exact mean over all observed tokens (count includes current).
-
-    count is an int, or an array of per-row counts over the leading axes of a
-    batch of anchors; a row whose count is at most 1 becomes its current.
-    """
+def update_anchor_mean(anchor: np.ndarray, current: np.ndarray, counts) -> np.ndarray:
+    """Incremental exact mean over all observed tokens, for a batch of
+    anchors: counts holds one count per row over their leading axes, the
+    current token included (so at least 2, as the first observation starts
+    the anchor)."""
     current = np.asarray(current, dtype=np.float64)
-    if anchor is None:
-        return current.copy()
     anchor = np.asarray(anchor, dtype=np.float64)
-    if np.ndim(count):
-        count = np.asarray(count)
-        shaped = count.reshape(count.shape + (1,) * (current.ndim - count.ndim))
-        folded = anchor + (current - anchor) / shaped
-        # The engine folds only rows that already have an anchor, so there
-        # every count is at least 2 and no row needs the where.
-        if count.size and count.min() <= 1:
-            return np.where(shaped > 1, folded, current)
-        return folded
-    if count <= 1:
-        return current.copy()
-    return anchor + (current - anchor) / count
+    counts = np.asarray(counts)
+    return anchor + (current - anchor) / counts.reshape(
+        counts.shape + (1,) * (current.ndim - counts.ndim))
 
 
 def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:

@@ -84,9 +84,8 @@ class ModelConfig:
 class LayerWeights:
     """One block's weights. The key and value projections are one
     (2, d_model, d_model) array, keys over values: wk and wv are its two
-    halves, views that read and write it. Assigning wk or wv swaps in a new
-    stacked array holding the assigned matrix (cast to the stack's float32),
-    so project_kv sees it; a matrix of another shape raises ValueError."""
+    halves, read-only attributes that return views of it, so no separate
+    copy can go stale."""
 
     ln1_g: np.ndarray
     ln1_b: np.ndarray
@@ -102,25 +101,9 @@ class LayerWeights:
     def wk(self) -> np.ndarray:
         return self.wkv[0]
 
-    @wk.setter
-    def wk(self, value) -> None:
-        self._assign_half(0, value)
-
     @property
     def wv(self) -> np.ndarray:
         return self.wkv[1]
-
-    @wv.setter
-    def wv(self, value) -> None:
-        self._assign_half(1, value)
-
-    def _assign_half(self, half: int, value) -> None:
-        if np.shape(value) != self.wkv.shape[1:]:
-            raise ValueError(f"expected a {self.wkv.shape[1:]} projection, "
-                             f"got {np.shape(value)}")
-        wkv = self.wkv.copy()
-        wkv[half] = value
-        self.wkv = wkv
 
 
 @dataclass

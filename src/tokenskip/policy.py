@@ -11,7 +11,7 @@ CACHE_ON_SKIP_CHOICES = ("drop", "keep")
 
 
 class ConfigError(ValueError):
-    """Invalid pruning or model configuration; message names the field."""
+    """Invalid configuration or command argument; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,21 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def prune_config_from_mapping(mapping: dict, base: PruneConfig | None = None) -> PruneConfig:
-    """Build a PruneConfig from string values, starting from base (or defaults)."""
-    cfg = base if base is not None else PruneConfig()
+def config_from_mapping(base, mapping: dict):
+    """A copy of base, an instance of a config dataclass, with each field in
+    mapping set from its value: parsed as the type of base's number, or taken
+    as text. An unknown or unparsable field is a ConfigError naming it."""
+    names = {f.name for f in fields(base)}
     kwargs = {}
-    valid = {f.name: f.type for f in fields(PruneConfig)}
     for key, value in mapping.items():
-        if key not in valid:
-            raise ConfigError(f"unknown prune config field: {key}")
-        current = getattr(cfg, key)
+        if key not in names:
+            raise ConfigError(f"unknown {type(base).__name__} field: {key}")
+        current = getattr(base, key)
         if isinstance(current, (int, float)):
             kwargs[key] = parse_number(key, value, type(current))
         else:
             kwargs[key] = str(value)
-    return replace(cfg, **kwargs)
+    return replace(base, **kwargs)
 
 
 def parse_number(name: str, value, kind: type):

@@ -5,7 +5,7 @@ from the toy model: each event carries the per-head key/value a token produced
 at one layer, plus (optionally) the exact attention row its query produced
 over the cache, as ground truth for loss proxies.
 
-Format, version 2 (written):
+Format, version 2 (the only version read or written):
   header: {"type": "header", "format_version": 2, "n_layers": int,
            "n_heads": int, "d_head": int, "n_steps": int,
            "source": "toy_model" | "synthetic" | "external",
@@ -15,8 +15,6 @@ Format, version 2 (written):
            "attn": array of shape [n_heads, cache_len] or null}
   array:  {"shape": [rows, cols], "f32": str}, where f32 is the base64 of
           the rows * cols little-endian float32 values in row-major order.
-Version 1 (read only) is the same except that each array is a nested JSON
-list of decimal floats, [[float] * cols] * rows.
 
 Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
 0 <= step < n_steps and 0 <= layer < n_layers; every value is finite.
@@ -27,9 +25,10 @@ prompt) and the synthesis parameters.
 Both directions work READ_CHUNK events at a time. read_trace checks each
 line's structure as it reads it and each chunk's values in a few NumPy
 calls; the events it returns hold writable float32 views into per-chunk
-arrays. write_trace checks ids and finiteness before it opens the file, so
-a rejected write creates no file and leaves an existing one untouched, then
-writes each event line as a string laid out as json.dumps lays it out.
+arrays. write_trace checks events as read_trace does before it opens the
+file, so a rejected write creates no file and leaves an existing one
+untouched, then writes each event line as a string laid out as json.dumps
+lays it out.
 """
 
 from __future__ import annotations
@@ -37,15 +36,15 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from .numerics import softmax, substream
+from .policy import ConfigError
 
 FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
 SOURCES = ("toy_model", "synthetic", "external")
 PATTERNS = ("repetitive", "random", "depth_concentrated")
 # Events per chunk: read_trace checks values and write_trace checks
@@ -67,7 +66,6 @@ class TraceHeader:
     n_steps: int
     source: str
     generator_params: dict
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.source not in SOURCES:
@@ -94,21 +92,9 @@ class TraceEvent:
     attn: np.ndarray | None = None
 
 
-def _array2d(values, name, lineno) -> tuple[int, int, bytes]:
-    """Decode one version 1 array, a nested list of decimal floats, to
-    (rows, cols, little-endian float32 bytes)."""
-    try:
-        arr = np.asarray(values, dtype="<f4")
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array") from exc
-    if arr.ndim != 2:
-        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float array")
-    return arr.shape[0], arr.shape[1], arr.tobytes()
-
-
 def _decode_f32(obj, name, lineno) -> tuple[int, int, bytes]:
-    """Decode one version 2 array, a shape and base64 float32 bytes, to
-    (rows, cols, little-endian float32 bytes)."""
+    """Decode one array, a shape and base64 float32 bytes, to (rows, cols,
+    little-endian float32 bytes)."""
     try:
         rows, cols = obj["shape"]
         data = base64.b64decode(obj["f32"], validate=True)
@@ -147,11 +133,29 @@ def _check_ids(key, limits, where: str, index: int) -> None:
                 f"{where} {index}: {name} {value} outside the header's range [0, {limit})")
 
 
+def _check_layout(e, i: int, key, limits, expected: tuple) -> None:
+    """Raise for the first fault that _parse_event would report for event i,
+    one of whose arrays has the wrong shape, in _parse_event's order."""
+    for name, arr in (("k", e.k), ("v", e.v)):
+        if arr.ndim != 2:
+            raise TraceFormatError(f"event {i}: {name} must be a 2-D float32 array")
+    _check_ids(key, limits, "event", i)
+    if e.k.shape != expected or e.v.shape != expected:
+        shape = e.k.shape if e.k.shape != expected else e.v.shape
+        raise TraceFormatError(f"event {i}: K/V shape {shape} does not match header {expected}")
+    if e.attn.ndim != 2:
+        raise TraceFormatError(f"event {i}: attn must be a 2-D float32 array")
+    raise TraceFormatError(f"event {i}: attn head count mismatch")
+
+
 def _check_events(header: TraceHeader, events: list) -> None:
-    """Raise TraceFormatError naming the first event that read_trace would
-    reject for its ids (not an int, or outside the header's ranges) or for a
-    k, v or attn value that is not finite once cast to float32."""
+    """Raise TraceFormatError, with read_trace's message, naming the first
+    event that read_trace would reject for its ids, order or shapes, or for a
+    k, v or attn value that is not finite once cast to float32. Attention row
+    sums go unchecked: that costs about three times the shape and order checks."""
     limits = (header.n_seqs, header.n_steps, header.n_layers)
+    expected = (header.n_heads, header.d_head)
+    last_key = None
     for start in range(0, len(events), READ_CHUNK):
         chunk = events[start:start + READ_CHUNK]
         # One check over the whole chunk, cast as _f32_json casts.
@@ -159,9 +163,17 @@ def _check_events(header: TraceHeader, events: list) -> None:
             [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))],
             axis=None, dtype="<f4", casting="unsafe")).all()
         for i, e in enumerate(chunk, start):
+            key = (e.seq, e.step, e.layer)
+            if (e.k.shape != expected or e.v.shape != expected
+                    or (e.attn is not None and (e.attn.ndim != 2
+                                                or e.attn.shape[0] != expected[0]))):
+                _check_layout(e, i, key, limits, expected)
             # write_trace's f-strings need the type check: they would print
             # True for a bool and 0 for the string "0".
-            _check_ids((e.seq, e.step, e.layer), limits, "event", i)
+            _check_ids(key, limits, "event", i)
+            if last_key is not None and key <= last_key:
+                raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
+            last_key = key
             if not finite:
                 for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
                     if arr is not None and not np.isfinite(np.asarray(arr, dtype="<f4")).all():
@@ -169,15 +181,13 @@ def _check_events(header: TraceHeader, events: list) -> None:
 
 
 def write_trace(path, header: TraceHeader, events) -> int:
-    """Write header + events in format version 2, whatever version the
-    header was read from; returns the number of events written.
+    """Write header + events in format version 2; returns the number of
+    events written.
 
-    Every event is checked before the file is opened. An id that is not an
-    int inside the header's [0, n_seqs), [0, n_steps) or [0, n_layers), or a
-    k, v or attn value that is not finite as float32, raises TraceFormatError
-    naming the event's index, and then no file is created and an existing
-    one is left as it was. Event lines are built as strings in json.dumps's
-    layout, byte for byte, and written one at a time."""
+    Every event is checked first (see _check_events): a bad one raises
+    TraceFormatError naming its index, and then no file is created and an
+    existing one is left as it was. Event lines are built as strings in
+    json.dumps's layout, byte for byte, and written one at a time."""
     events = list(events)
     _check_events(header, events)
     with open(path, "w", encoding="utf-8") as fh:
@@ -211,7 +221,8 @@ def _whole(value, name: str) -> int:
 def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
     """The header, and the exclusive upper bounds of (seq, step, layer)."""
     version = obj.get("format_version")
-    if version not in READ_VERSIONS:
+    # The JSON integer 2 only: == alone would take 2.0 for 2.
+    if type(version) is not int or version != FORMAT_VERSION:
         raise TraceFormatError(f"line {lineno}: unsupported format_version {version}")
     try:
         header = TraceHeader(
@@ -220,7 +231,6 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
             d_head=_whole(obj["d_head"], "d_head"),
             n_steps=_whole(obj["n_steps"], "n_steps"),
             source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
-            format_version=version,
         )
         if header.prefill_steps < 0:
             raise TraceFormatError("prefill_steps must be non-negative")
@@ -241,7 +251,7 @@ def _record(line: str, lineno: int) -> dict:
     return obj
 
 
-def _parse_event(obj, lineno, header, limits, decode, last_key) -> tuple:
+def _parse_event(obj, lineno, header, limits, last_key) -> tuple:
     """The per-line checks of one event record, in order: record type, ids,
     K/V shape, attn head count and event order. Returns (lineno, key, k bytes,
     v bytes, attn cols or None, attn bytes or None); _chunk_events checks the
@@ -254,16 +264,17 @@ def _parse_event(obj, lineno, header, limits, decode, last_key) -> tuple:
         k_obj, v_obj = obj["k"], obj["v"]
     except KeyError as exc:
         raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
-    k_rows, k_cols, k = decode(k_obj, "k", lineno)
-    v_rows, v_cols, v = decode(v_obj, "v", lineno)
+    k_rows, k_cols, k = _decode_f32(k_obj, "k", lineno)
+    v_rows, v_cols, v = _decode_f32(v_obj, "v", lineno)
     _check_ids(key, limits, "line", lineno)
     expected = (header.n_heads, header.d_head)
     if (k_rows, k_cols) != expected or (v_rows, v_cols) != expected:
+        shape = (k_rows, k_cols) if (k_rows, k_cols) != expected else (v_rows, v_cols)
         raise TraceFormatError(
-            f"line {lineno}: K/V shape {(k_rows, k_cols)} does not match header {expected}")
+            f"line {lineno}: K/V shape {shape} does not match header {expected}")
     cols = data = None
     if obj.get("attn") is not None:
-        rows, cols, data = decode(obj["attn"], "attn", lineno)
+        rows, cols, data = _decode_f32(obj["attn"], "attn", lineno)
         if rows != header.n_heads:
             raise TraceFormatError(f"line {lineno}: attn head count mismatch")
     if last_key is not None and key <= last_key:
@@ -330,10 +341,9 @@ def _raise_first_fault(pending, kv, attn) -> None:
 
 
 def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read and validate a trace file of format version 1 or 2: header first,
+    """Read and validate a trace file of format version 2: header first,
     dimensions fixed, ids JSON integers inside the header's ranges, events
     ordered by (seq, step, layer), values finite, attention rows normalized.
-    The returned header's format_version is the version the file holds.
 
     Each line's structure is checked as it is read; values are checked
     READ_CHUNK events at a time, and the events' k, v and attn are writable
@@ -355,9 +365,8 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
                     if obj.get("type") != "header":
                         raise TraceFormatError(f"line {lineno}: first record must be the header")
                     header, limits = _parse_header(obj, lineno)
-                    decode = _array2d if header.format_version == 1 else _decode_f32
                     continue
-                parsed = _parse_event(obj, lineno, header, limits, decode, last_key)
+                parsed = _parse_event(obj, lineno, header, limits, last_key)
             except TraceFormatError:
                 _chunk_events(header, pending)
                 raise
@@ -444,15 +453,17 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
     (think positional components carried only by keys), so it degrades that
     feature's reliability as a redundancy signal without changing the
     attention ground truth.
+
+    A bad argument raises ConfigError.
     """
     if pattern not in PATTERNS:
-        raise ValueError(f"pattern must be one of {PATTERNS}")
+        raise ConfigError(f"pattern must be one of {PATTERNS}")
     if min(n_layers, n_heads, d_head, n_seqs) < 1 or n_steps < 0:
-        raise ValueError("invalid trace dimensions")
+        raise ConfigError("invalid trace dimensions")
     if not 0.0 <= repeat_prob < 1.0:
-        raise ValueError("repeat_prob must be in [0, 1)")
+        raise ConfigError("repeat_prob must be in [0, 1)")
     if dict_size < 1:
-        raise ValueError("dict_size must be positive")
+        raise ConfigError("dict_size must be positive")
 
     rng = substream(seed, "synth")
     scale = np.float32(1.0 / np.sqrt(d_head))

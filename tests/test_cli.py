@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from tokenskip.cli import main, parse_grid
-from tokenskip.policy import ConfigError
+from tokenskip.cli import _build_config, build_parser, main, parse_grid
+from tokenskip.model import ModelConfig
+from tokenskip.policy import ConfigError, PruneConfig
 
 
 def run_cli(*argv):
@@ -56,6 +59,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert "n_layers" in err and "runtime error" not in err
+
+    # Each file takes only its own config's fields.
+    @pytest.mark.parametrize("flag, key", [("--model-config", "gamma"),
+                                           ("--prune-config", "n_layers"),
+                                           ("--config", "bogus_key")])
+    def test_unknown_config_file_key_exits_2_naming_it(self, tmp_path, capsys, flag, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        rc = run_cli("generate", "--steps", "1", flag, str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"field: {key}" in err and "runtime error" not in err
+
+    @pytest.mark.parametrize("argv", [("--steps", "-3"), ("--layers", "0"),
+                                      ("--repeat-prob", "1.0"), ("--dict-size", "0")])
+    def test_bad_synth_argument_exits_2_and_writes_no_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run_cli("synth", "--pattern", "random", *argv, "--out", str(out)) == 2
+        assert "runtime error" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_trace_file_is_runtime_error(self, tmp_path):
         rc = run_cli("replay", "--trace", str(tmp_path / "nope.ndjson"),
@@ -177,6 +200,69 @@ class TestGenerateCommand:
         assert rc == 0
         first = json.loads(rep.read_text().splitlines()[0])
         assert first["layer"] == 0  # tail_fraction=1.0 from file reaches layer 0
+
+
+def _field_flags(cls):
+    return {"--" + f.name.replace("_", "-") for f in fields(cls)}
+
+
+class TestConfigFlags:
+    """One flag per config field, a file of them, and the flag winning."""
+
+    # subcommand: (the config dataclasses whose fields it takes as flags,
+    # the rest of its flags)
+    FLAGS = {
+        "generate": ((ModelConfig, PruneConfig),
+                     {"--model-config", "--prune-config", "--config", "--prompt-bytes",
+                      "--steps", "--mode", "--record", "--report", "--summary",
+                      "--save-weights", "--load-weights"}),
+        "synth": ((), {"--pattern", "--out", "--seed", "--seqs", "--steps", "--layers",
+                       "--heads", "--d-head", "--t0", "--decay", "--noise", "--sink-count",
+                       "--sink-gain", "--q-scale", "--key-noise", "--value-noise",
+                       "--dict-size", "--repeat-prob"}),
+        "replay": ((PruneConfig,), {"--trace", "--prune-config", "--config", "--out",
+                                    "--report"}),
+        "sweep": ((PruneConfig,), {"--trace", "--grid", "--prune-config", "--config",
+                                   "--out", "--max-cells"}),
+        "report": ((), {"--inputs", "--out", "--long-out"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_subcommand_flags_are_its_config_fields_and_its_own(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        classes, own = self.FLAGS[command]
+        assert got == {"-h", "--help"} | own | set().union(*map(_field_flags, classes))
+
+    @pytest.mark.parametrize("cls, prefix, line, argv, name, value", [
+        (PruneConfig, "prune", "p_global = 0.2", ("--p-global", "0.1"), "p_global", 0.1),
+        (ModelConfig, "model", "n_layers = 3", ("--n-layers", "2"), "n_layers", 2),
+        (ModelConfig, "model", "seed = 5", ("--seed", "9"), "seed", 9),
+    ])
+    def test_flag_overrides_its_config_file(self, tmp_path, cls, prefix, line, argv,
+                                            name, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{line}\ntail_fraction = 1.0\n" if cls is PruneConfig
+                       else f"{line}\nd_ff = 32\n")
+        args = build_parser().parse_args(["generate", f"--{prefix}-config", str(cfg), *argv])
+        built = _build_config(args, prefix, cls)
+        other = ("tail_fraction", 1.0) if cls is PruneConfig else ("d_ff", 32)
+        assert (getattr(built, name), getattr(built, other[0])) == (value, other[1])
+        rest = {f.name for f in fields(cls)} - {name, other[0]}
+        assert all(getattr(built, f) == getattr(cls(), f) for f in rest)
+
+    # The file's value is never parsed when a flag replaces it.
+    @pytest.mark.parametrize("cls, prefix, line, argv, name, value", [
+        (PruneConfig, "prune", "gamma = abc", ("--gamma", "0.8"), "gamma", 0.8),
+        (ModelConfig, "model", "n_layers = abc", ("--n-layers", "2"), "n_layers", 2),
+    ])
+    def test_bad_file_value_under_a_flag_is_not_an_error(self, tmp_path, cls, prefix, line,
+                                                         argv, name, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        args = build_parser().parse_args(["generate", f"--{prefix}-config", str(cfg), *argv])
+        assert getattr(_build_config(args, prefix, cls), name) == value
 
 
 class TestGridParsing:

@@ -36,10 +36,6 @@ def single_layer_engine(d_head=4, **prune_kwargs) -> FilterEngine:
 
 
 class TestUpdateAnchor:
-    def test_first_observation_initializes_to_current(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(update_anchor(None, v, 0.9), v)
-
     def test_fixed_point(self):
         a = np.array([0.5, -2.0])
         for gamma in (0.3, 0.9):
@@ -49,8 +45,8 @@ class TestUpdateAnchor:
     def test_matches_closed_form_geometric_weights(self, gamma):
         rng = np.random.default_rng(101)
         xs = rng.standard_normal((100, 8))
-        anchor = None
-        for x in xs:
+        anchor = xs[0]   # the engine starts an anchor at its first observation
+        for x in xs[1:]:
             anchor = update_anchor(anchor, x, gamma)
         # independently: gamma^(T-1) x_1 + sum_{t>=2} (1-gamma) gamma^(T-t) x_t
         T = len(xs)
@@ -61,17 +57,27 @@ class TestUpdateAnchor:
 
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError):
-            update_anchor(None, np.ones(2), 1.0)
+            update_anchor(np.ones(2), np.ones(2), 1.0)
 
 
 class TestUpdateAnchorMean:
     def test_matches_cumulative_mean(self):
         rng = np.random.default_rng(102)
-        xs = rng.standard_normal((50, 6))
-        anchor = None
-        for i, x in enumerate(xs, start=1):
-            anchor = update_anchor_mean(anchor, x, i)
+        xs = rng.standard_normal((50, 1, 6))
+        anchor = xs[0]   # the engine starts an anchor at its first observation
+        for i, x in enumerate(xs[1:], start=2):
+            anchor = update_anchor_mean(anchor, x, [i])
             np.testing.assert_allclose(anchor, xs[:i].mean(axis=0), atol=1e-10)
+
+    def test_each_row_takes_its_own_count(self):
+        # Rows at different depths of their streams: row r has seen r + 2 tokens.
+        rng = np.random.default_rng(104)
+        xs = rng.standard_normal((3, 6, 2, 5))
+        anchors = np.stack([xs[r, :r + 1].mean(axis=0) for r in range(3)])
+        current = np.stack([xs[r, r + 1] for r in range(3)])
+        got = update_anchor_mean(anchors, current, np.arange(2, 5))
+        for r in range(3):
+            np.testing.assert_allclose(got[r], xs[r, :r + 2].mean(axis=0), atol=1e-12)
 
 
 class TestHeadSimilarity:

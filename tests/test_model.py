@@ -69,7 +69,7 @@ class TestProjectKV:
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_head=8, d_ff=8,
                           vocab_size=16, max_seq=8)
         w = init_weights(cfg)
-        w.layers[0].wk = np.eye(8, dtype=np.float32)
+        w.layers[0].wkv[0] = np.eye(8, dtype=np.float32)
         hidden = np.arange(8, dtype=np.float32)
         k, _ = project_kv(w, 0, hidden)
         np.testing.assert_array_equal(k.reshape(-1), hidden)

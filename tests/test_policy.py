@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from tokenskip.model import ModelConfig
 from tokenskip.policy import (
     ConfigError,
     PruneConfig,
     parse_config_text,
     per_layer_target,
-    prune_config_from_mapping,
+    config_from_mapping,
     select_layers,
     update_threshold,
 )
@@ -140,14 +141,14 @@ class TestConfigParsing:
     def test_key_value_format(self):
         text = "p_global = 0.2\n# comment\ngamma=0.85\ntail_fraction=1.0\n"
         mapping = parse_config_text(text)
-        cfg = prune_config_from_mapping(mapping)
+        cfg = config_from_mapping(PruneConfig(), mapping)
         assert cfg.p_global == 0.2
         assert cfg.gamma == 0.85
         assert cfg.tail_fraction == 1.0
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            prune_config_from_mapping({"bogus": "1"})
+        with pytest.raises(ConfigError, match="bogus"):
+            config_from_mapping(PruneConfig(), {"bogus": "1"})
 
     def test_malformed_line_names_the_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -155,6 +156,22 @@ class TestConfigParsing:
 
     def test_overrides_start_from_base(self):
         base = PruneConfig(p_global=0.1)
-        cfg = prune_config_from_mapping({"eta": "0.02"}, base=base)
+        cfg = config_from_mapping(base, {"eta": "0.02"})
         assert cfg.p_global == 0.1
         assert cfg.eta == 0.02
+
+    def test_builds_a_model_config_from_its_base(self):
+        base = ModelConfig(seed=4)
+        cfg = config_from_mapping(base, {"n_layers": "3", "max_seq": 64})
+        assert cfg == ModelConfig(n_layers=3, max_seq=64, seed=4)
+        assert base == ModelConfig(seed=4)
+
+    @pytest.mark.parametrize("base, key", [(PruneConfig(), "n_layers"),
+                                           (ModelConfig(), "gamma")])
+    def test_unknown_field_names_the_config_class(self, base, key):
+        with pytest.raises(ConfigError, match=f"^unknown {type(base).__name__} field: {key}$"):
+            config_from_mapping(base, {key: "1"})
+
+    def test_fractional_int_field_names_the_field(self):
+        with pytest.raises(ConfigError, match="^n_heads must be an integer, got '2.5'$"):
+            config_from_mapping(ModelConfig(), {"n_heads": "2.5"})

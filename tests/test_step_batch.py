@@ -190,11 +190,11 @@ def test_replay_scores_each_block_in_one_kernel_call_and_never_calls_process(mon
 def test_update_anchor_mean_takes_per_row_counts():
     rng = np.random.default_rng(3)
     anchors, currents = rng.standard_normal((2, 5, 2, 3, 4))
-    counts = [1, 2, 3, 7, 100]
+    counts = [2, 3, 7, 100, 2]
     batched = update_anchor_mean(anchors, currents, counts)
     for row, count in enumerate(counts):
         assert batched[row].tobytes() == update_anchor_mean(
-            anchors[row], currents[row], count).tobytes()
+            anchors[row:row + 1], currents[row:row + 1], [count])[0].tobytes()
 
 
 def test_replay_rejects_a_repeated_event():

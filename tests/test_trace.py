@@ -117,20 +117,22 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="line 4"):
             read_trace(path)
 
+    # write_trace refuses what read_trace would; test_trace_format.py reads
+    # such files, written raw.
     def test_out_of_order_events_rejected(self, tmp_path):
         header, events = synthesize("random", 2, 1, 4, 2, seed=9)
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, list(reversed(events)))
         with pytest.raises(TraceFormatError, match="order"):
-            read_trace(path)
+            write_trace(path, header, list(reversed(events)))
+        assert not path.exists()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         header, events = synthesize("random", 1, 2, 4, 1, seed=10)
         events[0].k = events[0].k[:, :2]
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
         with pytest.raises(TraceFormatError, match="shape"):
-            read_trace(path)
+            write_trace(path, header, events)
+        assert not path.exists()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.ndjson"

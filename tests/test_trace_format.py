@@ -1,6 +1,5 @@
-"""Trace file formats: the version 2 layout, reading version 1 files, the
-checks read_trace applies to both, and the checks write_trace applies before
-it writes."""
+"""The trace file format: the version 2 layout, the checks read_trace
+applies, and the checks write_trace applies before it writes."""
 
 import base64
 import dataclasses
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from tokenskip.cli import main
 from tokenskip.model import DecodeSession, ModelConfig
 from tokenskip.policy import PruneConfig
-from tokenskip.replay import replay
 from tokenskip.trace import (
     PATTERNS,
     READ_CHUNK,
@@ -28,27 +26,6 @@ from tokenskip.trace import (
     synthesize,
     write_trace,
 )
-
-
-def _v1_rows(arr):
-    return [[float(x) for x in row] for row in np.asarray(arr, dtype=np.float32)]
-
-
-def write_v1(path, header, events):
-    """Write a format version 1 trace: every float as decimal JSON text."""
-    lines = [json.dumps({
-        "type": "header", "format_version": 1, "n_layers": header.n_layers,
-        "n_heads": header.n_heads, "d_head": header.d_head, "n_steps": header.n_steps,
-        "source": header.source,
-        "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
-    })]
-    for e in events:
-        lines.append(json.dumps({
-            "type": "event", "seq": e.seq, "step": e.step, "layer": e.layer,
-            "k": _v1_rows(e.k), "v": _v1_rows(e.v),
-            "attn": None if e.attn is None else _v1_rows(e.attn),
-        }))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _raw_f32(arr):
@@ -85,9 +62,6 @@ def write_v2_raw(path, header, events):
     return n
 
 
-WRITERS = {1: write_v1, 2: write_v2_raw}
-
-
 def bits(arr):
     return np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32)
 
@@ -101,11 +75,6 @@ def assert_same_events(a, b):
         assert (x.attn is None) == (y.attn is None)
         if x.attn is not None:
             np.testing.assert_array_equal(bits(x.attn), bits(y.attn))
-
-
-def decisions(result):
-    return [(r.seq, r.step, r.layer, r.s_kv, r.tau, r.shadow, r.skipped, r.flops_saved)
-            for r in result.reports]
 
 
 class TestVersion2Layout:
@@ -124,22 +93,19 @@ class TestVersion2Layout:
             np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f4").reshape(arr.shape),
                                           arr)
 
-    def test_header_reports_version_read(self, tmp_path):
+    # Version 1 is no longer read; true and 2.0 are not the JSON integer 2.
+    @pytest.mark.parametrize("version", [1, True, 2.0])
+    def test_other_versions_fail_at_the_header(self, tmp_path, version):
         header, events = synthesize("random", 1, 1, 4, 2, seed=2)
-        for version, write in WRITERS.items():
-            path = tmp_path / f"v{version}.ndjson"
-            write(path, header, events)
-            got, _ = read_trace(path)
-            assert got == dataclasses.replace(header, format_version=version)
-
-    def test_v1_header_is_rewritten_as_v2(self, tmp_path):
-        header, events = synthesize("random", 1, 1, 4, 2, seed=3)
-        write_v1(tmp_path / "v1.ndjson", header, events)
-        header1, events1 = read_trace(tmp_path / "v1.ndjson")
-        write_trace(tmp_path / "v2.ndjson", header1, events1)
-        header2, events2 = read_trace(tmp_path / "v2.ndjson")
-        assert header2.format_version == 2
-        assert_same_events(events1, events2)
+        path = tmp_path / "t.ndjson"
+        write_trace(path, header, events)
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["format_version"] = version
+        path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+        with pytest.raises(TraceFormatError, match="^line 1: unsupported format_version"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
     def test_unknown_version_rejected(self, tmp_path):
         header, events = synthesize("random", 1, 1, 4, 1, seed=4)
@@ -206,14 +172,13 @@ class TestReadTraceRejects:
         "seq_past_header": (11, lambda e: {"seq": 2}, "seq 2 outside"),
     }
 
-    @pytest.mark.parametrize("version", sorted(WRITERS))
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bad_event_names_line(self, tmp_path, version, case):
+    def test_bad_event_names_line(self, tmp_path, case):
         header, events = self._trace()
         index, change, message = self.CASES[case]
         lineno = _corrupt(events, index, **change(events[index]))
         path = tmp_path / "t.ndjson"
-        WRITERS[version](path, header, events)
+        write_v2_raw(path, header, events)
         with pytest.raises(TraceFormatError, match=f"line {lineno}: {message}"):
             read_trace(path)
 
@@ -227,23 +192,21 @@ class TestReadTraceRejects:
         "false_seq": (0, "seq", lambda e: bool(e.seq)),
     }
 
-    @pytest.mark.parametrize("version", sorted(WRITERS))
     @pytest.mark.parametrize("case", sorted(ID_CASES))
-    def test_non_integer_event_id_names_line(self, tmp_path, version, case):
+    def test_non_integer_event_id_names_line(self, tmp_path, case):
         header, events = self._trace()
         index, name, change = self.ID_CASES[case]
         lineno = _corrupt(events, index, **{name: change(events[index])})
         path = tmp_path / "t.ndjson"
-        WRITERS[version](path, header, events)
+        write_v2_raw(path, header, events)
         with pytest.raises(TraceFormatError, match=f"line {lineno}: {name} must be an integer"):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    @pytest.mark.parametrize("version", sorted(WRITERS))
-    def test_valid_trace_reads(self, tmp_path, version):
+    def test_valid_trace_reads(self, tmp_path):
         header, events = self._trace()
         path = tmp_path / "t.ndjson"
-        WRITERS[version](path, header, events)
+        write_v2_raw(path, header, events)
         assert_same_events(read_trace(path)[1], events)
 
     @pytest.mark.parametrize("prefill_steps", ["abc", "-5", "1.5"])
@@ -531,40 +494,8 @@ class TestRoundTripProperties:
             path = Path(tmp) / "t.ndjson"
             assert write_trace(path, header, events) == len(events)
             header2, events2 = read_trace(path)
-        assert header2 == dataclasses.replace(header, format_version=2)
+        assert header2 == header
         assert_same_events(events, events2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(traces())
-    def test_v1_text_reads_back_to_same_arrays(self, trace):
-        header, events = trace
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.ndjson"
-            write_v1(path, header, events)
-            header1, events1 = read_trace(path)
-        assert header1 == dataclasses.replace(header, format_version=1)
-        assert_same_events(events, events1)
-
-    @settings(max_examples=15, deadline=None)
-    @given(pattern=st.sampled_from(["repetitive", "random", "depth_concentrated"]),
-           seed=st.integers(0, 2**16), n_seqs=st.integers(1, 2),
-           p_global=st.sampled_from([0.25, 0.4]),
-           anchor_mode=st.sampled_from(["ema", "exact_mean"]))
-    def test_v1_and_v2_replay_to_same_decisions(self, pattern, seed, n_seqs, p_global,
-                                                anchor_mode):
-        header, events = synthesize(pattern, 4, 2, 8, 24, seed=seed, n_seqs=n_seqs)
-        prune = PruneConfig(p_global=p_global, anchor_mode=anchor_mode, warmup_steps=4,
-                            tau_init=0.5)
-        with tempfile.TemporaryDirectory() as tmp:
-            results = []
-            for version, write in WRITERS.items():
-                path = Path(tmp) / f"v{version}.ndjson"
-                write(path, header, events)
-                results.append(replay(*read_trace(path), prune))
-        v1, v2 = results
-        assert decisions(v1) == decisions(v2)
-        assert v1.summary == v2.summary
-        assert v1.global_mass_lost == v2.global_mass_lost
 
 
 # -- write_trace -----------------------------------------------------------------
@@ -579,6 +510,18 @@ def _recorded_trace():
                              generator_params={"prefill_steps": "3"})
     session.decode([3, 1, 4], 20, recorder=recorder)
     return recorder
+
+
+def _swapped(events, i):
+    """Swap events i and i + 1: the new event i + 1 is out of order."""
+    events[i], events[i + 1] = events[i + 1], events[i]
+    return i + 1
+
+
+def _repeated(events, i):
+    """Insert a copy of event i after it: the copy is out of order."""
+    events.insert(i + 1, events[i])
+    return i + 1
 
 
 class TestWriteTrace:
@@ -652,6 +595,37 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match="^event 5: v values must be finite"):
             write_trace(tmp_path / "t.ndjson", header, events)
 
+    # case: (a change to the events that returns the index of the event it
+    # makes bad, the message after "event N: " and after read_trace's "line N: ")
+    LAYOUT = {
+        "kv_rows": (lambda ev, i: _corrupt(ev, i, v=np.zeros((3, 4), np.float32)) - 2,
+                    r"K/V shape \(3, 4\) does not match header \(2, 4\)"),
+        "one_d_k": (lambda ev, i: _corrupt(ev, i, k=ev[i].k.ravel()) - 2,
+                    "k must be a 2-D float32 array"),
+        "k_cols": (lambda ev, i: _corrupt(ev, i, k=np.zeros((2, 5), np.float32)) - 2,
+                   r"K/V shape \(2, 5\) does not match header \(2, 4\)"),
+        "one_d_attn": (lambda ev, i: _corrupt(ev, i, attn=ev[i].attn.ravel()) - 2,
+                       "attn must be a 2-D float32 array"),
+        "attn_rows": (lambda ev, i: _corrupt(ev, i, attn=np.vstack([ev[i].attn,
+                                                                   ev[i].attn[:1]])) - 2,
+                      "attn head count mismatch"),
+        "swapped": (_swapped, r"events out of \(seq, step, layer\) order"),
+        "repeated": (_repeated, r"events out of \(seq, step, layer\) order"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT))
+    def test_layout_fault_is_refused_as_read_trace_refuses_it(self, tmp_path, case):
+        header, events = _long_trace()
+        change, message = self.LAYOUT[case]
+        index = change(events, READ_CHUNK - 1)
+        path = tmp_path / "t.ndjson"
+        with pytest.raises(TraceFormatError, match=f"^event {index}: {message}"):
+            write_trace(path, header, events)
+        assert not path.exists()
+        write_v2_raw(path, header, events)
+        with pytest.raises(TraceFormatError, match=f"^line {index + 2}: {message}"):
+            read_trace(path)
+
     def test_recorder_save_refuses_a_non_finite_event(self, tmp_path):
         recorder = _recorded_trace()
         recorder.events[7].attn = _with_nan(recorder.events[7].attn, np.inf)
@@ -659,14 +633,3 @@ class TestWriteTrace:
             recorder.save(tmp_path / "t.ndjson")
         assert not (tmp_path / "t.ndjson").exists()
 
-
-def test_cli_replay_of_v1_file_matches_its_v2_rewrite(tmp_path):
-    header, events = synthesize("depth_concentrated", 4, 2, 8, 40, seed=7)
-    write_v1(tmp_path / "v1.ndjson", header, events)
-    write_trace(tmp_path / "v2.ndjson", *read_trace(tmp_path / "v1.ndjson"))
-    for version in (1, 2):
-        assert main(["replay", "--trace", str(tmp_path / f"v{version}.ndjson"),
-                     "--out", str(tmp_path / f"v{version}.csv"),
-                     "--report", str(tmp_path / f"v{version}.reports")]) == 0
-    assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
-    assert (tmp_path / "v1.reports").read_bytes() == (tmp_path / "v2.reports").read_bytes()
