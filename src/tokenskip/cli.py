@@ -176,6 +176,8 @@ def cmd_sweep(args) -> int:
         result = run_replay(header, events, prune)
         rows.append(list(combo) + reporting.csv_cells(result.summary[-1],
                                                       SWEEP_METRICS.values()))
+    if not rows:
+        raise ConfigError(f"grid has no valid cell: all {n_cells} were skipped")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(keys + list(SWEEP_METRICS))

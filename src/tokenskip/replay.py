@@ -58,8 +58,8 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     session under the same policy reproduces the live skip sequence bit for
     bit. Skipped events attribute their recorded attention mass to the loss
     proxy; a trace without full-cache rows (none, or compacted ones) has no
-    mass metrics, and global_mass_lost is None. Prompt positions named by the header replay in shadow, exactly as
-    the live engine treats them.
+    mass metrics, and global_mass_lost is None. Prompt positions named by the
+    header replay in shadow, exactly as the live engine treats them.
     """
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
     flops_model = FlopsModel.from_dims(header.n_heads, header.d_head)

@@ -27,8 +27,8 @@ line's structure as it reads it and each chunk's values in a few NumPy
 calls; the events it returns hold writable float32 views into per-chunk
 arrays. write_trace checks events as read_trace does before it opens the
 file, so a rejected write creates no file and leaves an existing one
-untouched, then writes each event line as a string laid out as json.dumps
-lays it out.
+untouched, then writes each chunk's event lines, each one string laid out
+as json.dumps lays it out, in one write.
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ def _decode_f32(obj, name, lineno) -> tuple[int, int, bytes]:
     return rows, cols, data
 
 
-def _f32_json(arr) -> str:
-    """One array as the text json.dumps writes for {"shape": [...], "f32": "..."}."""
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    data = binascii.b2a_base64(a, newline=False).decode("ascii")
-    return f'{{"shape": {list(a.shape)}, "f32": "{data}"}}'
-
-
 def _check_ids(key, limits, where: str, index: int) -> None:
     """Each of (seq, step, layer) must be an int inside [0, limit): a
     fraction, string or boolean is never truncated or coerced into an id."""
@@ -153,24 +146,27 @@ def _check_events(header: TraceHeader, events: list) -> None:
     event that read_trace would reject for its ids, order or shapes, or for a
     k, v or attn value that is not finite once cast to float32. Attention row
     sums go unchecked: that costs about three times the shape and order checks."""
-    limits = (header.n_seqs, header.n_steps, header.n_layers)
+    limits = n_seqs, n_steps, n_layers = (header.n_seqs, header.n_steps, header.n_layers)
     expected = (header.n_heads, header.d_head)
     last_key = None
     for start in range(0, len(events), READ_CHUNK):
         chunk = events[start:start + READ_CHUNK]
-        # One check over the whole chunk, cast as _f32_json casts.
+        # One check over the whole chunk, cast as write_trace casts.
         finite = np.isfinite(np.concatenate(
             [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))],
             axis=None, dtype="<f4", casting="unsafe")).all()
         for i, e in enumerate(chunk, start):
-            key = (e.seq, e.step, e.layer)
+            key = seq, step, layer = (e.seq, e.step, e.layer)
             if (e.k.shape != expected or e.v.shape != expected
                     or (e.attn is not None and (e.attn.ndim != 2
                                                 or e.attn.shape[0] != expected[0]))):
                 _check_layout(e, i, key, limits, expected)
             # write_trace's f-strings need the type check: they would print
-            # True for a bool and 0 for the string "0".
-            _check_ids(key, limits, "event", i)
+            # True for a bool and 0 for the string "0". _check_ids is called
+            # only for a bad key, to raise with its message.
+            if not (type(seq) is int and type(step) is int and type(layer) is int
+                    and 0 <= seq < n_seqs and 0 <= step < n_steps and 0 <= layer < n_layers):
+                _check_ids(key, limits, "event", i)
             if last_key is not None and key <= last_key:
                 raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
             last_key = key
@@ -186,10 +182,15 @@ def write_trace(path, header: TraceHeader, events) -> int:
 
     Every event is checked first (see _check_events): a bad one raises
     TraceFormatError naming its index, and then no file is created and an
-    existing one is left as it was. Event lines are built as strings in
-    json.dumps's layout, byte for byte, and written one at a time."""
+    existing one is left as it was. Each event line is one f-string in
+    json.dumps's layout, byte for byte, and each READ_CHUNK lines are
+    joined into one write."""
     events = list(events)
     _check_events(header, events)
+    b64 = binascii.b2a_base64
+    # _check_events has proven every k and v of shape (n_heads, d_head); int()
+    # because a header built in code may hold 2.0 where an array's shape holds 2.
+    kv_prefix = f'{{"shape": [{int(header.n_heads)}, {int(header.d_head)}], "f32": "'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "type": "header",
@@ -202,11 +203,21 @@ def write_trace(path, header: TraceHeader, events) -> int:
             "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
         }))
         fh.write("\n")
-        for e in events:
-            attn = "null" if e.attn is None else _f32_json(e.attn)
-            fh.write(f'{{"type": "event", "seq": {e.seq}, "step": {e.step}, '
-                     f'"layer": {e.layer}, "k": {_f32_json(e.k)}, "v": {_f32_json(e.v)}, '
-                     f'"attn": {attn}}}\n')
+        for start in range(0, len(events), READ_CHUNK):
+            lines = []
+            for e in events[start:start + READ_CHUNK]:
+                k = b64(np.ascontiguousarray(e.k, dtype="<f4"), newline=False).decode("ascii")
+                v = b64(np.ascontiguousarray(e.v, dtype="<f4"), newline=False).decode("ascii")
+                if e.attn is None:
+                    attn = "null"
+                else:
+                    a = np.ascontiguousarray(e.attn, dtype="<f4")
+                    attn = (f'{{"shape": [{a.shape[0]}, {a.shape[1]}], "f32": '
+                            f'"{b64(a, newline=False).decode("ascii")}"}}')
+                lines.append(f'{{"type": "event", "seq": {e.seq}, "step": {e.step}, '
+                             f'"layer": {e.layer}, "k": {kv_prefix}{k}"}}, '
+                             f'"v": {kv_prefix}{v}"}}, "attn": {attn}}}\n')
+            fh.write("".join(lines))
     return len(events)
 
 
@@ -239,6 +250,15 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
         raise TraceFormatError(f"line {lineno}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"line {lineno}: malformed header ({exc!r})") from exc
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """A line read with surrogateescape holds a lone surrogate for each byte
+    that is not UTF-8; such a line cannot be encoded back."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise TraceFormatError(f"line {lineno}: not UTF-8 text") from None
 
 
 def _record(line: str, lineno: int) -> dict:
@@ -349,17 +369,23 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
     READ_CHUNK events at a time, and the events' k, v and attn are writable
     float32 views into per-chunk arrays. An error names the first bad line
     of the file: before a line's own error is raised, the chunk read so far
-    is checked, so an earlier line's bad value is named first."""
+    is checked, so an earlier line's bad value is named first. A line that
+    is not UTF-8 text is malformed like one that is not JSON."""
     header = None
     events: list[TraceEvent] = []
     pending: list[tuple] = []
     last_key = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps universal newlines and turns each byte that is
+    # not UTF-8 into a lone surrogate in its own line; isascii() (O(1) on
+    # ASCII text) spares every all-ASCII line the encode check.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line, lineno)
                 obj = _record(line, lineno)
                 if header is None:
                     if obj.get("type") != "header":

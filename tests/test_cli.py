@@ -360,6 +360,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.count("skipping") == 2 and "gamma" in err
 
+    def test_a_grid_with_no_valid_cell_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        trace = self._trace(tmp_path)
+        out = tmp_path / "sweep.csv"
+        rc = run_cli("sweep", "--trace", str(trace), "--out", str(out),
+                     "--grid", "p_global=2,3")
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("skipping") == 2 and "no valid cell" in err
+
     def test_cell_cap_enforced(self, tmp_path):
         trace = self._trace(tmp_path)
         rc = run_cli("sweep", "--trace", str(trace), "--out", str(tmp_path / "s.csv"),

@@ -398,6 +398,54 @@ class TestChunkEdges:
                 assert_same_events([a], [b])
 
 
+class TestLineText:
+    """Bytes that are not UTF-8, line endings and non-ASCII text."""
+
+    @staticmethod
+    def _raw_lines(path):
+        header, events = _long_trace()
+        write_v2_raw(path, header, events)
+        return events, path.read_bytes().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("lineno", [1, READ_CHUNK + 2])
+    def test_a_bad_byte_names_its_line(self, tmp_path, lineno):
+        path = tmp_path / "t.ndjson"
+        _, lines = self._raw_lines(path)
+        lines[lineno - 1] = lines[lineno - 1].replace(b'"type"', b'"ty\xffpe"', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TraceFormatError, match=f"^line {lineno}: not UTF-8 text$"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_a_value_fault_beats_a_later_bad_byte_in_its_chunk(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        events, lines = self._raw_lines(path)
+        lines[11] = (_record_of(events[10], k=_with_nan(events[10].k)) + "\n").encode()
+        lines[21] = lines[21].replace(b'"type"', b'"\xc3("', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TraceFormatError, match="^line 12: K/V values must be finite"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_lone_cr_line_endings_read(self, tmp_path, newline):
+        path = tmp_path / "t.ndjson"
+        events, lines = self._raw_lines(path)
+        path.write_bytes(b"".join(line.rstrip(b"\n") + newline for line in lines))
+        assert_same_events(read_trace(path)[1], events)
+
+    def test_raw_utf8_text_in_generator_params_reads(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        events, lines = self._raw_lines(path)
+        head = json.loads(lines[0])
+        head["generator_params"]["note"] = "caf\u00e9"
+        lines[0] = (json.dumps(head, ensure_ascii=False) + "\n").encode("utf-8")
+        assert "é".encode("utf-8") in lines[0]
+        path.write_bytes(b"".join(lines))
+        header, got = read_trace(path)
+        assert header.generator_params["note"] == "café"
+        assert_same_events(got, events)
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 6), heads=st.integers(1, 4), cols=st.integers(1, 300),
        lead=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
@@ -552,6 +600,46 @@ class TestWriteTrace:
         assert recorder.save(tmp_path / "t.ndjson") == len(recorder.events)
         write_v2_raw(tmp_path / "t.raw", recorder.header(), recorder.events)
         assert (tmp_path / "t.ndjson").read_bytes() == (tmp_path / "t.raw").read_bytes()
+
+    # Array inputs the traces() strategy never draws, each holding the same
+    # float32 values as the array it was made from.
+    LAYOUTS = {
+        "float64": lambda a: a.astype(np.float64),
+        "fortran": np.asfortranarray,
+        "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        "big_endian": lambda a: a.astype(">f4"),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bytes_equal_json_dumps_on_other_array_layouts(self, tmp_path, layout):
+        header, events = synthesize("repetitive", 2, 2, 4, 6, seed=37)
+        change = self.LAYOUTS[layout]
+        events = [dataclasses.replace(e, k=change(e.k), v=change(e.v), attn=change(e.attn))
+                  for e in events]
+        k = events[-1].k
+        assert k.dtype != np.float32 or not k.flags.c_contiguous
+        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
+
+    def test_bytes_equal_json_dumps_across_chunk_edges_with_and_without_attn(self, tmp_path):
+        """200 events, odd steps with an attention row of varying width and
+        even steps without, so events READ_CHUNK - 1 | READ_CHUNK and
+        2 * READ_CHUNK - 1 | 2 * READ_CHUNK differ in attn across each edge."""
+        rng = np.random.default_rng(43)
+        events = []
+        for step in range(200):
+            attn = None
+            if step % 2:
+                w = rng.random((2, 1 + step % 7)) + 1e-3
+                attn = (w / w.sum(axis=1, keepdims=True)).astype(np.float32)
+            events.append(TraceEvent(seq=0, step=step, layer=0,
+                                     k=rng.standard_normal((2, 4)).astype(np.float32),
+                                     v=rng.standard_normal((2, 4)).astype(np.float32),
+                                     attn=attn))
+        header = TraceHeader(n_layers=1, n_heads=2, d_head=4, n_steps=200, source="external",
+                             generator_params={})
+        for edge in (READ_CHUNK, 2 * READ_CHUNK):
+            assert (events[edge - 1].attn is None) != (events[edge].attn is None)
+        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
 
     # case: (field, the bad value given the event, the error message after "event N: ")
     BAD = {
