@@ -6,7 +6,7 @@ numerics   cosines, softmax, layer norm, mean/variance, seeded RNG streams
 policy     layer selection, per-layer targets, proportional threshold feedback
 filtering  anchors, head-wise similarity, variance-aware fusion, skip decisions
 model      toy multi-head decoder with KV cache hosting the filter
-trace      NDJSON KV traces: record, read, synthesize
+trace      KV traces: record, read, synthesize
 replay     offline policy evaluation over traces
 metrics    FLOPs accounting, the attention-mass-lost proxy
 cli        command-line front end (generate / synth / replay / sweep / report)

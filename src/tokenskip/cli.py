@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prompt-bytes", default="once upon a time", help="prompt text; bytes are tokens")
     g.add_argument("--steps", type=int, default=32, help="decode steps to generate")
     g.add_argument("--mode", choices=("dense", "filtered"), default="filtered")
-    g.add_argument("--record", metavar="PATH", help="write an NDJSON trace with exact attention")
+    g.add_argument("--record", metavar="PATH", help="write a trace with exact attention")
     g.add_argument("--report", metavar="PATH", help="write decision reports as NDJSON")
     g.add_argument("--summary", metavar="PATH",
                    help="write the per-layer summary CSV (replay's schema)")

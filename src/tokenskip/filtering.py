@@ -137,6 +137,10 @@ def _add_reduce(values: list) -> float:
     return 0.0 + total
 
 
+# Degenerate heads are an expected, flagged input here: no warnings. The
+# decorator enters a fresh errstate on each call, which NumPy requires, at
+# less cost than a with block built per call.
+@np.errstate(all="ignore")
 def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
     """The evidence of one (2, n_heads, d_head) float64 row against its
     anchor, keys over values, in the form decide takes: ([s_k, s_v],
@@ -150,11 +154,9 @@ def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
     small-array calls. finite says whether current is all finite.
     """
     rows, cols = anchor[..., None, :], current[..., :, None]
-    # Degenerate heads are an expected, flagged input here: no warnings.
-    with np.errstate(all="ignore"):
-        dots = np.matmul(rows, cols).ravel().tolist()
-        norms_a = np.matmul(rows, anchor[..., :, None]).ravel().tolist()
-        norms_b = np.matmul(current[..., None, :], cols).ravel().tolist()
+    dots = np.matmul(rows, cols).ravel().tolist()
+    norms_a = np.matmul(rows, anchor[..., :, None]).ravel().tolist()
+    norms_b = np.matmul(current[..., None, :], cols).ravel().tolist()
     n = anchor.shape[-2]
     means, variances, degenerate = [], [], []
     for start in (0, n):

@@ -1,41 +1,57 @@
 """KV trace files: recording, reading, and synthetic generation.
 
-NDJSON, one object per line, header first. Traces decouple policy evaluation
-from the toy model: each event carries the per-head key/value a token produced
-at one layer, plus (optionally) the exact attention row its query produced
-over the cache, as ground truth for loss proxies.
+Traces decouple policy evaluation from the toy model: each event carries the
+per-head key/value a token produced at one layer, plus (optionally) the exact
+attention row its query produced over the cache, as ground truth for loss
+proxies.
 
-Format, version 2 (the only version read or written):
-  header: {"type": "header", "format_version": 2, "n_layers": int,
-           "n_heads": int, "d_head": int, "n_steps": int,
+Format, version 3 (written and read): a JSON header line, then a binary body.
+  line 1: {"type": "header", "format_version": 3, "n_layers": int,
+           "n_heads": int, "d_head": int, "n_steps": int, "n_events": int,
            "source": "toy_model" | "synthetic" | "external",
            "generator_params": {str: str}}
-  event:  {"type": "event", "seq": int, "step": int, "layer": int,
-           "k": array of shape [n_heads, d_head], "v": like k,
-           "attn": array of shape [n_heads, cache_len] or null}
-  array:  {"shape": [rows, cols], "f32": str}, where f32 is the base64 of
-          the rows * cols little-endian float32 values in row-major order.
+  body:   from the byte after line 1's "\\n" to the end of the file, three
+          little-endian arrays back to back:
+    ids   (n_events, 4) int64, one row per event: seq, step, layer, and the
+          column count of its attention row, -1 for an event without one;
+    kv    (n_events, 2, n_heads, d_head) float32, each event's key over its
+          value;
+    attn  each event's (n_heads, cols) float32 attention row over the cache,
+          in event order.
+  The header and the id table fix the body's length: a shorter or longer
+  body is malformed.
 
-Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
-0 <= step < n_steps and 0 <= layer < n_layers; every value is finite.
-generator_params is a free-form string map; recognized keys include
+Format, version 2 (read only): NDJSON, one object per line. The first
+non-blank line is the same header without n_events; each event is a line
+  {"type": "event", "seq": int, "step": int, "layer": int,
+   "k": array of shape [n_heads, d_head], "v": like k,
+   "attn": array of shape [n_heads, cache_len] or null}
+where an array is {"shape": [rows, cols], "f32": str}, f32 being the base64
+of the rows * cols little-endian float32 values in row-major order.
+write_trace(new, *read_trace(old)) rewrites a version 2 file as version 3.
+
+In both versions events are ordered by (seq, step, layer), with
+0 <= seq < n_seqs, 0 <= step < n_steps and 0 <= layer < n_layers; every value
+is finite, and every attention row is non-negative and sums to 1 within
+1e-5. generator_params is a free-form string map; recognized keys include
 "n_seqs" (default 1), "prefill_steps" (positions that replay must treat as
 prompt) and the synthesis parameters.
 
-Both directions work READ_CHUNK events at a time. read_trace checks each
-line's structure as it reads it and each chunk's values in a few NumPy
-calls; the events it returns hold writable float32 views into per-chunk
-arrays. write_trace checks events as read_trace does before it opens the
-file, so a rejected write creates no file and leaves an existing one
-untouched, then writes each chunk's event lines, each one string laid out
-as json.dumps lays it out, in one write.
+Both directions work READ_CHUNK events at a time. write_trace checks events
+before it opens the file, so a rejected write creates no file and leaves an
+existing one untouched, then writes the id table and each chunk's K/V and
+rows. read_trace reads a version 3 body with one readinto, checks the whole
+id table and the body's length, then each chunk's values in a few NumPy
+calls; it checks a version 2 file's lines as it reads them, and their values
+a chunk at a time. The events it returns hold writable float32 views into
+the bytes read, and no two of their k, v and attn overlap.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
+import os
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -44,18 +60,20 @@ import numpy as np
 from .numerics import softmax, substream
 from .policy import ConfigError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 SOURCES = ("toy_model", "synthetic", "external")
 PATTERNS = ("repetitive", "random", "depth_concentrated")
 # Events per chunk: read_trace checks values and write_trace checks
-# finiteness this many events at a time.
+# finiteness and writes this many events at a time.
 READ_CHUNK = 64
 _IDS = ("seq", "step", "layer")
+_ID_ROW = 32   # bytes per row of the version 3 id table
 
 
 class TraceFormatError(ValueError):
-    """Malformed or inconsistent trace file; the message carries the line
-    number, or from write_trace the index of the event."""
+    """Malformed or inconsistent trace file. The message names the line of
+    the header or of a version 2 record, or the index of the event in a
+    version 3 body or in write_trace's input."""
 
 
 @dataclass(frozen=True)
@@ -75,11 +93,12 @@ class TraceHeader:
 
     @property
     def n_seqs(self) -> int:
-        return _whole(self.generator_params.get("n_seqs", "1"), "n_seqs")
+        return _whole(self.generator_params.get("n_seqs", "1"), "n_seqs", text=True)
 
     @property
     def prefill_steps(self) -> int:
-        return _whole(self.generator_params.get("prefill_steps", "0"), "prefill_steps")
+        return _whole(self.generator_params.get("prefill_steps", "0"), "prefill_steps",
+                      text=True)
 
 
 @dataclass
@@ -92,9 +111,15 @@ class TraceEvent:
     attn: np.ndarray | None = None
 
 
+def _f32(arrays) -> np.ndarray:
+    """The arrays' values, each in row-major order, back to back in one
+    little-endian float32 array, cast as np.asarray(a, "<f4") casts."""
+    return np.concatenate(arrays, axis=None, dtype="<f4", casting="unsafe")
+
+
 def _decode_f32(obj, name, lineno) -> tuple[int, int, bytes]:
-    """Decode one array, a shape and base64 float32 bytes, to (rows, cols,
-    little-endian float32 bytes)."""
+    """Decode one version 2 array, a shape and base64 float32 bytes, to
+    (rows, cols, little-endian float32 bytes)."""
     try:
         rows, cols = obj["shape"]
         data = base64.b64decode(obj["f32"], validate=True)
@@ -152,18 +177,18 @@ def _check_events(header: TraceHeader, events: list) -> None:
     for start in range(0, len(events), READ_CHUNK):
         chunk = events[start:start + READ_CHUNK]
         # One check over the whole chunk, cast as write_trace casts.
-        finite = np.isfinite(np.concatenate(
-            [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))],
-            axis=None, dtype="<f4", casting="unsafe")).all()
+        finite = np.isfinite(_f32(
+            [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))]
+        )).all()
         for i, e in enumerate(chunk, start):
             key = seq, step, layer = (e.seq, e.step, e.layer)
             if (e.k.shape != expected or e.v.shape != expected
                     or (e.attn is not None and (e.attn.ndim != 2
                                                 or e.attn.shape[0] != expected[0]))):
                 _check_layout(e, i, key, limits, expected)
-            # write_trace's f-strings need the type check: they would print
-            # True for a bool and 0 for the string "0". _check_ids is called
-            # only for a bad key, to raise with its message.
+            # The id table needs the type check: it would store True as 1
+            # and the string "0" as 0. _check_ids is called only for a bad
+            # key, to raise with its message.
             if not (type(seq) is int and type(step) is int and type(layer) is int
                     and 0 <= seq < n_seqs and 0 <= step < n_steps and 0 <= layer < n_layers):
                 _check_ids(key, limits, "event", i)
@@ -177,21 +202,20 @@ def _check_events(header: TraceHeader, events: list) -> None:
 
 
 def write_trace(path, header: TraceHeader, events) -> int:
-    """Write header + events in format version 2; returns the number of
+    """Write header + events in format version 3; returns the number of
     events written.
 
     Every event is checked first (see _check_events): a bad one raises
     TraceFormatError naming its index, and then no file is created and an
-    existing one is left as it was. Each event line is one f-string in
-    json.dumps's layout, byte for byte, and each READ_CHUNK lines are
-    joined into one write."""
+    existing one is left as it was. After the header line and the id table,
+    the K/V block and then the rows are written READ_CHUNK events at a
+    time, one write per chunk."""
     events = list(events)
     _check_events(header, events)
-    b64 = binascii.b2a_base64
-    # _check_events has proven every k and v of shape (n_heads, d_head); int()
-    # because a header built in code may hold 2.0 where an array's shape holds 2.
-    kv_prefix = f'{{"shape": [{int(header.n_heads)}, {int(header.d_head)}], "f32": "'
-    with open(path, "w", encoding="utf-8") as fh:
+    ids = np.array([(e.seq, e.step, e.layer, -1 if e.attn is None else e.attn.shape[1])
+                    for e in events], dtype="<i8").reshape(len(events), 4)
+    chunks = [events[start:start + READ_CHUNK] for start in range(0, len(events), READ_CHUNK)]
+    with open(path, "wb") as fh:
         fh.write(json.dumps({
             "type": "header",
             "format_version": FORMAT_VERSION,
@@ -199,42 +223,39 @@ def write_trace(path, header: TraceHeader, events) -> int:
             "n_heads": header.n_heads,
             "d_head": header.d_head,
             "n_steps": header.n_steps,
+            "n_events": len(events),
             "source": header.source,
             "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
-        }))
-        fh.write("\n")
-        for start in range(0, len(events), READ_CHUNK):
-            lines = []
-            for e in events[start:start + READ_CHUNK]:
-                k = b64(np.ascontiguousarray(e.k, dtype="<f4"), newline=False).decode("ascii")
-                v = b64(np.ascontiguousarray(e.v, dtype="<f4"), newline=False).decode("ascii")
-                if e.attn is None:
-                    attn = "null"
-                else:
-                    a = np.ascontiguousarray(e.attn, dtype="<f4")
-                    attn = (f'{{"shape": [{a.shape[0]}, {a.shape[1]}], "f32": '
-                            f'"{b64(a, newline=False).decode("ascii")}"}}')
-                lines.append(f'{{"type": "event", "seq": {e.seq}, "step": {e.step}, '
-                             f'"layer": {e.layer}, "k": {kv_prefix}{k}"}}, '
-                             f'"v": {kv_prefix}{v}"}}, "attn": {attn}}}\n')
-            fh.write("".join(lines))
+        }).encode("ascii"))
+        fh.write(b"\n")
+        fh.write(ids)
+        for chunk in chunks:
+            fh.write(_f32([a for e in chunk for a in (e.k, e.v)]))
+        for chunk in chunks:
+            rows = [e.attn for e in chunk if e.attn is not None]
+            if rows:
+                fh.write(_f32(rows))
     return len(events)
 
 
-def _whole(value, name: str) -> int:
-    """A header count as an int: a fractional number is an error, never
-    truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise TraceFormatError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _whole(value, name: str, text: bool = False) -> int:
+    """A header count as an int: a JSON integer or integral number, or with
+    text a string of one. A fraction, a boolean or (without text) a string
+    is an error, never truncated or coerced."""
+    if text and isinstance(value, str):
+        return int(value)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise TraceFormatError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
-    """The header, and the exclusive upper bounds of (seq, step, layer)."""
-    version = obj.get("format_version")
-    # The JSON integer 2 only: == alone would take 2.0 for 2.
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise TraceFormatError(f"line {lineno}: unsupported format_version {version}")
+def _parse_header(obj, lineno, version) -> tuple[TraceHeader, tuple[int, int, int], int]:
+    """The header, the exclusive upper bounds of (seq, step, layer), and
+    the event count (version 3 only; 0 for version 2)."""
+    found = obj.get("format_version")
+    # The JSON integer only: == alone would take 2.0 for 2.
+    if type(found) is not int or found != version:
+        raise TraceFormatError(f"line {lineno}: unsupported format_version {found}")
     try:
         header = TraceHeader(
             n_layers=_whole(obj["n_layers"], "n_layers"),
@@ -245,7 +266,10 @@ def _parse_header(obj, lineno) -> tuple[TraceHeader, tuple[int, int, int]]:
         )
         if header.prefill_steps < 0:
             raise TraceFormatError("prefill_steps must be non-negative")
-        return header, (header.n_seqs, header.n_steps, header.n_layers)
+        n_events = _whole(obj["n_events"], "n_events") if version == FORMAT_VERSION else 0
+        if n_events < 0:
+            raise TraceFormatError("n_events must be non-negative")
+        return header, (header.n_seqs, header.n_steps, header.n_layers), n_events
     except TraceFormatError as exc:
         raise TraceFormatError(f"line {lineno}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -272,10 +296,10 @@ def _record(line: str, lineno: int) -> dict:
 
 
 def _parse_event(obj, lineno, header, limits, last_key) -> tuple:
-    """The per-line checks of one event record, in order: record type, ids,
-    K/V shape, attn head count and event order. Returns (lineno, key, k bytes,
-    v bytes, attn cols or None, attn bytes or None); _chunk_events checks the
-    values."""
+    """The per-line checks of one version 2 event record, in order: record
+    type, ids, K/V shape, attn head count and event order. Returns (lineno,
+    key, k bytes, v bytes, attn cols or None, attn bytes or None);
+    _chunk_events checks the values."""
     kind = obj.get("type")
     if kind != "event":
         raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
@@ -302,75 +326,76 @@ def _parse_event(obj, lineno, header, limits, last_key) -> tuple:
     return lineno, key, k, v, cols, data
 
 
-def _chunk_events(header: TraceHeader, pending: list) -> list[TraceEvent]:
-    """Check the values of a chunk of parsed event lines, then build their
-    events.
+def _checked_attn(kv, rows, widths: list, n_heads: int, where) -> list:
+    """Check the values of a chunk of events and return each event's
+    attention row, a view into rows, or None.
 
-    The chunk's K/V is one float32 array and its attention rows another,
-    each made from the lines' bytes in one join, writable and native-endian;
-    each event's k, v and attn are disjoint views into them. The values are
-    checked by one isfinite over the K/V, one isfinite and one >= 0 over the
-    rows, and one row sum per run of consecutive events with the same attn
-    shape. A row sum over an (m, H, L) block equals each event's own
-    attn.sum(axis=1) bit for bit; np.add.reduceat or a float64 sum would
-    group the additions differently and could flip a row near the 1e-5
-    tolerance. A chunk that fails is checked again event by event, so the
-    error names its first bad line."""
-    if not pending:
-        return []
-    n_heads = header.n_heads
-    kv = np.frombuffer(bytearray().join([b for p in pending for b in (p[2], p[3])]),
-                       dtype="<f4").reshape(len(pending), 2, n_heads, header.d_head)
-    rows = np.frombuffer(bytearray().join([p[5] for p in pending if p[4] is not None]),
-                         dtype="<f4")
-    attn = [None] * len(pending)
+    kv is the chunk's (m, 2, n_heads, d_head) K/V, rows its attention rows
+    back to back in one flat float32 array, and widths each event's column
+    count, None for an event without a row. The values are checked by one
+    isfinite over the K/V, one isfinite and one >= 0 over the rows, and one
+    row sum per run of consecutive events with the same width. A row sum
+    over an (m, H, L) block equals each event's own attn.sum(axis=1) bit for
+    bit; np.add.reduceat or a float64 sum would group the additions
+    differently and could flip a row near the 1e-5 tolerance. A chunk that
+    fails is checked again event by event, and the error names the first
+    bad one as where(j), j its index in the chunk."""
+    attn = [None] * len(widths)
     blocks = []
     offset = 0
-    with_attn = (i for i, p in enumerate(pending) if p[4] is not None)
-    for cols, run in groupby(with_attn, key=lambda i: pending[i][4]):
+    with_attn = (i for i, cols in enumerate(widths) if cols is not None)
+    for cols, run in groupby(with_attn, key=widths.__getitem__):
         members = list(run)
         size = len(members) * n_heads * cols
         block = rows[offset:offset + size].reshape(len(members), n_heads, cols)
         offset += size
         blocks.append(block)
-        for j, i in enumerate(members):
-            attn[i] = block[j]
+        for i, row in zip(members, block):
+            attn[i] = row
     ok = np.isfinite(kv).all() and np.isfinite(rows).all() and (rows >= 0).all()
     if ok and blocks:
         sums = np.concatenate([b.sum(axis=-1).ravel() for b in blocks])
         ok = not (np.abs(sums - 1.0) > 1e-5).any()
     if not ok:
-        _raise_first_fault(pending, kv, attn)
-    return [TraceEvent(seq=p[1][0], step=p[1][1], layer=p[1][2], k=pair[0], v=pair[1], attn=a)
-            for p, pair, a in zip(pending, kv, attn)]
+        _raise_first_fault(where, kv, attn)
+    return attn
 
 
-def _raise_first_fault(pending, kv, attn) -> None:
+def _raise_first_fault(where, kv, attn) -> None:
     """Check a chunk's values one event at a time and raise for the first
     bad one."""
-    for p, pair, a in zip(pending, kv, attn):
-        lineno = p[0]
+    for j, (pair, a) in enumerate(zip(kv, attn)):
         if not np.isfinite(pair).all():
-            raise TraceFormatError(f"line {lineno}: K/V values must be finite")
+            raise TraceFormatError(f"{where(j)}: K/V values must be finite")
         if a is not None:
             if not np.isfinite(a).all():
-                raise TraceFormatError(f"line {lineno}: attn values must be finite")
+                raise TraceFormatError(f"{where(j)}: attn values must be finite")
             if np.any(a < 0) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-5):
                 raise TraceFormatError(
-                    f"line {lineno}: attn rows must be non-negative and sum to 1")
+                    f"{where(j)}: attn rows must be non-negative and sum to 1")
 
 
-def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read and validate a trace file of format version 2: header first,
-    dimensions fixed, ids JSON integers inside the header's ranges, events
-    ordered by (seq, step, layer), values finite, attention rows normalized.
+def _chunk_events(header: TraceHeader, pending: list) -> list[TraceEvent]:
+    """Check the values of a chunk of parsed version 2 event lines, then
+    build their events. The chunk's K/V is one float32 array and its
+    attention rows another, each made from the lines' bytes in one join; a
+    failing chunk's error names its first bad line."""
+    if not pending:
+        return []
+    kv = np.frombuffer(bytearray().join([b for p in pending for b in (p[2], p[3])]),
+                       dtype="<f4").reshape(len(pending), 2, header.n_heads, header.d_head)
+    rows = np.frombuffer(bytearray().join([p[5] for p in pending if p[4] is not None]),
+                         dtype="<f4")
+    attn = _checked_attn(kv, rows, [p[4] for p in pending], header.n_heads,
+                         lambda j: f"line {pending[j][0]}")
+    return [TraceEvent(*p[1], k, v, a) for p, k, v, a in zip(pending, kv[:, 0], kv[:, 1], attn)]
 
-    Each line's structure is checked as it is read; values are checked
-    READ_CHUNK events at a time, and the events' k, v and attn are writable
-    float32 views into per-chunk arrays. An error names the first bad line
-    of the file: before a line's own error is raised, the chunk read so far
-    is checked, so an earlier line's bad value is named first. A line that
-    is not UTF-8 text is malformed like one that is not JSON."""
+
+def _read_lines(path) -> tuple[TraceHeader, list[TraceEvent]]:
+    """Read a version 2 file. An error names the first bad line: before a
+    line's own error is raised, the chunk read so far is checked, so an
+    earlier line's bad value is named first. A line that is not UTF-8 text
+    is malformed like one that is not JSON."""
     header = None
     events: list[TraceEvent] = []
     pending: list[tuple] = []
@@ -390,7 +415,7 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
                 if header is None:
                     if obj.get("type") != "header":
                         raise TraceFormatError(f"line {lineno}: first record must be the header")
-                    header, limits = _parse_header(obj, lineno)
+                    header, limits, _ = _parse_header(obj, lineno, 2)
                     continue
                 parsed = _parse_event(obj, lineno, header, limits, last_key)
             except TraceFormatError:
@@ -405,6 +430,114 @@ def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
         raise TraceFormatError("line 1: empty trace file")
     events += _chunk_events(header, pending)
     return header, events
+
+
+def _checked_ids(body, n: int, limits) -> np.ndarray:
+    """The (m, 4) id table at the start of body, m = n or the whole rows
+    body holds if fewer. Raise for the first row whose ids lie outside the
+    header's ranges or out of order, or whose column count is below -1."""
+    m = min(n, len(body) // _ID_ROW)
+    ids = np.frombuffer(body, dtype="<i8", count=4 * m).reshape(m, 4)
+    seq, step, layer, cols = ids.T
+    n_seqs, n_steps, n_layers = limits
+    ok = ((seq >= 0) & (seq < n_seqs) & (step >= 0) & (step < n_steps)
+          & (layer >= 0) & (layer < n_layers) & (cols >= -1))
+    ok[1:] &= ((seq[1:] > seq[:-1])
+               | (seq[1:] == seq[:-1]) & ((step[1:] > step[:-1])
+                                          | (step[1:] == step[:-1]) & (layer[1:] > layer[:-1])))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _check_ids(tuple(ids[i, :3].tolist()), limits, "event", i)
+        if ids[i, 3] < -1:
+            raise TraceFormatError(f"event {i}: attn column count {ids[i, 3]} is below -1")
+        raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
+    return ids
+
+
+def _row_columns(size: int, n: int, n_heads: int, d_head: int, cols) -> list[int]:
+    """Where each event's attention row starts among the rows, counted in
+    columns of n_heads values, then where the last one ends. Raise unless a
+    body of size bytes holds exactly the id table, the K/V block and the
+    rows of n events whose column counts are cols."""
+    table = _ID_ROW * n
+    rows_start = table + 8 * n_heads * d_head * n
+    if size < table:
+        raise TraceFormatError(f"event {size // _ID_ROW}: body truncated in its id row")
+    if size < rows_start:
+        raise TraceFormatError(
+            f"event {(size - table) // (8 * n_heads * d_head)}: body truncated in its K/V")
+    # Each count is capped just past the columns the body has room for, so
+    # the sums cannot wrap before they first pass that room.
+    room = (size - rows_start) // (4 * n_heads)
+    ends = np.cumsum(np.minimum(np.maximum(cols, 0), room + 1))
+    past = ends > room
+    if past.any():
+        raise TraceFormatError(f"event {int(np.argmax(past))}: body truncated in its attn row")
+    end = rows_start + 4 * n_heads * (int(ends[-1]) if n else 0)
+    if size > end:
+        raise TraceFormatError(
+            f"event {n}: body holds {size - end} bytes past the header's {n} events")
+    return [0] + ends.tolist()
+
+
+def _read_body(fh, obj) -> tuple[TraceHeader, list[TraceEvent]]:
+    """Read a version 3 body, fh just past its header line obj. The checks
+    run in this order, and the first to fail raises: the header (naming line
+    1), the id table (naming its first bad row), the body's length (naming
+    the event it ends in, or if longer the first event past n_events), then
+    the values, chunk by chunk (naming the first bad event)."""
+    header, limits, n = _parse_header(obj, 1, FORMAT_VERSION)
+    n_heads, d_head = header.n_heads, header.d_head
+    body = bytearray(max(0, os.fstat(fh.fileno()).st_size - fh.tell()))
+    del body[fh.readinto(body):]
+    ids = _checked_ids(body, n, limits)
+    columns = _row_columns(len(body), n, n_heads, d_head, ids[:, 3])
+    if not n:
+        return header, []
+    kv_start = _ID_ROW * n
+    kv = np.frombuffer(body, dtype="<f4", count=2 * n_heads * d_head * n,
+                       offset=kv_start).reshape(n, 2, n_heads, d_head)
+    rows = np.frombuffer(body, dtype="<f4", offset=kv_start + kv.nbytes)
+    keys = ids[:, :3].tolist()
+    widths = [None if c < 0 else c for c in ids[:, 3].tolist()]
+    events: list[TraceEvent] = []
+    for start in range(0, n, READ_CHUNK):
+        stop = min(start + READ_CHUNK, n)
+        chunk_kv = kv[start:stop]
+        attn = _checked_attn(chunk_kv, rows[n_heads * columns[start]:n_heads * columns[stop]],
+                             widths[start:stop], n_heads,
+                             lambda j, start=start: f"event {start + j}")
+        events += [TraceEvent(*key, k, v, a) for key, k, v, a
+                   in zip(keys[start:stop], chunk_kv[:, 0], chunk_kv[:, 1], attn)]
+    return header, events
+
+
+def _v3_header(line: bytes) -> dict | None:
+    """The header object of line if it is a version 3 header, else None."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(obj, dict) or obj.get("type") != "header":
+        return None
+    version = obj.get("format_version")
+    return obj if type(version) is int and version == FORMAT_VERSION else None
+
+
+def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
+    """Read and validate a trace file of format version 3 or 2: dimensions
+    fixed by the header, ids inside the header's ranges, events ordered by
+    (seq, step, layer), values finite, attention rows normalized.
+
+    A file whose first line is a version 3 header is read as version 3; any
+    other is read as version 2. The events' k, v and attn are writable
+    float32 views. An error names the first bad line of a version 2 file,
+    or the header's line or the first bad event of a version 3 file."""
+    with open(path, "rb") as fh:
+        obj = _v3_header(fh.readline())
+        if obj is not None:
+            return _read_body(fh, obj)
+    return _read_lines(path)
 
 
 class TraceRecorder:

@@ -8,6 +8,7 @@ import pytest
 from tokenskip.cli import _build_config, build_parser, main, parse_grid
 from tokenskip.model import ModelConfig
 from tokenskip.policy import ConfigError, PruneConfig
+from tokenskip.trace import read_trace
 
 
 def run_cli(*argv):
@@ -92,15 +93,14 @@ class TestSynthCommand:
         rc = run_cli("synth", "--pattern", "repetitive", "--layers", "2", "--heads", "2",
                      "--d-head", "8", "--steps", "6", "--seed", "4", "--out", str(out))
         assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + 2 * 6
-        assert json.loads(lines[0])["type"] == "header"
+        header, events = read_trace(out)
+        assert (header.n_layers, header.n_steps, len(events)) == (2, 6, 2 * 6)
 
     def test_zero_steps_header_only(self, tmp_path):
         out = tmp_path / "t.ndjson"
         assert run_cli("synth", "--pattern", "random", "--steps", "0",
                        "--out", str(out)) == 0
-        assert len(out.read_text().strip().splitlines()) == 1
+        assert read_trace(out)[1] == []
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"

@@ -12,6 +12,8 @@ from tokenskip.trace import (
     write_trace,
 )
 
+from test_trace_format import write_v2_raw
+
 
 def entropy(row):
     p = np.asarray(row, dtype=np.float64)
@@ -111,7 +113,7 @@ class TestTraceIO:
     def test_invalid_json_names_line(self, tmp_path):
         header, events = synthesize("random", 1, 1, 4, 2, seed=8)
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
+        write_v2_raw(path, header, events)
         with open(path, "a") as fh:
             fh.write("{broken\n")
         with pytest.raises(TraceFormatError, match="line 4"):

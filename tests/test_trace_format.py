@@ -1,5 +1,6 @@
-"""The trace file format: the version 2 layout, the checks read_trace
-applies, and the checks write_trace applies before it writes."""
+"""The trace file format: the version 3 layout write_trace writes, the
+version 2 layout read_trace still reads, the checks read_trace applies to
+each, and the checks write_trace applies before it writes."""
 
 import base64
 import dataclasses
@@ -44,8 +45,8 @@ def raw_event_record(e):
 
 def write_v2_raw(path, header, events):
     """Write a format version 2 trace with one json.dumps per record and no
-    checks on the events: the reference for write_trace's bytes, and the way
-    to build files that hold bad events, which write_trace refuses to write."""
+    checks on the events: the way to build version 2 files, and files that
+    hold bad events, which write_trace refuses to write."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
@@ -60,6 +61,50 @@ def write_v2_raw(path, header, events):
             fh.write("\n")
             n += 1
     return n
+
+
+def _v3_header(header, n_events):
+    return {
+        "type": "header", "format_version": 3, "n_layers": header.n_layers,
+        "n_heads": header.n_heads, "d_head": header.d_head, "n_steps": header.n_steps,
+        "n_events": n_events, "source": header.source,
+        "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
+    }
+
+
+def write_v3_sections(path, head, ids, kv, rows, tail=b""):
+    """A version 3 file from its header object and body arrays, unchecked."""
+    path.write_bytes(json.dumps(head).encode() + b"\n" + np.asarray(ids, "<i8").tobytes()
+                     + np.asarray(kv, "<f4").tobytes() + np.asarray(rows, "<f4").tobytes() + tail)
+
+
+def write_v3_raw(path, header, events):
+    """Write a format version 3 trace, as laid out in the trace module's
+    docstring, with plain NumPy and no checks: the reference for
+    write_trace's bytes."""
+    f32 = [np.ascontiguousarray(a, dtype="<f4") for e in events for a in (e.k, e.v)]
+    rows = [np.ascontiguousarray(e.attn, dtype="<f4") for e in events if e.attn is not None]
+    write_v3_sections(
+        path, _v3_header(header, len(events)),
+        [(e.seq, e.step, e.layer, -1 if e.attn is None else np.shape(e.attn)[1]) for e in events],
+        np.concatenate([a.ravel() for a in f32]) if f32 else [],
+        np.concatenate([a.ravel() for a in rows]) if rows else [])
+    return len(events)
+
+
+def v3_sections(path):
+    """A version 3 file's header object, and writable copies of its body's
+    id table, K/V block and rows, read by the documented layout."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    head = json.loads(head)
+    n, h, d = head["n_events"], head["n_heads"], head["d_head"]
+    ids = np.frombuffer(body, "<i8", count=4 * n).reshape(n, 4).copy()
+    kv = np.frombuffer(body, "<f4", count=2 * n * h * d, offset=32 * n).reshape(n, 2, h, d).copy()
+    rows = np.frombuffer(body, "<f4", offset=32 * n + 8 * n * h * d).copy()
+    return head, ids, kv, rows
+
+
+V2_DATA = Path(__file__).parent / "data" / "v2_repetitive.ndjson"
 
 
 def bits(arr):
@@ -77,28 +122,41 @@ def assert_same_events(a, b):
             np.testing.assert_array_equal(bits(x.attn), bits(y.attn))
 
 
-class TestVersion2Layout:
-    def test_arrays_are_base64_float32_with_shape(self, tmp_path):
+class TestVersion3Layout:
+    def test_body_is_the_id_table_then_kv_then_rows(self, tmp_path):
         header, events = synthesize("repetitive", 2, 3, 4, 3, seed=1)
-        path = tmp_path / "t.ndjson"
+        events[4] = dataclasses.replace(events[4], attn=None)
+        path = tmp_path / "t.trace"
         write_trace(path, header, events)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 + len(events)
-        assert json.loads(lines[0])["format_version"] == 2
-        obj = json.loads(lines[-1])
-        e = events[-1]
-        for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
-            assert obj[name]["shape"] == list(arr.shape)
-            raw = base64.b64decode(obj[name]["f32"])
-            np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f4").reshape(arr.shape),
-                                          arr)
+        head, ids, kv, rows = v3_sections(path)
+        assert (head["format_version"], head["n_events"]) == (3, len(events))
+        widths = [-1 if e.attn is None else e.attn.shape[1] for e in events]
+        np.testing.assert_array_equal(
+            ids, [(e.seq, e.step, e.layer, w) for e, w in zip(events, widths)])
+        np.testing.assert_array_equal(bits(kv), bits([(e.k, e.v) for e in events]))
+        np.testing.assert_array_equal(
+            bits(rows), bits(np.concatenate([e.attn.ravel() for e in events
+                                             if e.attn is not None])))
 
-    # Version 1 is no longer read; true and 2.0 are not the JSON integer 2.
-    @pytest.mark.parametrize("version", [1, True, 2.0])
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, *synthesize("random", 1, 1, 4, 1, seed=4))
+        head, ids, kv, rows = v3_sections(path)
+        head["format_version"] = 4
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match="^line 1: unsupported format_version 4$"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+
+class TestVersion2Layout:
+    # Version 1 is no longer read; true and 2.0 are not the JSON integer 2,
+    # and 3.0 is not the JSON integer 3.
+    @pytest.mark.parametrize("version", [1, True, 2.0, 3.0])
     def test_other_versions_fail_at_the_header(self, tmp_path, version):
         header, events = synthesize("random", 1, 1, 4, 2, seed=2)
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
+        write_v2_raw(path, header, events)
         lines = path.read_text().splitlines()
         head = json.loads(lines[0])
         head["format_version"] = version
@@ -110,12 +168,12 @@ class TestVersion2Layout:
     def test_unknown_version_rejected(self, tmp_path):
         header, events = synthesize("random", 1, 1, 4, 1, seed=4)
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
+        write_v2_raw(path, header, events)
         lines = path.read_text().splitlines()
         head = json.loads(lines[0])
-        head["format_version"] = 3
+        head["format_version"] = 4
         path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
-        with pytest.raises(TraceFormatError, match="line 1: unsupported format_version 3"):
+        with pytest.raises(TraceFormatError, match="line 1: unsupported format_version 4"):
             read_trace(path)
 
     @pytest.mark.parametrize("array", [
@@ -133,13 +191,21 @@ class TestVersion2Layout:
     def test_malformed_v2_array_names_line(self, tmp_path, array):
         header, events = synthesize("random", 1, 1, 4, 2, seed=5)
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
+        write_v2_raw(path, header, events)
         lines = path.read_text().splitlines()
         obj = json.loads(lines[2])
         obj["v"] = array
         path.write_text("\n".join(lines[:2] + [json.dumps(obj)]) + "\n")
         with pytest.raises(TraceFormatError, match="line 3: v "):
             read_trace(path)
+
+    def test_a_checked_in_v2_file_reads(self):
+        """tests/data/v2_repetitive.ndjson was written by write_v2_raw from
+        this synthesize call."""
+        header, events = synthesize("repetitive", 2, 2, 4, 6, seed=11, n_seqs=2)
+        got_header, got = read_trace(V2_DATA)
+        assert got_header == header
+        assert_same_events(got, events)
 
 
 def _corrupt(events, index, **changes):
@@ -219,37 +285,46 @@ class TestReadTraceRejects:
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def _edited_header(self, tmp_path, edit):
-        """A valid trace file whose header object edit() changed in place."""
+    def _edited_header(self, tmp_path, edit, writer):
+        """A valid trace file, written by writer, whose header object edit()
+        changed in place."""
         header, events = self._trace()
-        path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        obj = json.loads(lines[0])
+        path = tmp_path / "t.trace"
+        writer(path, header, events)
+        head, body = path.read_bytes().split(b"\n", 1)
+        obj = json.loads(head)
         edit(obj)
-        lines[0] = json.dumps(obj) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        path.write_bytes(json.dumps(obj).encode() + b"\n" + body)
         return header, path
 
+    # A fraction would truncate; true would read as 1 layer and "4" as
+    # d_head 4; strings stay valid inside generator_params only.
+    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
     @pytest.mark.parametrize("field, value", [
         ("n_layers", 2.9), ("n_heads", 1.5), ("d_head", 4.5), ("n_steps", 3.5),
         ("n_layers", float("nan")), ("n_steps", float("inf")),
-        ("prefill_steps", 2.7), ("n_seqs", 1.9)])
-    def test_fractional_header_counts_are_rejected_not_truncated(self, tmp_path, field, value):
+        ("prefill_steps", 2.7), ("n_seqs", 1.9),
+        ("n_layers", True), ("n_heads", True), ("d_head", True), ("n_steps", True),
+        ("n_layers", "2"), ("n_heads", "2"), ("d_head", "4"), ("n_steps", "3"),
+        ("n_seqs", True), ("prefill_steps", False)])
+    def test_non_integer_header_counts_are_rejected_not_coerced(self, tmp_path, field, value,
+                                                                writer):
         def edit(obj):
             (obj["generator_params"] if field in ("prefill_steps", "n_seqs") else obj)[field] = value
 
-        _, path = self._edited_header(tmp_path, edit)
-        with pytest.raises(TraceFormatError, match=f"line 1: {field} must be an integer"):
+        _, path = self._edited_header(tmp_path, edit, writer)
+        with pytest.raises(TraceFormatError,
+                           match=f"^line 1: {field} must be an integer, got {value!r}$"):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def test_integral_header_numbers_are_read(self, tmp_path):
+    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
+    def test_integral_header_numbers_are_read(self, tmp_path, writer):
         def edit(obj):
             obj["n_steps"] = float(obj["n_steps"])
             obj["generator_params"]["prefill_steps"] = 1
 
-        header, path = self._edited_header(tmp_path, edit)
+        header, path = self._edited_header(tmp_path, edit, writer)
         got, _ = read_trace(path)
         assert (got.n_steps, got.prefill_steps) == (header.n_steps, 1)
 
@@ -257,7 +332,7 @@ class TestReadTraceRejects:
     def test_malformed_record_names_line(self, tmp_path, record):
         header, events = self._trace()
         path = tmp_path / "t.ndjson"
-        write_trace(path, header, events[:1])
+        write_v2_raw(path, header, events[:1])
         with open(path, "a") as fh:
             fh.write(record + "\n")
         with pytest.raises(TraceFormatError, match="line 3"):
@@ -376,16 +451,20 @@ class TestChunkEdges:
                            match=f"^line {first + 2}: {EDGE_FAULTS[faults[first]][1]}"):
             read_trace(path)
 
-    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path):
+    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
+    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path, writer):
         header, events = _long_trace()
-        path = tmp_path / "t.ndjson"
-        write_trace(path, header, events)
+        path = tmp_path / "t.trace"
+        writer(path, header, events)
         _, got = read_trace(path)
         _, fresh = read_trace(path)
         assert_same_events(got, events)
-        for e in got:
-            for arr in (e.k, e.v, e.attn):
-                assert arr.dtype == np.float32 and arr.flags.writeable
+        arrays = [arr for e in got for arr in (e.k, e.v, e.attn)]
+        for arr in arrays:
+            assert arr.dtype == np.float32 and arr.flags.writeable
+        # Sorted by address, each array ends before the next one starts.
+        spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for a in arrays)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
         edited = (0, READ_CHUNK - 1, READ_CHUNK, len(got) - 1)
         for i in edited:
             got[i].k[...] = 7.0
@@ -469,11 +548,13 @@ near_tolerance = st.tuples(st.sampled_from([-1e-5, 1e-5]), st.floats(-4e-7, 4e-7
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 5), cols=st.integers(1, 200),
        drift=st.lists(near_tolerance, min_size=5, max_size=5),
-       seed=st.integers(0, 2**32 - 1))
-def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed):
+       seed=st.integers(0, 2**32 - 1), version=st.sampled_from([2, 3]))
+def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed,
+                                                                  version):
     """Rows whose sums sit within a few ulps of 1 +- 1e-5: read_trace rejects
     the trace exactly when one of its events fails the check on its own row
-    sums."""
+    sums. write_trace does not check row sums, so it writes version 3 files
+    that hold such rows."""
     rng = np.random.default_rng(seed)
     events = []
     for step in range(m):
@@ -486,10 +567,11 @@ def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift
     bad = [i for i, e in enumerate(events)
            if np.any(np.abs(e.attn.sum(axis=1) - 1.0) > 1e-5)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.ndjson"
-        write_v2_raw(path, header, events)
+        path = Path(tmp) / "t.trace"
+        (write_trace if version == 3 else write_v2_raw)(path, header, events)
         if bad:
-            with pytest.raises(TraceFormatError, match=f"^line {bad[0] + 2}: attn rows"):
+            where = f"event {bad[0]}" if version == 3 else f"line {bad[0] + 2}"
+            with pytest.raises(TraceFormatError, match=f"^{where}: attn rows"):
                 read_trace(path)
         else:
             assert_same_events(read_trace(path)[1], events)
@@ -540,7 +622,7 @@ class TestRoundTripProperties:
         header, events = trace
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.ndjson"
-            assert write_trace(path, header, events) == len(events)
+            write_v2_raw(path, header, events)
             header2, events2 = read_trace(path)
         assert header2 == header
         assert_same_events(events, events2)
@@ -574,32 +656,40 @@ def _repeated(events, i):
 
 class TestWriteTrace:
     @staticmethod
-    def _assert_raw_bytes(path, header, events):
-        """write_trace (given a one-pass iterator) writes what the raw
-        json.dumps writer writes, byte for byte."""
+    def _assert_round_trip(path, header, events):
+        """write_trace (given a one-pass iterator) writes the documented
+        layout's bytes, and read_trace gives back the header and the events'
+        float32 values bit for bit."""
         assert write_trace(path, header, iter(events)) == len(events)
         raw = path.with_suffix(".raw")
-        write_v2_raw(raw, header, events)
+        write_v3_raw(raw, header, events)
         assert path.read_bytes() == raw.read_bytes()
+        got_header, got = read_trace(path)
+        assert got_header == header
+        assert_same_events(got, events)
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
-    def test_bytes_equal_json_dumps_on_any_valid_trace(self, trace):
+    def test_round_trip_on_any_valid_trace(self, trace):
         with tempfile.TemporaryDirectory() as tmp:
-            self._assert_raw_bytes(Path(tmp) / "t.ndjson", *trace)
+            self._assert_round_trip(Path(tmp) / "t.trace", *trace)
 
     @pytest.mark.parametrize("with_attn", [True, False])
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_bytes_equal_json_dumps_on_synthesized_traces(self, tmp_path, pattern, with_attn):
+    def test_round_trip_on_synthesized_traces(self, tmp_path, pattern, with_attn):
         header, events = synthesize(pattern, 3, 2, 8, 50, seed=31, n_seqs=2,
                                     with_attn=with_attn)
-        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
+        self._assert_round_trip(tmp_path / "t.trace", header, events)
 
-    def test_bytes_equal_json_dumps_on_a_recorded_session(self, tmp_path):
+    def test_round_trip_on_a_recorded_session(self, tmp_path):
         recorder = _recorded_trace()
-        assert recorder.save(tmp_path / "t.ndjson") == len(recorder.events)
-        write_v2_raw(tmp_path / "t.raw", recorder.header(), recorder.events)
-        assert (tmp_path / "t.ndjson").read_bytes() == (tmp_path / "t.raw").read_bytes()
+        self._assert_round_trip(tmp_path / "t.trace", recorder.header(), recorder.events)
+
+    def test_round_trip_of_zero_events(self, tmp_path):
+        header, events = synthesize("random", 2, 2, 4, 0, seed=3)
+        assert events == []
+        self._assert_round_trip(tmp_path / "t.trace", header, events)
+        assert (tmp_path / "t.trace").read_bytes().endswith(b"}\n")
 
     # Array inputs the traces() strategy never draws, each holding the same
     # float32 values as the array it was made from.
@@ -611,16 +701,16 @@ class TestWriteTrace:
     }
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_bytes_equal_json_dumps_on_other_array_layouts(self, tmp_path, layout):
+    def test_round_trip_on_other_array_layouts(self, tmp_path, layout):
         header, events = synthesize("repetitive", 2, 2, 4, 6, seed=37)
         change = self.LAYOUTS[layout]
         events = [dataclasses.replace(e, k=change(e.k), v=change(e.v), attn=change(e.attn))
                   for e in events]
         k = events[-1].k
         assert k.dtype != np.float32 or not k.flags.c_contiguous
-        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
+        self._assert_round_trip(tmp_path / "t.trace", header, events)
 
-    def test_bytes_equal_json_dumps_across_chunk_edges_with_and_without_attn(self, tmp_path):
+    def test_round_trip_across_chunk_edges_with_and_without_attn(self, tmp_path):
         """200 events, odd steps with an attention row of varying width and
         even steps without, so events READ_CHUNK - 1 | READ_CHUNK and
         2 * READ_CHUNK - 1 | 2 * READ_CHUNK differ in attn across each edge."""
@@ -639,7 +729,7 @@ class TestWriteTrace:
                              generator_params={})
         for edge in (READ_CHUNK, 2 * READ_CHUNK):
             assert (events[edge - 1].attn is None) != (events[edge].attn is None)
-        self._assert_raw_bytes(tmp_path / "t.ndjson", header, events)
+        self._assert_round_trip(tmp_path / "t.trace", header, events)
 
     # case: (field, the bad value given the event, the error message after "event N: ")
     BAD = {
@@ -721,3 +811,209 @@ class TestWriteTrace:
             recorder.save(tmp_path / "t.ndjson")
         assert not (tmp_path / "t.ndjson").exists()
 
+
+# -- version 3 bodies ------------------------------------------------------------
+
+
+def _row_span(ids, i, n_heads):
+    """Where event i's attention row lies in the rows array, in float32 values."""
+    start = int(np.maximum(ids[:i, 3], 0).sum()) * n_heads
+    return start, start + int(ids[i, 3]) * n_heads
+
+
+def _edited_body(edit):
+    """A fault that edit(head, ids, kv, row, i) makes in the sections of the
+    long trace written by write_trace; row is a view of event i's attention
+    row in rows."""
+    def make(path, i):
+        write_trace(path, *_long_trace())
+        head, ids, kv, rows = v3_sections(path)
+        start, stop = _row_span(ids, i, head["n_heads"])
+        edit(head, ids, kv, rows[start:stop].reshape(head["n_heads"], -1), i)
+        write_v3_sections(path, head, ids, kv, rows)
+    return make
+
+
+def _truncated(path, i):
+    """The long trace cut in the middle of event i's attention row."""
+    write_trace(path, *_long_trace())
+    head, ids, _, rows = v3_sections(path)
+    start, stop = _row_span(ids, i, head["n_heads"])
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 4 * (rows.size - (start + stop) // 2)])
+
+
+def _trailing(path, i):
+    """The long trace's first i events, then 4 more bytes."""
+    header, events = _long_trace()
+    write_trace(path, header, events[:i])
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+
+
+def _n_events_is_i(head, ids, kv, row, i):
+    head["n_events"] = i
+
+
+def _layer_past_header(head, ids, kv, row, i):
+    ids[i, 2] = 2
+
+
+def _out_of_order(head, ids, kv, row, i):
+    ids[i, :3] = ids[i - 1, :3]
+
+
+def _cols_below_minus_one(head, ids, kv, row, i):
+    ids[i, 3] = -2
+
+
+def _inf_v(head, ids, kv, row, i):
+    kv[i, 1, -1, -1] = np.inf
+
+
+def _negative_row(head, ids, kv, row, i):
+    """A negative entry; where the row has a second column, that column
+    makes up for it, so the row still sums to 1."""
+    if row.shape[1] > 1:
+        row[-1, 1] += row[-1, 0] + np.float32(0.5)
+    row[-1, 0] = -0.5
+
+
+def _scaled_row(head, ids, kv, row, i):
+    row[0] *= np.float32(1.001)
+
+
+# kind: (writes the long trace with a fault at event i, the message after
+# "event i: ", formatted with i)
+V3_FAULTS = {
+    "truncated": (_truncated, "body truncated in its attn row"),
+    "trailing_bytes": (_trailing, "body holds 4 bytes past the header's {i} events"),
+    "wrong_n_events": (_edited_body(_n_events_is_i),
+                       r"body holds \d+ bytes past the header's {i} events"),
+    "id_out_of_range": (_edited_body(_layer_past_header),
+                        r"layer 2 outside the header's range \[0, 2\)"),
+    "out_of_order": (_edited_body(_out_of_order), r"events out of \(seq, step, layer\) order"),
+    "cols_below_minus_one": (_edited_body(_cols_below_minus_one),
+                             "attn column count -2 is below -1"),
+    "non_finite_kv": (_edited_body(_inf_v), "K/V values must be finite"),
+    "negative_row": (_edited_body(_negative_row), "attn rows must be non-negative and sum to 1"),
+    "unnormalized_row": (_edited_body(_scaled_row),
+                         "attn rows must be non-negative and sum to 1"),
+}
+V3_INDICES = (0, READ_CHUNK - 1, READ_CHUNK, 2 * READ_CHUNK + 1)
+
+
+class TestVersion3Body:
+    """Faults in a version 3 body: 130 events, the last one alone in the
+    third chunk."""
+
+    # The first event has no predecessor to be out of order with.
+    @pytest.mark.parametrize("kind, index", [
+        (kind, index) for kind in sorted(V3_FAULTS) for index in V3_INDICES
+        if (kind, index) != ("out_of_order", 0)])
+    def test_single_fault_names_its_event(self, tmp_path, kind, index):
+        make, message = V3_FAULTS[kind]
+        path = tmp_path / "t.trace"
+        make(path, index)
+        with pytest.raises(TraceFormatError,
+                           match=f"^event {index}: {message.format(i=index)}$"):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "n_events must be non-negative"),
+        (True, "n_events must be an integer, got True"),
+        ("130", "n_events must be an integer, got '130'"),
+        (129.5, "n_events must be an integer, got 129.5")])
+    def test_bad_n_events_fails_at_the_header(self, tmp_path, value, message):
+        path = tmp_path / "t.trace"
+        _edited_body(lambda head, ids, kv, row, i: head.update(n_events=value))(path, 0)
+        with pytest.raises(TraceFormatError, match=f"^line 1: {message}$"):
+            read_trace(path)
+
+    def test_missing_n_events_fails_at_the_header(self, tmp_path):
+        path = tmp_path / "t.trace"
+        _edited_body(lambda head, ids, kv, row, i: head.pop("n_events"))(path, 0)
+        with pytest.raises(TraceFormatError, match="^line 1: malformed header"):
+            read_trace(path)
+
+    # cut: (bytes of the body kept, the event and section named); the long
+    # trace's K/V block starts at byte 130 * 32 and holds 64 bytes per event.
+    @pytest.mark.parametrize("keep, named", [
+        (0, "event 0: body truncated in its id row"),
+        (5 * 32 + 3, "event 5: body truncated in its id row"),
+        (130 * 32, "event 0: body truncated in its K/V"),
+        (130 * 32 + 7 * 64 + 1, "event 7: body truncated in its K/V"),
+        (130 * 32 + 130 * 64, "event 0: body truncated in its attn row")])
+    def test_a_cut_names_the_event_and_section_it_falls_in(self, tmp_path, keep, named):
+        path = tmp_path / "t.trace"
+        write_trace(path, *_long_trace())
+        data = path.read_bytes()
+        path.write_bytes(data[:data.index(b"\n") + 1 + keep])
+        with pytest.raises(TraceFormatError, match=f"^{named}$"):
+            read_trace(path)
+
+    def test_counts_past_the_body_are_cut_short_not_allocated(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, *_long_trace())
+        head, ids, _, _ = v3_sections(path)
+        head["n_events"] = 10**15
+        write_v3_sections(path, head, ids[:5], [], [])
+        with pytest.raises(TraceFormatError, match="^event 5: body truncated in its id row$"):
+            read_trace(path)
+        write_trace(path, *_long_trace())
+        head, ids, kv, rows = v3_sections(path)
+        ids[3, 3] = 2**62
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match="^event 3: body truncated in its attn row$"):
+            read_trace(path)
+
+    def test_an_empty_body_reads_whatever_its_dims(self, tmp_path):
+        header = TraceHeader(n_layers=1, n_heads=2**62, d_head=4, n_steps=0, source="external",
+                             generator_params={})
+        path = tmp_path / "t.trace"
+        write_trace(path, header, [])
+        assert read_trace(path) == (header, [])
+
+    def test_of_two_value_faults_in_different_chunks_the_first_is_named(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, *_long_trace())
+        head, ids, kv, rows = v3_sections(path)
+        kv[READ_CHUNK + 3, 0, 0, 0] = np.nan
+        start, stop = _row_span(ids, 10, head["n_heads"])
+        rows[start] = -1.0
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError,
+                           match="^event 10: attn rows must be non-negative and sum to 1$"):
+            read_trace(path)
+
+    def test_ids_are_checked_before_values(self, tmp_path):
+        """As read_trace documents: the whole id table, then the body's
+        length, then the values, chunk by chunk."""
+        path = tmp_path / "t.trace"
+        write_trace(path, *_long_trace())
+        head, ids, kv, rows = v3_sections(path)
+        kv[3, 0, 0, 0] = np.nan
+        ids[100, 0] = 1
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match=r"^event 100: seq 1 outside"):
+            read_trace(path)
+
+
+@pytest.mark.parametrize("source", ["checked_in", "recorded"])
+def test_replay_of_a_v2_file_equals_replay_of_its_v3_rewrite(tmp_path, source):
+    v2 = V2_DATA
+    if source == "recorded":
+        v2 = tmp_path / "r.ndjson"
+        recorder = _recorded_trace()
+        write_v2_raw(v2, recorder.header(), recorder.events)
+    v3 = tmp_path / "t.trace"
+    write_trace(v3, *read_trace(v2))
+    outputs = []
+    for name, path in (("v2", v2), ("v3", v3)):
+        csv, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.ndjson"
+        assert main(["replay", "--trace", str(path), "--out", str(csv), "--report", str(report),
+                     "--tail-fraction", "1.0", "--warmup-steps", "2"]) == 0
+        outputs.append((csv.read_bytes(), report.read_bytes()))
+    assert outputs[0][1].count(b"\n") > 4
+    assert outputs[0] == outputs[1]
