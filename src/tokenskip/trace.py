@@ -5,7 +5,7 @@ per-head key/value a token produced at one layer, plus (optionally) the exact
 attention row its query produced over the cache, as ground truth for loss
 proxies.
 
-Format, version 3 (written and read): a JSON header line, then a binary body.
+Format, version 3: a JSON header line, then a binary body.
   line 1: {"type": "header", "format_version": 3, "n_layers": int,
            "n_heads": int, "d_head": int, "n_steps": int, "n_events": int,
            "source": "toy_model" | "synthetic" | "external",
@@ -21,35 +21,26 @@ Format, version 3 (written and read): a JSON header line, then a binary body.
   The header and the id table fix the body's length: a shorter or longer
   body is malformed.
 
-Format, version 2 (read only): NDJSON, one object per line. The first
-non-blank line is the same header without n_events; each event is a line
-  {"type": "event", "seq": int, "step": int, "layer": int,
-   "k": array of shape [n_heads, d_head], "v": like k,
-   "attn": array of shape [n_heads, cache_len] or null}
-where an array is {"shape": [rows, cols], "f32": str}, f32 being the base64
-of the rows * cols little-endian float32 values in row-major order.
-write_trace(new, *read_trace(old)) rewrites a version 2 file as version 3.
+Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
+0 <= step < n_steps and 0 <= layer < n_layers; every value is finite, and
+every attention row is non-negative and sums to 1 within 1e-5;
+n_layers * n_heads * d_head is at most MAX_ANCHOR_VALUES. generator_params is
+a free-form string map; recognized keys include "n_seqs" (default 1),
+"prefill_steps" (positions that replay must treat as prompt) and the
+synthesis parameters. Other format versions, the NDJSON version 2 among
+them, are refused at line 1.
 
-In both versions events are ordered by (seq, step, layer), with
-0 <= seq < n_seqs, 0 <= step < n_steps and 0 <= layer < n_layers; every value
-is finite, and every attention row is non-negative and sums to 1 within
-1e-5. generator_params is a free-form string map; recognized keys include
-"n_seqs" (default 1), "prefill_steps" (positions that replay must treat as
-prompt) and the synthesis parameters.
-
-Both directions work READ_CHUNK events at a time. write_trace checks events
-before it opens the file, so a rejected write creates no file and leaves an
-existing one untouched, then writes the id table and each chunk's K/V and
-rows. read_trace reads a version 3 body with one readinto, checks the whole
-id table and the body's length, then each chunk's values in a few NumPy
-calls; it checks a version 2 file's lines as it reads them, and their values
-a chunk at a time. The events it returns hold writable float32 views into
-the bytes read, and no two of their k, v and attn overlap.
+Both directions run the same header and id-table checks, READ_CHUNK events
+at a time. write_trace checks before it opens the file, so a rejected write
+creates no file and leaves an existing one untouched. read_trace reads the
+body with one readinto, checks the whole id table and the body's length,
+then each chunk's values in a few NumPy calls. The events it returns hold
+writable float32 views into the bytes read, and no two of their k, v and
+attn overlap.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 from dataclasses import dataclass
@@ -66,14 +57,18 @@ PATTERNS = ("repetitive", "random", "depth_concentrated")
 # Events per chunk: read_trace checks values and write_trace checks
 # finiteness and writes this many events at a time.
 READ_CHUNK = 64
+# The cap on n_layers * n_heads * d_head, one sequence's key anchors over all
+# layers (the bench's models hold 256). Replay sizes its tables from these, so
+# a header past the cap is malformed rather than a failed allocation.
+MAX_ANCHOR_VALUES = 2**22
 _IDS = ("seq", "step", "layer")
-_ID_ROW = 32   # bytes per row of the version 3 id table
+_ID_ROW = 32   # bytes per row of the id table
 
 
 class TraceFormatError(ValueError):
-    """Malformed or inconsistent trace file. The message names the line of
-    the header or of a version 2 record, or the index of the event in a
-    version 3 body or in write_trace's input."""
+    """Malformed or inconsistent trace file, or a header or events that
+    write_trace refuses. The message names line 1 for the header, or the
+    index of the event in the body or in write_trace's input."""
 
 
 @dataclass(frozen=True)
@@ -117,116 +112,126 @@ def _f32(arrays) -> np.ndarray:
     return np.concatenate(arrays, axis=None, dtype="<f4", casting="unsafe")
 
 
-def _decode_f32(obj, name, lineno) -> tuple[int, int, bytes]:
-    """Decode one version 2 array, a shape and base64 float32 bytes, to
-    (rows, cols, little-endian float32 bytes)."""
-    try:
-        rows, cols = obj["shape"]
-        data = base64.b64decode(obj["f32"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float32 array") from exc
-    # JSON integers only: a fraction, string or boolean is never coerced into a size.
-    if type(rows) is not int or type(cols) is not int:
-        raise TraceFormatError(f"line {lineno}: {name} must be a 2-D float32 array")
-    if min(rows, cols) < 0 or len(data) != 4 * rows * cols:
-        raise TraceFormatError(
-            f"line {lineno}: {name} holds {len(data)} bytes, not shape [{rows}, {cols}]")
-    return rows, cols, data
-
-
-def _check_ids(key, limits, where: str, index: int) -> None:
-    """Each of (seq, step, layer) must be an int inside [0, limit): a
-    fraction, string or boolean is never truncated or coerced into an id."""
-    seq, step, layer = key
-    n_seqs, n_steps, n_layers = limits
-    if (type(seq) is int and type(step) is int and type(layer) is int
-            and 0 <= seq < n_seqs and 0 <= step < n_steps and 0 <= layer < n_layers):
-        return
+def _check_ids(key, limits, i: int) -> None:
+    """Each of event i's (seq, step, layer) must be an int inside
+    [0, limit): a fraction, string or boolean is never truncated or coerced
+    into an id."""
     for name, value, limit in zip(_IDS, key, limits):
         if type(value) is not int:
-            raise TraceFormatError(
-                f"{where} {index}: {name} must be an integer, got {value!r}")
+            raise TraceFormatError(f"event {i}: {name} must be an integer, got {value!r}")
         if not 0 <= value < limit:
             raise TraceFormatError(
-                f"{where} {index}: {name} {value} outside the header's range [0, {limit})")
+                f"event {i}: {name} {value} outside the header's range [0, {limit})")
 
 
-def _check_layout(e, i: int, key, limits, expected: tuple) -> None:
-    """Raise for the first fault that _parse_event would report for event i,
-    one of whose arrays has the wrong shape, in _parse_event's order."""
-    for name, arr in (("k", e.k), ("v", e.v)):
-        if arr.ndim != 2:
-            raise TraceFormatError(f"event {i}: {name} must be a 2-D float32 array")
-    _check_ids(key, limits, "event", i)
-    if e.k.shape != expected or e.v.shape != expected:
-        shape = e.k.shape if e.k.shape != expected else e.v.shape
-        raise TraceFormatError(f"event {i}: K/V shape {shape} does not match header {expected}")
-    if e.attn.ndim != 2:
-        raise TraceFormatError(f"event {i}: attn must be a 2-D float32 array")
-    raise TraceFormatError(f"event {i}: attn head count mismatch")
+def _first_bad_id(ids, limits) -> int:
+    """The index of the first row of the (m, 4) id table whose ids lie
+    outside the header's ranges, or are not after the row before in
+    (seq, step, layer) order, or whose column count is below -1; m if none."""
+    seq, step, layer, cols = ids.T
+    n_seqs, n_steps, n_layers = limits
+    ok = ((seq >= 0) & (seq < n_seqs) & (step >= 0) & (step < n_steps)
+          & (layer >= 0) & (layer < n_layers) & (cols >= -1))
+    ok[1:] &= ((seq[1:] > seq[:-1])
+               | (seq[1:] == seq[:-1]) & ((step[1:] > step[:-1])
+                                          | (step[1:] == step[:-1]) & (layer[1:] > layer[:-1])))
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-def _check_events(header: TraceHeader, events: list) -> None:
-    """Raise TraceFormatError, with read_trace's message, naming the first
-    event that read_trace would reject for its ids, order or shapes, or for a
-    k, v or attn value that is not finite once cast to float32. Attention row
-    sums go unchecked: that costs about three times the shape and order checks."""
-    limits = n_seqs, n_steps, n_layers = (header.n_seqs, header.n_steps, header.n_layers)
-    expected = (header.n_heads, header.d_head)
-    last_key = None
-    for start in range(0, len(events), READ_CHUNK):
-        chunk = events[start:start + READ_CHUNK]
-        # One check over the whole chunk, cast as write_trace casts.
-        finite = np.isfinite(_f32(
-            [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))]
-        )).all()
-        for i, e in enumerate(chunk, start):
-            key = seq, step, layer = (e.seq, e.step, e.layer)
-            if (e.k.shape != expected or e.v.shape != expected
-                    or (e.attn is not None and (e.attn.ndim != 2
-                                                or e.attn.shape[0] != expected[0]))):
-                _check_layout(e, i, key, limits, expected)
-            # The id table needs the type check: it would store True as 1
-            # and the string "0" as 0. _check_ids is called only for a bad
-            # key, to raise with its message.
-            if not (type(seq) is int and type(step) is int and type(layer) is int
-                    and 0 <= seq < n_seqs and 0 <= step < n_steps and 0 <= layer < n_layers):
-                _check_ids(key, limits, "event", i)
-            if last_key is not None and key <= last_key:
-                raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
-            last_key = key
-            if not finite:
-                for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
-                    if arr is not None and not np.isfinite(np.asarray(arr, dtype="<f4")).all():
-                        raise TraceFormatError(f"event {i}: {name} values must be finite")
+def _check_events_from(events: list, start: int, limits, expected: tuple) -> None:
+    """Check events one at a time from index start on, and raise for the
+    first fault, checking each event in this order: k or v not 2-D, an id
+    (_check_ids), the K/V shape, attn not 2-D or not of n_heads rows, the
+    order after the event before, then a k, v or attn value that is not
+    finite once cast to float32."""
+    for i in range(start, len(events)):
+        e = events[i]
+        for name, arr in (("k", e.k), ("v", e.v)):
+            if arr.ndim != 2:
+                raise TraceFormatError(f"event {i}: {name} must be a 2-D float32 array")
+        key = (e.seq, e.step, e.layer)
+        _check_ids(key, limits, i)
+        if e.k.shape != expected or e.v.shape != expected:
+            shape = e.k.shape if e.k.shape != expected else e.v.shape
+            raise TraceFormatError(
+                f"event {i}: K/V shape {shape} does not match header {expected}")
+        if e.attn is not None:
+            if e.attn.ndim != 2:
+                raise TraceFormatError(f"event {i}: attn must be a 2-D float32 array")
+            if e.attn.shape[0] != expected[0]:
+                raise TraceFormatError(f"event {i}: attn head count mismatch")
+        if i and key <= (events[i - 1].seq, events[i - 1].step, events[i - 1].layer):
+            raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
+        for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
+            if arr is not None and not np.isfinite(np.asarray(arr, dtype="<f4")).all():
+                raise TraceFormatError(f"event {i}: {name} values must be finite")
+
+
+def _check_events(events: list, limits, expected: tuple) -> np.ndarray:
+    """The events' (n, 4) int64 id table, laid out as in the body. Raise
+    TraceFormatError, with read_trace's message, naming the first event that
+    read_trace would reject for its ids, order or shapes, or for a k, v or
+    attn value that is not finite once cast to float32.
+
+    One pass tests only the ids' types (the table would store True as 1) and
+    the shapes; _first_bad_id checks the table's ranges and order, as
+    read_trace does, and finiteness is checked once per chunk. Each check
+    stops at the first event it cannot clear, and _check_events_from names
+    the first bad event from the lowest of these on. Row sums go unchecked."""
+    n_heads = expected[0]
+    rows = []
+    for e in events:
+        seq, step, layer, attn = e.seq, e.step, e.layer, e.attn
+        if not (type(seq) is int and type(step) is int and type(layer) is int
+                and e.k.shape == expected and e.v.shape == expected
+                and (attn is None or (attn.ndim == 2 and attn.shape[0] == n_heads))):
+            break
+        rows.append((seq, step, layer, -1 if attn is None else attn.shape[1]))
+    try:
+        ids = np.array(rows, dtype="<i8").reshape(len(rows), 4)
+    except OverflowError:
+        # An id past int64 is named if it lies outside the header's range.
+        _check_events_from(events, 0, limits, expected)
+        raise
+    first = _first_bad_id(ids, limits)
+    for start in range(0, first, READ_CHUNK):
+        chunk = events[start:min(start + READ_CHUNK, first)]
+        if not np.isfinite(_f32(
+                [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))]
+        )).all():
+            first = start
+            break
+    _check_events_from(events, first, limits, expected)
+    return ids
 
 
 def write_trace(path, header: TraceHeader, events) -> int:
     """Write header + events in format version 3; returns the number of
     events written.
 
-    Every event is checked first (see _check_events): a bad one raises
-    TraceFormatError naming its index, and then no file is created and an
-    existing one is left as it was. After the header line and the id table,
-    the K/V block and then the rows are written READ_CHUNK events at a
-    time, one write per chunk."""
+    The header line is checked as read_trace checks it, then every event
+    (see _check_events): a fault raises TraceFormatError naming line 1 or
+    the event's index, and then no file is created and an existing one is
+    left as it was. After the header line and the id table, the K/V block
+    and then the rows are written READ_CHUNK events at a time, one write
+    per chunk."""
     events = list(events)
-    _check_events(header, events)
-    ids = np.array([(e.seq, e.step, e.layer, -1 if e.attn is None else e.attn.shape[1])
-                    for e in events], dtype="<i8").reshape(len(events), 4)
+    head = {
+        "type": "header",
+        "format_version": FORMAT_VERSION,
+        "n_layers": header.n_layers,
+        "n_heads": header.n_heads,
+        "d_head": header.d_head,
+        "n_steps": header.n_steps,
+        "n_events": len(events),
+        "source": header.source,
+        "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
+    }
+    checked, limits, _ = _parse_header(head)
+    ids = _check_events(events, limits, (checked.n_heads, checked.d_head))
     chunks = [events[start:start + READ_CHUNK] for start in range(0, len(events), READ_CHUNK)]
     with open(path, "wb") as fh:
-        fh.write(json.dumps({
-            "type": "header",
-            "format_version": FORMAT_VERSION,
-            "n_layers": header.n_layers,
-            "n_heads": header.n_heads,
-            "d_head": header.d_head,
-            "n_steps": header.n_steps,
-            "n_events": len(events),
-            "source": header.source,
-            "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
-        }).encode("ascii"))
+        fh.write(json.dumps(head).encode("ascii"))
         fh.write(b"\n")
         fh.write(ids)
         for chunk in chunks:
@@ -249,13 +254,30 @@ def _whole(value, name: str, text: bool = False) -> int:
     raise TraceFormatError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_header(obj, lineno, version) -> tuple[TraceHeader, tuple[int, int, int], int]:
-    """The header, the exclusive upper bounds of (seq, step, layer), and
-    the event count (version 3 only; 0 for version 2)."""
+def _header_object(line: bytes) -> dict:
+    """The header object of line, the file's first line as bytes."""
+    if not line:
+        raise TraceFormatError("line 1: empty trace file")
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise TraceFormatError("line 1: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line 1: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise TraceFormatError("line 1: record must be a JSON object")
+    if obj.get("type") != "header":
+        raise TraceFormatError("line 1: first record must be the header")
+    return obj
+
+
+def _parse_header(obj) -> tuple[TraceHeader, tuple[int, int, int], int]:
+    """The header of line 1's object, the exclusive upper bounds of
+    (seq, step, layer), and the event count."""
     found = obj.get("format_version")
-    # The JSON integer only: == alone would take 2.0 for 2.
-    if type(found) is not int or found != version:
-        raise TraceFormatError(f"line {lineno}: unsupported format_version {found}")
+    # The JSON integer only: == alone would take 3.0 for 3.
+    if type(found) is not int or found != FORMAT_VERSION:
+        raise TraceFormatError(f"line 1: unsupported format_version {found}")
     try:
         header = TraceHeader(
             n_layers=_whole(obj["n_layers"], "n_layers"),
@@ -266,67 +288,21 @@ def _parse_header(obj, lineno, version) -> tuple[TraceHeader, tuple[int, int, in
         )
         if header.prefill_steps < 0:
             raise TraceFormatError("prefill_steps must be non-negative")
-        n_events = _whole(obj["n_events"], "n_events") if version == FORMAT_VERSION else 0
+        size = header.n_layers * header.n_heads * header.d_head
+        if size > MAX_ANCHOR_VALUES:
+            raise TraceFormatError(
+                f"n_layers * n_heads * d_head is {size}, above the cap of {MAX_ANCHOR_VALUES}")
+        n_events = _whole(obj["n_events"], "n_events")
         if n_events < 0:
             raise TraceFormatError("n_events must be non-negative")
         return header, (header.n_seqs, header.n_steps, header.n_layers), n_events
     except TraceFormatError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        raise TraceFormatError(f"line 1: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"line {lineno}: malformed header ({exc!r})") from exc
+        raise TraceFormatError(f"line 1: malformed header ({exc!r})") from exc
 
 
-def _check_utf8(line: str, lineno: int) -> None:
-    """A line read with surrogateescape holds a lone surrogate for each byte
-    that is not UTF-8; such a line cannot be encoded back."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise TraceFormatError(f"line {lineno}: not UTF-8 text") from None
-
-
-def _record(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"line {lineno}: record must be a JSON object")
-    return obj
-
-
-def _parse_event(obj, lineno, header, limits, last_key) -> tuple:
-    """The per-line checks of one version 2 event record, in order: record
-    type, ids, K/V shape, attn head count and event order. Returns (lineno,
-    key, k bytes, v bytes, attn cols or None, attn bytes or None);
-    _chunk_events checks the values."""
-    kind = obj.get("type")
-    if kind != "event":
-        raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
-    try:
-        key = (obj["seq"], obj["step"], obj["layer"])
-        k_obj, v_obj = obj["k"], obj["v"]
-    except KeyError as exc:
-        raise TraceFormatError(f"line {lineno}: malformed event ({exc!r})") from exc
-    k_rows, k_cols, k = _decode_f32(k_obj, "k", lineno)
-    v_rows, v_cols, v = _decode_f32(v_obj, "v", lineno)
-    _check_ids(key, limits, "line", lineno)
-    expected = (header.n_heads, header.d_head)
-    if (k_rows, k_cols) != expected or (v_rows, v_cols) != expected:
-        shape = (k_rows, k_cols) if (k_rows, k_cols) != expected else (v_rows, v_cols)
-        raise TraceFormatError(
-            f"line {lineno}: K/V shape {shape} does not match header {expected}")
-    cols = data = None
-    if obj.get("attn") is not None:
-        rows, cols, data = _decode_f32(obj["attn"], "attn", lineno)
-        if rows != header.n_heads:
-            raise TraceFormatError(f"line {lineno}: attn head count mismatch")
-    if last_key is not None and key <= last_key:
-        raise TraceFormatError(f"line {lineno}: events out of (seq, step, layer) order")
-    return lineno, key, k, v, cols, data
-
-
-def _checked_attn(kv, rows, widths: list, n_heads: int, where) -> list:
+def _checked_attn(kv, rows, widths: list, n_heads: int, start: int) -> list:
     """Check the values of a chunk of events and return each event's
     attention row, a view into rows, or None.
 
@@ -339,7 +315,7 @@ def _checked_attn(kv, rows, widths: list, n_heads: int, where) -> list:
     bit; np.add.reduceat or a float64 sum would group the additions
     differently and could flip a row near the 1e-5 tolerance. A chunk that
     fails is checked again event by event, and the error names the first
-    bad one as where(j), j its index in the chunk."""
+    bad one, start being the index of the chunk's first event."""
     attn = [None] * len(widths)
     blocks = []
     offset = 0
@@ -357,79 +333,21 @@ def _checked_attn(kv, rows, widths: list, n_heads: int, where) -> list:
         sums = np.concatenate([b.sum(axis=-1).ravel() for b in blocks])
         ok = not (np.abs(sums - 1.0) > 1e-5).any()
     if not ok:
-        _raise_first_fault(where, kv, attn)
+        _raise_first_fault(start, kv, attn)
     return attn
 
 
-def _raise_first_fault(where, kv, attn) -> None:
+def _raise_first_fault(start: int, kv, attn) -> None:
     """Check a chunk's values one event at a time and raise for the first
     bad one."""
-    for j, (pair, a) in enumerate(zip(kv, attn)):
+    for i, (pair, a) in enumerate(zip(kv, attn), start):
         if not np.isfinite(pair).all():
-            raise TraceFormatError(f"{where(j)}: K/V values must be finite")
+            raise TraceFormatError(f"event {i}: K/V values must be finite")
         if a is not None:
             if not np.isfinite(a).all():
-                raise TraceFormatError(f"{where(j)}: attn values must be finite")
+                raise TraceFormatError(f"event {i}: attn values must be finite")
             if np.any(a < 0) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-5):
-                raise TraceFormatError(
-                    f"{where(j)}: attn rows must be non-negative and sum to 1")
-
-
-def _chunk_events(header: TraceHeader, pending: list) -> list[TraceEvent]:
-    """Check the values of a chunk of parsed version 2 event lines, then
-    build their events. The chunk's K/V is one float32 array and its
-    attention rows another, each made from the lines' bytes in one join; a
-    failing chunk's error names its first bad line."""
-    if not pending:
-        return []
-    kv = np.frombuffer(bytearray().join([b for p in pending for b in (p[2], p[3])]),
-                       dtype="<f4").reshape(len(pending), 2, header.n_heads, header.d_head)
-    rows = np.frombuffer(bytearray().join([p[5] for p in pending if p[4] is not None]),
-                         dtype="<f4")
-    attn = _checked_attn(kv, rows, [p[4] for p in pending], header.n_heads,
-                         lambda j: f"line {pending[j][0]}")
-    return [TraceEvent(*p[1], k, v, a) for p, k, v, a in zip(pending, kv[:, 0], kv[:, 1], attn)]
-
-
-def _read_lines(path) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read a version 2 file. An error names the first bad line: before a
-    line's own error is raised, the chunk read so far is checked, so an
-    earlier line's bad value is named first. A line that is not UTF-8 text
-    is malformed like one that is not JSON."""
-    header = None
-    events: list[TraceEvent] = []
-    pending: list[tuple] = []
-    last_key = None
-    # surrogateescape keeps universal newlines and turns each byte that is
-    # not UTF-8 into a lone surrogate in its own line; isascii() (O(1) on
-    # ASCII text) spares every all-ASCII line the encode check.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if not line.isascii():
-                    _check_utf8(line, lineno)
-                obj = _record(line, lineno)
-                if header is None:
-                    if obj.get("type") != "header":
-                        raise TraceFormatError(f"line {lineno}: first record must be the header")
-                    header, limits, _ = _parse_header(obj, lineno, 2)
-                    continue
-                parsed = _parse_event(obj, lineno, header, limits, last_key)
-            except TraceFormatError:
-                _chunk_events(header, pending)
-                raise
-            last_key = parsed[1]
-            pending.append(parsed)
-            if len(pending) == READ_CHUNK:
-                events += _chunk_events(header, pending)
-                pending = []
-    if header is None:
-        raise TraceFormatError("line 1: empty trace file")
-    events += _chunk_events(header, pending)
-    return header, events
+                raise TraceFormatError(f"event {i}: attn rows must be non-negative and sum to 1")
 
 
 def _checked_ids(body, n: int, limits) -> np.ndarray:
@@ -438,16 +356,9 @@ def _checked_ids(body, n: int, limits) -> np.ndarray:
     header's ranges or out of order, or whose column count is below -1."""
     m = min(n, len(body) // _ID_ROW)
     ids = np.frombuffer(body, dtype="<i8", count=4 * m).reshape(m, 4)
-    seq, step, layer, cols = ids.T
-    n_seqs, n_steps, n_layers = limits
-    ok = ((seq >= 0) & (seq < n_seqs) & (step >= 0) & (step < n_steps)
-          & (layer >= 0) & (layer < n_layers) & (cols >= -1))
-    ok[1:] &= ((seq[1:] > seq[:-1])
-               | (seq[1:] == seq[:-1]) & ((step[1:] > step[:-1])
-                                          | (step[1:] == step[:-1]) & (layer[1:] > layer[:-1])))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        _check_ids(tuple(ids[i, :3].tolist()), limits, "event", i)
+    i = _first_bad_id(ids, limits)
+    if i < m:
+        _check_ids(tuple(ids[i, :3].tolist()), limits, i)
         if ids[i, 3] < -1:
             raise TraceFormatError(f"event {i}: attn column count {ids[i, 3]} is below -1")
         raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
@@ -481,12 +392,12 @@ def _row_columns(size: int, n: int, n_heads: int, d_head: int, cols) -> list[int
 
 
 def _read_body(fh, obj) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read a version 3 body, fh just past its header line obj. The checks
+    """Read the body, fh just past its header line obj. The checks
     run in this order, and the first to fail raises: the header (naming line
     1), the id table (naming its first bad row), the body's length (naming
     the event it ends in, or if longer the first event past n_events), then
     the values, chunk by chunk (naming the first bad event)."""
-    header, limits, n = _parse_header(obj, 1, FORMAT_VERSION)
+    header, limits, n = _parse_header(obj)
     n_heads, d_head = header.n_heads, header.d_head
     body = bytearray(max(0, os.fstat(fh.fileno()).st_size - fh.tell()))
     del body[fh.readinto(body):]
@@ -505,39 +416,22 @@ def _read_body(fh, obj) -> tuple[TraceHeader, list[TraceEvent]]:
         stop = min(start + READ_CHUNK, n)
         chunk_kv = kv[start:stop]
         attn = _checked_attn(chunk_kv, rows[n_heads * columns[start]:n_heads * columns[stop]],
-                             widths[start:stop], n_heads,
-                             lambda j, start=start: f"event {start + j}")
+                             widths[start:stop], n_heads, start)
         events += [TraceEvent(*key, k, v, a) for key, k, v, a
                    in zip(keys[start:stop], chunk_kv[:, 0], chunk_kv[:, 1], attn)]
     return header, events
 
 
-def _v3_header(line: bytes) -> dict | None:
-    """The header object of line if it is a version 3 header, else None."""
-    try:
-        obj = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(obj, dict) or obj.get("type") != "header":
-        return None
-    version = obj.get("format_version")
-    return obj if type(version) is int and version == FORMAT_VERSION else None
-
-
 def read_trace(path) -> tuple[TraceHeader, list[TraceEvent]]:
-    """Read and validate a trace file of format version 3 or 2: dimensions
-    fixed by the header, ids inside the header's ranges, events ordered by
+    """Read and validate a trace file of format version 3: dimensions fixed
+    by the header, ids inside the header's ranges, events ordered by
     (seq, step, layer), values finite, attention rows normalized.
 
-    A file whose first line is a version 3 header is read as version 3; any
-    other is read as version 2. The events' k, v and attn are writable
-    float32 views. An error names the first bad line of a version 2 file,
-    or the header's line or the first bad event of a version 3 file."""
+    The events' k, v and attn are writable float32 views. An error names
+    line 1 for a fault in the header line, a file of another format version
+    among them, or else the first bad event of the body."""
     with open(path, "rb") as fh:
-        obj = _v3_header(fh.readline())
-        if obj is not None:
-            return _read_body(fh, obj)
-    return _read_lines(path)
+        return _read_body(fh, _header_object(fh.readline()))
 
 
 class TraceRecorder:

@@ -12,8 +12,6 @@ from tokenskip.trace import (
     write_trace,
 )
 
-from test_trace_format import write_v2_raw
-
 
 def entropy(row):
     p = np.asarray(row, dtype=np.float64)
@@ -108,15 +106,6 @@ class TestTraceIO:
         path = tmp_path / "bad.ndjson"
         path.write_text('{"type": "event", "seq": 0, "step": 0, "layer": 0}\n')
         with pytest.raises(TraceFormatError, match="line 1"):
-            read_trace(path)
-
-    def test_invalid_json_names_line(self, tmp_path):
-        header, events = synthesize("random", 1, 1, 4, 2, seed=8)
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        with open(path, "a") as fh:
-            fh.write("{broken\n")
-        with pytest.raises(TraceFormatError, match="line 4"):
             read_trace(path)
 
     # write_trace refuses what read_trace would; test_trace_format.py reads

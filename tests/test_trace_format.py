@@ -1,8 +1,7 @@
 """The trace file format: the version 3 layout write_trace writes, the
-version 2 layout read_trace still reads, the checks read_trace applies to
-each, and the checks write_trace applies before it writes."""
+checks read_trace applies to it, and the checks write_trace applies before
+it writes."""
 
-import base64
 import dataclasses
 import json
 import tempfile
@@ -16,6 +15,7 @@ from tokenskip.cli import main
 from tokenskip.model import DecodeSession, ModelConfig
 from tokenskip.policy import PruneConfig
 from tokenskip.trace import (
+    MAX_ANCHOR_VALUES,
     PATTERNS,
     READ_CHUNK,
     SOURCES,
@@ -27,40 +27,6 @@ from tokenskip.trace import (
     synthesize,
     write_trace,
 )
-
-
-def _raw_f32(arr):
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    return {"shape": list(a.shape), "f32": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def raw_event_record(e):
-    """One version 2 event line, by json.dumps, with no checks."""
-    return json.dumps({
-        "type": "event", "seq": e.seq, "step": e.step, "layer": e.layer,
-        "k": _raw_f32(e.k), "v": _raw_f32(e.v),
-        "attn": None if e.attn is None else _raw_f32(e.attn),
-    })
-
-
-def write_v2_raw(path, header, events):
-    """Write a format version 2 trace with one json.dumps per record and no
-    checks on the events: the way to build version 2 files, and files that
-    hold bad events, which write_trace refuses to write."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "type": "header", "format_version": 2, "n_layers": header.n_layers,
-            "n_heads": header.n_heads, "d_head": header.d_head, "n_steps": header.n_steps,
-            "source": header.source,
-            "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
-        }))
-        fh.write("\n")
-        for e in events:
-            fh.write(raw_event_record(e))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def _v3_header(header, n_events):
@@ -81,7 +47,8 @@ def write_v3_sections(path, head, ids, kv, rows, tail=b""):
 def write_v3_raw(path, header, events):
     """Write a format version 3 trace, as laid out in the trace module's
     docstring, with plain NumPy and no checks: the reference for
-    write_trace's bytes."""
+    write_trace's bytes, and the way to build files that hold bad events,
+    which write_trace refuses to write."""
     f32 = [np.ascontiguousarray(a, dtype="<f4") for e in events for a in (e.k, e.v)]
     rows = [np.ascontiguousarray(e.attn, dtype="<f4") for e in events if e.attn is not None]
     write_v3_sections(
@@ -104,7 +71,7 @@ def v3_sections(path):
     return head, ids, kv, rows
 
 
-V2_DATA = Path(__file__).parent / "data" / "v2_repetitive.ndjson"
+DATA = Path(__file__).parent / "data" / "repetitive.trace"
 
 
 def bits(arr):
@@ -148,62 +115,54 @@ class TestVersion3Layout:
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-
-class TestVersion2Layout:
-    # Version 1 is no longer read; true and 2.0 are not the JSON integer 2,
-    # and 3.0 is not the JSON integer 3.
-    @pytest.mark.parametrize("version", [1, True, 2.0, 3.0])
+    # Versions 1 and 2 are no longer read; true is not the JSON integer 1,
+    # and 3.0 and "3" are not the JSON integer 3.
+    @pytest.mark.parametrize("version", [1, True, 2.0, 3.0, "3"])
     def test_other_versions_fail_at_the_header(self, tmp_path, version):
-        header, events = synthesize("random", 1, 1, 4, 2, seed=2)
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
+        path = tmp_path / "t.trace"
+        write_trace(path, *synthesize("random", 1, 1, 4, 2, seed=2))
+        head, ids, kv, rows = v3_sections(path)
         head["format_version"] = version
-        path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+        write_v3_sections(path, head, ids, kv, rows)
         with pytest.raises(TraceFormatError, match="^line 1: unsupported format_version"):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def test_unknown_version_rejected(self, tmp_path):
-        header, events = synthesize("random", 1, 1, 4, 1, seed=4)
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        lines = path.read_text().splitlines()
-        head = json.loads(lines[0])
-        head["format_version"] = 4
-        path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
-        with pytest.raises(TraceFormatError, match="line 1: unsupported format_version 4"):
-            read_trace(path)
+    # line 1: (its bytes given a valid header line, the message after "line 1: ")
+    HEADER_LINES = {
+        "bad_byte": (lambda line: line.replace(b'"type"', b'"ty\xffpe"', 1), "not UTF-8 text"),
+        "invalid_json": (lambda line: b"{broken", r"invalid JSON \(Expecting property name"),
+        "array": (lambda line: b"[1, 2]", "record must be a JSON object"),
+    }
 
-    @pytest.mark.parametrize("array", [
-        {"shape": [1, 4], "f32": base64.b64encode(b"\0" * 12).decode()},   # short data
-        {"shape": [1, 4], "f32": "not base64!"},
-        {"shape": [4], "f32": base64.b64encode(b"\0" * 16).decode()},
-        [[0.1, 0.2, 0.3, 0.4]],                                            # a v1 array
-        # Shape entries that are not JSON integers are never coerced to (1, 4).
-        {"shape": [1.0, 4.0], "f32": base64.b64encode(b"\0" * 16).decode()},
-        {"shape": [1.7, 4], "f32": base64.b64encode(b"\0" * 16).decode()},
-        {"shape": ["1", "4"], "f32": base64.b64encode(b"\0" * 16).decode()},
-        {"shape": [True, 4], "f32": base64.b64encode(b"\0" * 16).decode()},
-        {"shape": "14", "f32": base64.b64encode(b"\0" * 16).decode()},
-    ])
-    def test_malformed_v2_array_names_line(self, tmp_path, array):
-        header, events = synthesize("random", 1, 1, 4, 2, seed=5)
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        lines = path.read_text().splitlines()
-        obj = json.loads(lines[2])
-        obj["v"] = array
-        path.write_text("\n".join(lines[:2] + [json.dumps(obj)]) + "\n")
-        with pytest.raises(TraceFormatError, match="line 3: v "):
+    @pytest.mark.parametrize("case", sorted(HEADER_LINES))
+    def test_a_bad_header_line_fails_at_line_1(self, tmp_path, case):
+        change, message = self.HEADER_LINES[case]
+        path = tmp_path / "t.trace"
+        write_trace(path, *synthesize("random", 1, 1, 4, 2, seed=2))
+        line, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(change(line) + b"\n" + body)
+        with pytest.raises(TraceFormatError, match=f"^line 1: {message}"):
             read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def test_a_checked_in_v2_file_reads(self):
-        """tests/data/v2_repetitive.ndjson was written by write_v2_raw from
-        this synthesize call."""
+    def test_raw_utf8_text_in_generator_params_reads(self, tmp_path):
+        header, events = synthesize("random", 1, 1, 4, 2, seed=2)
+        path = tmp_path / "t.trace"
+        write_trace(path, header, events)
+        head, ids, kv, rows = v3_sections(path)
+        head["generator_params"]["note"] = "café"
+        line = json.dumps(head, ensure_ascii=False).encode("utf-8")
+        assert "é".encode("utf-8") in line
+        path.write_bytes(line + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        got_header, got = read_trace(path)
+        assert got_header.generator_params["note"] == "café"
+        assert_same_events(got, events)
+
+    def test_a_checked_in_file_reads(self):
+        """tests/data/repetitive.trace holds this synthesize call's trace."""
         header, events = synthesize("repetitive", 2, 2, 4, 6, seed=11, n_seqs=2)
-        got_header, got = read_trace(V2_DATA)
+        got_header, got = read_trace(DATA)
         assert got_header == header
         assert_same_events(got, events)
 
@@ -211,7 +170,7 @@ class TestVersion2Layout:
 def _corrupt(events, index, **changes):
     e = events[index]
     events[index] = TraceEvent(**{**dataclasses.asdict(e), **changes})
-    return index + 2  # the header is line 1
+    return index
 
 
 def _with_nan(arr, value=np.nan):
@@ -221,7 +180,7 @@ def _with_nan(arr, value=np.nan):
 
 
 class TestReadTraceRejects:
-    """2 layers, 2 sequences, 3 steps: 12 events on lines 2 to 13."""
+    """2 layers, 2 sequences, 3 steps: 12 events."""
 
     def _trace(self):
         return synthesize("repetitive", 2, 2, 4, 3, seed=6, n_seqs=2)
@@ -239,58 +198,36 @@ class TestReadTraceRejects:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bad_event_names_line(self, tmp_path, case):
+    def test_bad_event_is_named(self, tmp_path, case):
         header, events = self._trace()
         index, change, message = self.CASES[case]
-        lineno = _corrupt(events, index, **change(events[index]))
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        with pytest.raises(TraceFormatError, match=f"line {lineno}: {message}"):
+        _corrupt(events, index, **change(events[index]))
+        path = tmp_path / "t.trace"
+        write_v3_raw(path, header, events)
+        with pytest.raises(TraceFormatError, match=f"^event {index}: {message}"):
             read_trace(path)
-
-    # Each bad id would truncate or coerce to the event's own id.
-    ID_CASES = {
-        "fractional_step": (4, "step", lambda e: e.step + 0.7),
-        "fractional_layer": (5, "layer", lambda e: e.layer + 0.9),
-        "integral_float_seq": (7, "seq", lambda e: float(e.seq)),
-        "string_step": (3, "step", lambda e: str(e.step)),
-        "true_layer": (1, "layer", lambda e: bool(e.layer)),
-        "false_seq": (0, "seq", lambda e: bool(e.seq)),
-    }
-
-    @pytest.mark.parametrize("case", sorted(ID_CASES))
-    def test_non_integer_event_id_names_line(self, tmp_path, case):
-        header, events = self._trace()
-        index, name, change = self.ID_CASES[case]
-        lineno = _corrupt(events, index, **{name: change(events[index])})
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
-        with pytest.raises(TraceFormatError, match=f"line {lineno}: {name} must be an integer"):
-            read_trace(path)
-        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
     def test_valid_trace_reads(self, tmp_path):
         header, events = self._trace()
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events)
+        path = tmp_path / "t.trace"
+        write_v3_raw(path, header, events)
         assert_same_events(read_trace(path)[1], events)
 
     @pytest.mark.parametrize("prefill_steps", ["abc", "-5", "1.5"])
     def test_bad_prefill_steps_rejected_at_the_header(self, tmp_path, prefill_steps):
         header, events = self._trace()
         params = {**header.generator_params, "prefill_steps": prefill_steps}
-        path = tmp_path / "t.ndjson"
-        write_trace(path, dataclasses.replace(header, generator_params=params), events)
+        path = tmp_path / "t.trace"
+        write_v3_raw(path, dataclasses.replace(header, generator_params=params), events)
         with pytest.raises(TraceFormatError, match="line 1: "):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def _edited_header(self, tmp_path, edit, writer):
-        """A valid trace file, written by writer, whose header object edit()
-        changed in place."""
+    def _edited_header(self, tmp_path, edit):
+        """A valid trace file whose header object edit() changed in place."""
         header, events = self._trace()
         path = tmp_path / "t.trace"
-        writer(path, header, events)
+        write_trace(path, header, events)
         head, body = path.read_bytes().split(b"\n", 1)
         obj = json.loads(head)
         edit(obj)
@@ -299,7 +236,6 @@ class TestReadTraceRejects:
 
     # A fraction would truncate; true would read as 1 layer and "4" as
     # d_head 4; strings stay valid inside generator_params only.
-    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
     @pytest.mark.parametrize("field, value", [
         ("n_layers", 2.9), ("n_heads", 1.5), ("d_head", 4.5), ("n_steps", 3.5),
         ("n_layers", float("nan")), ("n_steps", float("inf")),
@@ -307,36 +243,24 @@ class TestReadTraceRejects:
         ("n_layers", True), ("n_heads", True), ("d_head", True), ("n_steps", True),
         ("n_layers", "2"), ("n_heads", "2"), ("d_head", "4"), ("n_steps", "3"),
         ("n_seqs", True), ("prefill_steps", False)])
-    def test_non_integer_header_counts_are_rejected_not_coerced(self, tmp_path, field, value,
-                                                                writer):
+    def test_non_integer_header_counts_are_rejected_not_coerced(self, tmp_path, field, value):
         def edit(obj):
             (obj["generator_params"] if field in ("prefill_steps", "n_seqs") else obj)[field] = value
 
-        _, path = self._edited_header(tmp_path, edit, writer)
+        _, path = self._edited_header(tmp_path, edit)
         with pytest.raises(TraceFormatError,
                            match=f"^line 1: {field} must be an integer, got {value!r}$"):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
-    def test_integral_header_numbers_are_read(self, tmp_path, writer):
+    def test_integral_header_numbers_are_read(self, tmp_path):
         def edit(obj):
             obj["n_steps"] = float(obj["n_steps"])
             obj["generator_params"]["prefill_steps"] = 1
 
-        header, path = self._edited_header(tmp_path, edit, writer)
+        header, path = self._edited_header(tmp_path, edit)
         got, _ = read_trace(path)
         assert (got.n_steps, got.prefill_steps) == (header.n_steps, 1)
-
-    @pytest.mark.parametrize("record", ["[1, 2]", '{"type": "event", "seq": 0}'])
-    def test_malformed_record_names_line(self, tmp_path, record):
-        header, events = self._trace()
-        path = tmp_path / "t.ndjson"
-        write_v2_raw(path, header, events[:1])
-        with open(path, "a") as fh:
-            fh.write(record + "\n")
-        with pytest.raises(TraceFormatError, match="line 3"):
-            read_trace(path)
 
 
 # -- chunk boundaries ------------------------------------------------------------
@@ -345,18 +269,8 @@ class TestReadTraceRejects:
 def _long_trace():
     """2 layers x (READ_CHUNK + 1) steps: 2 * READ_CHUNK + 2 events, so event
     indices READ_CHUNK - 1 and READ_CHUNK straddle the first chunk boundary
-    and the last event starts a third chunk. Event i is on line i + 2."""
+    and the last event starts a third chunk."""
     return synthesize("repetitive", 2, 2, 4, READ_CHUNK + 1, seed=41)
-
-
-def _record_of(e, **changes):
-    return raw_event_record(dataclasses.replace(e, **changes))
-
-
-def _with_bad_k_base64(e):
-    obj = json.loads(raw_event_record(e))
-    obj["k"]["f32"] = "not base64!"
-    return json.dumps(obj)
 
 
 def _scaled(arr, factor):
@@ -371,43 +285,31 @@ def _negated(arr):
     return out
 
 
-# kind: (the bad line for event i of events, the error message after "line N: ")
+# kind: (the changes that make event i of events bad, the error message
+# after "event i: ")
 EDGE_FAULTS = {
-    "nan_k": (lambda ev, i: _record_of(ev[i], k=_with_nan(ev[i].k)),
-              "K/V values must be finite"),
-    "inf_v": (lambda ev, i: _record_of(ev[i], v=_with_nan(ev[i].v, np.inf)),
-              "K/V values must be finite"),
-    "nan_attn": (lambda ev, i: _record_of(ev[i], attn=_with_nan(ev[i].attn)),
-                 "attn values must be finite"),
-    "negative_attn": (lambda ev, i: _record_of(ev[i], attn=_negated(ev[i].attn)),
+    "nan_k": (lambda ev, i: {"k": _with_nan(ev[i].k)}, "K/V values must be finite"),
+    "inf_v": (lambda ev, i: {"v": _with_nan(ev[i].v, np.inf)}, "K/V values must be finite"),
+    "nan_attn": (lambda ev, i: {"attn": _with_nan(ev[i].attn)}, "attn values must be finite"),
+    "negative_attn": (lambda ev, i: {"attn": _negated(ev[i].attn)},
                       "attn rows must be non-negative and sum to 1"),
-    "unnormalized_attn": (lambda ev, i: _record_of(ev[i], attn=_scaled(ev[i].attn, 1.001)),
+    "unnormalized_attn": (lambda ev, i: {"attn": _scaled(ev[i].attn, 1.001)},
                           "attn rows must be non-negative and sum to 1"),
-    "fractional_step": (lambda ev, i: _record_of(ev[i], step=ev[i].step + 0.5),
-                        "step must be an integer"),
-    "layer_past_header": (lambda ev, i: _record_of(ev[i], layer=2), "layer 2 outside"),
-    "kv_shape": (lambda ev, i: _record_of(ev[i], k=ev[i].k[:, :2]),
-                 r"K/V shape \(2, 2\) does not match header \(2, 4\)"),
-    "attn_heads": (lambda ev, i: _record_of(ev[i], attn=ev[i].attn[:1]),
-                   "attn head count mismatch"),
-    "out_of_order": (lambda ev, i: _record_of(ev[i], seq=ev[i - 1].seq, step=ev[i - 1].step,
-                                              layer=ev[i - 1].layer),
+    "layer_past_header": (lambda ev, i: {"layer": 2}, "layer 2 outside"),
+    "out_of_order": (lambda ev, i: {"seq": ev[i - 1].seq, "step": ev[i - 1].step,
+                                    "layer": ev[i - 1].layer},
                      r"events out of \(seq, step, layer\) order"),
-    "invalid_json": (lambda ev, i: "{broken", "invalid JSON"),
-    "bad_base64": (lambda ev, i: _with_bad_k_base64(ev[i]), "k must be a 2-D float32 array"),
 }
 EDGE_INDICES = (0, READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1, 2 * READ_CHUNK + 1)
 
 
 def _write_with_faults(path, faults):
-    """The long trace, written raw, with the line of each event index in
-    faults (index -> kind) replaced by that fault's bad line."""
+    """The long trace, written raw, with each event index in faults
+    (index -> kind) made bad by that fault."""
     header, events = _long_trace()
-    write_v2_raw(path, header, events)
-    lines = path.read_text(encoding="utf-8").splitlines()
     for index, kind in faults.items():
-        lines[index + 1] = EDGE_FAULTS[kind][0](events, index)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _corrupt(events, index, **EDGE_FAULTS[kind][0](events, index))
+    write_v3_raw(path, header, events)
 
 
 class TestChunkEdges:
@@ -417,45 +319,32 @@ class TestChunkEdges:
     @pytest.mark.parametrize("kind, index", [
         (kind, index) for kind in sorted(EDGE_FAULTS) for index in EDGE_INDICES
         if (kind, index) != ("out_of_order", 0)])
-    def test_single_fault_names_its_line(self, tmp_path, kind, index):
-        path = tmp_path / "t.ndjson"
+    def test_single_fault_names_its_event(self, tmp_path, kind, index):
+        path = tmp_path / "t.trace"
         _write_with_faults(path, {index: kind})
-        with pytest.raises(TraceFormatError, match=f"^line {index + 2}: {EDGE_FAULTS[kind][1]}"):
+        with pytest.raises(TraceFormatError, match=f"^event {index}: {EDGE_FAULTS[kind][1]}"):
             read_trace(path)
 
+    # The whole id table is checked before any value, so of an id fault and
+    # a value fault the id fault is named (test_ids_are_checked_before_values).
     @pytest.mark.parametrize("faults", [
-        {10: "nan_k", READ_CHUNK + 30: "nan_attn"},                # two value faults
-        {20: "fractional_step", READ_CHUNK + 5: "inf_v"},          # a line fault first
-        {30: "unnormalized_attn", READ_CHUNK + 2: "invalid_json"},  # a value fault first
-        {READ_CHUNK - 1: "negative_attn", READ_CHUNK: "nan_k"},    # across the boundary
+        {10: "nan_k", READ_CHUNK + 30: "nan_attn"},                   # two value faults
+        {20: "layer_past_header", READ_CHUNK + 5: "out_of_order"},    # two id faults
+        {30: "unnormalized_attn", READ_CHUNK + 2: "inf_v"},
+        {READ_CHUNK - 1: "negative_attn", READ_CHUNK: "nan_k"},       # across the boundary
     ])
     def test_of_two_faults_in_different_chunks_the_first_is_named(self, tmp_path, faults):
-        path = tmp_path / "t.ndjson"
+        path = tmp_path / "t.trace"
         _write_with_faults(path, faults)
         first = min(faults)
         with pytest.raises(TraceFormatError,
-                           match=f"^line {first + 2}: {EDGE_FAULTS[faults[first]][1]}"):
+                           match=f"^event {first}: {EDGE_FAULTS[faults[first]][1]}"):
             read_trace(path)
 
-    @pytest.mark.parametrize("faults", [
-        {READ_CHUNK + 1: "nan_k", READ_CHUNK + 6: "fractional_step"},
-        {3: "unnormalized_attn", READ_CHUNK - 4: "layer_past_header"},
-        {0: "nan_attn", READ_CHUNK - 1: "invalid_json"},
-        {40: "inf_v", 41: "kv_shape"},
-    ])
-    def test_a_value_fault_beats_a_later_line_fault_in_its_chunk(self, tmp_path, faults):
-        path = tmp_path / "t.ndjson"
-        _write_with_faults(path, faults)
-        first = min(faults)
-        with pytest.raises(TraceFormatError,
-                           match=f"^line {first + 2}: {EDGE_FAULTS[faults[first]][1]}"):
-            read_trace(path)
-
-    @pytest.mark.parametrize("writer", [write_trace, write_v2_raw])
-    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path, writer):
+    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path):
         header, events = _long_trace()
         path = tmp_path / "t.trace"
-        writer(path, header, events)
+        write_trace(path, header, events)
         _, got = read_trace(path)
         _, fresh = read_trace(path)
         assert_same_events(got, events)
@@ -477,61 +366,13 @@ class TestChunkEdges:
                 assert_same_events([a], [b])
 
 
-class TestLineText:
-    """Bytes that are not UTF-8, line endings and non-ASCII text."""
-
-    @staticmethod
-    def _raw_lines(path):
-        header, events = _long_trace()
-        write_v2_raw(path, header, events)
-        return events, path.read_bytes().splitlines(keepends=True)
-
-    @pytest.mark.parametrize("lineno", [1, READ_CHUNK + 2])
-    def test_a_bad_byte_names_its_line(self, tmp_path, lineno):
-        path = tmp_path / "t.ndjson"
-        _, lines = self._raw_lines(path)
-        lines[lineno - 1] = lines[lineno - 1].replace(b'"type"', b'"ty\xffpe"', 1)
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(TraceFormatError, match=f"^line {lineno}: not UTF-8 text$"):
-            read_trace(path)
-        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
-
-    def test_a_value_fault_beats_a_later_bad_byte_in_its_chunk(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        events, lines = self._raw_lines(path)
-        lines[11] = (_record_of(events[10], k=_with_nan(events[10].k)) + "\n").encode()
-        lines[21] = lines[21].replace(b'"type"', b'"\xc3("', 1)
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(TraceFormatError, match="^line 12: K/V values must be finite"):
-            read_trace(path)
-
-    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
-    def test_crlf_and_lone_cr_line_endings_read(self, tmp_path, newline):
-        path = tmp_path / "t.ndjson"
-        events, lines = self._raw_lines(path)
-        path.write_bytes(b"".join(line.rstrip(b"\n") + newline for line in lines))
-        assert_same_events(read_trace(path)[1], events)
-
-    def test_raw_utf8_text_in_generator_params_reads(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        events, lines = self._raw_lines(path)
-        head = json.loads(lines[0])
-        head["generator_params"]["note"] = "caf\u00e9"
-        lines[0] = (json.dumps(head, ensure_ascii=False) + "\n").encode("utf-8")
-        assert "é".encode("utf-8") in lines[0]
-        path.write_bytes(b"".join(lines))
-        header, got = read_trace(path)
-        assert header.generator_params["note"] == "café"
-        assert_same_events(got, events)
-
-
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 6), heads=st.integers(1, 4), cols=st.integers(1, 300),
        lead=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 def test_run_stacked_row_sums_equal_per_event_sums_bitwise(m, heads, cols, lead, seed):
     """read_trace sums the rows of m same-shape events as one (m, H, L) block
-    of a buffer joined from the lines' bytes, at any offset in it; each
-    event's sums must equal its own array's attn.sum(axis=1) bit for bit."""
+    of the body's bytes, at any offset in it; each event's sums must equal
+    its own array's attn.sum(axis=1) bit for bit."""
     rng = np.random.default_rng(seed)
     rows = [rng.random((heads, cols), dtype=np.float32) for _ in range(m)]
     joined = bytearray().join([b"\0" * 4 * lead] + [r.tobytes() for r in rows])
@@ -548,13 +389,12 @@ near_tolerance = st.tuples(st.sampled_from([-1e-5, 1e-5]), st.floats(-4e-7, 4e-7
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 5), cols=st.integers(1, 200),
        drift=st.lists(near_tolerance, min_size=5, max_size=5),
-       seed=st.integers(0, 2**32 - 1), version=st.sampled_from([2, 3]))
-def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed,
-                                                                  version):
+       seed=st.integers(0, 2**32 - 1))
+def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed):
     """Rows whose sums sit within a few ulps of 1 +- 1e-5: read_trace rejects
     the trace exactly when one of its events fails the check on its own row
-    sums. write_trace does not check row sums, so it writes version 3 files
-    that hold such rows."""
+    sums. write_trace does not check row sums, so it writes files that hold
+    such rows."""
     rng = np.random.default_rng(seed)
     events = []
     for step in range(m):
@@ -568,10 +408,9 @@ def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift
            if np.any(np.abs(e.attn.sum(axis=1) - 1.0) > 1e-5)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.trace"
-        (write_trace if version == 3 else write_v2_raw)(path, header, events)
+        write_trace(path, header, events)
         if bad:
-            where = f"event {bad[0]}" if version == 3 else f"line {bad[0] + 2}"
-            with pytest.raises(TraceFormatError, match=f"^{where}: attn rows"):
+            with pytest.raises(TraceFormatError, match=f"^event {bad[0]}: attn rows"):
                 read_trace(path)
         else:
             assert_same_events(read_trace(path)[1], events)
@@ -613,19 +452,6 @@ def traces(draw):
         events.append(TraceEvent(seq=seq, step=step, layer=layer,
                                  k=draw(kv), v=draw(kv), attn=attn))
     return header, events
-
-
-class TestRoundTripProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(traces())
-    def test_v2_round_trip_is_bit_exact(self, trace):
-        header, events = trace
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.ndjson"
-            write_v2_raw(path, header, events)
-            header2, events2 = read_trace(path)
-        assert header2 == header
-        assert_same_events(events, events2)
 
 
 # -- write_trace -----------------------------------------------------------------
@@ -741,6 +567,7 @@ class TestWriteTrace:
         "seq_past_header": ("seq", lambda e: 1, r"seq 1 outside the header's range \[0, 1\)"),
         "layer_past_header": ("layer", lambda e: 2, r"layer 2 outside the header's range"),
         "step_past_header": ("step", lambda e: READ_CHUNK + 1, f"step {READ_CHUNK + 1} outside"),
+        "seq_past_int64": ("seq", lambda e: 2**70, f"seq {2**70} outside"),
         "nan_k": ("k", lambda e: _with_nan(e.k), "k values must be finite"),
         "inf_v": ("v", lambda e: _with_nan(e.v, np.inf), "v values must be finite"),
         "nan_attn": ("attn", lambda e: _with_nan(e.attn), "attn values must be finite"),
@@ -774,25 +601,26 @@ class TestWriteTrace:
             write_trace(tmp_path / "t.ndjson", header, events)
 
     # case: (a change to the events that returns the index of the event it
-    # makes bad, the message after "event N: " and after read_trace's "line N: ")
+    # makes bad, the message after "event N: "); a version 3 file cannot
+    # hold a bad shape, and read_trace's order check is in EDGE_FAULTS.
     LAYOUT = {
-        "kv_rows": (lambda ev, i: _corrupt(ev, i, v=np.zeros((3, 4), np.float32)) - 2,
+        "kv_rows": (lambda ev, i: _corrupt(ev, i, v=np.zeros((3, 4), np.float32)),
                     r"K/V shape \(3, 4\) does not match header \(2, 4\)"),
-        "one_d_k": (lambda ev, i: _corrupt(ev, i, k=ev[i].k.ravel()) - 2,
+        "one_d_k": (lambda ev, i: _corrupt(ev, i, k=ev[i].k.ravel()),
                     "k must be a 2-D float32 array"),
-        "k_cols": (lambda ev, i: _corrupt(ev, i, k=np.zeros((2, 5), np.float32)) - 2,
+        "k_cols": (lambda ev, i: _corrupt(ev, i, k=np.zeros((2, 5), np.float32)),
                    r"K/V shape \(2, 5\) does not match header \(2, 4\)"),
-        "one_d_attn": (lambda ev, i: _corrupt(ev, i, attn=ev[i].attn.ravel()) - 2,
+        "one_d_attn": (lambda ev, i: _corrupt(ev, i, attn=ev[i].attn.ravel()),
                        "attn must be a 2-D float32 array"),
         "attn_rows": (lambda ev, i: _corrupt(ev, i, attn=np.vstack([ev[i].attn,
-                                                                   ev[i].attn[:1]])) - 2,
+                                                                   ev[i].attn[:1]])),
                       "attn head count mismatch"),
         "swapped": (_swapped, r"events out of \(seq, step, layer\) order"),
         "repeated": (_repeated, r"events out of \(seq, step, layer\) order"),
     }
 
     @pytest.mark.parametrize("case", sorted(LAYOUT))
-    def test_layout_fault_is_refused_as_read_trace_refuses_it(self, tmp_path, case):
+    def test_layout_fault_is_refused(self, tmp_path, case):
         header, events = _long_trace()
         change, message = self.LAYOUT[case]
         index = change(events, READ_CHUNK - 1)
@@ -800,9 +628,6 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match=f"^event {index}: {message}"):
             write_trace(path, header, events)
         assert not path.exists()
-        write_v2_raw(path, header, events)
-        with pytest.raises(TraceFormatError, match=f"^line {index + 2}: {message}"):
-            read_trace(path)
 
     def test_recorder_save_refuses_a_non_finite_event(self, tmp_path):
         recorder = _recorded_trace()
@@ -810,6 +635,35 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match="^event 7: attn values must be finite"):
             recorder.save(tmp_path / "t.ndjson")
         assert not (tmp_path / "t.ndjson").exists()
+
+    # A header read_trace would refuse: (its change, the message after "line 1: ").
+    # json.dumps cannot write an np.int64 at all.
+    BAD_HEADERS = {
+        "true_layers": ({"n_layers": True}, "n_layers must be an integer, got True"),
+        "fractional_steps": ({"n_steps": 2.5}, "n_steps must be an integer, got 2.5"),
+        "int64_steps": ({"n_steps": np.int64(3)}, "n_steps must be an integer, got"),
+        "negative_prefill": ({"generator_params": {"prefill_steps": "-1"}},
+                             "prefill_steps must be non-negative"),
+        "past_the_cap": ({"d_head": MAX_ANCHOR_VALUES // 4 + 1},
+                         f"n_layers \\* n_heads \\* d_head is {MAX_ANCHOR_VALUES + 4}, above"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_a_header_that_would_not_read_is_refused_before_the_file_opens(self, tmp_path,
+                                                                          case):
+        header, events = synthesize("random", 1, 4, 1, 3, seed=5)
+        changes, message = self.BAD_HEADERS[case]
+        bad = dataclasses.replace(header, **changes)
+        path = tmp_path / "new.trace"
+        with pytest.raises(TraceFormatError, match=f"^line 1: {message}"):
+            write_trace(path, bad, events)
+        assert not path.exists()
+        old = tmp_path / "old.trace"
+        write_trace(old, header, events)
+        before = old.read_bytes()
+        with pytest.raises(TraceFormatError, match=f"^line 1: {message}"):
+            write_trace(old, bad, events)
+        assert old.read_bytes() == before
 
 
 # -- version 3 bodies ------------------------------------------------------------
@@ -968,12 +822,29 @@ class TestVersion3Body:
         with pytest.raises(TraceFormatError, match="^event 3: body truncated in its attn row$"):
             read_trace(path)
 
-    def test_an_empty_body_reads_whatever_its_dims(self, tmp_path):
-        header = TraceHeader(n_layers=1, n_heads=2**62, d_head=4, n_steps=0, source="external",
-                             generator_params={})
+    def test_an_empty_body_at_the_cap_reads_and_replays(self, tmp_path):
+        """n_layers * n_heads * d_head at MAX_ANCHOR_VALUES reads; replay's
+        tables for it are allocated but never filled."""
+        header = TraceHeader(n_layers=1, n_heads=2**11, d_head=MAX_ANCHOR_VALUES // 2**11,
+                             n_steps=0, source="external", generator_params={})
         path = tmp_path / "t.trace"
         write_trace(path, header, [])
         assert read_trace(path) == (header, [])
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+
+    @pytest.mark.parametrize("n_heads", [MAX_ANCHOR_VALUES + 1, 2**62])
+    def test_dimensions_past_the_cap_fail_at_the_header(self, tmp_path, n_heads):
+        path = tmp_path / "t.trace"
+        write_trace(path, TraceHeader(n_layers=1, n_heads=1, d_head=1, n_steps=0,
+                                      source="external", generator_params={}), [])
+        head, ids, kv, rows = v3_sections(path)
+        head["n_heads"] = n_heads
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match=(
+                f"^line 1: n_layers \\* n_heads \\* d_head is {n_heads}, "
+                f"above the cap of {MAX_ANCHOR_VALUES}$")):
+            read_trace(path)
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
     def test_of_two_value_faults_in_different_chunks_the_first_is_named(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -1000,20 +871,18 @@ class TestVersion3Body:
             read_trace(path)
 
 
-@pytest.mark.parametrize("source", ["checked_in", "recorded"])
-def test_replay_of_a_v2_file_equals_replay_of_its_v3_rewrite(tmp_path, source):
-    v2 = V2_DATA
-    if source == "recorded":
-        v2 = tmp_path / "r.ndjson"
-        recorder = _recorded_trace()
-        write_v2_raw(v2, recorder.header(), recorder.events)
-    v3 = tmp_path / "t.trace"
-    write_trace(v3, *read_trace(v2))
-    outputs = []
-    for name, path in (("v2", v2), ("v3", v3)):
-        csv, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.ndjson"
-        assert main(["replay", "--trace", str(path), "--out", str(csv), "--report", str(report),
-                     "--tail-fraction", "1.0", "--warmup-steps", "2"]) == 0
-        outputs.append((csv.read_bytes(), report.read_bytes()))
-    assert outputs[0][1].count(b"\n") > 4
-    assert outputs[0] == outputs[1]
+def test_a_v2_file_fails_at_line_1(tmp_path):
+    """Format version 2 is no longer read: its NDJSON header line is refused,
+    and replay exits 2 without writing a CSV."""
+    header, events = synthesize("random", 1, 1, 4, 1, seed=4)
+    head = _v3_header(header, len(events))
+    del head["n_events"]
+    head["format_version"] = 2
+    path = tmp_path / "t.ndjson"
+    path.write_text(json.dumps(head) + "\n" + json.dumps(
+        {"type": "event", "seq": 0, "step": 0, "layer": 0, "k": None, "v": None}) + "\n")
+    with pytest.raises(TraceFormatError, match="^line 1: unsupported format_version 2$"):
+        read_trace(path)
+    csv = tmp_path / "s.csv"
+    assert main(["replay", "--trace", str(path), "--out", str(csv)]) == 2
+    assert not csv.exists()
