@@ -108,6 +108,17 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError, match="line 1"):
             read_trace(path)
 
+    def test_appended_text_is_refused(self, tmp_path):
+        """A line appended to a trace lies past the body the header sizes."""
+        header, events = synthesize("random", 1, 1, 4, 2, seed=8)
+        path = tmp_path / "t.trace"
+        write_trace(path, header, events)
+        with open(path, "a") as fh:
+            fh.write("{broken\n")
+        with pytest.raises(TraceFormatError,
+                           match="^event 2: body holds 8 bytes past the header's 2 events$"):
+            read_trace(path)
+
     # write_trace refuses what read_trace would; test_trace_format.py reads
     # such files, written raw.
     def test_out_of_order_events_rejected(self, tmp_path):

@@ -115,9 +115,10 @@ class TestVersion3Layout:
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    # Versions 1 and 2 are no longer read; true is not the JSON integer 1,
-    # and 3.0 and "3" are not the JSON integer 3.
-    @pytest.mark.parametrize("version", [1, True, 2.0, 3.0, "3"])
+    # Versions 0 to 2 are not read, and null stands for a missing version;
+    # true is not the JSON integer 1, and 3.0 and "3" are not the JSON
+    # integer 3.
+    @pytest.mark.parametrize("version", [0, 1, True, 2.0, 3.0, "3", None])
     def test_other_versions_fail_at_the_header(self, tmp_path, version):
         path = tmp_path / "t.trace"
         write_trace(path, *synthesize("random", 1, 1, 4, 2, seed=2))
@@ -133,6 +134,9 @@ class TestVersion3Layout:
         "bad_byte": (lambda line: line.replace(b'"type"', b'"ty\xffpe"', 1), "not UTF-8 text"),
         "invalid_json": (lambda line: b"{broken", r"invalid JSON \(Expecting property name"),
         "array": (lambda line: b"[1, 2]", "record must be a JSON object"),
+        "string": (lambda line: b'"header"', "record must be a JSON object"),
+        "event_record": (lambda line: b'{"type": "event", "seq": 0}',
+                         "first record must be the header"),
     }
 
     @pytest.mark.parametrize("case", sorted(HEADER_LINES))
@@ -195,6 +199,8 @@ class TestReadTraceRejects:
         "negative_layer": (0, lambda e: {"layer": -1}, "layer -1 outside"),
         "step_past_header": (11, lambda e: {"step": 3}, "step 3 outside"),
         "seq_past_header": (11, lambda e: {"seq": 2}, "seq 2 outside"),
+        "seq_goes_back": (11, lambda e: {"seq": 0}, r"events out of \(seq, step, layer\) order"),
+        "repeated_key": (1, lambda e: {"layer": 0}, r"events out of \(seq, step, layer\) order"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -253,14 +259,17 @@ class TestReadTraceRejects:
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
-    def test_integral_header_numbers_are_read(self, tmp_path):
+    @pytest.mark.parametrize("field", ["n_layers", "n_heads", "d_head", "n_steps", "n_events"])
+    def test_integral_header_numbers_are_read(self, tmp_path, field):
         def edit(obj):
-            obj["n_steps"] = float(obj["n_steps"])
+            obj[field] = float(obj[field])
             obj["generator_params"]["prefill_steps"] = 1
 
         header, path = self._edited_header(tmp_path, edit)
-        got, _ = read_trace(path)
-        assert (got.n_steps, got.prefill_steps) == (header.n_steps, 1)
+        got, events = read_trace(path)
+        assert got == dataclasses.replace(
+            header, generator_params={**header.generator_params, "prefill_steps": 1})
+        assert (len(events), got.prefill_steps) == (12, 1)
 
 
 # -- chunk boundaries ------------------------------------------------------------
@@ -341,14 +350,20 @@ class TestChunkEdges:
                            match=f"^event {first}: {EDGE_FAULTS[faults[first]][1]}"):
             read_trace(path)
 
-    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path):
+    # Without rows at odd events, each row's neighbours in the rows array
+    # are those of the even events two apart.
+    @pytest.mark.parametrize("odd_rows", [True, False])
+    def test_arrays_are_writable_float32_and_do_not_overlap(self, tmp_path, odd_rows):
         header, events = _long_trace()
+        if not odd_rows:
+            events = [e if i % 2 == 0 else dataclasses.replace(e, attn=None)
+                      for i, e in enumerate(events)]
         path = tmp_path / "t.trace"
         write_trace(path, header, events)
         _, got = read_trace(path)
         _, fresh = read_trace(path)
         assert_same_events(got, events)
-        arrays = [arr for e in got for arr in (e.k, e.v, e.attn)]
+        arrays = [arr for e in got for arr in (e.k, e.v, e.attn) if arr is not None]
         for arr in arrays:
             assert arr.dtype == np.float32 and arr.flags.writeable
         # Sorted by address, each array ends before the next one starts.
@@ -358,10 +373,12 @@ class TestChunkEdges:
         for i in edited:
             got[i].k[...] = 7.0
             got[i].v[...] = 8.0
-            got[i].attn[...] = 9.0
+            if got[i].attn is not None:
+                got[i].attn[...] = 9.0
         for i, (a, b) in enumerate(zip(got, fresh)):
             if i in edited:
-                assert (a.k == 7.0).all() and (a.v == 8.0).all() and (a.attn == 9.0).all()
+                assert (a.k == 7.0).all() and (a.v == 8.0).all()
+                assert a.attn is None or (a.attn == 9.0).all()
             else:
                 assert_same_events([a], [b])
 
@@ -568,6 +585,15 @@ class TestWriteTrace:
         "layer_past_header": ("layer", lambda e: 2, r"layer 2 outside the header's range"),
         "step_past_header": ("step", lambda e: READ_CHUNK + 1, f"step {READ_CHUNK + 1} outside"),
         "seq_past_int64": ("seq", lambda e: 2**70, f"seq {2**70} outside"),
+        "fractional_step": ("step", lambda e: e.step + 0.5, r"step must be an integer, got \d+\.5$"),
+        "fractional_layer": ("layer", lambda e: e.layer + 0.9, "layer must be an integer"),
+        "false_seq": ("seq", lambda e: False, "seq must be an integer, got False$"),
+        "none_step": ("step", lambda e: None, "step must be an integer, got None$"),
+        "negative_layer": ("layer", lambda e: -1, r"layer -1 outside the header's range"),
+        "k_short": ("k", lambda e: e.k[:, :2], r"K/V shape \(2, 2\) does not match header"),
+        "v_rows": ("v", lambda e: np.zeros((3, 4), np.float32),
+                   r"K/V shape \(3, 4\) does not match header \(2, 4\)$"),
+        "attn_heads": ("attn", lambda e: e.attn[:1], "attn head count mismatch$"),
         "nan_k": ("k", lambda e: _with_nan(e.k), "k values must be finite"),
         "inf_v": ("v", lambda e: _with_nan(e.v, np.inf), "v values must be finite"),
         "nan_attn": ("attn", lambda e: _with_nan(e.attn), "attn values must be finite"),
@@ -592,6 +618,38 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match=match):
             write_trace(old, header, events)
         assert old.read_bytes() == before
+
+    def _refused_with_faults(self, path, faults):
+        """write_trace on the long trace with each event index in faults
+        (index -> case of BAD) made bad; the first bad event is named."""
+        header, events = _long_trace()
+        for index, case in faults.items():
+            name, change, _ = self.BAD[case]
+            _corrupt(events, index, **{name: change(events[index])})
+        first = min(faults)
+        with pytest.raises(TraceFormatError, match=f"^event {first}: {self.BAD[faults[first]][2]}"):
+            write_trace(path, header, events)
+        assert not path.exists()
+
+    # Unlike read_trace, which checks the whole id table first, write_trace
+    # names the first bad event whatever its faults.
+    @pytest.mark.parametrize("faults", [
+        {READ_CHUNK + 1: "nan_k", READ_CHUNK + 6: "fractional_step"},
+        {3: "nan_attn", READ_CHUNK - 4: "layer_past_header"},
+        {0: "inf_v", READ_CHUNK - 1: "k_short"},
+        {40: "neg_inf_attn", 41: "attn_heads"},
+    ])
+    def test_a_value_fault_beats_a_later_id_or_shape_fault_in_its_chunk(self, tmp_path, faults):
+        self._refused_with_faults(tmp_path / "t.trace", faults)
+
+    @pytest.mark.parametrize("faults", [
+        {10: "nan_k", READ_CHUNK + 30: "nan_attn"},
+        {20: "layer_past_header", READ_CHUNK + 5: "bool_layer"},
+        {30: "k_short", READ_CHUNK + 2: "inf_v"},
+        {READ_CHUNK - 1: "fractional_step", READ_CHUNK: "nan_k"},
+    ])
+    def test_of_two_faults_in_different_chunks_the_first_is_named(self, tmp_path, faults):
+        self._refused_with_faults(tmp_path / "t.trace", faults)
 
     def test_of_two_bad_events_the_first_is_named(self, tmp_path):
         header, events = _long_trace()
@@ -664,6 +722,20 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match=f"^line 1: {message}"):
             write_trace(old, bad, events)
         assert old.read_bytes() == before
+
+    # The header fields a TraceHeader can hold as a number that is not an
+    # int; generator_params are written as strings.
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 2.9), ("n_heads", 1.5), ("d_head", 4.5), ("n_steps", 3.5),
+        ("n_layers", float("nan")), ("n_steps", float("inf")),
+        ("n_layers", True), ("n_heads", True), ("d_head", True), ("n_steps", True)])
+    def test_non_integer_header_counts_are_refused_not_coerced(self, tmp_path, field, value):
+        header, events = synthesize("random", 1, 4, 1, 3, seed=5)
+        path = tmp_path / "t.trace"
+        with pytest.raises(TraceFormatError,
+                           match=f"^line 1: {field} must be an integer, got {value!r}$"):
+            write_trace(path, dataclasses.replace(header, **{field: value}), events)
+        assert not path.exists()
 
 
 # -- version 3 bodies ------------------------------------------------------------
@@ -776,6 +848,8 @@ class TestVersion3Body:
 
     @pytest.mark.parametrize("value, message", [
         (-1, "n_events must be non-negative"),
+        (None, "n_events must be an integer, got None"),
+        (float("nan"), "n_events must be an integer, got nan"),
         (True, "n_events must be an integer, got True"),
         ("130", "n_events must be an integer, got '130'"),
         (129.5, "n_events must be an integer, got 129.5")])
@@ -822,6 +896,17 @@ class TestVersion3Body:
         with pytest.raises(TraceFormatError, match="^event 3: body truncated in its attn row$"):
             read_trace(path)
 
+    def test_an_empty_body_reads_whatever_its_dims(self, tmp_path):
+        """Only n_layers * n_heads * d_head is capped: step and sequence
+        counts far past any table replay could hold read and replay, as
+        replay allocates nothing by them."""
+        header = TraceHeader(n_layers=2, n_heads=4, d_head=8, n_steps=2**62, source="external",
+                             generator_params={"n_seqs": str(2**40)})
+        path = tmp_path / "t.trace"
+        write_trace(path, header, [])
+        assert read_trace(path) == (header, [])
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_an_empty_body_at_the_cap_reads_and_replays(self, tmp_path):
         """n_layers * n_heads * d_head at MAX_ANCHOR_VALUES reads; replay's
         tables for it are allocated but never filled."""
@@ -845,6 +930,20 @@ class TestVersion3Body:
                 f"above the cap of {MAX_ANCHOR_VALUES}$")):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    # Each factor alone, and a product past the cap of factors below it.
+    @pytest.mark.parametrize("dims", [(MAX_ANCHOR_VALUES + 1, 1, 1), (1, 1, MAX_ANCHOR_VALUES + 1),
+                                      (2**8, 2**8, 2**6 + 1)])
+    def test_a_product_past_the_cap_fails_at_the_header(self, tmp_path, dims):
+        path = tmp_path / "t.trace"
+        write_trace(path, TraceHeader(n_layers=1, n_heads=1, d_head=1, n_steps=0,
+                                      source="external", generator_params={}), [])
+        head, ids, kv, rows = v3_sections(path)
+        head.update(zip(("n_layers", "n_heads", "d_head"), dims))
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match=(
+                f"^line 1: n_layers \\* n_heads \\* d_head is {int(np.prod(dims))}, above")):
+            read_trace(path)
 
     def test_of_two_value_faults_in_different_chunks_the_first_is_named(self, tmp_path):
         path = tmp_path / "t.trace"
