@@ -63,8 +63,8 @@ def cmd_generate(args) -> int:
         raise ConfigError("prompt_bytes must be non-empty")
 
     weights = load_weights(Path(args.load_weights).read_bytes()) if args.load_weights else None
-    session = DecodeSession(config, prune, mode=args.mode, weights=weights,
-                            record=args.record is not None)
+    session = DecodeSession(config, prune if args.mode == "filtered" else None, mode=args.mode,
+                            weights=weights, record=args.record is not None)
     recorder = None
     if args.record is not None:
         recorder = trace_mod.TraceRecorder(
@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(g, "prune", PruneConfig, "--config")
     g.add_argument("--prompt-bytes", default="once upon a time", help="prompt text; bytes are tokens")
     g.add_argument("--steps", type=int, default=32, help="decode steps to generate")
-    g.add_argument("--mode", choices=("dense", "filtered"), default="filtered")
+    g.add_argument("--mode", choices=("dense", "filtered"), default="filtered",
+                   help="dense runs no filter; for its filter evidence, --record the run "
+                        "and replay the trace with --tau-init inf")
     g.add_argument("--record", metavar="PATH", help="write a trace with exact attention")
     g.add_argument("--report", metavar="PATH", help="write decision reports as NDJSON")
     g.add_argument("--summary", metavar="PATH",

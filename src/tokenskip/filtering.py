@@ -236,8 +236,9 @@ class FilterEngine:
 
     Anchors are per (layer, sequence); thresholds and variance estimates are
     per layer, shared across the batch and updated once per step at the step
-    barrier. Warm-up decisions (and every prompt position) run in shadow:
-    evaluated, logged, and fed to the threshold controller, but never enacted.
+    barrier. Prompt positions (begin_step(prefill=True)), warm-up steps and
+    all steps under a zero budget run in shadow: evaluated, logged, and fed
+    to the threshold controller, but never applied.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, config: PruneConfig):
@@ -264,20 +265,18 @@ class FilterEngine:
     def begin_step(self, prefill: bool = False) -> None:
         self._in_prefill = prefill
 
-    def end_step(self, frozen: bool = False) -> None:
+    def end_step(self) -> None:
         """Apply the step barrier: batch-mean feedback into the skip ratios,
-        thresholds, and variance state. frozen leaves controller state
-        untouched (dense telemetry runs)."""
+        thresholds, and variance state."""
         gamma = self.config.gamma
         for st in self.layers.values():
             n = len(st.pending_var_k)
             if n:
-                if not frozen:
-                    # The mean of 0/1 indicators is their count over n, exactly.
-                    st.ratio_sum += st.pending_shadow / n
-                    st.ratio_steps += 1
-                    st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps,
-                                              self.target, self.config.eta)
+                # The mean of 0/1 indicators is their count over n, exactly.
+                st.ratio_sum += st.pending_shadow / n
+                st.ratio_steps += 1
+                st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps,
+                                          self.target, self.config.eta)
                 if n == 1:
                     # One decision this step (every live decode): its head
                     # variances are the step's means.
@@ -299,8 +298,7 @@ class FilterEngine:
 
     # -- decisions ---------------------------------------------------------
 
-    def process(self, layer: int, seq: int, kv, step: int,
-                enact: bool) -> tuple[bool, StepReport | None]:
+    def process(self, layer: int, seq: int, kv, step: int) -> tuple[bool, StepReport | None]:
         """Observe one token's per-head K/V at one layer and decide. kv is
         (2, n_heads, d_head), keys over values, as project_kv returns it (or
         any array-like of that shape, such as a (k, v) pair).
@@ -312,9 +310,9 @@ class FilterEngine:
         of its per-call cost, and the anchor folds in place.
 
         Returns (skip, report). skip is False whenever the decision is shadow
-        (prompt positions, warm-up, or enact=False telemetry runs). The first
-        finite observation for a (layer, sequence) only initializes the anchors
-        and yields no report. K/V of any shape but (n_heads, d_head) raise
+        (prompt positions, warm-up, or a zero budget). The first finite
+        observation for a (layer, sequence) only initializes the anchors and
+        yields no report. K/V of any shape but (n_heads, d_head) raise
         ValueError.
         """
         if layer not in self.layers:
@@ -332,7 +330,7 @@ class FilterEngine:
             return False, None
         anchor = self._anchor_rows[slot]
         evidence = row_evidence(anchor, kv)
-        skipped, report = self.decide(layer, seq, evidence, step, enact)
+        skipped, report = self.decide(layer, seq, evidence, step)
         *_, finite = evidence
         if finite:
             self._obs_counts[slot] += 1
@@ -421,8 +419,8 @@ class FilterEngine:
             evidence[row] = None
         return evidence
 
-    def decide(self, layer: int, seq: int, evidence, step: int,
-               enact: bool) -> tuple[bool, StepReport | None]:
+    def decide(self, layer: int, seq: int, evidence,
+               step: int) -> tuple[bool, StepReport | None]:
         """Decide one row from its evidence, an entry of score_steps: the
         controller half of process, with the same return. Rows are decided
         in the order they were scored, each step between begin_step and
@@ -431,7 +429,10 @@ class FilterEngine:
             return False, None
         (s_k, s_v), (fresh_var_k, fresh_var_v), degenerate, finite = evidence
         degen = degenerate[0] or degenerate[1]
-        shadow = self._shadow(enact)
+        # A zero budget means zero skips, exactly: the proportional controller
+        # can only approach zero asymptotically, so enforce it outright.
+        shadow = (self._in_prefill or self.step_index < self.config.warmup_steps
+                  or self.target == 0.0)
         st = self.layers[layer]
 
         # The decision sees the running variance as if this step's observation
@@ -461,13 +462,6 @@ class FilterEngine:
             shadow=shadow, skipped=skipped, degenerate=degen,
         )
         return skipped, report
-
-    def _shadow(self, enact: bool) -> bool:
-        """Whether this step's decisions are evaluated but not enacted."""
-        # A zero budget means zero skips, exactly: the proportional controller
-        # can only approach zero asymptotically, so enforce it outright.
-        return ((not enact) or self._in_prefill
-                or self.step_index < self.config.warmup_steps or self.target == 0.0)
 
     def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:
         """A first finite observation only initializes its anchor, in a new

@@ -306,20 +306,6 @@ def attention_forward(weights: Weights, layer: int, query_hidden: np.ndarray, ca
     return out
 
 
-def attention_row_if_kept(weights: Weights, layer: int, query_hidden: np.ndarray,
-                          cache: KVCache, k_new: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-    """Ground-truth attention row a skipped token would have produced, over the
-    cache as if its K/V were appended. Does not mutate the cache."""
-    c = weights.config
-    lw = weights.layers[layer]
-    q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head)
-    k_old, _ = cache.view(layer)
-    k = np.concatenate([k_old, k_new[:, None, :]], axis=1)
-    scores = np.einsum("hld,hd->hl", k, q)
-    scores /= weights.attn_scale
-    return softmax(scores)
-
-
 _ZERO = np.float32(0.0)
 
 
@@ -354,7 +340,8 @@ class DecodeResult:
 
 
 class DecodeSession:
-    """One generation: weights, caches, filter state, telemetry.
+    """One generation of one sequence: weights, caches, filter state. A dense
+    session takes no prune config and runs no filter.
 
     Weights are immutable and may be shared across sessions; everything else
     is confined to this session.
@@ -364,8 +351,8 @@ class DecodeSession:
                  mode: str = "dense", weights: Weights | None = None, record: bool = False):
         if mode not in ("dense", "filtered"):
             raise ConfigError("session mode must be 'dense' or 'filtered'")
-        if mode == "filtered" and prune is None:
-            raise ConfigError("filtered mode requires a prune config")
+        if (prune is None) != (mode == "dense"):
+            raise ConfigError("filtered mode requires a prune config; dense mode takes none")
         if weights is not None and weights.config != config:
             diff = ", ".join(f"{f.name} {getattr(weights.config, f.name)} in the weights, "
                              f"{getattr(config, f.name)} in the session"
@@ -385,12 +372,10 @@ class DecodeSession:
         if prune is not None:
             self.engine = FilterEngine(config.n_layers, config.n_heads, config.d_head, prune)
 
-    def block_forward(self, layer: int, hidden: np.ndarray, seq: int = 0,
-                      step: int = 0) -> BlockOutput:
+    def block_forward(self, layer: int, hidden: np.ndarray, step: int = 0) -> BlockOutput:
         """One pre-norm block: filter decision, attention or skip, then FFN.
-
-        A dense session still runs the filter on its layers, as shadow
-        telemetry: it never skips and pays no decision overhead."""
+        A recorded skip's row is attention_forward's with its K/V appended,
+        which "drop" then takes back off the cache."""
         weights, cache = self.weights, self.cache
         lw = weights.layers[layer]
         x = hidden
@@ -400,17 +385,19 @@ class DecodeSession:
 
         skip = False
         report = None
-        filtered = self.mode == "filtered"
         if self.engine is not None and layer in self.engine.layers:
-            skip, report = self.engine.process(layer, seq, kv, step, enact=filtered)
+            skip, report = self.engine.process(layer, 0, kv, step)
 
         cache_len_if_kept = cache.lens[layer] + 1
         attn_row = None
         if skip:
-            if self.record:
-                attn_row = attention_row_if_kept(weights, layer, ln1, cache, k_heads, v_heads)
-            if self.prune.cache_on_skip == "keep":
+            keep = self.prune.cache_on_skip == "keep"
+            if keep or self.record:
                 cache.append(layer, k_heads, v_heads)
+            if self.record:
+                _, attn_row = attention_forward(weights, layer, ln1, cache, return_weights=True)
+                if not keep:
+                    cache.lens[layer] -= 1
             # Attention contribution is exactly zero: the residual passes the
             # input through untouched, no arithmetic applied.
         else:
@@ -421,14 +408,13 @@ class DecodeSession:
             else:
                 attn_out = attention_forward(weights, layer, ln1, cache)
             x = x + attn_out
-        self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip,
-                                 report if filtered else None)
+        self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip, report)
 
         ln2 = layer_norm(x, lw.ln2_g, lw.ln2_b)
         x = x + ffn_forward(weights, layer, ln2)
         return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row, kv=kv)
 
-    def forward_position(self, token: int, position: int, recorder=None, seq: int = 0):
+    def forward_position(self, token: int, position: int, recorder=None):
         """Run one generated token through every block; returns (hidden,
         reports)."""
         if not 0 <= token < self.config.vocab_size:
@@ -438,15 +424,15 @@ class DecodeSession:
         if self.engine is not None:
             self.engine.begin_step()
         for layer in range(self.config.n_layers):
-            out = self.block_forward(layer, hidden, seq=seq, step=position)
+            out = self.block_forward(layer, hidden, step=position)
             hidden = out.hidden
             if out.report is not None:
                 reports.append(out.report)
             if recorder is not None:
-                recorder.add_event(seq=seq, step=position, layer=layer,
+                recorder.add_event(seq=0, step=position, layer=layer,
                                    k=out.kv[0], v=out.kv[1], attn=out.attn_row)
         if self.engine is not None:
-            self.engine.end_step(frozen=(self.mode == "dense"))
+            self.engine.end_step()
         return hidden, reports
 
     def prefill(self, tokens, recorder=None):
@@ -506,7 +492,6 @@ class DecodeSession:
             x = x + _matvecs(lw.w2, h)
 
         engine = self.engine
-        filtered = self.mode == "filtered"
         active = [] if engine is None else sorted(engine.layers)
         evidence = iter(())
         if active:
@@ -523,11 +508,10 @@ class DecodeSession:
                 report = None
                 if layer in active:
                     # A prompt position is shadow: never skipped.
-                    _, report = engine.decide(layer, 0, next(evidence), pos, enact=filtered)
+                    _, report = engine.decide(layer, 0, next(evidence), pos)
                     if report is not None:
                         reports.append(report)
-                self.ledger.charge_event(pos + 1, self.flops_model, False,
-                                         report if filtered else None)
+                self.ledger.charge_event(pos + 1, self.flops_model, False, report)
                 if recorder is not None:
                     probs = attn_rows[layer]
                     recorder.add_event(
@@ -535,7 +519,7 @@ class DecodeSession:
                         attn=None if probs is None
                         else probs[t, :, :pos + 1].astype(np.float32))
             if engine is not None:
-                engine.end_step(frozen=not filtered)
+                engine.end_step()
         return x[-1], reports
 
     def _attention_rows(self, layer: int, ln1: np.ndarray, n: int):

@@ -96,7 +96,7 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
             engine.begin_step(prefill=step < prefill_steps)
             for e in step_events:
                 key = (e.seq, e.layer)
-                skipped, report = (engine.decide(e.layer, e.seq, next(evidence), step, enact=True)
+                skipped, report = (engine.decide(e.layer, e.seq, next(evidence), step)
                                    if e.layer in layers else (False, None))
                 would_len = hypo_len[key] + 1
                 ledger.charge_event(would_len, flops_model, skipped, report)

@@ -25,7 +25,7 @@ class StepReport:
     """One skip decision: similarity evidence, threshold, outcome, FLOPs delta.
 
     step is the absolute position index in the sequence (prompt positions
-    included). shadow marks decisions that were evaluated but not enacted.
+    included). shadow marks decisions that were evaluated but not applied.
     """
 
     seq: int

@@ -24,7 +24,8 @@ Format, version 3: a JSON header line, then a binary body.
 Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
 0 <= step < n_steps and 0 <= layer < n_layers; every value is finite, and
 every attention row is non-negative and sums to 1 within 1e-5;
-n_layers * n_heads * d_head is at most MAX_ANCHOR_VALUES. generator_params is
+n_layers * n_heads * d_head is at most MAX_ANCHOR_VALUES, and n_steps and
+n_seqs at most 2**63, so that every id fits int64. generator_params is
 a free-form string map; recognized keys include "n_seqs" (default 1),
 "prefill_steps" (positions that replay must treat as prompt) and the
 synthesis parameters. Other format versions, the NDJSON version 2 among
@@ -288,6 +289,8 @@ def _parse_header(obj) -> tuple[TraceHeader, tuple[int, int, int], int]:
         )
         if header.prefill_steps < 0:
             raise TraceFormatError("prefill_steps must be non-negative")
+        if max(header.n_steps, header.n_seqs) > 2**63:
+            raise TraceFormatError("n_steps and n_seqs must be at most 2**63, the int64 id range")
         size = header.n_layers * header.n_heads * header.d_head
         if size > MAX_ANCHOR_VALUES:
             raise TraceFormatError(

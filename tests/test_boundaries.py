@@ -37,11 +37,11 @@ class TestNonFiniteKV:
         token = np.ones((2, 4), dtype=np.float32)
         for step in range(3):
             engine.begin_step()
-            skipped, _ = engine.process(0, 0, (token, token), step, enact=True)
+            skipped, _ = engine.process(0, 0, (token, token), step)
             engine.end_step()
         corrupt = np.full((2, 4), np.nan, dtype=np.float32)
         engine.begin_step()
-        skipped, report = engine.process(0, 0, (corrupt, corrupt), 3, enact=True)
+        skipped, report = engine.process(0, 0, (corrupt, corrupt), 3)
         assert not skipped
         assert report.degenerate and report.s_kv == 0.0
 
@@ -157,7 +157,7 @@ class TestNonFiniteAnchor:
         anchor_before = None
         for step in range(self.N_STEPS):
             engine.begin_step()
-            _, report = engine.process(0, 0, (ks[step], vs[step]), step, enact=True)
+            _, report = engine.process(0, 0, (ks[step], vs[step]), step)
             engine.end_step()
             if report is not None:
                 reports.append(report)
@@ -190,15 +190,15 @@ class TestNonFiniteAnchor:
         ks, vs = self._stream(np.nan)
         engine = FilterEngine(1, self.N_HEADS, self.D_HEAD, self._prune("exact_mean"))
         engine.begin_step()
-        assert engine.process(0, 0, (ks[self.BAD_STEP], vs[0]), 0, enact=True) == (False, None)
+        assert engine.process(0, 0, (ks[self.BAD_STEP], vs[0]), 0) == (False, None)
         engine.end_step()
         assert engine.anchors(0, 0) is None
         engine.begin_step()
-        assert engine.process(0, 0, (ks[1], vs[1]), 1, enact=True) == (False, None)
+        assert engine.process(0, 0, (ks[1], vs[1]), 1) == (False, None)
         engine.end_step()
         np.testing.assert_array_equal(engine.anchors(0, 0)[0], ks[1])
         engine.begin_step()
-        _, report = engine.process(0, 0, (ks[2], vs[2]), 2, enact=True)
+        _, report = engine.process(0, 0, (ks[2], vs[2]), 2)
         assert not report.degenerate
         np.testing.assert_array_equal(engine.anchors(0, 0)[0],
                                       ks[1] + (ks[2].astype(np.float64) - ks[1]) / 2)
@@ -209,7 +209,7 @@ class TestNonFiniteAnchor:
         zero = np.zeros_like(token)
         for step, (k, v) in enumerate([(token, token), (zero, token)]):
             engine.begin_step()
-            _, report = engine.process(0, 0, (k, v), step, enact=True)
+            _, report = engine.process(0, 0, (k, v), step)
             engine.end_step()
         assert report.degenerate
         np.testing.assert_array_equal(engine.anchors(0, 0)[0], np.full(token.shape, 0.9))

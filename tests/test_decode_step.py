@@ -34,7 +34,6 @@ from test_prefill import state
 # token on (tail_fraction 1, a low tau_init, a short warm-up).
 CONFIGS = {
     "dense": (None, "dense", False),
-    "dense_shadow_filter": (PruneConfig(warmup_steps=2, tail_fraction=1.0), "dense", True),
     "ema_drop_record": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5,
                                     tau_init=0.0), "filtered", True),
     "ema_keep": (PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5, tau_init=0.0,
@@ -88,11 +87,9 @@ def ref_block(session, layer, hidden, step):
     ln1 = ref_layer_norm(x, lw.ln1_g, lw.ln1_b)
     k = (lw.wk @ ln1).reshape(c.n_heads, c.d_head)
     v = (lw.wv @ ln1).reshape(c.n_heads, c.d_head)
-    filtered = session.mode == "filtered"
     skip, report = False, None
     if engine is not None and layer in engine.layers:
-        skip, report = engine.process(layer, 0, np.array((k, v), dtype=np.float32), step,
-                                      enact=filtered)
+        skip, report = engine.process(layer, 0, np.array((k, v), dtype=np.float32), step)
     cache_len_if_kept = cache.lens[layer] + 1
     row = None
     if skip:
@@ -110,8 +107,7 @@ def ref_block(session, layer, hidden, step):
         ctx = ctx.reshape(c.d_model).astype(np.float32)
         x = (x + (lw.wo @ ctx).astype(np.float32)).astype(np.float32)
         row = probs.astype(np.float32) if session.record else None
-    session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip,
-                                report if filtered else None)
+    session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip, report)
     ln2 = ref_layer_norm(x, lw.ln2_g, lw.ln2_b)
     h = np.maximum(lw.w1 @ ln2, np.float32(0.0))
     x = (x + (lw.w2 @ h).astype(np.float32)).astype(np.float32)
@@ -132,7 +128,7 @@ def ref_position(session, token, position, recorder, prefill):
             reports.append(report)
         recorder.add_event(seq=0, step=position, layer=layer, k=k, v=v, attn=row)
     if engine is not None:
-        engine.end_step(frozen=session.mode == "dense")
+        engine.end_step()
     return hidden, reports
 
 

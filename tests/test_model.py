@@ -220,7 +220,7 @@ class TestBlockSemantics:
         prompt = [3, 1, 4, 1, 5]
         prune = PruneConfig(tau_init=math.inf, tail_fraction=1.0,
                             p_global=0.5, warmup_steps=0)
-        dense = DecodeSession(cfg, prune, mode="dense", weights=weights)
+        dense = DecodeSession(cfg, None, mode="dense", weights=weights)
         filt = DecodeSession(cfg, prune, mode="filtered", weights=weights)
         r_dense = dense.decode(prompt, 64)
         r_filt = filt.decode(prompt, 64)
@@ -261,7 +261,7 @@ class TestDecode:
         weights = init_weights(cfg)
         prune = PruneConfig(p_global=0.0, tail_fraction=1.0,
                             warmup_steps=0, tau_init=0.0)
-        dense = DecodeSession(cfg, prune, mode="dense", weights=weights)
+        dense = DecodeSession(cfg, None, mode="dense", weights=weights)
         filt = DecodeSession(cfg, prune, mode="filtered", weights=weights)
         assert dense.decode([1, 2], 24).tokens == filt.decode([1, 2], 24).tokens
 

@@ -30,11 +30,9 @@ from tokenskip.trace import TraceRecorder
 PROMPT_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 128, 129, 200)
 
 # (prune, mode, record): both anchor modes, the three fusions, both
-# cache_on_skip values, record on and off, and a dense session that runs the
-# filter as shadow telemetry.
+# cache_on_skip values, record on and off, and a dense session.
 CONFIGS = {
     "dense": (None, "dense", False),
-    "dense_shadow_filter": (PruneConfig(warmup_steps=2), "dense", True),
     "ema_kv_drop": (PruneConfig(warmup_steps=2), "filtered", True),
     "exact_mean_key_only_keep": (PruneConfig(warmup_steps=2, anchor_mode="exact_mean",
                                              fusion="key_only", cache_on_skip="keep",
@@ -73,7 +71,7 @@ def prefill_position(session, token, position, recorder=None):
             recorder.add_event(seq=0, step=position, layer=layer, k=out.kv[0], v=out.kv[1],
                                attn=out.attn_row)
     if engine is not None:
-        engine.end_step(frozen=session.mode == "dense")
+        engine.end_step()
     return hidden, reports
 
 

@@ -50,7 +50,7 @@ def step_runs(draw):
                 kv[row] = 0.0
             elif special is not None:
                 kv[row, draw(st.integers(0, 1)), draw(st.integers(0, n_heads - 1))] = special
-        steps.append((keys, kv, draw(st.booleans()), draw(st.booleans())))
+        steps.append((keys, kv, draw(st.booleans())))
     return (n_layers, n_heads, d_head, config), all_keys, steps
 
 
@@ -66,11 +66,11 @@ def test_a_step_batch_decides_like_one_process_call_per_row(run):
     batched, single = FilterEngine(*dims), FilterEngine(*dims)
     evidence = iter(batched.score_steps([keys for keys, *_ in steps],
                                         np.concatenate([kv for _, kv, *_ in steps])))
-    for step, (keys, kv, prefill, enact) in enumerate(steps):
+    for step, (keys, kv, prefill) in enumerate(steps):
         batched.begin_step(prefill=prefill)
         single.begin_step(prefill=prefill)
-        got = [batched.decide(layer, seq, next(evidence), step, enact) for layer, seq in keys]
-        want = [single.process(layer, seq, kv[i], step, enact)
+        got = [batched.decide(layer, seq, next(evidence), step) for layer, seq in keys]
+        want = [single.process(layer, seq, kv[i], step)
                 for i, (layer, seq) in enumerate(keys)]
         assert repr(got) == repr(want)
         batched.end_step()
@@ -113,7 +113,7 @@ def process_replay(header, events, prune):
         engine.begin_step(prefill=step < header.prefill_steps)
         for e in sorted((e for e in events if e.step == step), key=lambda e: (e.seq, e.layer)):
             if e.layer in engine.layers:
-                _, report = engine.process(e.layer, e.seq, (e.k, e.v), step, enact=True)
+                _, report = engine.process(e.layer, e.seq, (e.k, e.v), step)
                 if report is not None:
                     reports.append(report)
         engine.end_step()

@@ -147,7 +147,6 @@ class TestRecording:
     def _record(self, tmp_path, mode="dense", steps=1, prompt=(5,), seed=11, prune=None):
         cfg = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=24,
                           max_seq=32, seed=seed)
-        prune = prune or PruneConfig(tail_fraction=1.0)
         sess = DecodeSession(cfg, prune, mode=mode, record=True)
         rec = TraceRecorder(cfg.n_layers, cfg.n_heads, cfg.d_head, source="toy_model",
                             generator_params={"prefill_steps": str(len(prompt))})
@@ -175,8 +174,7 @@ class TestRecording:
         header, events = read_trace(path)
         cfg2 = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=24,
                            max_seq=32, seed=13)
-        sess = DecodeSession(cfg2, PruneConfig(tail_fraction=1.0),
-                             mode="dense", record=True)
+        sess = DecodeSession(cfg2, None, mode="dense", record=True)
         rec = TraceRecorder(2, 2, 8, generator_params={"prefill_steps": "2"})
         sess.decode([3, 4], 4, recorder=rec)
         assert len(rec.events) == len(events)

@@ -907,6 +907,40 @@ class TestVersion3Body:
         assert read_trace(path) == (header, [])
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 0
 
+    # Ids are int64: a step or sequence count past 2**63 admits ids the id
+    # table cannot hold. Each case's last in-range event is such an id.
+    @pytest.mark.parametrize("n_steps, n_seqs", [(2**70, 1), (2**63 + 1, 1), (1, 2**64),
+                                                 (1, 2**63 + 1)])
+    def test_counts_past_the_int64_ids_are_refused_both_ways(self, tmp_path, n_steps, n_seqs):
+        message = "^line 1: n_steps and n_seqs must be at most 2\\*\\*63"
+        header = TraceHeader(n_layers=1, n_heads=1, d_head=2, n_steps=n_steps,
+                             source="external", generator_params={"n_seqs": str(n_seqs)})
+        last = TraceEvent(seq=n_seqs - 1, step=min(n_steps - 1, 2**64), layer=0,
+                          k=np.ones((1, 2), np.float32), v=np.ones((1, 2), np.float32))
+        path = tmp_path / "t.trace"
+        with pytest.raises(TraceFormatError, match=message):
+            write_trace(path, header, [last])
+        assert not path.exists()
+        write_trace(path, dataclasses.replace(header, n_steps=1, generator_params={}), [])
+        head, ids, kv, rows = v3_sections(path)
+        head.update(n_steps=n_steps, generator_params={"n_seqs": str(n_seqs)})
+        write_v3_sections(path, head, ids, kv, rows)
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(path)
+        out = tmp_path / "s.csv"
+        assert main(["replay", "--trace", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_counts_of_2_to_the_63_hold_the_largest_int64_ids(self, tmp_path):
+        header = TraceHeader(n_layers=1, n_heads=1, d_head=2, n_steps=2**63,
+                             source="external", generator_params={"n_seqs": str(2**63)})
+        last = TraceEvent(seq=2**63 - 1, step=2**63 - 1, layer=0,
+                          k=np.ones((1, 2), np.float32), v=np.ones((1, 2), np.float32))
+        path = tmp_path / "t.trace"
+        write_trace(path, header, [last])
+        assert_same_events(read_trace(path)[1], [last])
+        assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_an_empty_body_at_the_cap_reads_and_replays(self, tmp_path):
         """n_layers * n_heads * d_head at MAX_ANCHOR_VALUES reads; replay's
         tables for it are allocated but never filled."""
