@@ -56,6 +56,12 @@ def _build_config(args, prefix: str, cls):
 
 
 def cmd_generate(args) -> int:
+    if args.mode == "dense":
+        given = ["--prune-config"] if args.prune_config else []
+        given += ["--" + name.replace("_", "-") for name in PRUNE_FIELDS
+                  if getattr(args, f"prune_{name}") is not None]
+        if given:
+            raise ConfigError(f"--mode dense runs no filter: drop {', '.join(given)}")
     prune = _build_config(args, "prune", PruneConfig)
     config = _build_config(args, "model", ModelConfig)
     prompt = list(args.prompt_bytes.encode("utf-8"))

@@ -7,20 +7,24 @@ threshold and running head-variance estimates. A token whose fused key/value
 similarity to the anchors exceeds the threshold is redundant enough to skip.
 
 The anchors of all (layer, sequence) pairs are the rows of one persistent
-(slots, 2, n_heads, d_head) float64 array, keys stacked over values. A decision
-has two halves. Its evidence (the fused inputs s_k and s_v, the head variances
-and the degeneracy flags) depends only on the K/V stream, anchor_mode and
-gamma, because every finite token is folded into its anchor whether or not it
-is skipped. Only its controller half (the s_kv > tau test and the threshold
-and variance state) is sequential. score_steps therefore scores a whole block
-of steps at once: per step one gather of the rows' anchors and one fold of the
-finite rows, then one head_similarity call over every row of the block;
-decide then runs the controller row by row, in the same order. process does
-both halves for one row: its evidence comes from row_evidence, a one-row
-kernel that makes head_similarity's three dot products and does the rest in
-Python floats, and its anchor folds in place. Live decode (one process call
-per layer) and replay (one score_steps call per block of steps) share decide,
-and row_evidence equals head_similarity bit for bit, so both make the same
+(slots, 2, n_heads, d_head) float64 array, keys stacked over values. A
+decision has two halves. Its evidence (the fused inputs s_k and s_v, the head
+variances and the degeneracy flags) depends only on the K/V stream,
+anchor_mode and gamma, because every finite token is folded into its anchor
+whether or not it is skipped. Only its controller half (the s_kv > tau test
+and the threshold and variance state) is sequential. score_steps therefore
+scores a whole block of steps at once. It folds anchors per run of steps
+(consecutive steps with the same keys, every key with an anchor and every row
+finite): one gather and one scatter per run, and per step a copy of the
+anchors into the rows' refs and an in-place fold. Other steps, those with a
+first observation or a non-finite row, take a per-row path. Then one
+head_similarity call scores every row of the block against its refs, and
+decide runs the controller row by row, in the same order. process does both
+halves for one row: its evidence comes from row_evidence, a one-row kernel
+that makes head_similarity's three dot products and does the rest in Python
+floats, and its anchor folds in place. Live decode (one process call per
+layer) and replay (one score_steps call per block of steps) share decide, and
+row_evidence equals head_similarity bit for bit, so both make the same
 decisions. Anchors are per (layer, sequence) and the controller and variance
 state move only at the step barrier, so the kernels are elementwise or
 row-wise and equal their one-row forms bit for bit. A token with a non-finite
@@ -348,8 +352,13 @@ class FilterEngine:
 
         step_keys lists each step's (layer, seq) keys, a key at most once per
         step; kv is (B, 2, n_heads, d_head), one row per key of each step in
-        turn, keys over values. Per step, one gather reads the anchors of the
-        step's rows and one fold updates those of its finite rows; then one
+        turn, keys over values. A run, a maximal sequence of consecutive
+        steps with equal key lists whose keys all have anchors and whose rows
+        are all finite, gathers its anchors once, folds them step by step in
+        place (each step's refs get the anchors before its fold) and scatters
+        them once. A step outside any run (one with a first observation or a
+        non-finite row) takes the per-row path: a first observation starts
+        its anchor, a non-finite row is scored but not folded. Then one
         head_similarity call scores every row against the anchor it had
         before its step. Anchors and counts end as one process call per row
         would leave them. Evidence depends only on the K/V stream, never on
@@ -380,23 +389,21 @@ class FilterEngine:
         refs = np.zeros_like(kv)
         slot_of, counts = self._slots, self._obs_counts
         first_rows = []
-        start = 0
-        last_slots = index = None
-        for keys in step_keys:
-            stop = start + len(keys)
+        start = i = 0
+        while i < len(step_keys):
+            keys = step_keys[i]
+            width = len(keys)
+            stop = start + width
             slots = [slot_of.get(key) for key in keys]
-            if None not in slots and (all_finite or all(finite[start:stop])):
-                # The usual step: every row has an anchor and is finite, so one
-                # slice takes the gather and the fold (row by row, as below,
-                # replay ran about a fifth slower).
-                if slots != last_slots:
-                    index, last_slots = np.array(slots, dtype=np.intp), slots
-                ref = refs[start:stop]
-                ref[...] = self._anchor_rows[index]
-                for slot in slots:
-                    counts[slot] += 1
-                self._anchor_rows[index] = self._fold(ref, kv[start:stop],
-                                                      [counts[slot] for slot in slots])
+            i += 1
+            if keys and None not in slots and (all_finite or all(finite[start:stop])):
+                # A run: this step and every next one with the same keys and
+                # finite rows.
+                while (i < len(step_keys) and step_keys[i] == keys
+                       and (all_finite or all(finite[stop:stop + width]))):
+                    i += 1
+                    stop += width
+                self._fold_run(slots, kv[start:stop], refs[start:stop])
             else:
                 folded = []
                 for row, key, slot in zip(range(start, stop), keys, slots):
@@ -476,6 +483,35 @@ class FilterEngine:
         self._anchor_rows[slot] = kv
         self._obs_counts.append(1)
         self._slots[key] = slot
+
+    def _fold_run(self, slots: list, kv: np.ndarray, refs: np.ndarray) -> None:
+        """Fold a run of steps into the anchors of slots: kv holds each
+        step's finite rows in turn, one per slot, and refs gets the anchors
+        each step's rows had before it. One gather and one scatter for the
+        run; per step, one copy into refs and an in-place fold with the
+        roundings of update_anchor and update_anchor_mean."""
+        width = len(slots)
+        index = np.array(slots, dtype=np.intp)
+        anchors = self._anchor_rows[index]
+        kv = kv.reshape((-1, width) + self._kv_shape)
+        refs = refs.reshape(kv.shape)
+        counts = self._obs_counts
+        if self.config.anchor_mode == "ema":
+            gamma = self.config.gamma
+            for ref, weighted in zip(refs, (1.0 - gamma) * kv):
+                ref[...] = anchors
+                anchors *= gamma
+                anchors += weighted
+        else:
+            # Each row's count, the current token included, at each step.
+            divisors = np.add.outer(np.arange(1, len(kv) + 1),
+                                    [counts[slot] for slot in slots])
+            for ref, current, divisor in zip(refs, kv, divisors[..., None, None, None]):
+                ref[...] = anchors
+                anchors += (current - anchors) / divisor
+        self._anchor_rows[index] = anchors
+        for slot in slots:
+            counts[slot] += len(kv)
 
     def _fold(self, anchors: np.ndarray, currents: np.ndarray, counts) -> np.ndarray:
         """Fold finite observations into their anchors (counts per row for

@@ -137,6 +137,13 @@ class FlopsLedger:
         self.saved_net += delta
         return delta
 
+    def charge_keeps(self, n: int, model: FlopsModel) -> None:
+        """Charge n undecided keeps at cache lengths 1..n, in closed form:
+        what n charge_keep(i, model, decided=False) calls for i = 1..n add."""
+        cost = n * model._kept_fixed + model._per_position * (n * (n + 1) // 2)
+        self.actual += cost
+        self.dense_equiv += cost
+
     def charge_event(self, cache_len_if_kept: int, model: FlopsModel, skipped: bool,
                      report: StepReport | None) -> None:
         """Charge one event at the cache length it has if kept. An event with
@@ -159,12 +166,13 @@ class FlopsLedger:
 def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float] | None:
     """Per layer, the attention mass that skipping cost, summed over events.
 
-    events are trace events; reports, the decisions over them in order. A
-    skipped event loses its whole row; every event loses the mass its row
-    puts on the positions its (seq, layer) skipped earlier, averaged over
-    heads. Columns are steps only when every row spans the full cache; a
-    recording that dropped skipped tokens from its cache has compacted rows,
-    and like one without rows it gives None.
+    events are trace events; reports, the decisions over them in order.
+    Every event loses the mass its row puts on the columns of the steps its
+    (seq, layer) skipped up to its own, averaged over heads: a skipped event
+    loses its own column, not its whole row. Columns are steps only when
+    every row spans the full cache; a recording that dropped skipped tokens
+    from its cache has compacted rows, and like one without rows it gives
+    None.
     """
     if not events or any(e.attn is None or e.attn.shape[1] != e.step + 1 for e in events):
         return None
@@ -176,11 +184,23 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
                     for key, steps in skipped_steps.items()}
     lost: dict[int, float] = defaultdict(float)
+    # (seq, layer) -> the step and columns of its last event: the columns a
+    # row sums change only at a skipped step, or after a gap in steps.
+    last: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for e in events:
-        cols = dropped_cols.get((e.seq, e.layer))
-        if cols is None:
+        key = (e.seq, e.layer)
+        steps = skipped_steps.get(key)
+        if steps is None:
             continue
-        cols = cols[cols < e.attn.shape[1]]
+        step = e.step
+        prev = last.get(key)
+        if prev is not None and prev[0] == step - 1 and step not in steps:
+            cols = prev[1]
+        else:
+            cols = dropped_cols[key]
+            cols = cols[cols <= step]
+        last[key] = (step, cols)
         if cols.size:
-            lost[e.layer] += float(e.attn[:, cols].sum()) / e.attn.shape[0]
+            attn = e.attn
+            lost[e.layer] += float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
     return dict(lost)

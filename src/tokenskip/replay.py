@@ -2,19 +2,25 @@
 synthetic trace, exactly as the live engine would, and score the decisions
 against the trace's ground-truth attention rows.
 
-Replay runs in two passes per block of BLOCK_STEPS steps. One
-FilterEngine.score_steps call scores every filtered (seq, layer) event of the
-block, step by step in (seq, layer) order; then each step runs begin_step,
-FilterEngine.decide, FlopsLedger.charge_event per event, and end_step. A
-token's evidence depends only on the K/V stream, so scoring it ahead of the
-controller changes nothing: the live engine decides the same rows one process
-call at a time through the same steps, and the two agree bit for bit. The
-summary is the live one: reporting.summarize with metrics.mass_lost_by_layer."""
+Replay sorts the events once, by (step, seq, layer). An unfiltered layer never
+skips, so each of its (seq, layer) pairs is charged in closed form, its n
+events at cache lengths 1..n (FlopsLedger.charge_keeps). The step loop then
+sees only the filtered events, in two passes per block of BLOCK_STEPS steps.
+One FilterEngine.score_steps call scores every filtered event of the block;
+then each step runs begin_step, FilterEngine.decide and
+FlopsLedger.charge_event per event, and end_step, also for a step with no
+filtered event. A token's evidence depends only on the K/V stream, so scoring
+it ahead of the controller changes nothing: the live engine decides the same
+rows one process call at a time through the same steps, and the two agree bit
+for bit. The summary is the live one: reporting.summarize with
+metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,38 +72,38 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     ledger = FlopsLedger()
     prefill_steps = header.prefill_steps
 
-    by_step: dict[int, list[TraceEvent]] = defaultdict(list)
     for e in events:
         if e.k.shape != (header.n_heads, header.d_head) or e.v.shape != e.k.shape:
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
-        by_step[e.step].append(e)
+    event_id = attrgetter("step", "seq", "layer")
+    ordered = sorted(events, key=event_id)
+    ids = list(map(event_id, ordered))
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise TraceCompatibilityError(
+                f"event (seq={a[1]}, step={a[0]}, layer={a[2]}) appears twice")
+
+    layers = engine.layers
+    # An unfiltered layer never skips, so its n events of one (seq, layer)
+    # are kept at cache lengths 1..n.
+    for n in Counter((e.seq, e.layer) for e in ordered if e.layer not in layers).values():
+        ledger.charge_keeps(n, flops_model)
+    steps = [(step, [e for e in step_events if e.layer in layers])
+             for step, step_events in groupby(ordered, attrgetter("step"))]
 
     reports: list[StepReport] = []
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
-
-    layers = engine.layers
-    steps = sorted(by_step)
     for first in range(0, len(steps), BLOCK_STEPS):
-        block = []
-        for step in steps[first:first + BLOCK_STEPS]:
-            step_events = sorted(by_step[step], key=lambda ev: (ev.seq, ev.layer))
-            keys = [(e.seq, e.layer) for e in step_events]
-            for a, b in zip(keys, keys[1:]):
-                if a == b:
-                    raise TraceCompatibilityError(
-                        f"event (seq={a[0]}, step={step}, layer={a[1]}) appears twice")
-            block.append((step, step_events))
-        filtered = [[e for e in step_events if e.layer in layers] for _, step_events in block]
-        rows = [e for step_rows in filtered for e in step_rows]
+        block = steps[first:first + BLOCK_STEPS]
+        rows = [e for _, step_rows in block for e in step_rows]
         evidence = iter(engine.score_steps(
-            [[(e.layer, e.seq) for e in step_rows] for step_rows in filtered],
+            [[(e.layer, e.seq) for e in step_rows] for _, step_rows in block],
             np.array([(e.k, e.v) for e in rows], dtype=np.float32)) if rows else ())
-        for step, step_events in block:
+        for step, step_rows in block:
             engine.begin_step(prefill=step < prefill_steps)
-            for e in step_events:
+            for e in step_rows:
                 key = (e.seq, e.layer)
-                skipped, report = (engine.decide(e.layer, e.seq, next(evidence), step)
-                                   if e.layer in layers else (False, None))
+                skipped, report = engine.decide(e.layer, e.seq, next(evidence), step)
                 would_len = hypo_len[key] + 1
                 ledger.charge_event(would_len, flops_model, skipped, report)
                 if not skipped or prune.cache_on_skip == "keep":

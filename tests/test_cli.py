@@ -177,6 +177,21 @@ class TestGenerateCommand:
         assert gl[header.index("skipped")] == "0"
         assert float(gl[header.index("mass_lost")]) == 0.0
 
+    @pytest.mark.parametrize("flag, value", [("--p-global", "0.3"),
+                                             ("--anchor-mode", "exact_mean"),
+                                             ("--prune-config", "prune.cfg")])
+    def test_dense_mode_refuses_a_filter_flag_before_decoding(self, tmp_path, capsys, flag,
+                                                               value):
+        (tmp_path / "prune.cfg").write_text("p_global = 0.3\n")
+        outputs = [tmp_path / name for name in ("t.trace", "r.ndjson", "s.csv")]
+        rc = run_cli("generate", "--steps", "2", "--mode", "dense",
+                     flag, str(tmp_path / value) if flag == "--prune-config" else value,
+                     "--record", str(outputs[0]), "--report", str(outputs[1]),
+                     "--summary", str(outputs[2]))
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     def test_weights_snapshot_round_trip(self, tmp_path):
         blob = tmp_path / "w.bin"
         rc = run_cli("generate", "--steps", "4", "--prompt-bytes", "ab", "--seed", "7",

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenskip.metrics import FlopsLedger, FlopsModel, flops_saved, mass_lost_by_layer
 from tokenskip.reporting import StepReport, csv_cells, summarize, write_summary_csv
@@ -58,6 +60,17 @@ class TestFlopsModel:
         assert ledger.actual == m.skip_cost() + 2 * m.kept_cost(5)
         assert ledger.conserved()
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2000), st.integers(1, 16), st.integers(1, 128))
+    def test_keeps_in_closed_form_equal_one_charge_per_event(self, n, n_heads, d_head):
+        m = FlopsModel.from_dims(n_heads, d_head)
+        closed, stepped = FlopsLedger(), FlopsLedger()
+        closed.charge_keeps(n, m)
+        for cache_len in range(1, n + 1):
+            stepped.charge_event(cache_len, m, False, None)
+        assert closed == stepped
+        assert closed.conserved()
+
 
 class TestAttentionMassLost:
     def _events(self, T, heads=2):
@@ -91,6 +104,17 @@ class TestAttentionMassLost:
             values.append(self._mass(events, dropped))
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_a_skip_loses_its_own_column_and_later_rows_lose_it_too(self):
+        rows = [[1.0], [0.4, 0.6], [0.2, 0.3, 0.5]]
+        events = [TraceEvent(seq=0, step=t, layer=0, k=None, v=None,
+                             attn=np.array([row], dtype=np.float32))
+                  for t, row in enumerate(rows)]
+        reports = [make_report(step=t, skipped=t == 1) for t in range(3)]
+        # Step 1's own column (0.6) and step 2's mass on column 1 (0.3); not
+        # the whole skipped row (1.0 + 0.3).
+        want = float(np.float32(0.6)) + float(np.float32(0.3))
+        assert mass_lost_by_layer(events, reports) == {0: want}
 
     def test_zero_decisions_convention(self):
         assert mass_lost_by_layer([], []) is None

@@ -39,8 +39,10 @@ def step_runs(draw):
     all_keys = [(layer, seq) for layer in range(n_layers) for seq in range(SEQS)]
     steps = []
     for _ in range(draw(st.integers(1, 5))):
-        keys = draw(st.lists(st.sampled_from(all_keys), min_size=1,
-                             max_size=min(6, len(all_keys)), unique=True))
+        # Repeating the last step's keys makes runs of steps.
+        keys = steps[-1][0] if steps and draw(st.booleans()) else draw(
+            st.lists(st.sampled_from(all_keys), min_size=1, max_size=min(6, len(all_keys)),
+                     unique=True))
         kv = (prototypes[rng.integers(0, 3, len(keys))]
               + 0.05 * rng.standard_normal((len(keys), 2, n_heads, d_head))).astype(np.float32)
         for row in range(len(keys)):
@@ -166,6 +168,55 @@ def test_a_first_token_that_is_not_finite_gets_no_anchor(anchor_mode):
     assert steps == list(range(3, 12))
     assert [r.degenerate for r in reports if (r.seq, r.layer) == (0, 1)][3] is True
     assert [r.step for r in reports if (r.seq, r.layer) == (1, 1)] == list(range(1, 12))
+
+
+def run_fold_events(case):
+    """One block of a 2-sequence trace, altered so that score_steps folds
+    anchors per run of steps around the named case."""
+    header, events = synthesize("repetitive", 4, 2, 8, BLOCK_STEPS, seed=9, n_seqs=2,
+                                with_attn=False)
+    if case == "second sequence from step 30":
+        # The key list changes mid-block, with a first observation of every
+        # row of seq 1 right after the run of steps 1-29.
+        return header, [e for e in events if e.seq == 0 or e.step >= 30]
+    if case == "non-finite row at step 40":
+        # Splits the run into steps 1-39 and 41-63 around one per-row step.
+        for e in events:
+            if (e.seq, e.step, e.layer) == (0, 40, 3):
+                e.k = e.k.copy()
+                e.k[1, 2] = np.nan
+        return header, events
+    if case == "run of one step":
+        # Steps 20 and 22 lack one row, so step 21 is a run of its own.
+        return header, [e for e in events
+                        if not (e.step in (20, 22) and (e.seq, e.layer) == (1, 2))]
+    # A first observation right after a run, in a step whose other rows have
+    # anchors.
+    assert case == "first observation after a run"
+    return header, [e for e in events if e.step >= 50 or (e.seq, e.layer) != (1, 3)]
+
+
+# Each case's runs, in steps: step 0 and the steps outside a run take the
+# per-row path.
+RUN_STEPS = {"second sequence from step 30": [29, 33], "non-finite row at step 40": [39, 23],
+             "run of one step": [19, 1, 1, 1, 41], "first observation after a run": [49, 13]}
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+@pytest.mark.parametrize("case", sorted(RUN_STEPS))
+def test_a_run_of_steps_folds_like_process(case, anchor_mode, monkeypatch):
+    runs = []
+    fold_run = FilterEngine._fold_run
+
+    def counted(engine, slots, kv, refs):
+        runs.append(len(kv) // len(slots))
+        return fold_run(engine, slots, kv, refs)
+
+    monkeypatch.setattr(FilterEngine, "_fold_run", counted)
+    header, events = run_fold_events(case)
+    assert_replay_matches_process(header, events, PruneConfig(anchor_mode=anchor_mode,
+                                                             warmup_steps=2))
+    assert runs == RUN_STEPS[case]
 
 
 def test_replay_scores_each_block_in_one_kernel_call_and_never_calls_process(monkeypatch):
