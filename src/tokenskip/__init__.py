@@ -18,7 +18,6 @@ from .filtering import (
     fuse,
     head_similarity,
     update_anchor,
-    update_anchor_mean,
 )
 from .metrics import FlopsLedger, FlopsModel
 from .model import (
@@ -47,5 +46,5 @@ __all__ = [
     "cosine_similarity", "fuse", "head_similarity", "init_weights",
     "layer_norm", "load_weights", "per_layer_target", "project_kv", "read_trace",
     "replay", "save_weights", "select_layers", "softmax", "substream", "synthesize",
-    "update_anchor", "update_anchor_mean", "update_threshold", "write_trace",
+    "update_anchor", "update_threshold", "write_trace",
 ]

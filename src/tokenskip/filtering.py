@@ -16,20 +16,21 @@ and the threshold and variance state) is sequential. score_steps therefore
 scores a whole block of steps at once. It folds anchors per run of steps
 (consecutive steps with the same keys, every key with an anchor and every row
 finite): one gather and one scatter per run, and per step a copy of the
-anchors into the rows' refs and an in-place fold. Other steps, those with a
-first observation or a non-finite row, take a per-row path. Then one
-head_similarity call scores every row of the block against its refs, and
-decide runs the controller row by row, in the same order. process does both
-halves for one row: its evidence comes from row_evidence, a one-row kernel
-that makes head_similarity's three dot products and does the rest in Python
-floats, and its anchor folds in place. Live decode (one process call per
-layer) and replay (one score_steps call per block of steps) share decide, and
-row_evidence equals head_similarity bit for bit, so both make the same
-decisions. Anchors are per (layer, sequence) and the controller and variance
-state move only at the step barrier, so the kernels are elementwise or
-row-wise and equal their one-row forms bit for bit. A token with a non-finite
-key or value is reported as degenerate, never skipped, and never folded into
-its anchor.
+anchors into the rows' refs and an in-place fold. In another step, one with a
+first observation or a non-finite row, those rows are set aside (a first
+observation starts its anchor, a non-finite row is not folded) and the rest
+fold as a run of one step. Then one head_similarity call scores every row of
+the block against its refs, and decide runs the controller row by row, in
+the same order. process does both halves for one row: its evidence comes from
+row_evidence, a one-row kernel that makes head_similarity's three dot
+products and does the rest in Python floats, and its anchor folds in place.
+Live decode (one process call per layer) and replay (one score_steps call per
+block of steps) share decide, and row_evidence equals head_similarity bit for
+bit, so both make the same decisions. Anchors are per (layer, sequence) and
+the controller and variance state move only at the step barrier, so the
+kernels are elementwise or row-wise and equal their one-row forms bit for
+bit. A token with a non-finite key or value is reported as degenerate, never
+skipped, and never folded into its anchor.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class SimilarityScore:
     degenerate: bool = False
 
 
+# Not called here (FilterEngine folds in place with the same roundings): kept
+# for perfbench/tracer.py, which wraps it.
 def update_anchor(anchor: np.ndarray, current: np.ndarray, gamma: float) -> np.ndarray:
     """Exponential moving anchor. (The engine starts an anchor at its first
     observation, rather than decaying from zero.)
@@ -79,18 +82,6 @@ def update_anchor(anchor: np.ndarray, current: np.ndarray, gamma: float) -> np.n
     if anchor.shape != current.shape:
         raise ValueError("anchor and current must have equal shapes")
     return gamma * anchor + (1.0 - gamma) * current
-
-
-def update_anchor_mean(anchor: np.ndarray, current: np.ndarray, counts) -> np.ndarray:
-    """Incremental exact mean over all observed tokens, for a batch of
-    anchors: counts holds one count per row over their leading axes, the
-    current token included (so at least 2, as the first observation starts
-    the anchor)."""
-    current = np.asarray(current, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    counts = np.asarray(counts)
-    return anchor + (current - anchor) / counts.reshape(
-        counts.shape + (1,) * (current.ndim - counts.ndim))
 
 
 def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:
@@ -116,29 +107,17 @@ def head_similarity(anchors: np.ndarray, currents: np.ndarray) -> tuple:
 
 
 def _add_reduce(values: list) -> float:
-    """np.add.reduce of a float64 vector, in Python floats and in its order:
-    0.0 plus NumPy's pairwise sum, which adds sequentially below 8 values,
-    in 8 interleaved partial sums up to 128, and by halves above that. (Not
-    the builtin sum: from Python 3.12 it compensates its rounding.)"""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _add_reduce(values[:half]) + _add_reduce(values[half:])
-    partial = values[:8]
-    stop = n - n % 8
-    for start in range(8, stop, 8):
-        for j in range(8):
-            partial[j] += values[start + j]
-    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-        (partial[4] + partial[5]) + (partial[6] + partial[7]))
-    for value in values[stop:]:
+    """np.add.reduce of a float64 vector. Below 8 values NumPy adds them in
+    order onto 0.0, so this does too, in Python floats, without building an
+    array; from 8 on it hands them to np.add.reduce, whose pairwise blocking
+    is then its own. (Not the builtin sum: from Python 3.12 it compensates
+    its rounding.)"""
+    if len(values) >= 8:
+        return float(np.add.reduce(np.array(values)))
+    total = 0.0
+    for value in values:
         total += value
-    return 0.0 + total
+    return total
 
 
 # Degenerate heads are an expected, flagged input here: no warnings. The
@@ -338,8 +317,8 @@ class FilterEngine:
         *_, finite = evidence
         if finite:
             self._obs_counts[slot] += 1
-            # _fold's arithmetic, in place on the anchor's row: the same
-            # roundings, no new array.
+            # _fold_run's arithmetic for one row, in place on the anchor's
+            # row: the same roundings, without its gather and scatter.
             if self.config.anchor_mode == "ema":
                 anchor *= self.config.gamma
                 anchor += (1.0 - self.config.gamma) * kv
@@ -356,11 +335,11 @@ class FilterEngine:
         steps with equal key lists whose keys all have anchors and whose rows
         are all finite, gathers its anchors once, folds them step by step in
         place (each step's refs get the anchors before its fold) and scatters
-        them once. A step outside any run (one with a first observation or a
-        non-finite row) takes the per-row path: a first observation starts
-        its anchor, a non-finite row is scored but not folded. Then one
-        head_similarity call scores every row against the anchor it had
-        before its step. Anchors and counts end as one process call per row
+        them once. In a step outside any run (one with a first observation
+        or a non-finite row), a first observation starts its anchor, a
+        non-finite row is scored but not folded, and the other rows fold as
+        a run of one step. Then one head_similarity call scores every row
+        against the anchor it had before its step. Anchors and counts end as one process call per row
         would leave them. Evidence depends only on the K/V stream, never on
         the controller, so a whole block can be scored before any of its
         steps is decided.
@@ -387,7 +366,7 @@ class FilterEngine:
         finite = np.isfinite(kv).all(axis=(1, 2, 3)).tolist()
         all_finite = all(finite)
         refs = np.zeros_like(kv)
-        slot_of, counts = self._slots, self._obs_counts
+        slot_of = self._slots
         first_rows = []
         start = i = 0
         while i < len(step_keys):
@@ -405,20 +384,22 @@ class FilterEngine:
                     stop += width
                 self._fold_run(slots, kv[start:stop], refs[start:stop])
             else:
-                folded = []
+                rows, fold_slots = [], []
                 for row, key, slot in zip(range(start, stop), keys, slots):
                     if slot is None:
                         first_rows.append(row)
                         self._observe_first(key, kv[row])
+                    elif finite[row]:
+                        rows.append(row)
+                        fold_slots.append(slot)
                     else:
                         refs[row] = self._anchor_rows[slot]
-                        if finite[row]:
-                            counts[slot] += 1
-                            folded.append((row, slot))
-                if folded:
-                    rows, fold_slots = map(list, zip(*folded))
-                    self._anchor_rows[fold_slots] = self._fold(
-                        refs[rows], kv[rows], [counts[slot] for slot in fold_slots])
+                if rows:
+                    # The step's other rows fold as a run of one step; their
+                    # fancy-indexed refs are a copy, so they are scattered.
+                    step_refs = np.empty((len(rows),) + self._kv_shape)
+                    self._fold_run(fold_slots, kv[rows], step_refs)
+                    refs[rows] = step_refs
             start = stop
         means, variances, degenerate = head_similarity(refs, kv)
         evidence = list(zip(means.tolist(), variances.tolist(), degenerate.tolist(), finite))
@@ -488,8 +469,9 @@ class FilterEngine:
         """Fold a run of steps into the anchors of slots: kv holds each
         step's finite rows in turn, one per slot, and refs gets the anchors
         each step's rows had before it. One gather and one scatter for the
-        run; per step, one copy into refs and an in-place fold with the
-        roundings of update_anchor and update_anchor_mean."""
+        run; per step, one copy into refs and an in-place fold, rounded as
+        ema's gamma * a + ((1 - gamma) * x) and exact_mean's a + (x - a) / n,
+        with n the row's count, the current token included."""
         width = len(slots)
         index = np.array(slots, dtype=np.intp)
         anchors = self._anchor_rows[index]
@@ -512,13 +494,6 @@ class FilterEngine:
         self._anchor_rows[index] = anchors
         for slot in slots:
             counts[slot] += len(kv)
-
-    def _fold(self, anchors: np.ndarray, currents: np.ndarray, counts) -> np.ndarray:
-        """Fold finite observations into their anchors (counts per row for
-        exact_mean)."""
-        if self.config.anchor_mode == "ema":
-            return update_anchor(anchors, currents, self.config.gamma)
-        return update_anchor_mean(anchors, currents, counts)
 
     # -- introspection -----------------------------------------------------
 

@@ -10,7 +10,6 @@ from tokenskip.filtering import (
     fuse,
     head_similarity,
     update_anchor,
-    update_anchor_mean,
 )
 from tokenskip.numerics import cosine_similarity
 from tokenskip.policy import PruneConfig
@@ -58,26 +57,6 @@ class TestUpdateAnchor:
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError):
             update_anchor(np.ones(2), np.ones(2), 1.0)
-
-
-class TestUpdateAnchorMean:
-    def test_matches_cumulative_mean(self):
-        rng = np.random.default_rng(102)
-        xs = rng.standard_normal((50, 1, 6))
-        anchor = xs[0]   # the engine starts an anchor at its first observation
-        for i, x in enumerate(xs[1:], start=2):
-            anchor = update_anchor_mean(anchor, x, [i])
-            np.testing.assert_allclose(anchor, xs[:i].mean(axis=0), atol=1e-10)
-
-    def test_each_row_takes_its_own_count(self):
-        # Rows at different depths of their streams: row r has seen r + 2 tokens.
-        rng = np.random.default_rng(104)
-        xs = rng.standard_normal((3, 6, 2, 5))
-        anchors = np.stack([xs[r, :r + 1].mean(axis=0) for r in range(3)])
-        current = np.stack([xs[r, r + 1] for r in range(3)])
-        got = update_anchor_mean(anchors, current, np.arange(2, 5))
-        for r in range(3):
-            np.testing.assert_allclose(got[r], xs[r, :r + 2].mean(axis=0), atol=1e-12)
 
 
 class TestHeadSimilarity:

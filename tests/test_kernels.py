@@ -127,8 +127,8 @@ def test_one_row_evidence_equals_head_similarity_of_the_row(row):
 @settings(deadline=None, max_examples=200)
 @given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
 def test_add_reduce_sums_in_numpy_order(n, seed, zeros):
-    # Lengths past 8 and 128 take the pairwise branches, and mixed magnitudes
-    # make the grouping show in the last bits.
+    # Lengths from 8 on take np.add.reduce's own pairwise branches, and mixed
+    # magnitudes make the grouping show in the last bits.
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
     if zeros:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenskip import filtering
-from tokenskip.filtering import FilterEngine, MisconfigurationError, update_anchor_mean
+from tokenskip.filtering import FilterEngine, MisconfigurationError
 from tokenskip.policy import PruneConfig
 from tokenskip.replay import BLOCK_STEPS, TraceCompatibilityError, replay
 from tokenskip.trace import synthesize
@@ -124,7 +124,12 @@ def process_replay(header, events, prune):
 
 def assert_replay_matches_process(header, events, prune):
     got = [dataclasses.replace(r, flops_saved=0) for r in replay(header, events, prune).reports]
-    assert repr(got) == repr(process_replay(header, events, prune))
+    want = process_replay(header, events, prune)
+    assert len(got) == len(want)
+    # Report by report, so that a failure names one short report instead of
+    # diffing the whole replay as one string.
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)), None)
+    assert first is None, f"report {first} differs: {got[first]!r} != {want[first]!r}"
 
 
 @pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
@@ -190,16 +195,25 @@ def run_fold_events(case):
         # Steps 20 and 22 lack one row, so step 21 is a run of its own.
         return header, [e for e in events
                         if not (e.step in (20, 22) and (e.seq, e.layer) == (1, 2))]
-    # A first observation right after a run, in a step whose other rows have
-    # anchors.
-    assert case == "first observation after a run"
+    # A first observation (seq 1, layer 3) right after a run, in a step whose
+    # other rows have anchors; in the second case one of them (seq 0, layer
+    # 3) is non-finite, so step 50 also holds a row that does not fold.
+    assert case in ("first observation after a run",
+                    "first observation and non-finite row in one step")
+    if case == "first observation and non-finite row in one step":
+        for e in events:
+            if (e.seq, e.step, e.layer) == (0, 50, 3):
+                e.v = e.v.copy()
+                e.v[0, 3] = np.inf
     return header, [e for e in events if e.step >= 50 or (e.seq, e.layer) != (1, 3)]
 
 
-# Each case's runs, in steps: step 0 and the steps outside a run take the
-# per-row path.
-RUN_STEPS = {"second sequence from step 30": [29, 33], "non-finite row at step 40": [39, 23],
-             "run of one step": [19, 1, 1, 1, 41], "first observation after a run": [49, 13]}
+# Each case's runs, in steps. A step outside a run folds its rows that have
+# an anchor and are finite as a run of one step; step 0 folds none.
+RUN_STEPS = {"second sequence from step 30": [29, 1, 33],
+             "non-finite row at step 40": [39, 1, 23],
+             "run of one step": [19, 1, 1, 1, 41], "first observation after a run": [49, 1, 13],
+             "first observation and non-finite row in one step": [49, 1, 13]}
 
 
 @pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
@@ -238,14 +252,22 @@ def test_replay_scores_each_block_in_one_kernel_call_and_never_calls_process(mon
     assert calls == {"head_similarity": math.ceil(n_steps / BLOCK_STEPS), "process": 0}
 
 
-def test_update_anchor_mean_takes_per_row_counts():
-    rng = np.random.default_rng(3)
-    anchors, currents = rng.standard_normal((2, 5, 2, 3, 4))
-    counts = [2, 3, 7, 100, 2]
-    batched = update_anchor_mean(anchors, currents, counts)
-    for row, count in enumerate(counts):
-        assert batched[row].tobytes() == update_anchor_mean(
-            anchors[row:row + 1], currents[row:row + 1], [count])[0].tobytes()
+def test_exact_mean_anchors_are_each_sequences_own_mean():
+    # Sequence r starts at step 2 - r, so from step 2 on each step folds
+    # rows with different counts: step 2 beside a first observation, the
+    # later steps as runs.
+    engine = FilterEngine(1, 3, 4, PruneConfig(tail_fraction=1.0, anchor_mode="exact_mean"))
+    streams = np.random.default_rng(104).standard_normal((3, 6, 2, 3, 4)).astype(np.float32)
+    seen = [0, 0, 0]
+    for step in range(6):
+        seqs = [r for r in range(3) if step >= 2 - r]
+        engine.score_steps([[(0, r) for r in seqs]],
+                           np.stack([streams[r, seen[r]] for r in seqs]))
+        for r in seqs:
+            seen[r] += 1
+            want = streams[r, :seen[r]].astype(np.float64).mean(axis=0)
+            np.testing.assert_allclose(np.stack(engine.anchors(0, r)), want, atol=1e-12)
+    assert seen == [4, 5, 6]
 
 
 def test_replay_rejects_a_repeated_event():
