@@ -21,22 +21,27 @@ first observation or a non-finite row, those rows are set aside (a first
 observation starts its anchor, a non-finite row is not folded) and the rest
 fold as a run of one step. Then one head_similarity call scores every row of
 the block against its refs, and decide runs the controller row by row, in
-the same order. process does both halves for one row: its evidence comes from
-row_evidence, a one-row kernel that makes head_similarity's three dot
-products and does the rest in Python floats, and its anchor folds in place.
-Live decode (one process call per layer) and replay (one score_steps call per
-block of steps) share decide, and row_evidence equals head_similarity bit for
-bit, so both make the same decisions. Anchors are per (layer, sequence) and
-the controller and variance state move only at the step barrier, so the
-kernels are elementwise or row-wise and equal their one-row forms bit for
-bit. A token with a non-finite key or value is reported as degenerate, never
-skipped, and never folded into its anchor.
+the same order. process does both halves for one row. It copies the row's
+anchor and casts its K/V into a persistent (2, 2, n_heads, d_head)
+anchor/current pair, and row_evidence makes one np.vecdot over two broadcast
+views of that pair, built once: every head's a.a, a.b and b.b product, each
+one BLAS ddot of two contiguous rows. cosine_rows, under head_similarity,
+makes each of its three products with the same np.vecdot, so the products
+are equal bit for bit; row_evidence then takes the cosines, flags, mean and
+variance in Python floats, summed in np.add.reduce's order, and the anchor
+folds in place. Live decode (one process call per layer) and replay (one
+score_steps call per block of steps) share decide, and row_evidence equals
+head_similarity bit for bit, so both make the same decisions. Anchors are
+per (layer, sequence) and the controller and variance state move only at the
+step barrier, so the kernels are elementwise or row-wise and equal their
+one-row forms bit for bit. A token with a non-finite key or value is
+reported as degenerate, never skipped, and never folded into its anchor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import copysign, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -120,34 +125,48 @@ def _add_reduce(values: list) -> float:
     return total
 
 
-# Degenerate heads are an expected, flagged input here: no warnings. The
-# decorator enters a fresh errstate on each call, which NumPy requires, at
-# less cost than a with block built per call.
-@np.errstate(all="ignore")
-def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
-    """The evidence of one (2, n_heads, d_head) float64 row against its
-    anchor, keys over values, in the form decide takes: ([s_k, s_v],
-    [var_k, var_v], [degenerate_k, degenerate_v], finite).
+def pair_views(pair: np.ndarray) -> tuple:
+    """The two broadcast views of a (2, 2, n_heads, d_head) anchor/current
+    pair whose np.vecdot is the (2, 2, 2, n_heads) array of every head's
+    a.a, a.b, b.a and b.b product, keys over values in each."""
+    return pair[:, None], pair[None, :]
 
-    The live decision's kernel. It makes the three dot products of
-    cosine_rows, each the same batched np.matmul (one BLAS ddot per head),
-    then takes the cosine, the flags and the across-head mean and population
-    variance in Python floats, summed as np.add.reduce sums. So it equals
-    head_similarity of the row bit for bit, without its thirty-odd
-    small-array calls. finite says whether current is all finite.
+
+# Degenerate heads are an expected, flagged input here: no warnings. The dot
+# products are the one step that can raise a floating-point flag (0 x inf,
+# inf - inf, or a squared norm of a head beyond float32's range); the rest is
+# Python float arithmetic. The decorator enters a fresh errstate on each
+# call, which NumPy requires, at less cost than a with block built per call.
+@np.errstate(all="ignore")
+def row_evidence(pair: np.ndarray, views: tuple) -> tuple:
+    """The evidence of one row in the form decide takes: ([s_k, s_v],
+    [var_k, var_v], [degenerate_k, degenerate_v], finite). pair is a
+    (2, 2, n_heads, d_head) float64 array, the anchor row over the current
+    row, each keys over values, and views are pair_views(pair), which a
+    caller that refills the same pair builds once.
+
+    The live decision's kernel. One np.vecdot over the pair's views makes
+    every head's a.a, a.b and b.b product (and b.a, unused), each one BLAS
+    ddot of two contiguous rows: the call np.dot makes for two vectors and
+    cosine_rows makes for each of its three products, so the products are
+    head_similarity's bit for bit. The cosine, the flags and the across-head
+    mean and population variance then run in Python floats, summed as
+    np.add.reduce sums. So it equals head_similarity of the row bit for bit,
+    without its thirty-odd small-array calls. finite says whether the
+    current row is all finite.
     """
-    rows, cols = anchor[..., None, :], current[..., :, None]
-    dots = np.matmul(rows, cols).ravel().tolist()
-    norms_a = np.matmul(rows, anchor[..., :, None]).ravel().tolist()
-    norms_b = np.matmul(current[..., None, :], cols).ravel().tolist()
-    n = anchor.shape[-2]
+    (norms_a, dots), (_, norms_b) = np.vecdot(*views).tolist()
+    n = pair.shape[-2]
     means, variances, degenerate = [], [], []
-    for start in (0, n):
+    for heads_a, heads_ab, heads_b in zip(norms_a, dots, norms_b):
         sims, flagged = [], False
-        for i in range(start, start + n):
-            dot, den = dots[i], norms_a[i] * norms_b[i]
-            if 0.0 < den < math.inf and math.isfinite(dot):
-                sims.append(math.copysign(math.sqrt(min(1.0, dot * dot / den)), dot))
+        for norm_a, dot, norm_b in zip(heads_a, heads_ab, heads_b):
+            den = norm_a * norm_b
+            if 0.0 < den < inf and isfinite(dot):
+                # min(1.0, q), which q (finite or +inf, never NaN) takes
+                # without a builtin call.
+                q = dot * dot / den
+                sims.append(copysign(sqrt(q if q < 1.0 else 1.0), dot))
             else:
                 sims.append(0.0)
                 flagged = True
@@ -157,7 +176,7 @@ def row_evidence(anchor: np.ndarray, current: np.ndarray) -> tuple:
         degenerate.append(flagged)
     # A non-finite value makes its head degenerate, so only a degenerate row
     # needs the check.
-    finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(current).all())
+    finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(pair[1]).all())
     return means, variances, degenerate, finite
 
 
@@ -241,6 +260,13 @@ class FilterEngine:
         self._slots: dict[tuple[int, int], int] = {}
         self._anchor_rows = np.empty((len(self.active_layers),) + self._kv_shape)
         self._obs_counts: list[int] = []
+        # The live decision's (2, 2, n_heads, d_head) anchor/current pair:
+        # process copies the anchor row and casts the K/V into it, and folds
+        # the anchor through the current half. Its rows and views are built
+        # once.
+        self._pair = np.empty((2,) + self._kv_shape)
+        self._pair_rows = tuple(self._pair)
+        self._pair_views = pair_views(self._pair)
         self.layers = {layer: _LayerState(tau=config.tau_init) for layer in self.active_layers}
 
     # -- step protocol -----------------------------------------------------
@@ -288,9 +314,12 @@ class FilterEngine:
 
         The one-row form of score_steps followed by decide: the same
         first-observation, evidence, controller and anchor-update steps,
-        without the batch gather. The evidence comes from row_evidence,
-        which equals score_steps' head_similarity bit for bit at a fraction
-        of its per-call cost, and the anchor folds in place.
+        without the batch gather. The anchor row is copied and the K/V cast
+        into the engine's persistent anchor/current pair, whose evidence
+        comes from row_evidence, one np.vecdot and a few Python floats that
+        equal score_steps' head_similarity bit for bit. The anchor then
+        folds in place, through the pair's current half, with _fold_run's
+        roundings.
 
         Returns (skip, report). skip is False whenever the decision is shadow
         (prompt positions, warm-up, or a zero budget). The first finite
@@ -304,7 +333,7 @@ class FilterEngine:
         # Canonical wire precision: the live engine and a trace replay must see
         # bit-identical inputs, so K/V pass through float32 before filter math
         # (no copy for the float32 block project_kv makes).
-        kv = np.asarray(kv, dtype=np.float32).astype(np.float64)
+        kv = np.asarray(kv, dtype=np.float32)
         if kv.shape != self._kv_shape:
             raise ValueError(f"expected K/V of shape {self._kv_shape}, got {kv.shape}")
         slot = self._slots.get(key)
@@ -312,18 +341,22 @@ class FilterEngine:
             self._observe_first(key, kv)
             return False, None
         anchor = self._anchor_rows[slot]
-        evidence = row_evidence(anchor, kv)
+        pair_anchor, current = self._pair_rows
+        pair_anchor[...] = anchor
+        current[...] = kv
+        evidence = row_evidence(self._pair, self._pair_views)
         skipped, report = self.decide(layer, seq, evidence, step)
-        *_, finite = evidence
-        if finite:
+        if evidence[3]:
+            # The row is finite: fold it in place, as ema's
+            # gamma * a + ((1 - gamma) * x) and exact_mean's a + (x - a) / n.
             self._obs_counts[slot] += 1
-            # _fold_run's arithmetic for one row, in place on the anchor's
-            # row: the same roundings, without its gather and scatter.
             if self.config.anchor_mode == "ema":
                 anchor *= self.config.gamma
-                anchor += (1.0 - self.config.gamma) * kv
+                current *= 1.0 - self.config.gamma
             else:
-                anchor += (kv - anchor) / self._obs_counts[slot]
+                current -= anchor
+                current /= self._obs_counts[slot]
+            anchor += current
         return skipped, report
 
     def score_steps(self, step_keys: list, kv: np.ndarray) -> list:
@@ -415,11 +448,11 @@ class FilterEngine:
         end_step as for process."""
         if evidence is None:
             return False, None
-        (s_k, s_v), (fresh_var_k, fresh_var_v), degenerate, finite = evidence
-        degen = degenerate[0] or degenerate[1]
+        (s_k, s_v), (fresh_var_k, fresh_var_v), (degen_k, degen_v), finite = evidence
+        config = self.config
         # A zero budget means zero skips, exactly: the proportional controller
         # can only approach zero asymptotically, so enforce it outright.
-        shadow = (self._in_prefill or self.step_index < self.config.warmup_steps
+        shadow = (self._in_prefill or self.step_index < config.warmup_steps
                   or self.target == 0.0)
         st = self.layers[layer]
 
@@ -429,26 +462,25 @@ class FilterEngine:
         if st.var_k is None:
             dec_var_k, dec_var_v = fresh_var_k, fresh_var_v
         else:
-            g = self.config.gamma
+            g = config.gamma
             dec_var_k = g * st.var_k + (1.0 - g) * fresh_var_k
             dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
 
-        alpha, s_kv = fuse_scalar(s_k, s_v, dec_var_k, dec_var_v, self.config.fusion)
+        alpha, s_kv = fuse_scalar(s_k, s_v, dec_var_k, dec_var_v, config.fusion)
         # A non-finite token is never skipped (nor folded into its anchor:
         # one corrupt token must not make every later one degenerate).
-        would_skip = finite and s_kv > st.tau
+        tau = st.tau
+        would_skip = finite and s_kv > tau
         skipped = would_skip and not shadow
 
         st.pending_shadow += would_skip
         st.pending_var_k.append(fresh_var_k)
         st.pending_var_v.append(fresh_var_v)
 
-        report = StepReport(
-            seq=seq, step=step, layer=layer,
-            s_k=s_k, s_v=s_v, var_k=dec_var_k, var_v=dec_var_v,
-            alpha=alpha, s_kv=s_kv, tau=st.tau,
-            shadow=shadow, skipped=skipped, degenerate=degen,
-        )
+        # Positional arguments, in field order with flops_saved 0: a
+        # keyword call costs more, once per decision.
+        report = StepReport(seq, step, layer, s_k, s_v, dec_var_k, dec_var_v, alpha, s_kv,
+                            tau, shadow, skipped, 0, degen_k or degen_v)
         return skipped, report
 
     def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:

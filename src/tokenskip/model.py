@@ -31,7 +31,8 @@ one BLAS gemv per half, the bits of wk @ x and of wv @ x. (A single
 OpenBLAS 0.3.31's Haswell kernel it changes bits when d_model is not a
 multiple of 4.) Prefill uses the same stacked array. The attention scale,
 sqrt(d_head) in float32, is computed once per Weights (attn_scale), and the
-scores divide by it in place.
+scores divide by it in place; so is the read-only position table
+(positions), which every session on those weights shares.
 """
 
 from __future__ import annotations
@@ -113,11 +114,16 @@ class Weights:
     layers: list[LayerWeights]
     lnf_g: np.ndarray
     lnf_b: np.ndarray
-    # The attention scores' divisor, sqrt(d_head) in float32, computed once.
+    # Computed once and shared by every session on these weights: the
+    # attention scores' divisor, sqrt(d_head) in float32, and the read-only
+    # (max_seq, d_model) sinusoidal position table.
     attn_scale: np.float32 = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.attn_scale = np.float32(np.sqrt(self.config.d_head))
+        self.positions = sinusoidal_positions(self.config.max_seq, self.config.d_model)
+        self.positions.flags.writeable = False
 
 
 def _gaussian(rng, shape, fan_in) -> np.ndarray:
@@ -364,7 +370,7 @@ class DecodeSession:
         self.mode = mode
         self.weights = weights if weights is not None else init_weights(config)
         self.cache = KVCache(config)
-        self.positions = sinusoidal_positions(config.max_seq, config.d_model)
+        self.positions = self.weights.positions
         self.flops_model = FlopsModel.from_dims(config.n_heads, config.d_head, config.d_model)
         self.ledger = FlopsLedger()
         self.record = record

@@ -31,20 +31,19 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row pair is degenerate, and scores 0, when that formula has no
     meaningful value: its dot product is non-finite, or the product of its
     squared norms is not a positive finite double (a zero, non-finite, or far
-    too small or large row). Each dot product is one BLAS ddot, the same call
-    np.dot makes for two vectors, so a batched call equals the
-    vector-at-a-time one bit for bit.
+    too small or large row). The three products (a.b, a.a and b.b) are each
+    one np.vecdot, which makes one BLAS ddot per pair of rows: the call np.dot
+    makes for two vectors, and the one row_evidence makes per head over its
+    anchor/current pair. So a batched call equals the vector-at-a-time one,
+    and the live one-row kernel, bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim < 1:
         raise ValueError(f"expected matching arrays of rows: {a.shape} vs {b.shape}")
-    rows_a, cols_b = a[..., None, :], b[..., :, None]
     # Degenerate rows are an expected, flagged input here: no warnings.
     with np.errstate(all="ignore"):
-        dot = np.matmul(rows_a, cols_b)[..., 0, 0]
-        sa = np.matmul(rows_a, a[..., :, None])[..., 0, 0]
-        sb = np.matmul(b[..., None, :], cols_b)[..., 0, 0]
+        dot, sa, sb = np.vecdot(a, b), np.vecdot(a, a), np.vecdot(b, b)
         den = sa * sb
         ok = np.isfinite(dot) & (0.0 < den) & (den < np.inf)
         sims = np.where(ok, np.copysign(np.sqrt(np.minimum(1.0, dot * dot / den)), dot), 0.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenskip.filtering import _add_reduce, head_similarity, row_evidence
+from tokenskip.filtering import _add_reduce, head_similarity, pair_views, row_evidence
 from tokenskip.numerics import DegenerateInputError, cosine_similarity, layer_norm, softmax
 
 SPECIALS = (0.0, np.nan, np.inf, -np.inf)
@@ -115,7 +115,8 @@ def evidence_rows(draw):
 @given(evidence_rows())
 def test_one_row_evidence_equals_head_similarity_of_the_row(row):
     a, b = row
-    means, variances, degenerate, finite = row_evidence(a, b)
+    pair = np.stack([a, b])
+    means, variances, degenerate, finite = row_evidence(pair, pair_views(pair))
     want_means, want_vars, want_degenerate = head_similarity(a, b)
     assert all(type(x) is float for x in means + variances)
     assert bits(means) == bits(want_means)

@@ -338,3 +338,17 @@ class TestPositions:
         enc = sinusoidal_positions(32, 64)
         assert enc.shape == (32, 64)
         assert np.all(np.abs(enc) <= 1.0 + 1e-6)
+
+    def test_sessions_on_one_weights_share_a_read_only_table(self):
+        cfg = ModelConfig(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=32,
+                          max_seq=40, seed=4)
+        weights = init_weights(cfg)
+        first = DecodeSession(cfg, PruneConfig(), mode="filtered", weights=weights)
+        second = DecodeSession(cfg, None, mode="dense", weights=weights)
+        assert first.positions is second.positions is weights.positions
+        assert weights.positions.tobytes() == sinusoidal_positions(40, 16).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            weights.positions[0, 0] = 1.0
+        # A session on its own weights decodes the same tokens.
+        own = DecodeSession(cfg, PruneConfig(), mode="filtered")
+        assert first.decode([3, 1, 4], 12).tokens == own.decode([3, 1, 4], 12).tokens

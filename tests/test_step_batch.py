@@ -132,8 +132,21 @@ def assert_replay_matches_process(header, events, prune):
     assert first is None, f"report {first} differs: {got[first]!r} != {want[first]!r}"
 
 
-@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
-def test_replay_of_ragged_steps_decides_like_process(anchor_mode):
+F32 = np.finfo(np.float32)
+# Head values at the edges of process's input domain: float32's largest and
+# smallest magnitudes, whose squared norms stay inside the double range, and
+# non-finite values, whose dot products raise floating-point flags (0 x inf,
+# inf - inf) that must not become warnings.
+HEAD_VALUES = {
+    "float32 extremes": (F32.max, -F32.max, F32.smallest_subnormal, -F32.smallest_subnormal),
+    "non-finite": (np.inf, -np.inf, np.nan),
+}
+
+
+@pytest.mark.parametrize("anchor_mode, heads", [
+    pytest.param(mode, heads, id=f"{mode}-{heads}" if heads else mode)
+    for heads in (None, *HEAD_VALUES) for mode in ("ema", "exact_mean")])
+def test_replay_of_ragged_steps_decides_like_process(anchor_mode, heads):
     header, events = synthesize("repetitive", 4, 2, 8, 40, seed=5, n_seqs=3)
     rng = np.random.default_rng(5)
     # Steps with some (seq, layer) events missing, some steps with none of
@@ -141,6 +154,19 @@ def test_replay_of_ragged_steps_decides_like_process(anchor_mode):
     kept = [e for e in events
             if rng.random() < 0.7 and not (e.seq == 2 and e.step < 9)]
     assert len({(e.step, e.layer) for e in kept}) < len({(e.step, e.layer) for e in events})
+    # About one event in six gets a head of one of the values, whole or in
+    # one element, in its key or its value.
+    for e in kept:
+        if heads and rng.random() < 0.17:
+            side = "k" if rng.random() < 0.5 else "v"
+            row = getattr(e, side).copy()
+            head = rng.integers(header.n_heads)
+            value = HEAD_VALUES[heads][rng.integers(len(HEAD_VALUES[heads]))]
+            if rng.random() < 0.5:
+                row[head] = value
+            else:
+                row[head, rng.integers(header.d_head)] = value
+            setattr(e, side, row)
     assert_replay_matches_process(header, kept, PruneConfig(anchor_mode=anchor_mode,
                                                              warmup_steps=3))
 
