@@ -20,27 +20,30 @@ anchors into the rows' refs and an in-place fold. In another step, one with a
 first observation or a non-finite row, those rows are set aside (a first
 observation starts its anchor, a non-finite row is not folded) and the rest
 fold as a run of one step. Then one head_similarity call scores every row of
-the block against its refs, and decide runs the controller row by row, in
-the same order. process does both halves for one row. It copies the row's
-anchor and casts its K/V into a persistent (2, 2, n_heads, d_head)
+the block against its refs. score_row does the same for one row. It copies
+the row's anchor and casts its K/V into a persistent (2, 2, n_heads, d_head)
 anchor/current pair, and row_evidence makes one np.vecdot over two broadcast
 views of that pair, built once: every head's a.a, a.b and b.b product, each
 one BLAS ddot of two contiguous rows. cosine_rows, under head_similarity,
 makes each of its three products with the same np.vecdot, so the products
 are equal bit for bit; row_evidence then takes the cosines, flags, mean and
 variance in Python floats, summed in np.add.reduce's order, and the anchor
-folds in place. Live decode (one process call per layer) and replay (one
-score_steps call per block of steps) share decide, and row_evidence equals
-head_similarity bit for bit, so both make the same decisions. Anchors are
-per (layer, sequence) and the controller and variance state move only at the
-step barrier, so the kernels are elementwise or row-wise and equal their
-one-row forms bit for bit. A token with a non-finite key or value is
-reported as degenerate, never skipped, and never folded into its anchor.
+folds in place. decide runs the controller over one layer's rows of one
+step, in the order they were scored, and then that layer's step barrier
+(end_step). No layer reads another's anchors, threshold or variances, so a
+caller decides each layer's steps on its own; a step is shadow by its rank
+among decode steps, which the caller passes (negative for a prompt step).
+Live decode (process, score_row then decide, per layer and position) and
+replay (one score_steps call per block of steps, then one decide call per
+step and layer) share decide, so both make the same decisions. The kernels
+are elementwise or row-wise and equal their one-row forms bit for bit. A token
+with a non-finite key or value is reported as degenerate, never skipped, and
+never folded into its anchor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import copysign, inf, isfinite, sqrt
 
 import numpy as np
@@ -226,21 +229,16 @@ class _LayerState:
     var_v: float | None = None
     ratio_sum: float = 0.0
     ratio_steps: int = 0
-    # Per-step accumulators, flushed at the step barrier: the count of
-    # would-be skips, and one head variance per decision.
-    pending_shadow: int = 0
-    pending_var_k: list = field(default_factory=list)
-    pending_var_v: list = field(default_factory=list)
 
 
 class FilterEngine:
     """State machine driving skip decisions for one generation session.
 
     Anchors are per (layer, sequence); thresholds and variance estimates are
-    per layer, shared across the batch and updated once per step at the step
-    barrier. Prompt positions (begin_step(prefill=True)), warm-up steps and
-    all steps under a zero budget run in shadow: evaluated, logged, and fed
-    to the threshold controller, but never applied.
+    per layer, shared across the batch and updated at the layer's barrier,
+    once per step it decides. Prompt steps (a negative decode rank), warm-up
+    steps and all steps under a zero budget run in shadow: evaluated,
+    logged, and fed to the threshold controller, but never applied.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, config: PruneConfig):
@@ -250,8 +248,6 @@ class FilterEngine:
         self.d_head = d_head
         self.active_layers = select_layers(n_layers, config.tail_fraction)
         self.target = per_layer_target(config)
-        self.step_index = 0            # decode steps completed
-        self._in_prefill = False
         # The anchors of every (layer, sequence) seen so far, one row each of a
         # persistent (slots, 2, n_heads, d_head) float64 array, doubled when
         # full; a (layer, sequence) takes its slot, and its observation count,
@@ -260,73 +256,42 @@ class FilterEngine:
         self._slots: dict[tuple[int, int], int] = {}
         self._anchor_rows = np.empty((len(self.active_layers),) + self._kv_shape)
         self._obs_counts: list[int] = []
-        # The live decision's (2, 2, n_heads, d_head) anchor/current pair:
-        # process copies the anchor row and casts the K/V into it, and folds
-        # the anchor through the current half. Its rows and views are built
-        # once.
+        # The one-row evidence's (2, 2, n_heads, d_head) anchor/current pair:
+        # score_row copies the anchor row and casts the K/V into it, and
+        # folds the anchor through the current half. Its rows and views are
+        # built once.
         self._pair = np.empty((2,) + self._kv_shape)
         self._pair_rows = tuple(self._pair)
         self._pair_views = pair_views(self._pair)
         self.layers = {layer: _LayerState(tau=config.tau_init) for layer in self.active_layers}
 
-    # -- step protocol -----------------------------------------------------
-
-    def begin_step(self, prefill: bool = False) -> None:
-        self._in_prefill = prefill
-
-    def end_step(self) -> None:
-        """Apply the step barrier: batch-mean feedback into the skip ratios,
-        thresholds, and variance state."""
-        gamma = self.config.gamma
-        for st in self.layers.values():
-            n = len(st.pending_var_k)
-            if n:
-                # The mean of 0/1 indicators is their count over n, exactly.
-                st.ratio_sum += st.pending_shadow / n
-                st.ratio_steps += 1
-                st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps,
-                                          self.target, self.config.eta)
-                if n == 1:
-                    # One decision this step (every live decode): its head
-                    # variances are the step's means.
-                    fresh_k, fresh_v = st.pending_var_k[0], st.pending_var_v[0]
-                else:
-                    fresh_k = _add_reduce(st.pending_var_k) / n
-                    fresh_v = _add_reduce(st.pending_var_v) / n
-                if st.var_k is None:
-                    st.var_k, st.var_v = fresh_k, fresh_v
-                else:
-                    st.var_k = gamma * st.var_k + (1.0 - gamma) * fresh_k
-                    st.var_v = gamma * st.var_v + (1.0 - gamma) * fresh_v
-            st.pending_shadow = 0
-            st.pending_var_k.clear()
-            st.pending_var_v.clear()
-        if not self._in_prefill:
-            self.step_index += 1
-        self._in_prefill = False
-
     # -- decisions ---------------------------------------------------------
 
-    def process(self, layer: int, seq: int, kv, step: int) -> tuple[bool, StepReport | None]:
-        """Observe one token's per-head K/V at one layer and decide. kv is
-        (2, n_heads, d_head), keys over values, as project_kv returns it (or
-        any array-like of that shape, such as a (k, v) pair).
+    def process(self, layer: int, seq: int, kv, step: int,
+                rank: int) -> tuple[bool, StepReport | None]:
+        """Observe one token's per-head K/V at one layer and decide it as
+        the layer's only row of its step: score_row, then decide, which
+        applies the layer's barrier. kv is (2, n_heads, d_head), keys over
+        values, as project_kv returns it (or any array-like of that shape,
+        such as a (k, v) pair); rank is the step's rank among decode steps,
+        negative for a prompt step.
 
-        The one-row form of score_steps followed by decide: the same
-        first-observation, evidence, controller and anchor-update steps,
-        without the batch gather. The anchor row is copied and the K/V cast
-        into the engine's persistent anchor/current pair, whose evidence
-        comes from row_evidence, one np.vecdot and a few Python floats that
-        equal score_steps' head_similarity bit for bit. The anchor then
-        folds in place, through the pair's current half, with _fold_run's
-        roundings.
-
-        Returns (skip, report). skip is False whenever the decision is shadow
-        (prompt positions, warm-up, or a zero budget). The first finite
-        observation for a (layer, sequence) only initializes the anchors and
-        yields no report. K/V of any shape but (n_heads, d_head) raise
-        ValueError.
+        Returns (skip, report), skip False whenever the decision is shadow.
+        The first finite observation for a (layer, sequence) only
+        initializes the anchors and yields no report. K/V of any shape but
+        (n_heads, d_head) raise ValueError.
         """
+        return self.decide(layer, step, rank, [(seq, self.score_row(layer, seq, kv))])[0]
+
+    def score_row(self, layer: int, seq: int, kv):
+        """The evidence of one row, as score_steps gives it, with the row
+        folded into its anchor: the same first-observation, evidence and
+        anchor-update steps, without the batch gather. The anchor row is
+        copied and the K/V cast into the engine's persistent anchor/current
+        pair, whose evidence comes from row_evidence, one np.vecdot and a
+        few Python floats that equal score_steps' head_similarity bit for
+        bit. The anchor then folds in place, through the pair's current
+        half, with _fold_run's roundings."""
         if layer not in self.layers:
             raise MisconfigurationError(f"layer {layer} is outside the filtered set")
         key = (layer, seq)
@@ -339,13 +304,12 @@ class FilterEngine:
         slot = self._slots.get(key)
         if slot is None:
             self._observe_first(key, kv)
-            return False, None
+            return None
         anchor = self._anchor_rows[slot]
         pair_anchor, current = self._pair_rows
         pair_anchor[...] = anchor
         current[...] = kv
         evidence = row_evidence(self._pair, self._pair_views)
-        skipped, report = self.decide(layer, seq, evidence, step)
         if evidence[3]:
             # The row is finite: fold it in place, as ema's
             # gamma * a + ((1 - gamma) * x) and exact_mean's a + (x - a) / n.
@@ -357,7 +321,7 @@ class FilterEngine:
                 current -= anchor
                 current /= self._obs_counts[slot]
             anchor += current
-        return skipped, report
+        return evidence
 
     def score_steps(self, step_keys: list, kv: np.ndarray) -> list:
         """The evidence of every token of a block of consecutive steps.
@@ -372,17 +336,17 @@ class FilterEngine:
         or a non-finite row), a first observation starts its anchor, a
         non-finite row is scored but not folded, and the other rows fold as
         a run of one step. Then one head_similarity call scores every row
-        against the anchor it had before its step. Anchors and counts end as one process call per row
-        would leave them. Evidence depends only on the K/V stream, never on
-        the controller, so a whole block can be scored before any of its
-        steps is decided.
+        against the anchor it had before its step. Anchors and counts end as
+        one score_row call per row would leave them. Evidence depends only on
+        the K/V stream, never on the controller, so a whole block can be
+        scored before any of its steps is decided.
 
         Returns one entry per row, for decide: None for a row with no anchor
         yet (a first observation, no decision), else (sims, fresh_vars,
         degenerate, finite), the first three as (key, value) pairs.
         """
         n = sum(map(len, step_keys))
-        # The same float32 wire precision as process.
+        # The same float32 wire precision as score_row.
         kv = np.asarray(kv, dtype=np.float32)
         if kv.shape != (n,) + self._kv_shape:
             raise ValueError(f"expected a K/V array of shape {(n,) + self._kv_shape}, "
@@ -440,48 +404,74 @@ class FilterEngine:
             evidence[row] = None
         return evidence
 
-    def decide(self, layer: int, seq: int, evidence,
-               step: int) -> tuple[bool, StepReport | None]:
-        """Decide one row from its evidence, an entry of score_steps: the
-        controller half of process, with the same return. Rows are decided
-        in the order they were scored, each step between begin_step and
-        end_step as for process."""
-        if evidence is None:
-            return False, None
-        (s_k, s_v), (fresh_var_k, fresh_var_v), (degen_k, degen_v), finite = evidence
+    def decide(self, layer: int, step: int, rank: int, rows) -> list:
+        """Decide one layer's rows of one step, then apply that layer's
+        barrier (end_step) if any row was decided. rows are (seq, evidence)
+        pairs, evidence an entry of score_steps or a score_row result. rank
+        is the step's rank among decode steps, negative for a prompt step:
+        the step is shadow when rank < warmup_steps or the budget is zero.
+        Returns one (skip, report) per row, as process does."""
         config = self.config
         # A zero budget means zero skips, exactly: the proportional controller
         # can only approach zero asymptotically, so enforce it outright.
-        shadow = (self._in_prefill or self.step_index < config.warmup_steps
-                  or self.target == 0.0)
+        shadow = rank < config.warmup_steps or self.target == 0.0
         st = self.layers[layer]
+        tau, var_k, var_v, g = st.tau, st.var_k, st.var_v, config.gamma
+        decisions, var_ks, var_vs, would_skips = [], [], [], 0
+        for seq, evidence in rows:
+            if evidence is None:
+                decisions.append((False, None))
+                continue
+            (s_k, s_v), (fresh_var_k, fresh_var_v), (degen_k, degen_v), finite = evidence
+            # The decision sees the running variance as if this step's
+            # observation were already blended in; the layer's state itself
+            # moves at its barrier, so the step's rows are order-independent.
+            if var_k is None:
+                dec_var_k, dec_var_v = fresh_var_k, fresh_var_v
+            else:
+                dec_var_k = g * var_k + (1.0 - g) * fresh_var_k
+                dec_var_v = g * var_v + (1.0 - g) * fresh_var_v
+            alpha, s_kv = fuse_scalar(s_k, s_v, dec_var_k, dec_var_v, config.fusion)
+            # A non-finite token is never skipped (nor folded into its anchor:
+            # one corrupt token must not make every later one degenerate).
+            would_skip = finite and s_kv > tau
+            skipped = would_skip and not shadow
+            would_skips += would_skip
+            var_ks.append(fresh_var_k)
+            var_vs.append(fresh_var_v)
+            # Positional arguments, in field order with flops_saved 0: a
+            # keyword call costs more, once per decision.
+            decisions.append((skipped, StepReport(
+                seq, step, layer, s_k, s_v, dec_var_k, dec_var_v, alpha, s_kv, tau, shadow,
+                skipped, 0, degen_k or degen_v)))
+        if var_ks:
+            self.end_step(st, would_skips, var_ks, var_vs)
+        return decisions
 
-        # The decision sees the running variance as if this step's observation
-        # were already blended in; the shared state itself moves at the step
-        # barrier so sequences within a batch stay order-independent.
-        if st.var_k is None:
-            dec_var_k, dec_var_v = fresh_var_k, fresh_var_v
+    def end_step(self, st: _LayerState, would_skips: int, var_ks: list, var_vs: list) -> None:
+        """Apply one layer's step barrier, which decide calls once per step
+        the layer decides: the step's count of would-be skips (shadow ones
+        too, whatever the rank) and its decisions' head variances (one pair
+        per decision) feed the layer's skip ratio, threshold and variances."""
+        n = len(var_ks)
+        # The mean of 0/1 indicators is their count over n, exactly.
+        st.ratio_sum += would_skips / n
+        st.ratio_steps += 1
+        st.tau = update_threshold(st.tau, st.ratio_sum / st.ratio_steps, self.target,
+                                  self.config.eta)
+        if n == 1:
+            # One decision this step (every live decode): its head variances
+            # are the step's means.
+            fresh_k, fresh_v = var_ks[0], var_vs[0]
         else:
-            g = config.gamma
-            dec_var_k = g * st.var_k + (1.0 - g) * fresh_var_k
-            dec_var_v = g * st.var_v + (1.0 - g) * fresh_var_v
-
-        alpha, s_kv = fuse_scalar(s_k, s_v, dec_var_k, dec_var_v, config.fusion)
-        # A non-finite token is never skipped (nor folded into its anchor:
-        # one corrupt token must not make every later one degenerate).
-        tau = st.tau
-        would_skip = finite and s_kv > tau
-        skipped = would_skip and not shadow
-
-        st.pending_shadow += would_skip
-        st.pending_var_k.append(fresh_var_k)
-        st.pending_var_v.append(fresh_var_v)
-
-        # Positional arguments, in field order with flops_saved 0: a
-        # keyword call costs more, once per decision.
-        report = StepReport(seq, step, layer, s_k, s_v, dec_var_k, dec_var_v, alpha, s_kv,
-                            tau, shadow, skipped, 0, degen_k or degen_v)
-        return skipped, report
+            fresh_k = _add_reduce(var_ks) / n
+            fresh_v = _add_reduce(var_vs) / n
+        if st.var_k is None:
+            st.var_k, st.var_v = fresh_k, fresh_v
+        else:
+            gamma = self.config.gamma
+            st.var_k = gamma * st.var_k + (1.0 - gamma) * fresh_k
+            st.var_v = gamma * st.var_v + (1.0 - gamma) * fresh_v
 
     def _observe_first(self, key: tuple[int, int], kv: np.ndarray) -> None:
         """A first finite observation only initializes its anchor, in a new

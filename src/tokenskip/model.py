@@ -7,32 +7,32 @@ skip, the attention contribution is exactly zero and the residual passes the
 input through unchanged, while the FFN still executes.
 
 A generated token runs one position at a time (forward_position, then
-block_forward per layer). The prompt runs in chunks of PREFILL_CHUNK
-positions (DecodeSession.prefill): no prompt position skips, because prefill
-decisions are always shadow, and none waits on a sampled token, so each layer
-runs once over all of a chunk's rows, and the filter then scores the chunk
-with FilterEngine.score_steps and decides it position by position, as replay
-does. Every stacked kernel gives the bits of its one-position form:
-layer_norm_rows reduces each row as layer_norm does; _matvecs makes one BLAS
-gemv per row, as W @ x does (x @ W.T would be one gemm, with other bits); the
-scores are one einsum over the cache with the future columns set to -inf
-afterwards. The softmax sums stay per row, over that row's own columns:
-summing a padded row, or np.add.reduceat, regroups NumPy's pairwise sum and
-changes bits. The context sums run over the whole chunk with zero weights on
-the future columns, which adds exact zeros, unless a value row of the chunk
-is non-finite: then 0 x inf would be NaN in the rows before it, and each
-row sums over its own columns instead.
+block_forward per layer), at decode rank position - prompt_len. The prompt
+runs in chunks of PREFILL_CHUNK positions (DecodeSession.prefill): a prompt
+position's rank is negative, so it never skips, and none waits on a sampled
+token, so each layer runs once over all of a chunk's rows; the filter then
+scores the chunk with FilterEngine.score_steps and makes one decide call per
+position and layer. Every stacked kernel gives the bits of its one-position
+form: layer_norm_rows reduces each row as layer_norm does; _matvecs makes one
+BLAS gemv per row, as W @ x does (x @ W.T would be one gemm, with other
+bits); the scores are one einsum over the cache with the future columns set
+to -inf afterwards. The softmax sums stay per row, over that row's own
+columns: summing a padded row, or np.add.reduceat, regroups NumPy's pairwise
+sum and changes bits. The context sums run over the whole chunk with zero
+weights on the future columns, which adds exact zeros, unless a value row of
+the chunk is non-finite: then 0 x inf would be NaN in the rows before it, and
+each row sums over its own columns instead.
 
 A generated token's step makes few NumPy calls and no float32-to-float32
 copies. Each layer's key and value projections are one (2, d_model, d_model)
-array, LayerWeights.wkv, so project_kv makes both in one batched product:
-one BLAS gemv per half, the bits of wk @ x and of wv @ x. (A single
+array, LayerWeights.wkv, so project_kv makes both in one batched product: one
+BLAS gemv per half, the bits of wk @ x and of wv @ x. (A single
 (2 d_model, d_model) gemv is cheaper but blocks its rows differently: with
-OpenBLAS 0.3.31's Haswell kernel it changes bits when d_model is not a
-multiple of 4.) Prefill uses the same stacked array. The attention scale,
-sqrt(d_head) in float32, is computed once per Weights (attn_scale), and the
-scores divide by it in place; so is the read-only position table
-(positions), which every session on those weights shares.
+OpenBLAS 0.3.31's SkylakeX and Haswell kernels it changes bits for some
+d_model that is not a multiple of 4.) Prefill uses the same stacked array.
+The attention scale, sqrt(d_head) in float32, is computed once per Weights
+(attn_scale), and the scores divide by it in place; so is the read-only
+position table (positions), which every session on those weights shares.
 """
 
 from __future__ import annotations
@@ -374,14 +374,19 @@ class DecodeSession:
         self.flops_model = FlopsModel.from_dims(config.n_heads, config.d_head, config.d_model)
         self.ledger = FlopsLedger()
         self.record = record
+        # A position's rank among decode steps, which the filter's warm-up
+        # counts, is position - prompt_len: negative for a prompt position.
+        self.prompt_len = 0
         self.engine = None
         if prune is not None:
             self.engine = FilterEngine(config.n_layers, config.n_heads, config.d_head, prune)
 
-    def block_forward(self, layer: int, hidden: np.ndarray, step: int = 0) -> BlockOutput:
+    def block_forward(self, layer: int, hidden: np.ndarray, step: int = 0,
+                      rank: int = 0) -> BlockOutput:
         """One pre-norm block: filter decision, attention or skip, then FFN.
-        A recorded skip's row is attention_forward's with its K/V appended,
-        which "drop" then takes back off the cache."""
+        rank is the position's rank among decode steps, negative for a
+        prompt position. A recorded skip's row is attention_forward's with
+        its K/V appended, which "drop" then takes back off the cache."""
         weights, cache = self.weights, self.cache
         lw = weights.layers[layer]
         x = hidden
@@ -392,7 +397,7 @@ class DecodeSession:
         skip = False
         report = None
         if self.engine is not None and layer in self.engine.layers:
-            skip, report = self.engine.process(layer, 0, kv, step)
+            skip, report = self.engine.process(layer, 0, kv, step, rank)
 
         cache_len_if_kept = cache.lens[layer] + 1
         attn_row = None
@@ -421,24 +426,21 @@ class DecodeSession:
         return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row, kv=kv)
 
     def forward_position(self, token: int, position: int, recorder=None):
-        """Run one generated token through every block; returns (hidden,
-        reports)."""
+        """Run one generated token through every block, at decode rank
+        position - prompt_len; returns (hidden, reports)."""
         if not 0 <= token < self.config.vocab_size:
             raise ConfigError(f"token {token} outside vocabulary")
         hidden = self.weights.embed[token] + self.positions[position]
         reports = []
-        if self.engine is not None:
-            self.engine.begin_step()
+        rank = position - self.prompt_len
         for layer in range(self.config.n_layers):
-            out = self.block_forward(layer, hidden, step=position)
+            out = self.block_forward(layer, hidden, position, rank)
             hidden = out.hidden
             if out.report is not None:
                 reports.append(out.report)
             if recorder is not None:
                 recorder.add_event(seq=0, step=position, layer=layer,
                                    k=out.kv[0], v=out.kv[1], attn=out.attn_row)
-        if self.engine is not None:
-            self.engine.end_step()
         return hidden, reports
 
     def prefill(self, tokens, recorder=None):
@@ -465,6 +467,7 @@ class DecodeSession:
             raise ConfigError(f"token {ids[bad][0]} outside vocabulary")
         if len(ids) > self.config.max_seq:
             raise SequenceLengthError("the prompt does not fit in the cache")
+        self.prompt_len = len(ids)
         reports = []
         for start in range(0, len(ids), PREFILL_CHUNK):
             hidden, chunk_reports = self._prefill_chunk(ids[start:start + PREFILL_CHUNK],
@@ -474,11 +477,11 @@ class DecodeSession:
 
     def _prefill_chunk(self, ids: np.ndarray, start: int, recorder):
         """One prefill chunk: every layer over all of its rows, then the
-        filter's two passes (score_steps over the chunk, then decide, the
-        ledger charge and the recorder per position and layer). No prompt
-        position skips, so every layer's cache holds start positions before
-        the chunk. Returns the last row's hidden state and the chunk's
-        reports."""
+        filter's two passes (score_steps over the chunk, then per position
+        and layer a decide call, which applies that layer's barrier, the
+        ledger charge and the recorder). No prompt position skips, so every
+        layer's cache holds start positions before the chunk. Returns the
+        last row's hidden state and the chunk's reports."""
         c = self.config
         rows = len(ids)
         x = self.weights.embed[ids] + self.positions[start:start + rows]
@@ -508,13 +511,12 @@ class DecodeSession:
         reports = []
         for t in range(rows):
             pos = start + t
-            if engine is not None:
-                engine.begin_step(prefill=True)
             for layer in range(c.n_layers):
                 report = None
                 if layer in active:
-                    # A prompt position is shadow: never skipped.
-                    _, report = engine.decide(layer, 0, next(evidence), pos)
+                    # A prompt position (a negative rank) is shadow: never skipped.
+                    ((_, report),) = engine.decide(layer, pos, pos - self.prompt_len,
+                                                   [(0, next(evidence))])
                     if report is not None:
                         reports.append(report)
                 self.ledger.charge_event(pos + 1, self.flops_model, False, report)
@@ -524,8 +526,6 @@ class DecodeSession:
                         seq=0, step=pos, layer=layer, k=kv[layer][t, 0], v=kv[layer][t, 1],
                         attn=None if probs is None
                         else probs[t, :, :pos + 1].astype(np.float32))
-            if engine is not None:
-                engine.end_step()
         return x[-1], reports
 
     def _attention_rows(self, layer: int, ln1: np.ndarray, n: int):

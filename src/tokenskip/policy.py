@@ -35,8 +35,8 @@ class PruneConfig:
             raise ConfigError("tail_fraction must be in (0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must be in (0, 1)")
-        if self.eta <= 0.0:
-            raise ConfigError("eta must be positive")
+        if not 0.0 < self.eta <= 1.0:  # see update_threshold
+            raise ConfigError(f"eta must be in (0, 1], got {self.eta!r}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be non-negative")
         # +inf tau_init is allowed as an explicit never-skip sentinel.
@@ -80,9 +80,11 @@ def update_threshold(tau: float, rho_current: float, rho_target: float, eta: flo
     stays within reachable cosine range plus headroom.
 
     +inf tau is preserved untouched: it is the explicit never-skip sentinel.
+    eta must lie in (0, 1]: one step moves tau by at most eta, and past 1 (or
+    at NaN) the clamp no longer holds tau near the cosine range.
     """
-    if eta <= 0.0:
-        raise ConfigError("eta must be positive")
+    if not 0.0 < eta <= 1.0:
+        raise ConfigError(f"eta must be in (0, 1], got {eta!r}")
     if not 0.0 <= rho_current <= 1.0 or not 0.0 <= rho_target <= 1.0:
         raise ValueError("skip ratios must lie in [0, 1]")
     if math.isinf(tau) and tau > 0:

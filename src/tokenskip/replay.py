@@ -2,21 +2,23 @@
 synthetic trace, exactly as the live engine would, and score the decisions
 against the trace's ground-truth attention rows.
 
-Replay sorts the events once, by (step, seq, layer). An unfiltered layer never
+Replay sorts the events once, by (step, layer, seq). An unfiltered layer never
 skips, so each of its (seq, layer) pairs is charged in closed form, its n
-events at cache lengths 1..n (FlopsLedger.charge_keeps). The step loop then
-sees only the filtered events, in two passes per block of BLOCK_STEPS steps.
-One FilterEngine.score_steps call scores every filtered event of the block;
-then each step runs begin_step, FilterEngine.decide and
-FlopsLedger.charge_event per event, and end_step, also for a step with no
-filtered event. A token's evidence depends only on the K/V stream, so scoring
-it ahead of the controller changes nothing: the live engine decides the same
-rows one process call at a time through the same steps, and the two agree bit
-for bit. The summary is the live one: reporting.summarize with
-metrics.mass_lost_by_layer."""
+events at cache lengths 1..n (FlopsLedger.charge_keeps). A step's decode rank
+is its index among all the trace's steps less the prompt steps' count. The
+step loop sees only the filtered events, in two passes per block of
+BLOCK_STEPS steps. One FilterEngine.score_steps call scores every filtered
+event of the block; then each step makes one FilterEngine.decide call per
+layer, which applies that layer's barrier, and FlopsLedger.charge_event per
+event. A token's evidence depends only on the K/V stream, so scoring it ahead
+of the controller changes nothing: the live engine decides the same rows one
+process call at a time at the same ranks, and the two agree bit for bit. The
+reports end sorted by (step, seq, layer), and the summary is the live one:
+reporting.summarize with metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby
@@ -70,18 +72,17 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
     flops_model = FlopsModel.from_dims(header.n_heads, header.d_head)
     ledger = FlopsLedger()
-    prefill_steps = header.prefill_steps
 
     for e in events:
         if e.k.shape != (header.n_heads, header.d_head) or e.v.shape != e.k.shape:
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
-    event_id = attrgetter("step", "seq", "layer")
+    event_id = attrgetter("step", "layer", "seq")
     ordered = sorted(events, key=event_id)
     ids = list(map(event_id, ordered))
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise TraceCompatibilityError(
-                f"event (seq={a[1]}, step={a[0]}, layer={a[2]}) appears twice")
+                f"event (seq={a[2]}, step={a[0]}, layer={a[1]}) appears twice")
 
     layers = engine.layers
     # An unfiltered layer never skips, so its n events of one (seq, layer)
@@ -90,7 +91,9 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
         ledger.charge_keeps(n, flops_model)
     steps = [(step, [e for e in step_events if e.layer in layers])
              for step, step_events in groupby(ordered, attrgetter("step"))]
+    first_decode = bisect_left([step for step, _ in steps], header.prefill_steps)
 
+    layer_of = attrgetter("layer")
     reports: list[StepReport] = []
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
     for first in range(0, len(steps), BLOCK_STEPS):
@@ -99,18 +102,20 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
         evidence = iter(engine.score_steps(
             [[(e.layer, e.seq) for e in step_rows] for _, step_rows in block],
             np.array([(e.k, e.v) for e in rows], dtype=np.float32)) if rows else ())
-        for step, step_rows in block:
-            engine.begin_step(prefill=step < prefill_steps)
-            for e in step_rows:
-                key = (e.seq, e.layer)
-                skipped, report = engine.decide(e.layer, e.seq, next(evidence), step)
-                would_len = hypo_len[key] + 1
-                ledger.charge_event(would_len, flops_model, skipped, report)
-                if not skipped or prune.cache_on_skip == "keep":
-                    hypo_len[key] = would_len
-                if report is not None:
-                    reports.append(report)
-            engine.end_step()
+        for rank, (step, step_rows) in enumerate(block, first - first_decode):
+            for layer, layer_rows in groupby(step_rows, layer_of):
+                layer_rows = list(layer_rows)
+                decisions = engine.decide(layer, step, rank,
+                                          [(e.seq, next(evidence)) for e in layer_rows])
+                for e, (skipped, report) in zip(layer_rows, decisions):
+                    key = (e.seq, layer)
+                    would_len = hypo_len[key] + 1
+                    ledger.charge_event(would_len, flops_model, skipped, report)
+                    if not skipped or prune.cache_on_skip == "keep":
+                        hypo_len[key] = would_len
+                    if report is not None:
+                        reports.append(report)
+    reports.sort(key=attrgetter("step", "seq", "layer"))
 
     lost = mass_lost_by_layer(events, reports)
     return ReplayResult(header=header, reports=reports,

@@ -520,6 +520,8 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
         raise ConfigError("repeat_prob must be in [0, 1)")
     if dict_size < 1:
         raise ConfigError("dict_size must be positive")
+    if not t0 > 0.0:
+        raise ConfigError(f"t0 must be positive, got {t0!r}")
 
     rng = substream(seed, "synth")
     scale = np.float32(1.0 / np.sqrt(d_head))

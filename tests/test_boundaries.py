@@ -35,13 +35,11 @@ class TestNonFiniteKV:
                             tau_init=0.5, p_global=0.5)
         engine = FilterEngine(1, 2, 4, prune)
         token = np.ones((2, 4), dtype=np.float32)
+        # Every step is a decode step: its rank is its index.
         for step in range(3):
-            engine.begin_step()
-            skipped, _ = engine.process(0, 0, (token, token), step)
-            engine.end_step()
+            skipped, _ = engine.process(0, 0, (token, token), step, step)
         corrupt = np.full((2, 4), np.nan, dtype=np.float32)
-        engine.begin_step()
-        skipped, report = engine.process(0, 0, (corrupt, corrupt), 3)
+        skipped, report = engine.process(0, 0, (corrupt, corrupt), 3, 3)
         assert not skipped
         assert report.degenerate and report.s_kv == 0.0
 
@@ -156,9 +154,7 @@ class TestNonFiniteAnchor:
         reports = []
         anchor_before = None
         for step in range(self.N_STEPS):
-            engine.begin_step()
-            _, report = engine.process(0, 0, (ks[step], vs[step]), step)
-            engine.end_step()
+            _, report = engine.process(0, 0, (ks[step], vs[step]), step, step)
             if report is not None:
                 reports.append(report)
             if step == self.BAD_STEP - 1:
@@ -189,16 +185,11 @@ class TestNonFiniteAnchor:
     def test_non_finite_first_token_does_not_initialize_the_anchor(self):
         ks, vs = self._stream(np.nan)
         engine = FilterEngine(1, self.N_HEADS, self.D_HEAD, self._prune("exact_mean"))
-        engine.begin_step()
-        assert engine.process(0, 0, (ks[self.BAD_STEP], vs[0]), 0) == (False, None)
-        engine.end_step()
+        assert engine.process(0, 0, (ks[self.BAD_STEP], vs[0]), 0, 0) == (False, None)
         assert engine.anchors(0, 0) is None
-        engine.begin_step()
-        assert engine.process(0, 0, (ks[1], vs[1]), 1) == (False, None)
-        engine.end_step()
+        assert engine.process(0, 0, (ks[1], vs[1]), 1, 1) == (False, None)
         np.testing.assert_array_equal(engine.anchors(0, 0)[0], ks[1])
-        engine.begin_step()
-        _, report = engine.process(0, 0, (ks[2], vs[2]), 2)
+        _, report = engine.process(0, 0, (ks[2], vs[2]), 2, 2)
         assert not report.degenerate
         np.testing.assert_array_equal(engine.anchors(0, 0)[0],
                                       ks[1] + (ks[2].astype(np.float64) - ks[1]) / 2)
@@ -208,8 +199,6 @@ class TestNonFiniteAnchor:
         token = np.ones((self.N_HEADS, self.D_HEAD), dtype=np.float32)
         zero = np.zeros_like(token)
         for step, (k, v) in enumerate([(token, token), (zero, token)]):
-            engine.begin_step()
-            _, report = engine.process(0, 0, (k, v), step)
-            engine.end_step()
+            _, report = engine.process(0, 0, (k, v), step, step)
         assert report.degenerate
         np.testing.assert_array_equal(engine.anchors(0, 0)[0], np.full(token.shape, 0.9))

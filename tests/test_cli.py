@@ -81,6 +81,23 @@ class TestExitCodes:
         assert "runtime error" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t0", ["0", "-1", "nan"])
+    def test_a_non_positive_t0_exits_2_naming_it(self, tmp_path, capsys, t0):
+        out = tmp_path / "y"
+        assert run_cli("synth", "--pattern", "depth_concentrated", "--t0", t0,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "t0 must be positive" in err and "event" not in err
+        assert not out.exists()
+
+    def test_replay_with_a_nan_eta_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        assert run_cli("synth", "--pattern", "random", "--steps", "8", "--out", str(trace)) == 0
+        out = tmp_path / "q.csv"
+        assert run_cli("replay", "--trace", str(trace), "--eta", "nan", "--out", str(out)) == 2
+        assert "eta must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_file_is_runtime_error(self, tmp_path):
         rc = run_cli("replay", "--trace", str(tmp_path / "nope.ndjson"),
                      "--out", str(tmp_path / "s.csv"))

@@ -78,9 +78,10 @@ def ref_scores(c, lw, ln1, keys):
     return np.einsum("hld,hd->hl", keys, q) / np.float32(np.sqrt(c.d_head))
 
 
-def ref_block(session, layer, hidden, step):
+def ref_block(session, layer, hidden, step, rank):
     """One block as the reference computes it, on the session's own cache,
-    filter engine and ledger. Returns (hidden, report, k, v, attention row)."""
+    filter engine and ledger, its decision at the given rank among decode
+    steps. Returns (hidden, report, k, v, attention row)."""
     c, cache, engine = session.config, session.cache, session.engine
     lw = session.weights.layers[layer]
     x = hidden
@@ -89,7 +90,8 @@ def ref_block(session, layer, hidden, step):
     v = (lw.wv @ ln1).reshape(c.n_heads, c.d_head)
     skip, report = False, None
     if engine is not None and layer in engine.layers:
-        skip, report = engine.process(layer, 0, np.array((k, v), dtype=np.float32), step)
+        skip, report = engine.process(layer, 0, np.array((k, v), dtype=np.float32), step,
+                                      rank)
     cache_len_if_kept = cache.lens[layer] + 1
     row = None
     if skip:
@@ -114,30 +116,27 @@ def ref_block(session, layer, hidden, step):
     return x, report, k, v, row
 
 
-def ref_position(session, token, position, recorder, prefill):
-    """Every block for one position, between the filter's step calls."""
+def ref_position(session, token, position, recorder, rank):
+    """Every block for one position, its decisions at the given rank among
+    decode steps (negative for a prompt position)."""
     w = session.weights
     hidden = (w.embed[token] + session.positions[position]).astype(np.float32)
-    engine = session.engine
-    if engine is not None:
-        engine.begin_step(prefill=prefill)
     reports = []
     for layer in range(session.config.n_layers):
-        hidden, report, k, v, row = ref_block(session, layer, hidden, position)
+        hidden, report, k, v, row = ref_block(session, layer, hidden, position, rank)
         if report is not None:
             reports.append(report)
         recorder.add_event(seq=0, step=position, layer=layer, k=k, v=v, attn=row)
-    if engine is not None:
-        engine.end_step()
     return hidden, reports
 
 
 def ref_decode(session, prompt, n_steps, recorder):
-    """Greedy decode, every position (prompt ones as prefill steps) through
-    the reference blocks."""
+    """Greedy decode, every position through the reference blocks: the
+    prompt's at rank -1, each generated token's at the count of decode steps
+    before it."""
     reports = []
     for pos, tok in enumerate(prompt):
-        hidden, rs = ref_position(session, tok, pos, recorder, prefill=True)
+        hidden, rs = ref_position(session, tok, pos, recorder, rank=-1)
         reports.extend(rs)
     tokens = list(prompt)
     w = session.weights
@@ -145,7 +144,7 @@ def ref_decode(session, prompt, n_steps, recorder):
         logits = w.embed @ ref_layer_norm(hidden, w.lnf_g, w.lnf_b)
         nxt = int(np.argmax(logits))
         tokens.append(nxt)
-        hidden, rs = ref_position(session, nxt, len(prompt) + s, recorder, prefill=False)
+        hidden, rs = ref_position(session, nxt, len(prompt) + s, recorder, rank=s)
         reports.extend(rs)
     return tokens, reports
 

@@ -16,12 +16,14 @@ from tokenskip.policy import PruneConfig
 
 
 def drive(engine, layer, stream, prefill=0, seq=0):
-    """Feed (K, V) pairs one decode step at a time; returns (skips, reports)."""
+    """Feed (K, V) pairs one step at a time, the first prefill of them as
+    prompt steps; returns (skips, reports)."""
     skips, reports = [], []
+    decoded = 0  # decode steps passed: the next decode step's rank
     for step, (k, v) in enumerate(stream):
-        engine.begin_step(prefill=step < prefill)
-        skip, rep = engine.process(layer, seq, (k, v), step)
-        engine.end_step()
+        rank = -1 if step < prefill else decoded
+        skip, rep = engine.process(layer, seq, (k, v), step, rank)
+        decoded += rank >= 0
         skips.append(skip)
         if rep is not None:
             reports.append(rep)
@@ -152,12 +154,10 @@ def anchor_bytes_held(n_layers, n_heads, d_head, tail_fraction=1.0, n_seqs=1):
     engine = FilterEngine(n_layers, n_heads, d_head, PruneConfig(tail_fraction=tail_fraction))
     rng = np.random.default_rng(5)
     for step in range(3):
-        engine.begin_step()
         for layer in engine.active_layers:
             for seq in range(n_seqs):
                 k, v = rng.standard_normal((2, n_heads, d_head)).astype(np.float32)
-                engine.process(layer, seq, (k, v), step)
-        engine.end_step()
+                engine.process(layer, seq, (k, v), step, step)
     held = sum(a.nbytes for layer in engine.active_layers for seq in range(n_seqs)
                for a in engine.anchors(layer, seq))
     return held, len(engine.active_layers)
@@ -192,16 +192,16 @@ class TestSkipDecision:
     def test_layer_outside_scope_is_misconfiguration(self):
         engine = FilterEngine(4, 2, 4, PruneConfig(tail_fraction=0.5))
         with pytest.raises(MisconfigurationError):
-            engine.process(0, 0, (np.ones((2, 4)), np.ones((2, 4))), 0)
+            engine.process(0, 0, (np.ones((2, 4)), np.ones((2, 4))), 0, 0)
 
     def test_kv_of_other_dims_rejected(self):
         engine = single_layer_engine()  # 2 heads of 4
         wide = np.ones((2, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="shape"):
-            engine.process(0, 0, (wide, wide), 0)
+            engine.process(0, 0, (wide, wide), 0, 0)
         with pytest.raises(ValueError, match="shape"):
             engine.score_steps([[(0, 0)]], np.ones((1, 2, 2, 8)))
-        engine.process(0, 0, (np.ones((2, 4)), np.ones((2, 4))), 0)
+        engine.process(0, 0, (np.ones((2, 4)), np.ones((2, 4))), 0, 0)
         assert engine.anchors(0)[0].shape == (2, 4)
 
     def test_infinite_tau_never_skips_but_still_reports(self):
@@ -310,12 +310,8 @@ class TestSkipDecision:
         engine = single_layer_engine(tail_fraction=1.0)
         zero = np.zeros((2, 4), dtype=np.float32)
         ok = np.ones((2, 4), dtype=np.float32)
-        engine.begin_step()
-        engine.process(0, 0, (ok, ok), 0)
-        engine.end_step()
-        engine.begin_step()
-        _, rep = engine.process(0, 0, (zero, zero), 1)
-        engine.end_step()
+        engine.process(0, 0, (ok, ok), 0, 0)
+        _, rep = engine.process(0, 0, (zero, zero), 1, 1)
         assert rep.degenerate
 
     def test_exact_mean_anchor_mode(self):
@@ -323,8 +319,6 @@ class TestSkipDecision:
         xs = [random_unit_heads(rng, 2, 4) for _ in range(20)]
         engine = single_layer_engine(anchor_mode="exact_mean", tail_fraction=1.0)
         for step, x in enumerate(xs):
-            engine.begin_step()
-            engine.process(0, 0, (x, x), step)
-            engine.end_step()
+            engine.process(0, 0, (x, x), step, step)
         anchor_k, _ = engine.anchors(0, 0)
         np.testing.assert_allclose(anchor_k, np.mean(xs, axis=0), atol=1e-6)

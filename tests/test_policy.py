@@ -37,6 +37,14 @@ class TestPruneConfig:
         with pytest.raises(ConfigError):
             PruneConfig(fusion="middle")
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 1e308, 1.0000001, 0.0, -0.5])
+    def test_rejects_an_eta_outside_zero_to_one(self, eta):
+        with pytest.raises(ConfigError, match="eta"):
+            PruneConfig(eta=eta)
+
+    def test_accepts_an_eta_of_one(self):
+        assert PruneConfig(eta=1.0).eta == 1.0
+
     def test_inf_tau_is_allowed_as_never_skip(self):
         cfg = PruneConfig(tau_init=math.inf)
         assert math.isinf(cfg.tau_init)
@@ -93,6 +101,11 @@ class TestUpdateThreshold:
                 assert new > tau
             else:
                 assert new == tau
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 1e308, 1.0000001, 0.0, -0.5])
+    def test_rejects_an_eta_outside_zero_to_one(self, eta):
+        with pytest.raises(ConfigError, match="eta"):
+            update_threshold(0.5, 0.3, 0.5, eta)
 
     def test_clamped_to_reachable_range(self):
         assert update_threshold(-0.999, 0.0, 1.0, 0.5) == -1.0

@@ -1,6 +1,6 @@
 """Chunked prefill: DecodeSession.decode runs the prompt PREFILL_CHUNK positions
 at a time, and must leave exactly what running each prompt position through
-the blocks alone (prefill_position, the reference) leaves: tokens, every
+the blocks alone (run_position, the reference) leaves: tokens, every
 report field, the ledger, the cache, the filter's state and the recorded
 events, byte for byte. Also the stacked kernels it is built from, pinned
 bitwise to their one-vector forms."""
@@ -54,39 +54,36 @@ def prompt_of(length: int, seed: int = 0) -> list:
     return np.random.default_rng([seed, length]).integers(0, 256, length).tolist()
 
 
-def prefill_position(session, token, position, recorder=None):
-    """One prompt position through every block: forward_position with the
-    filter's step begun as a prefill step. Returns (hidden, reports)."""
+def run_position(session, token, position, rank, recorder=None):
+    """One position through every block, its filter decisions at the given
+    rank among decode steps (negative for a prompt position): the blocks of
+    forward_position. Returns (hidden, reports)."""
     hidden = (session.weights.embed[token] + session.positions[position]).astype(np.float32)
-    engine = session.engine
-    if engine is not None:
-        engine.begin_step(prefill=True)
     reports = []
     for layer in range(session.config.n_layers):
-        out = session.block_forward(layer, hidden, step=position)
+        out = session.block_forward(layer, hidden, step=position, rank=rank)
         hidden = out.hidden
         if out.report is not None:
             reports.append(out.report)
         if recorder is not None:
             recorder.add_event(seq=0, step=position, layer=layer, k=out.kv[0], v=out.kv[1],
                                attn=out.attn_row)
-    if engine is not None:
-        engine.end_step()
     return hidden, reports
 
 
 def reference_decode(session, prompt, n_steps, recorder=None):
-    """decode's generation loop, with every prompt position run through
-    prefill_position."""
+    """decode's generation loop, with every position run through
+    run_position: the prompt's at rank -1, each generated token's at the
+    count of decode steps before it."""
     reports = []
     for pos, tok in enumerate(prompt):
-        hidden, rs = prefill_position(session, tok, pos, recorder)
+        hidden, rs = run_position(session, tok, pos, -1, recorder)
         reports.extend(rs)
     tokens = list(prompt)
     for s in range(n_steps):
         nxt = int(np.argmax(session.logits(hidden)))
         tokens.append(nxt)
-        hidden, rs = session.forward_position(nxt, len(prompt) + s, recorder=recorder)
+        hidden, rs = run_position(session, nxt, len(prompt) + s, s, recorder)
         reports.extend(rs)
     return tokens, reports
 
@@ -118,7 +115,6 @@ def state(session, tokens, reports, recorder):
     engine = session.engine
     if engine is not None:
         out["engine"] = (
-            engine.step_index,
             [(layer, {name: ([_bits(v) for v in value] if isinstance(value, list)
                              else _bits(value)) for name, value in vars(st).items()})
              for layer, st in engine.layers.items()],
@@ -226,7 +222,7 @@ def test_out_of_vocabulary_prompt_changes_nothing(bad, where):
     with pytest.raises(ConfigError, match=f"token {bad} outside vocabulary"):
         session.prefill(prompt, recorder=recorder)
     assert state(session, [], [], recorder) == before
-    assert session.engine._in_prefill is False
+    assert session.prompt_len == 0
 
 
 @pytest.mark.parametrize("tokens", [[1.0, 2.0], [True, False], [[1, 2]], ["a"]])

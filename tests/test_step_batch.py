@@ -1,7 +1,8 @@
 """Block-scored decisions: FilterEngine.score_steps over a block of steps,
-then FilterEngine.decide row by row, equals one process call per row in the
-same order, bit for bit, and replay (which scores each block of steps in one
-call) keeps its reports and summaries."""
+then one FilterEngine.decide call per (step, layer), equals scoring one row
+at a time (score_row, the live kernel) before the same decide calls, bit for
+bit; each layer's decisions are its own; and replay (which scores each block
+of steps in one call) keeps its reports and summaries."""
 
 import dataclasses
 import hashlib
@@ -63,20 +64,26 @@ def anchor_bits(engine, key):
 
 @settings(deadline=None, max_examples=150)
 @given(step_runs())
-def test_a_step_batch_decides_like_one_process_call_per_row(run):
+def test_a_step_batch_decides_like_one_score_row_call_per_row(run):
     dims, all_keys, steps = run
     batched, single = FilterEngine(*dims), FilterEngine(*dims)
     evidence = iter(batched.score_steps([keys for keys, *_ in steps],
                                         np.concatenate([kv for _, kv, *_ in steps])))
+    decoded = 0  # decode steps passed: the next decode step's rank
     for step, (keys, kv, prefill) in enumerate(steps):
-        batched.begin_step(prefill=prefill)
-        single.begin_step(prefill=prefill)
-        got = [batched.decide(layer, seq, next(evidence), step) for layer, seq in keys]
-        want = [single.process(layer, seq, kv[i], step)
-                for i, (layer, seq) in enumerate(keys)]
-        assert repr(got) == repr(want)
-        batched.end_step()
-        single.end_step()
+        rank = -1 if prefill else decoded
+        decoded += not prefill
+        step_evidence = [next(evidence) for _ in keys]
+        got, want = {}, {}
+        # One decide call per layer of the step, its rows in the step's order.
+        for layer in sorted({layer for layer, _ in keys}):
+            rows = [i for i, key in enumerate(keys) if key[0] == layer]
+            got.update(zip(rows, batched.decide(
+                layer, step, rank, [(keys[i][1], step_evidence[i]) for i in rows])))
+            want.update(zip(rows, single.decide(
+                layer, step, rank,
+                [(keys[i][1], single.score_row(layer, keys[i][1], kv[i])) for i in rows])))
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
         for layer in batched.active_layers:
             a, b = batched.layers[layer], single.layers[layer]
             assert repr((a.tau, a.var_k, a.var_v)) == repr((b.tau, b.var_k, b.var_v))
@@ -106,25 +113,30 @@ def test_a_bad_batch_leaves_the_engine_untouched():
         engine.score_steps([[(1, 0)]], np.ones((1, 2, 2, 3), dtype=np.float32))
 
 
-def process_replay(header, events, prune):
-    """The reports of a replay that decides one process call per event, in
-    (step, seq, layer) order: the oracle of the block-scored replay."""
+def row_replay(header, events, prune):
+    """The reports of a replay that scores one score_row call per event and
+    decides each (step, layer) in one decide call, in (step, seq, layer)
+    order: the oracle of the block-scored replay."""
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
     reports = []
+    decoded = 0  # decode steps passed: the next decode step's rank
     for step in sorted({e.step for e in events}):
-        engine.begin_step(prefill=step < header.prefill_steps)
-        for e in sorted((e for e in events if e.step == step), key=lambda e: (e.seq, e.layer)):
-            if e.layer in engine.layers:
-                _, report = engine.process(e.layer, e.seq, (e.k, e.v), step)
-                if report is not None:
-                    reports.append(report)
-        engine.end_step()
+        rank = -1 if step < header.prefill_steps else decoded
+        decoded += rank >= 0
+        step_reports = []
+        for layer in engine.active_layers:
+            rows = sorted((e for e in events if e.step == step and e.layer == layer),
+                          key=lambda e: e.seq)
+            decisions = engine.decide(layer, step, rank, [
+                (e.seq, engine.score_row(layer, e.seq, (e.k, e.v))) for e in rows])
+            step_reports += [report for _, report in decisions if report is not None]
+        reports += sorted(step_reports, key=lambda r: (r.seq, r.layer))
     return reports
 
 
 def assert_replay_matches_process(header, events, prune):
     got = [dataclasses.replace(r, flops_saved=0) for r in replay(header, events, prune).reports]
-    want = process_replay(header, events, prune)
+    want = row_replay(header, events, prune)
     assert len(got) == len(want)
     # Report by report, so that a failure names one short report instead of
     # diffing the whole replay as one string.
@@ -143,10 +155,16 @@ HEAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("anchor_mode, heads", [
-    pytest.param(mode, heads, id=f"{mode}-{heads}" if heads else mode)
-    for heads in (None, *HEAD_VALUES) for mode in ("ema", "exact_mean")])
-def test_replay_of_ragged_steps_decides_like_process(anchor_mode, heads):
+# Step 3 of a trace whose steps 0 and 1 are the prompt holds only
+# unfiltered-layer events, or none: with warm-up 3, decode rank 3 is the first
+# to skip, step 5 if step 3 counts and step 6 if it is missing.
+GAPS = {"unfiltered-only step": 5, "missing step": 6}
+
+
+@pytest.mark.parametrize("anchor_mode, case", [
+    pytest.param(mode, case, id=f"{mode}-{case}" if case else mode)
+    for case in (None, *HEAD_VALUES, *GAPS) for mode in ("ema", "exact_mean")])
+def test_replay_of_ragged_steps_decides_like_process(anchor_mode, case):
     header, events = synthesize("repetitive", 4, 2, 8, 40, seed=5, n_seqs=3)
     rng = np.random.default_rng(5)
     # Steps with some (seq, layer) events missing, some steps with none of
@@ -154,21 +172,46 @@ def test_replay_of_ragged_steps_decides_like_process(anchor_mode, heads):
     kept = [e for e in events
             if rng.random() < 0.7 and not (e.seq == 2 and e.step < 9)]
     assert len({(e.step, e.layer) for e in kept}) < len({(e.step, e.layer) for e in events})
+    if case in GAPS:
+        # Steps 0-5 of seqs 0 and 1 whole but for step 3, whose filtered
+        # layers (2 and 3) or every layer have no event.
+        header.generator_params["prefill_steps"] = "2"
+        kept = [e for e in events if e.step < 6 and e.seq < 2 and not (
+            e.step == 3 and (e.layer >= 2 or case == "missing step"))] + [
+            e for e in kept if e.step >= 6]
     # About one event in six gets a head of one of the values, whole or in
     # one element, in its key or its value.
     for e in kept:
-        if heads and rng.random() < 0.17:
+        if case in HEAD_VALUES and rng.random() < 0.17:
             side = "k" if rng.random() < 0.5 else "v"
             row = getattr(e, side).copy()
             head = rng.integers(header.n_heads)
-            value = HEAD_VALUES[heads][rng.integers(len(HEAD_VALUES[heads]))]
+            value = HEAD_VALUES[case][rng.integers(len(HEAD_VALUES[case]))]
             if rng.random() < 0.5:
                 row[head] = value
             else:
                 row[head, rng.integers(header.d_head)] = value
             setattr(e, side, row)
-    assert_replay_matches_process(header, kept, PruneConfig(anchor_mode=anchor_mode,
-                                                             warmup_steps=3))
+    prune = PruneConfig(anchor_mode=anchor_mode, warmup_steps=3)
+    assert_replay_matches_process(header, kept, prune)
+    if case in GAPS:
+        reports = replay(header, kept, prune).reports
+        assert min(r.step for r in reports if not r.shadow) == GAPS[case]
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+@pytest.mark.parametrize("n_seqs", [1, 2, 3])
+def test_each_filtered_layer_decides_on_its_own(n_seqs, anchor_mode):
+    """Replaying a trace without one filtered layer's events leaves every
+    other filtered layer's reports as they were."""
+    header, events = synthesize("repetitive", 4, 2, 8, 40, seed=11, n_seqs=n_seqs)
+    prune = PruneConfig(anchor_mode=anchor_mode, tail_fraction=1.0, p_global=0.5)
+    full = replay(header, events, prune).reports
+    assert any(r.skipped for r in full)
+    for dropped in range(4):
+        without = replay(header, [e for e in events if e.layer != dropped], prune).reports
+        # Report by report: a failure names the first report that differs.
+        assert list(map(repr, without)) == [repr(r) for r in full if r.layer != dropped]
 
 
 @pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])

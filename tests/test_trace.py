@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from tokenskip.model import DecodeSession, ModelConfig
-from tokenskip.policy import PruneConfig
+from tokenskip.policy import ConfigError, PruneConfig
 from tokenskip.replay import replay
 from tokenskip.trace import (
     TraceFormatError,
@@ -82,6 +84,12 @@ class TestSynthesize:
     def test_invalid_pattern_rejected(self):
         with pytest.raises(ValueError):
             synthesize("bogus", 1, 1, 4, 4, seed=0)
+
+    @pytest.mark.parametrize("pattern", ["depth_concentrated", "repetitive"])
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
+    def test_a_non_positive_t0_is_rejected_naming_it(self, pattern, t0):
+        with pytest.raises(ConfigError, match="t0 must be positive"):
+            synthesize(pattern, 2, 2, 4, 4, seed=0, t0=t0)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
