@@ -67,6 +67,10 @@ def cmd_generate(args) -> int:
     prompt = list(args.prompt_bytes.encode("utf-8"))
     if not prompt:
         raise ConfigError("prompt_bytes must be non-empty")
+    if len(prompt) + args.steps > config.max_seq:
+        raise ConfigError(f"--steps {args.steps} after a {len(prompt)}-token prompt needs "
+                          f"{len(prompt) + args.steps} positions, more than --max-seq "
+                          f"{config.max_seq}")
 
     weights = load_weights(Path(args.load_weights).read_bytes()) if args.load_weights else None
     session = DecodeSession(config, prune if args.mode == "filtered" else None, mode=args.mode,

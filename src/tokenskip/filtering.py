@@ -28,17 +28,18 @@ one BLAS ddot of two contiguous rows. cosine_rows, under head_similarity,
 makes each of its three products with the same np.vecdot, so the products
 are equal bit for bit; row_evidence then takes the cosines, flags, mean and
 variance in Python floats, summed in np.add.reduce's order, and the anchor
-folds in place. decide runs the controller over one layer's rows of one
-step, in the order they were scored, and then that layer's step barrier
-(end_step). No layer reads another's anchors, threshold or variances, so a
-caller decides each layer's steps on its own; a step is shadow by its rank
-among decode steps, which the caller passes (negative for a prompt step).
-Live decode (process, score_row then decide, per layer and position) and
-replay (one score_steps call per block of steps, then one decide call per
-step and layer) share decide, so both make the same decisions. The kernels
-are elementwise or row-wise and equal their one-row forms bit for bit. A token
-with a non-finite key or value is reported as degenerate, never skipped, and
-never folded into its anchor.
+folds in place. decide runs the controller over one layer's rows of a run of
+steps, in step order, applying that layer's step barrier (end_step) after
+each step's rows. No layer reads another's anchors, threshold or variances,
+so a caller decides each layer's run of steps on its own, in one call; a step
+is shadow by its rank among decode steps, which the caller passes with each
+row (negative for a prompt step). Live decode (process: score_row, then
+decide over a run of one row), chunked prefill (one decide call per layer
+and chunk) and replay (one score_steps call per block of steps, then one
+decide call per layer and block) share decide, so all make the same
+decisions. The kernels are elementwise or row-wise and equal their one-row
+forms bit for bit. A token with a non-finite key or value is reported as
+degenerate, never skipped, and never folded into its anchor.
 """
 
 from __future__ import annotations
@@ -270,18 +271,18 @@ class FilterEngine:
     def process(self, layer: int, seq: int, kv, step: int,
                 rank: int) -> tuple[bool, StepReport | None]:
         """Observe one token's per-head K/V at one layer and decide it as
-        the layer's only row of its step: score_row, then decide, which
-        applies the layer's barrier. kv is (2, n_heads, d_head), keys over
-        values, as project_kv returns it (or any array-like of that shape,
-        such as a (k, v) pair); rank is the step's rank among decode steps,
-        negative for a prompt step.
+        the layer's only row of its step: score_row, then decide over a run
+        of one row, which applies the layer's barrier. kv is
+        (2, n_heads, d_head), keys over values, as project_kv returns it (or
+        any array-like of that shape, such as a (k, v) pair); rank is the
+        step's rank among decode steps, negative for a prompt step.
 
         Returns (skip, report), skip False whenever the decision is shadow.
         The first finite observation for a (layer, sequence) only
         initializes the anchors and yields no report. K/V of any shape but
         (n_heads, d_head) raise ValueError.
         """
-        return self.decide(layer, step, rank, [(seq, self.score_row(layer, seq, kv))])[0]
+        return self.decide(layer, ((step, rank, seq, self.score_row(layer, seq, kv)),))[0]
 
     def score_row(self, layer: int, seq: int, kv):
         """The evidence of one row, as score_steps gives it, with the row
@@ -404,21 +405,32 @@ class FilterEngine:
             evidence[row] = None
         return evidence
 
-    def decide(self, layer: int, step: int, rank: int, rows) -> list:
-        """Decide one layer's rows of one step, then apply that layer's
-        barrier (end_step) if any row was decided. rows are (seq, evidence)
-        pairs, evidence an entry of score_steps or a score_row result. rank
-        is the step's rank among decode steps, negative for a prompt step:
-        the step is shadow when rank < warmup_steps or the budget is zero.
-        Returns one (skip, report) per row, as process does."""
+    def decide(self, layer: int, rows) -> list:
+        """Decide one layer's rows over a run of steps, applying that layer's
+        barrier (end_step) after each step's rows if any of them was decided.
+        rows are (step, rank, seq, evidence) tuples in step order, a step's
+        rows consecutive; evidence is an entry of score_steps or a score_row
+        result. rank is the step's rank among decode steps, negative for a
+        prompt step: the step is shadow when rank < warmup_steps or the
+        budget is zero. Returns one (skip, report) per row, as process does.
+        One call over a run of steps decides as one call per step would."""
         config = self.config
         # A zero budget means zero skips, exactly: the proportional controller
         # can only approach zero asymptotically, so enforce it outright.
-        shadow = rank < config.warmup_steps or self.target == 0.0
+        no_budget = self.target == 0.0
+        warmup = config.warmup_steps
         st = self.layers[layer]
-        tau, var_k, var_v, g = st.tau, st.var_k, st.var_v, config.gamma
+        g = config.gamma
         decisions, var_ks, var_vs, would_skips = [], [], [], 0
-        for seq, evidence in rows:
+        current = None
+        for step, rank, seq, evidence in rows:
+            if step != current:
+                if var_ks:
+                    self.end_step(st, would_skips, var_ks, var_vs)
+                    var_ks, var_vs, would_skips = [], [], 0
+                current = step
+                shadow = rank < warmup or no_budget
+                tau, var_k, var_v = st.tau, st.var_k, st.var_v
             if evidence is None:
                 decisions.append((False, None))
                 continue
@@ -449,10 +461,11 @@ class FilterEngine:
         return decisions
 
     def end_step(self, st: _LayerState, would_skips: int, var_ks: list, var_vs: list) -> None:
-        """Apply one layer's step barrier, which decide calls once per step
-        the layer decides: the step's count of would-be skips (shadow ones
-        too, whatever the rank) and its decisions' head variances (one pair
-        per decision) feed the layer's skip ratio, threshold and variances."""
+        """Apply one layer's step barrier, which decide calls after each
+        step of its run that has decisions: the step's count of would-be
+        skips (shadow ones too, whatever the rank) and its decisions' head
+        variances (one pair per decision) feed the layer's skip ratio,
+        threshold and variances, which the run's next step then reads."""
         n = len(var_ks)
         # The mean of 0/1 indicators is their count over n, exactly.
         st.ratio_sum += would_skips / n

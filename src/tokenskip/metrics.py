@@ -174,33 +174,41 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     from its cache has compacted rows, and like one without rows it gives
     None.
     """
-    if not events or any(e.attn is None or e.attn.shape[1] != e.step + 1 for e in events):
+    if not events:
         return None
     skipped_steps: dict[tuple[int, int], set[int]] = defaultdict(set)
     for r in reports:
         if r.skipped:
             skipped_steps[(r.seq, r.layer)].add(r.step)
-    # Columns keep the set's own order: the float32 sum depends on it.
-    dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
-                    for key, steps in skipped_steps.items()}
-    lost: dict[int, float] = defaultdict(float)
-    # (seq, layer) -> the step and columns of its last event: the columns a
-    # row sums change only at a skipped step, or after a gap in steps.
-    last: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for e in events:
-        key = (e.seq, e.layer)
-        steps = skipped_steps.get(key)
-        if steps is None:
-            continue
-        step = e.step
-        prev = last.get(key)
-        if prev is not None and prev[0] == step - 1 and step not in steps:
-            cols = prev[1]
-        else:
-            cols = dropped_cols[key]
-            cols = cols[cols <= step]
-        last[key] = (step, cols)
-        if cols.size:
-            attn = e.attn
-            lost[e.layer] += float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
-    return dict(lost)
+    # The indices of each skipping (seq, layer)'s events, in event order.
+    groups: dict[tuple[int, int], list[int]] = {key: [] for key in skipped_steps}
+    for i, e in enumerate(events):
+        attn = e.attn
+        if attn is None or attn.shape[1] != e.step + 1:
+            return None
+        indices = groups.get((e.seq, e.layer))
+        if indices is not None:
+            indices.append(i)
+    # Each event's loss, by index. The columns a row sums change only at a
+    # skipped step, or after a gap in steps.
+    losses: dict[int, float] = {}
+    for key, indices in groups.items():
+        steps = skipped_steps[key]
+        # Columns keep the set's own order: the float32 sum depends on it.
+        dropped = np.fromiter(steps, dtype=np.intp, count=len(steps))
+        last_step = cols = None
+        for i in indices:
+            e = events[i]
+            step = e.step
+            if last_step != step - 1 or step in steps:
+                cols = dropped[dropped <= step]
+            last_step = step
+            if cols.size:
+                attn = e.attn
+                losses[i] = float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
+    # Each layer's losses added in event order, as the float sums require.
+    lost: dict[int, float] = {}
+    for i in sorted(losses):
+        layer = events[i].layer
+        lost[layer] = lost.get(layer, 0.0) + losses[i]
+    return lost

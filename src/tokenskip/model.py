@@ -7,21 +7,23 @@ skip, the attention contribution is exactly zero and the residual passes the
 input through unchanged, while the FFN still executes.
 
 A generated token runs one position at a time (forward_position, then
-block_forward per layer), at decode rank position - prompt_len. The prompt
-runs in chunks of PREFILL_CHUNK positions (DecodeSession.prefill): a prompt
-position's rank is negative, so it never skips, and none waits on a sampled
-token, so each layer runs once over all of a chunk's rows; the filter then
-scores the chunk with FilterEngine.score_steps and makes one decide call per
-position and layer. Every stacked kernel gives the bits of its one-position
-form: layer_norm_rows reduces each row as layer_norm does; _matvecs makes one
-BLAS gemv per row, as W @ x does (x @ W.T would be one gemm, with other
-bits); the scores are one einsum over the cache with the future columns set
-to -inf afterwards. The softmax sums stay per row, over that row's own
-columns: summing a padded row, or np.add.reduceat, regroups NumPy's pairwise
-sum and changes bits. The context sums run over the whole chunk with zero
-weights on the future columns, which adds exact zeros, unless a value row of
-the chunk is non-finite: then 0 x inf would be NaN in the rows before it, and
-each row sums over its own columns instead.
+block_forward per layer), at decode rank position - prompt_len, and each
+filtered layer decides it as a run of one step (FilterEngine.process). The
+prompt runs in chunks of PREFILL_CHUNK positions (DecodeSession.prefill): a
+prompt position's rank is negative, so it never skips, and none waits on a
+sampled token, so each layer runs once over all of a chunk's rows; the filter
+then scores the chunk with FilterEngine.score_steps and makes one decide call
+per filtered layer over the chunk's run of positions. Every stacked kernel
+gives the bits of its one-position form: layer_norm_rows reduces each row as
+layer_norm does; _matvecs makes one BLAS gemv per row, as W @ x does
+(x @ W.T would be one gemm, with other bits); the scores are one einsum over
+the cache with the future columns set to -inf afterwards. The softmax sums
+stay per row, over that row's own columns: summing a padded row, or
+np.add.reduceat, regroups NumPy's pairwise sum and changes bits. The context
+sums run over the whole chunk with zero weights on the future columns, which
+adds exact zeros, unless a value row of the chunk is non-finite: then 0 x inf
+would be NaN in the rows before it, and each row sums over its own columns
+instead.
 
 A generated token's step makes few NumPy calls and no float32-to-float32
 copies. Each layer's key and value projections are one (2, d_model, d_model)
@@ -477,11 +479,12 @@ class DecodeSession:
 
     def _prefill_chunk(self, ids: np.ndarray, start: int, recorder):
         """One prefill chunk: every layer over all of its rows, then the
-        filter's two passes (score_steps over the chunk, then per position
-        and layer a decide call, which applies that layer's barrier, the
-        ledger charge and the recorder). No prompt position skips, so every
-        layer's cache holds start positions before the chunk. Returns the
-        last row's hidden state and the chunk's reports."""
+        filter's two passes (score_steps over the chunk, then per filtered
+        layer one decide call over the chunk's run of positions, which
+        applies that layer's barrier after each position), then per position
+        and layer the ledger charge and the recorder. No prompt position
+        skips, so every layer's cache holds start positions before the chunk.
+        Returns the last row's hidden state and the chunk's reports."""
         c = self.config
         rows = len(ids)
         x = self.weights.embed[ids] + self.positions[start:start + rows]
@@ -502,21 +505,26 @@ class DecodeSession:
 
         engine = self.engine
         active = [] if engine is None else sorted(engine.layers)
-        evidence = iter(())
+        # Each filtered layer's reports over the chunk, one per row.
+        layer_reports = {}
         if active:
             stacked = np.stack([kv[layer] for layer in active], axis=1)
-            evidence = iter(engine.score_steps(
-                [[(layer, 0) for layer in active]] * rows,
-                stacked.reshape((-1,) + stacked.shape[2:])))
+            evidence = engine.score_steps([[(layer, 0) for layer in active]] * rows,
+                                          stacked.reshape((-1,) + stacked.shape[2:]))
+            positions = range(start, start + rows)
+            for i, layer in enumerate(active):
+                # A prompt position (a negative rank) is shadow: never skipped.
+                decisions = engine.decide(layer, [
+                    (pos, pos - self.prompt_len, 0, row_evidence)
+                    for pos, row_evidence in zip(positions, evidence[i::len(active)])])
+                layer_reports[layer] = [report for _, report in decisions]
         reports = []
         for t in range(rows):
             pos = start + t
             for layer in range(c.n_layers):
                 report = None
-                if layer in active:
-                    # A prompt position (a negative rank) is shadow: never skipped.
-                    ((_, report),) = engine.decide(layer, pos, pos - self.prompt_len,
-                                                   [(0, next(evidence))])
+                if layer in layer_reports:
+                    report = layer_reports[layer][t]
                     if report is not None:
                         reports.append(report)
                 self.ledger.charge_event(pos + 1, self.flops_model, False, report)

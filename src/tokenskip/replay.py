@@ -2,19 +2,23 @@
 synthetic trace, exactly as the live engine would, and score the decisions
 against the trace's ground-truth attention rows.
 
-Replay sorts the events once, by (step, layer, seq). An unfiltered layer never
-skips, so each of its (seq, layer) pairs is charged in closed form, its n
-events at cache lengths 1..n (FlopsLedger.charge_keeps). A step's decode rank
-is its index among all the trace's steps less the prompt steps' count. The
-step loop sees only the filtered events, in two passes per block of
-BLOCK_STEPS steps. One FilterEngine.score_steps call scores every filtered
-event of the block; then each step makes one FilterEngine.decide call per
-layer, which applies that layer's barrier, and FlopsLedger.charge_event per
-event. A token's evidence depends only on the K/V stream, so scoring it ahead
-of the controller changes nothing: the live engine decides the same rows one
-process call at a time at the same ranks, and the two agree bit for bit. The
-reports end sorted by (step, seq, layer), and the summary is the live one:
-reporting.summarize with metrics.mass_lost_by_layer."""
+Replay refuses an event outside the header's ranges, then sorts the events
+once, by (step, layer, seq). An unfiltered layer never skips, so each of its
+(seq, layer) pairs is charged in closed form, its n events at cache lengths
+1..n (FlopsLedger.charge_keeps). A step's decode rank is its index among all
+the trace's steps less the prompt steps' count. The step loop sees only the
+filtered events, in two passes per block of BLOCK_STEPS steps. One
+FilterEngine.score_steps call scores every filtered event of the block (its
+anchors fold step by step, in runs of steps); then one pass sorts the block's
+rows by layer, and each layer makes one FilterEngine.decide call over its
+run of the block's steps, which applies that layer's barrier after each
+step, and FlopsLedger.charge_event per event. A token's evidence depends only
+on the K/V stream, and no layer reads another's state, so scoring it ahead of
+the controller and deciding layer by layer change nothing: the live engine
+decides the same rows one process call at a time at the same ranks, and the
+two agree bit for bit. The reports end sorted by (step, seq, layer), and the
+summary is the live one: reporting.summarize with
+metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
 
@@ -73,9 +77,17 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     flops_model = FlopsModel.from_dims(header.n_heads, header.d_head)
     ledger = FlopsLedger()
 
+    kv_shape = (header.n_heads, header.d_head)
+    n_seqs, n_steps, n_layers = header.n_seqs, header.n_steps, header.n_layers
     for e in events:
-        if e.k.shape != (header.n_heads, header.d_head) or e.v.shape != e.k.shape:
+        if e.k.shape != kv_shape or e.v.shape != kv_shape:
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
+        # What read_trace refuses: an event the summary rows or the header's
+        # steps would not account for.
+        if not (0 <= e.seq < n_seqs and 0 <= e.step < n_steps and 0 <= e.layer < n_layers):
+            raise TraceCompatibilityError(
+                f"event (seq={e.seq}, step={e.step}, layer={e.layer}) lies outside the "
+                f"header's ranges: n_seqs {n_seqs}, n_steps {n_steps}, n_layers {n_layers}")
     event_id = attrgetter("step", "layer", "seq")
     ordered = sorted(events, key=event_id)
     ids = list(map(event_id, ordered))
@@ -93,28 +105,32 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
              for step, step_events in groupby(ordered, attrgetter("step"))]
     first_decode = bisect_left([step for step, _ in steps], header.prefill_steps)
 
-    layer_of = attrgetter("layer")
+    keep_on_skip = prune.cache_on_skip == "keep"
     reports: list[StepReport] = []
     hypo_len: dict[tuple[int, int], int] = defaultdict(int)
     for first in range(0, len(steps), BLOCK_STEPS):
         block = steps[first:first + BLOCK_STEPS]
         rows = [e for _, step_rows in block for e in step_rows]
+        if not rows:
+            continue
         evidence = iter(engine.score_steps(
             [[(e.layer, e.seq) for e in step_rows] for _, step_rows in block],
-            np.array([(e.k, e.v) for e in rows], dtype=np.float32)) if rows else ())
+            np.array([(e.k, e.v) for e in rows], dtype=np.float32)))
+        # The block's rows by layer, each layer's in step order.
+        by_layer: dict[int, list] = defaultdict(list)
         for rank, (step, step_rows) in enumerate(block, first - first_decode):
-            for layer, layer_rows in groupby(step_rows, layer_of):
-                layer_rows = list(layer_rows)
-                decisions = engine.decide(layer, step, rank,
-                                          [(e.seq, next(evidence)) for e in layer_rows])
-                for e, (skipped, report) in zip(layer_rows, decisions):
-                    key = (e.seq, layer)
-                    would_len = hypo_len[key] + 1
-                    ledger.charge_event(would_len, flops_model, skipped, report)
-                    if not skipped or prune.cache_on_skip == "keep":
-                        hypo_len[key] = would_len
-                    if report is not None:
-                        reports.append(report)
+            for e in step_rows:
+                by_layer[e.layer].append((step, rank, e.seq, next(evidence)))
+        for layer, layer_rows in by_layer.items():
+            decisions = engine.decide(layer, layer_rows)
+            for (_, _, seq, _), (skipped, report) in zip(layer_rows, decisions):
+                key = (seq, layer)
+                would_len = hypo_len[key] + 1
+                ledger.charge_event(would_len, flops_model, skipped, report)
+                if not skipped or keep_on_skip:
+                    hypo_len[key] = would_len
+                if report is not None:
+                    reports.append(report)
     reports.sort(key=attrgetter("step", "seq", "layer"))
 
     lost = mass_lost_by_layer(events, reports)

@@ -209,6 +209,22 @@ class TestGenerateCommand:
         assert flag in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("steps", ["5", "6"])
+    def test_steps_past_max_seq_exit_2_before_decoding(self, tmp_path, capsys, steps):
+        # A 4-byte prompt and 5 or 6 steps need 9 or 10 positions of 8.
+        outputs = [tmp_path / name for name in ("t.trace", "r.ndjson", "s.csv", "w.bin")]
+        rc = run_cli("generate", "--steps", steps, "--prompt-bytes", "abcd", "--max-seq", "8",
+                     "--record", str(outputs[0]), "--report", str(outputs[1]),
+                     "--summary", str(outputs[2]), "--save-weights", str(outputs[3]))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--steps" in err and "--max-seq" in err and "runtime error" not in err
+        assert not any(path.exists() for path in outputs)
+        # The positions that fit are a valid run.
+        assert run_cli("generate", "--steps", "4", "--prompt-bytes", "abcd", "--max-seq", "8",
+                       "--record", str(outputs[0])) == 0
+        assert read_trace(outputs[0])[0].n_steps == 8
+
     def test_weights_snapshot_round_trip(self, tmp_path):
         blob = tmp_path / "w.bin"
         rc = run_cli("generate", "--steps", "4", "--prompt-bytes", "ab", "--seed", "7",

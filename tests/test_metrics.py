@@ -1,4 +1,6 @@
 import io
+from collections import defaultdict
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenskip.metrics import FlopsLedger, FlopsModel, flops_saved, mass_lost_by_layer
+from tokenskip.policy import PruneConfig
+from tokenskip.replay import replay
 from tokenskip.reporting import StepReport, csv_cells, summarize, write_summary_csv
-from tokenskip.trace import TraceEvent
+from tokenskip.trace import TraceEvent, synthesize
 
 
 def make_report(layer=0, step=1, skipped=False, s_kv=0.5, alpha=0.5, saved=0, seq=0):
@@ -115,6 +119,57 @@ class TestAttentionMassLost:
         # the whole skipped row (1.0 + 0.3).
         want = float(np.float32(0.6)) + float(np.float32(0.3))
         assert mass_lost_by_layer(events, reports) == {0: want}
+
+    @staticmethod
+    def _per_event_mass_lost(events, reports):
+        """The oracle: one pass over the events in their order, each event's
+        loss added to its layer's sum as the event comes."""
+        skipped_steps = defaultdict(set)
+        for r in reports:
+            if r.skipped:
+                skipped_steps[(r.seq, r.layer)].add(r.step)
+        dropped_cols = {key: np.fromiter(steps, dtype=np.intp, count=len(steps))
+                        for key, steps in skipped_steps.items()}
+        lost = defaultdict(float)
+        last = {}
+        for e in events:
+            key = (e.seq, e.layer)
+            steps = skipped_steps.get(key)
+            if steps is None:
+                continue
+            prev = last.get(key)
+            if prev is not None and prev[0] == e.step - 1 and e.step not in steps:
+                cols = prev[1]
+            else:
+                cols = dropped_cols[key]
+                cols = cols[cols <= e.step]
+            last[key] = (e.step, cols)
+            if cols.size:
+                attn = e.attn
+                lost[e.layer] += float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
+        return dict(lost)
+
+    @pytest.mark.parametrize("order", ["step, seq, layer", "shuffled"])
+    def test_each_layers_losses_add_in_event_order(self, order):
+        # Two sequences, their events out of trace (seq, step, layer) order.
+        header, events = synthesize("repetitive", 4, 2, 8, 60, seed=21, n_seqs=2)
+        reports = replay(header, events, PruneConfig(p_global=0.5)).reports
+        assert sum(r.skipped for r in reports) > 20
+        # Rows scaled from 1e-12 to 1, so each layer's float64 sum of losses
+        # rounds, and so depends on the order they are added in.
+        rng = np.random.default_rng(21)
+        for e in events:
+            e.attn = (rng.uniform(0.1, 1.0, e.attn.shape)
+                      * 10.0 ** rng.uniform(-12.0, 0.0)).astype(np.float32)
+        trace_order = self._per_event_mass_lost(events, reports)
+        if order == "shuffled":
+            events = [events[i] for i in rng.permutation(len(events))]
+        else:
+            events = sorted(events, key=attrgetter("step", "seq", "layer"))
+        want = self._per_event_mass_lost(events, reports)
+        assert len(want) == 2 and want != trace_order
+        # repr: the sums bit for bit, and the layers in the same order.
+        assert repr(mass_lost_by_layer(events, reports)) == repr(want)
 
     def test_zero_decisions_convention(self):
         assert mass_lost_by_layer([], []) is None

@@ -1,12 +1,15 @@
 """Block-scored decisions: FilterEngine.score_steps over a block of steps,
 then one FilterEngine.decide call per (step, layer), equals scoring one row
 at a time (score_row, the live kernel) before the same decide calls, bit for
-bit; each layer's decisions are its own; and replay (which scores each block
-of steps in one call) keeps its reports and summaries."""
+bit; one decide call over a run of steps equals one call per step; each
+layer's decisions are its own; and replay (which scores each block of steps
+in one call, then decides each layer's run of the block in one call) keeps
+its reports and summaries."""
 
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from tokenskip import filtering
 from tokenskip.filtering import FilterEngine, MisconfigurationError
+from tokenskip.model import PREFILL_CHUNK, DecodeSession, ModelConfig
 from tokenskip.policy import PruneConfig
 from tokenskip.replay import BLOCK_STEPS, TraceCompatibilityError, replay
 from tokenskip.trace import synthesize
@@ -79,16 +83,67 @@ def test_a_step_batch_decides_like_one_score_row_call_per_row(run):
         for layer in sorted({layer for layer, _ in keys}):
             rows = [i for i, key in enumerate(keys) if key[0] == layer]
             got.update(zip(rows, batched.decide(
-                layer, step, rank, [(keys[i][1], step_evidence[i]) for i in rows])))
+                layer, [(step, rank, keys[i][1], step_evidence[i]) for i in rows])))
             want.update(zip(rows, single.decide(
-                layer, step, rank,
-                [(keys[i][1], single.score_row(layer, keys[i][1], kv[i])) for i in rows])))
+                layer, [(step, rank, keys[i][1], single.score_row(layer, keys[i][1], kv[i]))
+                        for i in rows])))
         assert repr(sorted(got.items())) == repr(sorted(want.items()))
         for layer in batched.active_layers:
             a, b = batched.layers[layer], single.layers[layer]
             assert repr((a.tau, a.var_k, a.var_v)) == repr((b.tau, b.var_k, b.var_v))
     for key in all_keys:
         assert anchor_bits(batched, key) == anchor_bits(single, key)
+
+
+def layer_state(engine, layer):
+    st = engine.layers[layer]
+    return repr((st.tau, st.var_k, st.var_v, st.ratio_sum, st.ratio_steps))
+
+
+@pytest.mark.parametrize("anchor_mode", ["ema", "exact_mean"])
+def test_one_decide_call_over_a_run_of_steps_equals_one_call_per_step(anchor_mode):
+    # 3 sequences, the last from step 7 on, and a tenth of the events gone:
+    # steps of one to three rows per layer, and first observations (no
+    # evidence) inside runs. Steps 0 and 1 are the prompt, and warm-up ends
+    # at step 5, so runs also cross into applied decisions.
+    header, events = synthesize("repetitive", 2, 2, 8, 40, seed=12, n_seqs=3,
+                                with_attn=False)
+    header.generator_params["prefill_steps"] = "2"
+    rng = np.random.default_rng(12)
+    events = sorted((e for e in events
+                     if not (e.seq == 2 and e.step < 7) and rng.random() < 0.9),
+                    key=lambda e: (e.step, e.layer, e.seq))
+    steps = sorted({e.step for e in events})
+    assert steps == list(range(40))
+    prune = PruneConfig(anchor_mode=anchor_mode, tail_fraction=1.0, warmup_steps=3,
+                        p_global=0.5)
+    dims = (header.n_layers, header.n_heads, header.d_head, prune)
+    evidence = iter(FilterEngine(*dims).score_steps(
+        [[(e.layer, e.seq) for e in events if e.step == step] for step in steps],
+        np.array([(e.k, e.v) for e in events], dtype=np.float32)))
+    rows = {layer: [] for layer in range(header.n_layers)}
+    for e in events:
+        rows[e.layer].append((e.step, e.step - 2, e.seq, next(evidence)))
+    runs, per_step = FilterEngine(*dims), FilterEngine(*dims)
+    first_observations, decided = 0, []
+    for layer, layer_rows in rows.items():
+        # Runs of 1, 2, 3, 5, 8, 13 and 8 steps, in turn.
+        start = 0
+        for n in [1, 2, 3, 5, 8, 13, 8]:
+            run = [row for row in layer_rows if start <= row[0] < start + n]
+            start += n
+            want = []
+            for step in sorted({row[0] for row in run}):
+                want += per_step.decide(layer, [row for row in run if row[0] == step])
+            got = runs.decide(layer, run)
+            assert repr(got) == repr(want)
+            assert layer_state(runs, layer) == layer_state(per_step, layer)
+            first_observations += any(row[3] is None for row in run[1:])
+            decided += got
+        assert start == 40
+    assert first_observations >= 2
+    assert any(skip for skip, _ in decided)
+    assert max(Counter(row[0] for row in rows[0]).values()) == 3
 
 
 def test_a_repeated_row_in_one_batch_is_rejected():
@@ -127,8 +182,8 @@ def row_replay(header, events, prune):
         for layer in engine.active_layers:
             rows = sorted((e for e in events if e.step == step and e.layer == layer),
                           key=lambda e: e.seq)
-            decisions = engine.decide(layer, step, rank, [
-                (e.seq, engine.score_row(layer, e.seq, (e.k, e.v))) for e in rows])
+            decisions = engine.decide(layer, [
+                (step, rank, e.seq, engine.score_row(layer, e.seq, (e.k, e.v))) for e in rows])
             step_reports += [report for _, report in decisions if report is not None]
         reports += sorted(step_reports, key=lambda r: (r.seq, r.layer))
     return reports
@@ -321,6 +376,32 @@ def test_replay_scores_each_block_in_one_kernel_call_and_never_calls_process(mon
     assert calls == {"head_similarity": math.ceil(n_steps / BLOCK_STEPS), "process": 0}
 
 
+def test_replay_and_prefill_make_one_decide_call_per_filtered_layer_and_block(monkeypatch):
+    calls = []
+    decide = FilterEngine.decide
+
+    def counted(engine, layer, rows):
+        calls.append((layer, rows[0][0], rows[-1][0]))
+        return decide(engine, layer, rows)
+
+    monkeypatch.setattr(FilterEngine, "decide", counted)
+    n_steps = 2 * BLOCK_STEPS + 5
+    header, events = synthesize("repetitive", 4, 2, 8, n_steps, seed=8, n_seqs=2,
+                                with_attn=False)
+    layers = FilterEngine(4, 2, 8, PruneConfig()).active_layers
+    replay(header, events, PruneConfig())
+    # Each call spans its block's steps, first to last.
+    assert sorted(calls) == [(layer, first, min(first + BLOCK_STEPS, n_steps) - 1)
+                             for layer in layers for first in range(0, n_steps, BLOCK_STEPS)]
+    calls.clear()
+    n_prompt = 2 * PREFILL_CHUNK + 3
+    session = DecodeSession(ModelConfig(max_seq=n_prompt), PruneConfig(), mode="filtered")
+    session.prefill(list(range(n_prompt)))
+    assert sorted(calls) == [(layer, first, min(first + PREFILL_CHUNK, n_prompt) - 1)
+                             for layer in session.engine.active_layers
+                             for first in range(0, n_prompt, PREFILL_CHUNK)]
+
+
 def test_exact_mean_anchors_are_each_sequences_own_mean():
     # Sequence r starts at step 2 - r, so from step 2 on each step folds
     # rows with different counts: step 2 beside a first observation, the
@@ -343,6 +424,20 @@ def test_replay_rejects_a_repeated_event():
     header, events = synthesize("repetitive", 2, 2, 4, 6, seed=1)
     with pytest.raises(TraceCompatibilityError, match="appears twice"):
         replay(header, events + [events[5]], PruneConfig())
+
+
+@pytest.mark.parametrize("field, value", [("layer", 9), ("layer", -1), ("step", 6),
+                                          ("step", -1), ("seq", 2), ("seq", -1)])
+def test_replay_rejects_an_event_outside_the_headers_ranges(field, value):
+    # 4 layers, 6 steps, 2 sequences: the event read_trace would refuse.
+    header, events = synthesize("repetitive", 4, 2, 4, 6, seed=1, n_seqs=2)
+    ids = {"seq": 1, "step": 5, "layer": 3, field: value}
+    stray = dataclasses.replace(events[0], **ids)
+    with pytest.raises(TraceCompatibilityError,
+                       match=rf"\(seq={ids['seq']}, step={ids['step']}, "
+                             rf"layer={ids['layer']}\) lies outside"):
+        replay(header, [e for e in events if (e.seq, e.step, e.layer) != (1, 5, 3)]
+               + [stray], PruneConfig())
 
 
 # sha256 of the reports (by repr) and the summary of fixed synthetic replays,
