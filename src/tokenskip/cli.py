@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import metrics, reporting, trace as trace_mod
 from .model import DecodeSession, ModelConfig, load_weights, save_weights
-from .replay import replay as run_replay
+from .replay import TraceCompatibilityError, replay as run_replay
 from .policy import ConfigError, PruneConfig, config_from_mapping, parse_config_text
 from .trace import TraceFormatError
 
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError) as exc:
+    except (ConfigError, TraceFormatError, TraceCompatibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError) as exc:

@@ -16,14 +16,23 @@ then scores the chunk with FilterEngine.score_steps and makes one decide call
 per filtered layer over the chunk's run of positions. Every stacked kernel
 gives the bits of its one-position form: layer_norm_rows reduces each row as
 layer_norm does; _matvecs makes one BLAS gemv per row, as W @ x does
-(x @ W.T would be one gemm, with other bits); the scores are one einsum over
-the cache with the future columns set to -inf afterwards. The softmax sums
-stay per row, over that row's own columns: summing a padded row, or
-np.add.reduceat, regroups NumPy's pairwise sum and changes bits. The context
-sums run over the whole chunk with zero weights on the future columns, which
-adds exact zeros, unless a value row of the chunk is non-finite: then 0 x inf
-would be NaN in the rows before it, and each row sums over its own columns
-instead.
+(x @ W.T would be one gemm, with other bits).
+
+Attention reads the cache at a chunk-aligned width (KVCache.padded_view): a
+query at cache length m reads min(ceil(m / PREFILL_CHUNK) * PREFILL_CHUNK,
+max_seq) columns, sets the scores of those past m to -inf, and takes one
+softmax over the whole width. Per head, the scores are one BLAS gemv of the
+keys by the query and the context one gemv of the probabilities by the
+values. A chunk starts at a multiple of PREFILL_CHUNK, so all its rows have
+the width of the decode step at its last position: the stacked products make
+one gemv of that same shape per (row, head), the softmax reduces each row as
+a one-row call does, and a chunk equals its positions run one at a time, bit
+for bit. The columns past m hold zeros, a later row of the chunk or a dropped
+skip's K/V, which is always finite (a non-finite token is never skipped), so
+their zero weights add exact zeros to the context. Only a chunk with a
+non-finite value row, where 0 x inf would be NaN in the rows before it, runs
+its context per row over a copy of the values with that row's future columns
+zeroed, as the cache holds them when the row runs alone.
 
 A generated token's step makes few NumPy calls and no float32-to-float32
 copies. Each layer's key and value projections are one (2, d_model, d_model)
@@ -279,6 +288,15 @@ class KVCache:
         k, v = self._layers[layer]
         return k[:, :n], v[:, :n]
 
+    def padded_view(self, layer: int):
+        """The layer's keys and values over the columns a query at its length
+        m reads: m rounded up to a multiple of PREFILL_CHUNK, at most
+        max_seq. The columns past m hold zeros, later rows of a prefill
+        chunk or a dropped skip's stale K/V."""
+        w = min(-(-self.lens[layer] // PREFILL_CHUNK) * PREFILL_CHUNK, self.max_seq)
+        k, v = self._layers[layer]
+        return k[:, :w], v[:, :w]
+
 
 # -- forward ops -----------------------------------------------------------------
 
@@ -296,21 +314,26 @@ def attention_forward(weights: Weights, layer: int, query_hidden: np.ndarray, ca
                       return_weights: bool = False):
     """Scaled dot-product attention of one query over the cached positions.
 
-    The current token's K/V must already be appended; causality holds by
-    construction because the cache only contains past and current positions.
+    The current token's K/V must already be appended. The query reads the
+    cache's padded_view and masks the columns past its length with -inf, so
+    it attends to past and current positions only. With return_weights, the
+    attention row is an owned (n_heads, length) float32 array, not a view
+    that would keep the padded probabilities alive.
     """
     c = weights.config
-    if cache.lens[layer] < 1:
+    m = cache.lens[layer]
+    if m < 1:
         raise ValueError("attention requires at least one cached position")
     lw = weights.layers[layer]
-    q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head)
-    k, v = cache.view(layer)
-    scores = np.einsum("hld,hd->hl", k, q)
+    q = (lw.wq @ query_hidden).reshape(c.n_heads, c.d_head, 1)
+    k, v = cache.padded_view(layer)
+    scores = np.matmul(k, q)[..., 0]
     scores /= weights.attn_scale
+    scores[:, m:] = -np.inf
     probs = softmax(scores)
-    out = lw.wo @ np.einsum("hl,hld->hd", probs, v).reshape(c.d_model)
+    out = lw.wo @ np.matmul(probs[:, None], v).reshape(c.d_model)
     if return_weights:
-        return out, probs
+        return out, probs[:, :m].copy()
     return out
 
 
@@ -532,38 +555,32 @@ class DecodeSession:
                     probs = attn_rows[layer]
                     recorder.add_event(
                         seq=0, step=pos, layer=layer, k=kv[layer][t, 0], v=kv[layer][t, 1],
-                        attn=None if probs is None
-                        else probs[t, :, :pos + 1].astype(np.float32))
+                        attn=None if probs is None else probs[t, :, :pos + 1].copy())
         return x[-1], reports
 
     def _attention_rows(self, layer: int, ln1: np.ndarray, n: int):
         """attention_forward of each row of ln1, the row t query at cache
-        length n + t + 1, with the chunk's K/V already appended. Returns the
-        outputs and, when recording, the attention rows (zero past each row's
-        own columns), else None."""
+        length n + t + 1, with the chunk's K/V already appended and n a
+        multiple of PREFILL_CHUNK, so every row reads the same padded_view.
+        Returns the outputs and, when recording, the attention rows (zero
+        past each row's own columns), else None."""
         c = self.config
         lw = self.weights.layers[layer]
         rows = len(ln1)
-        q = _matvecs(lw.wq, ln1).reshape(rows, c.n_heads, c.d_head)
-        k, v = self.cache.view(layer)
-        scores = np.einsum("hld,thd->thl", k, q)
+        q = _matvecs(lw.wq, ln1).reshape(rows, c.n_heads, c.d_head, 1)
+        k, v = self.cache.padded_view(layer)
+        scores = np.matmul(k, q)[..., 0]
         scores /= self.weights.attn_scale
-        cols = n + np.arange(1, rows + 1)
-        lengths = cols.tolist()
-        np.copyto(scores, -np.inf, where=(np.arange(n + rows) >= cols[:, None])[:, None, :])
-        e = np.exp(np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True),
-                               order="C"))
-        # Per row, over its own columns: softmax's sums, bit for bit.
-        sums = np.empty((rows, c.n_heads, 1), dtype=e.dtype)
-        for t, m in enumerate(lengths):
-            sums[t] = np.add.reduce(e[t, :, :m], axis=-1, keepdims=True)
-        probs = e / sums
-        if np.isfinite(v[:, n:]).all():
-            ctx = np.einsum("thl,hld->thd", probs, v)
+        future = np.arange(k.shape[1]) > np.arange(n, n + rows)[:, None]
+        np.copyto(scores, -np.inf, where=future[:, None, :])
+        probs = softmax(scores)
+        if np.isfinite(v[:, n:n + rows]).all():
+            ctx = np.matmul(probs[:, :, None], v)
         else:
-            # 0 x inf is NaN: each row sums over its own columns only.
-            ctx = np.stack([np.einsum("hl,hld->hd", np.ascontiguousarray(probs[t, :, :m]),
-                                      v[:, :m]) for t, m in enumerate(lengths)])
+            # 0 x inf is NaN: each row reads the values with its future
+            # columns zeroed, as the cache holds them when it runs alone.
+            ctx = np.stack([np.matmul(probs[t, :, None], np.where(future[t, :, None], _ZERO, v))
+                            for t in range(rows)])
         out = _matvecs(lw.wo, ctx.reshape(rows, c.d_model))
         return out, (probs if self.record else None)
 
@@ -579,9 +596,9 @@ class DecodeSession:
         The prompt runs through prefill, PREFILL_CHUNK positions at a time,
         and each generated token through forward_position. Tokens, reports,
         ledger, cache and recorded events are those of the per-position
-        prefill in tests/test_prefill.py, bit for bit: each softmax sum runs
-        over its own row, and a chunk with a non-finite value row sums each
-        context row over its own columns (see the module docstring)."""
+        prefill in tests/test_prefill.py, bit for bit: every row of a chunk
+        reads the cache at its decode step's width (see the module
+        docstring)."""
         prompt = list(prompt_tokens)
         if n_steps < 0:
             raise ConfigError(f"n_steps must be non-negative, got {n_steps}")

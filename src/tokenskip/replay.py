@@ -2,7 +2,8 @@
 synthetic trace, exactly as the live engine would, and score the decisions
 against the trace's ground-truth attention rows.
 
-Replay refuses an event outside the header's ranges, then sorts the events
+Replay refuses an event outside the header's ranges, or whose K/V or
+attention row does not have the header's heads, then sorts the events
 once, by (step, layer, seq). An unfiltered layer never skips, so each of its
 (seq, layer) pairs is charged in closed form, its n events at cache lengths
 1..n (FlopsLedger.charge_keeps). A step's decode rank is its index among all
@@ -77,11 +78,19 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     flops_model = FlopsModel.from_dims(header.n_heads, header.d_head)
     ledger = FlopsLedger()
 
-    kv_shape = (header.n_heads, header.d_head)
+    n_heads = header.n_heads
+    kv_shape = (n_heads, header.d_head)
     n_seqs, n_steps, n_layers = header.n_seqs, header.n_steps, header.n_layers
     for e in events:
         if e.k.shape != kv_shape or e.v.shape != kv_shape:
             raise TraceCompatibilityError("event K/V dimensions do not match the header")
+        # The row's shape, as read_trace checks it; its values stay with
+        # read_trace, which a per-event sum here would pay for again.
+        attn = e.attn
+        if attn is not None and (attn.ndim != 2 or len(attn) != n_heads):
+            raise TraceCompatibilityError(
+                f"event (seq={e.seq}, step={e.step}, layer={e.layer}) has an attention row "
+                f"of shape {attn.shape}, not ({n_heads}, columns)")
         # What read_trace refuses: an event the summary rows or the header's
         # steps would not account for.
         if not (0 <= e.seq < n_seqs and 0 <= e.step < n_steps and 0 <= e.layer < n_layers):

@@ -98,6 +98,20 @@ class TestExitCodes:
         assert "eta must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_trace_that_does_not_fit_the_replay_exits_2(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # read_trace refuses a 1-head row in a 4-head trace; events made in
+        # memory reach replay's own check, which exits 2 as well.
+        trace = tmp_path / "t.trace"
+        assert run_cli("synth", "--pattern", "random", "--steps", "8", "--out", str(trace)) == 0
+        header, events = read_trace(trace)
+        events[3].attn = events[3].attn[:1]
+        monkeypatch.setattr("tokenskip.cli.trace_mod.read_trace", lambda path: (header, events))
+        out = tmp_path / "r.csv"
+        assert run_cli("replay", "--trace", str(trace), "--out", str(out)) == 2
+        assert "has an attention row of shape (1, " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_file_is_runtime_error(self, tmp_path):
         rc = run_cli("replay", "--trace", str(tmp_path / "nope.ndjson"),
                      "--out", str(tmp_path / "s.csv"))

@@ -1,11 +1,14 @@
 """The live decode step, pinned to reference arithmetic written out here: the
-separate wk @ x and wv @ x products, the attention scale built per call, the
-float32 casts after every sum and product, a layer norm over NumPy scalars,
-and the cache written into its 4-D arrays. DecodeSession.decode must leave
+separate wk @ x and wv @ x products, the attention scale built per call, one
+product per head over the cache's chunk-aligned width, the float32 casts
+after every sum and product, a layer norm over NumPy scalars, and the cache
+written into its 4-D arrays. DecodeSession.decode must leave
 exactly what this reference leaves (tokens, every report field, the ledger,
 the cache and the recorded events, byte for byte), so a change to a kernel
 that prefill and the per-position path share cannot drift unseen. Also the
-stacked K/V weights, the cache's shape checks and the n_steps check."""
+padded attention columns against zeros, stale K/V and a float64 softmax, the
+compact recorded rows, the stacked K/V weights, the cache's shape checks and
+the n_steps check."""
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from hypothesis import strategies as st
 
 from tokenskip.cli import main
 from tokenskip.model import (
+    PREFILL_CHUNK,
     DecodeSession,
     KVCache,
     ModelConfig,
+    attention_forward,
     init_weights,
     load_weights,
     project_kv,
@@ -73,9 +78,23 @@ def ref_append(cache, layer, k, v):
     cache.lens[layer] = n + 1
 
 
-def ref_scores(c, lw, ln1, keys):
+def ref_width(c, m):
+    """The columns a query at cache length m reads: m rounded up to a whole
+    number of prefill chunks, at most max_seq."""
+    chunks = (m + PREFILL_CHUNK - 1) // PREFILL_CHUNK
+    return min(chunks * PREFILL_CHUNK, c.max_seq)
+
+
+def ref_probs(c, lw, ln1, keys, m):
+    """The attention row of ln1's query over keys, an (n_heads, width,
+    d_head) array whose first m columns are the query's own: per head one
+    keys @ q product, the columns past m at -inf, one softmax over the
+    width."""
     q = (lw.wq @ ln1).reshape(c.n_heads, c.d_head)
-    return np.einsum("hld,hd->hl", keys, q) / np.float32(np.sqrt(c.d_head))
+    scores = np.stack([keys[h] @ q[h] for h in range(c.n_heads)])
+    scores = scores / np.float32(np.sqrt(c.d_head))
+    scores[:, m:] = -np.inf
+    return softmax(scores)
 
 
 def ref_block(session, layer, hidden, step, rank):
@@ -96,19 +115,24 @@ def ref_block(session, layer, hidden, step, rank):
     row = None
     if skip:
         if session.record:
-            n = cache.lens[layer]
-            keys = np.concatenate([cache._k[layer, :, :n, :], k[:, None, :]], axis=1)
-            row = softmax(ref_scores(c, lw, ln1, keys)).astype(np.float32)
+            # The cache as it would hold the skip: its own K/V after the
+            # past ones, zeros after that.
+            m = cache.lens[layer] + 1
+            keys = np.zeros((c.n_heads, ref_width(c, m), c.d_head), dtype=np.float32)
+            keys[:, :m - 1] = cache._k[layer, :, :m - 1]
+            keys[:, m - 1] = k
+            row = np.array(ref_probs(c, lw, ln1, keys, m)[:, :m])
         if session.prune.cache_on_skip == "keep":
             ref_append(cache, layer, k, v)
     else:
         ref_append(cache, layer, k, v)
-        n = cache.lens[layer]
-        probs = softmax(ref_scores(c, lw, ln1, cache._k[layer, :, :n, :]))
-        ctx = np.einsum("hl,hld->hd", probs, cache._v[layer, :, :n, :])
+        m = cache.lens[layer]
+        w = ref_width(c, m)
+        probs = ref_probs(c, lw, ln1, cache._k[layer, :, :w], m)
+        ctx = np.stack([probs[h] @ cache._v[layer, h, :w] for h in range(c.n_heads)])
         ctx = ctx.reshape(c.d_model).astype(np.float32)
         x = (x + (lw.wo @ ctx).astype(np.float32)).astype(np.float32)
-        row = probs.astype(np.float32) if session.record else None
+        row = np.array(probs[:, :m]) if session.record else None
     session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip, report)
     ln2 = ref_layer_norm(x, lw.ln2_g, lw.ln2_b)
     h = np.maximum(lw.w1 @ ln2, np.float32(0.0))
@@ -180,6 +204,60 @@ def test_decode_equals_reference_step(config_name, shape):
         assert got[key] == want[key], key
     if mode == "filtered":
         assert got["skipped"] > 0  # the skip branch ran
+
+
+# -- the padded attention columns ------------------------------------------------
+
+# (cache length, max_seq): either side of the chunk edges, and a max_seq that
+# is not a multiple of PREFILL_CHUNK.
+PADDED_LENGTHS = ((63, 192), (64, 192), (65, 192), (128, 192), (129, 192), (70, 100),
+                  (99, 100))
+
+
+@pytest.mark.parametrize("m, max_seq", PADDED_LENGTHS)
+def test_padded_columns_change_no_bit_and_softmax_is_the_own_columns(m, max_seq):
+    config = ModelConfig(n_layers=1, n_heads=4, d_head=8, d_model=32, d_ff=8,
+                         max_seq=max_seq, seed=m)
+    weights = init_weights(config)
+    rng = np.random.default_rng([m, max_seq])
+    hidden = rng.standard_normal(config.d_model).astype(np.float32)
+    kv = rng.standard_normal((2, max_seq, 4, 8)).astype(np.float32)
+    cache = KVCache(config)
+    cache.append_rows(0, kv[0, :m], kv[1, :m])
+    out, row = attention_forward(weights, 0, hidden, cache, return_weights=True)
+    # A dropped skip leaves its K/V past the length: append, then shorten.
+    cache.append_rows(0, kv[0, m:], kv[1, m:])
+    cache.lens[0] = m
+    assert cache._k[0, :, m:].any()
+    stale_out, stale_row = attention_forward(weights, 0, hidden, cache, return_weights=True)
+    assert stale_out.tobytes() == out.tobytes() and stale_row.tobytes() == row.tobytes()
+
+    lw = weights.layers[0]
+    q = (lw.wq.astype(np.float64) @ hidden).reshape(4, 8)
+    k, v = (np.swapaxes(a[:m], 0, 1).astype(np.float64) for a in kv)
+    scores = np.einsum("hld,hd->hl", k, q) / np.sqrt(8.0)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    want = lw.wo.astype(np.float64) @ np.einsum("hl,hld->hd", probs, v).reshape(-1)
+    assert row.shape == (4, m)
+    assert np.abs(row - probs).max() < 1e-6
+    assert np.abs(out - want).max() < 1e-6
+
+
+def test_recorded_rows_are_compact_owned_arrays():
+    """A recorded row holds its own (n_heads, columns) float32 data, so the
+    recorder keeps no padded probability array alive."""
+    prune = PruneConfig(warmup_steps=2, tail_fraction=1.0, p_global=0.5, tau_init=0.0,
+                        cache_on_skip="keep")
+    config = ModelConfig(n_layers=2, n_heads=4, d_head=8, d_model=32, d_ff=8, max_seq=100)
+    session = DecodeSession(config, prune, mode="filtered", record=True)
+    recorder = TraceRecorder(config.n_layers, config.n_heads, config.d_head)
+    result = session.decode(list(range(70)), 30, recorder=recorder)
+    assert any(r.skipped for r in result.reports)  # the skip's row too
+    assert len(recorder.events) == 200
+    for e in recorder.events:
+        assert e.attn.shape == (4, e.step + 1) and e.attn.dtype == np.float32
+        assert e.attn.flags.c_contiguous and e.attn.flags.owndata
 
 
 # -- stacked K/V weights ---------------------------------------------------------

@@ -2,13 +2,21 @@
 decisions. The filter's evidence on a dense run has one route: record the run,
 then replay the recording with tau_init=+inf, which skips nothing.
 
-The digests below pin that route to what a dense session's own shadow
-telemetry reported before it was removed. Each was computed at commit
-d01dddf, the last one at which a dense DecodeSession took a PruneConfig and
-ran the filter on its layers without acting on it, from the reports of that
+The route is pinned to what a dense session's own shadow telemetry reported
+before it was removed. The digests below were computed at commit d01dddf,
+the last one at which a dense DecodeSession took a PruneConfig and ran the
+filter on its layers without acting on it, from the reports of that
 telemetry: DecodeSession(config, prune, mode="dense").decode(...).reports.
 Only tau, shadow and flops_saved can differ between the two routes, so the
-digests cover every other field."""
+digests cover every other field.
+
+The rows they hash are checked in, in data/dense_evidence.json, and each
+test first checks that the file still hashes to its digest. A run is then
+compared with the file: the ids, the degenerate flag and the row count
+exactly, the six float fields within FLOAT_TOLERANCE. The float fields come
+out of float32 attention and BLAS dot products, whose last bits move with the
+attention kernel's shape and with the BLAS kernel OpenBLAS picks for the CPU;
+the decisions they feed do not."""
 
 import csv
 import dataclasses
@@ -16,6 +24,7 @@ import hashlib
 import json
 import math
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +77,13 @@ CLI_TELEMETRY = "c855aa9e21679000cfc394e4bd3754d6a35e29c8be37e5393e55238d293e9c3
 DENSE_TOKENS = [192] * 7 + [127] * 6 + [248] * 2 + [164] * 25
 DENSE_FLOPS = 2393200
 
+# The rows behind every digest above, by case: "<config>/<seed>",
+# "degenerate" and "cli".
+REFERENCE = json.loads((Path(__file__).parent / "data" / "dense_evidence.json").read_text())
+
+# Absolute, on s_k, s_v, var_k, var_v, alpha and s_kv.
+FLOAT_TOLERANCE = 1e-5
+
 
 def model(seed: int) -> ModelConfig:
     return ModelConfig(n_layers=4, n_heads=4, d_model=32, d_head=8, d_ff=48, max_seq=64,
@@ -81,6 +97,19 @@ def evidence_digest(rows) -> str:
     for row in rows:
         h.update(struct.pack("<3q6d?", *row))
     return h.hexdigest()
+
+
+def assert_matches_reference(rows, case: str, digest: str) -> None:
+    """rows against the checked-in rows of case, which must hash to digest:
+    ids, flag and count exactly, the float fields within FLOAT_TOLERANCE."""
+    want = [tuple(row) for row in REFERENCE[case]]
+    assert evidence_digest(want) == digest
+    rows = list(rows)
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert got[:3] + got[9:] == ref[:3] + ref[9:], ref[:3]
+        drift = max(abs(a - b) for a, b in zip(got[3:9], ref[3:9]))
+        assert drift <= FLOAT_TOLERANCE, (ref[:3], got[3:9], ref[3:9])
 
 
 def replayed_evidence(config, weights, prune, tmp_path) -> list:
@@ -103,7 +132,7 @@ def test_replay_at_infinite_tau_gives_the_dense_telemetry_evidence(config_name, 
                                                                    tmp_path):
     config = model(seed)
     rows = replayed_evidence(config, init_weights(config), CONFIGS[config_name], tmp_path)
-    assert evidence_digest(rows) == TELEMETRY[config_name, seed]
+    assert_matches_reference(rows, f"{config_name}/{seed}", TELEMETRY[config_name, seed])
 
 
 def test_replay_at_infinite_tau_gives_degenerate_evidence_too(tmp_path):
@@ -113,7 +142,7 @@ def test_replay_at_infinite_tau_gives_degenerate_evidence_too(tmp_path):
     weights.layers[3].wkv[1][0:8] = 0.0
     rows = replayed_evidence(config, weights, CONFIGS["ema_kv"], tmp_path)
     assert sum(row[-1] for row in rows) == 98
-    assert evidence_digest(rows) == DEGENERATE_TELEMETRY
+    assert_matches_reference(rows, "degenerate", DEGENERATE_TELEMETRY)
 
 
 def test_the_cli_route_gives_the_dense_telemetry_evidence(tmp_path):
@@ -124,7 +153,8 @@ def test_the_cli_route_gives_the_dense_telemetry_evidence(tmp_path):
                  str(tmp_path / "d.csv"), "--report", str(report)]) == 0
     rows = [json.loads(line) for line in report.read_text().splitlines()]
     assert len(rows) == 74
-    assert evidence_digest(tuple(r[name] for name in EVIDENCE) for r in rows) == CLI_TELEMETRY
+    assert_matches_reference((tuple(r[name] for name in EVIDENCE) for r in rows), "cli",
+                             CLI_TELEMETRY)
 
 
 def test_a_dense_session_takes_no_prune_config():

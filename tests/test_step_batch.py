@@ -440,6 +440,20 @@ def test_replay_rejects_an_event_outside_the_headers_ranges(field, value):
                + [stray], PruneConfig())
 
 
+
+@pytest.mark.parametrize("row", [np.full((1, 5), 5.0, np.float32),
+                                 np.full(4, 0.25, np.float32),
+                                 np.full((4, 1, 1), 1.0, np.float32)],
+                         ids=["one_head", "one_axis", "three_axes"])
+def test_replay_rejects_an_attention_row_of_the_wrong_shape(row):
+    # read_trace refuses these rows; in memory, a 1-head row at layer 3
+    # would otherwise move that layer's mass_lost with no error.
+    header, events = synthesize("repetitive", 4, 4, 8, 40, seed=3)
+    assert replay(header, events, PruneConfig()).summary
+    bad = [dataclasses.replace(e, attn=row) if e.layer == 3 else e for e in events]
+    with pytest.raises(TraceCompatibilityError, match=r"layer=3\) has an attention row"):
+        replay(header, bad, PruneConfig())
+
 # sha256 of the reports (by repr) and the summary of fixed synthetic replays,
 # recorded before decisions were batched by step or scored by block.
 GOLDEN = {
