@@ -28,7 +28,6 @@ class FlopsModel:
 
     n_heads: int
     d_head: int
-    d_model: int
     filter_overhead_flops: int = field(init=False, repr=False, compare=False)
     _attention_fixed: int = field(init=False, repr=False, compare=False)
     _kept_fixed: int = field(init=False, repr=False, compare=False)
@@ -51,10 +50,9 @@ class FlopsModel:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_dims(cls, n_heads: int, d_head: int, d_model: int | None = None) -> "FlopsModel":
-        return cls(n_heads=n_heads, d_head=d_head,
-                   d_model=d_model if d_model is not None else n_heads * d_head)
+    @property
+    def d_model(self) -> int:
+        return self.n_heads * self.d_head
 
     @property
     def q_proj_flops(self) -> int:

@@ -65,6 +65,9 @@ WEIGHTS_VERSION = 1
 # kernel per layer for the whole chunk, whose float32 score and probability
 # arrays stay small (256 KB each at 4 heads over 256 cached positions).
 PREFILL_CHUNK = 64
+# The cap on the float32 values of a model's weights, KV cache and position
+# table: a config past it is refused before anything is allocated.
+MAX_MODEL_VALUES = 2**28
 
 
 class SequenceLengthError(RuntimeError):
@@ -90,6 +93,12 @@ class ModelConfig:
             raise ConfigError("max_seq must be >= 1")
         if self.d_model != self.n_heads * self.d_head:
             raise ConfigError("d_model must equal n_heads * d_head")
+        d = self.d_model
+        values = d * (self.vocab_size + 2 + self.n_layers * (4 * d + 2 * self.d_ff + 4)
+                      + (2 * self.n_layers + 1) * self.max_seq)
+        if values > MAX_MODEL_VALUES:
+            raise ConfigError(f"the weights, KV cache and position table hold {values} float32 "
+                              f"values, above the cap of {MAX_MODEL_VALUES}")
 
 
 @dataclass
@@ -396,7 +405,7 @@ class DecodeSession:
         self.weights = weights if weights is not None else init_weights(config)
         self.cache = KVCache(config)
         self.positions = self.weights.positions
-        self.flops_model = FlopsModel.from_dims(config.n_heads, config.d_head, config.d_model)
+        self.flops_model = FlopsModel(config.n_heads, config.d_head)
         self.ledger = FlopsLedger()
         self.record = record
         # A position's rank among decode steps, which the filter's warm-up

@@ -75,7 +75,7 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
     header replay in shadow, exactly as the live engine treats them.
     """
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
-    flops_model = FlopsModel.from_dims(header.n_heads, header.d_head)
+    flops_model = FlopsModel(header.n_heads, header.d_head)
     ledger = FlopsLedger()
 
     n_heads = header.n_heads

@@ -31,19 +31,19 @@ a free-form string map; recognized keys include "n_seqs" (default 1),
 synthesis parameters. Other format versions, the NDJSON version 2 among
 them, are refused at line 1.
 
-Both directions run the same header and id-table checks, READ_CHUNK events
-at a time. write_trace checks before it opens the file, so a rejected write
-creates no file and leaves an existing one untouched. read_trace reads the
-body with one readinto, checks the whole id table and the body's length,
-then each chunk's values in a few NumPy calls. The events it returns hold
-writable float32 views into the bytes read, and no two of their k, v and
-attn overlap.
+Both directions run the same header, id-table and value checks, the values
+READ_CHUNK events at a time on the float32 arrays of the file. read_trace
+reads the body with one readinto, checks the whole id table and the body's
+length, then each chunk's values in a few NumPy calls. The events it returns
+hold writable float32 views into the bytes read, and no two of their k, v
+and attn overlap.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -55,8 +55,8 @@ from .policy import ConfigError
 FORMAT_VERSION = 3
 SOURCES = ("toy_model", "synthetic", "external")
 PATTERNS = ("repetitive", "random", "depth_concentrated")
-# Events per chunk: read_trace checks values and write_trace checks
-# finiteness and writes this many events at a time.
+# Events per chunk: read_trace and write_trace check values, and write_trace
+# writes, this many events at a time.
 READ_CHUNK = 64
 # The cap on n_layers * n_heads * d_head, one sequence's key anchors over all
 # layers (the bench's models hold 256). Replay sizes its tables from these, so
@@ -107,10 +107,12 @@ class TraceEvent:
     attn: np.ndarray | None = None
 
 
-def _f32(arrays) -> np.ndarray:
-    """The arrays' values, each in row-major order, back to back in one
-    little-endian float32 array, cast as np.asarray(a, "<f4") casts."""
-    return np.concatenate(arrays, axis=None, dtype="<f4", casting="unsafe")
+def _f32(arrays, axis=None) -> np.ndarray:
+    """The arrays' values in one C-ordered little-endian float32 array (empty
+    for none), cast as np.asarray(a, "<f4") casts: each array's values in
+    row-major order back to back, or the arrays joined along axis 0."""
+    return np.ascontiguousarray(
+        np.concatenate([*arrays] or [()], axis=axis, dtype="<f4", casting="unsafe"))
 
 
 def _check_ids(key, limits, i: int) -> None:
@@ -140,11 +142,9 @@ def _first_bad_id(ids, limits) -> int:
 
 
 def _check_events_from(events: list, start: int, limits, expected: tuple) -> None:
-    """Check events one at a time from index start on, and raise for the
-    first fault, checking each event in this order: k or v not 2-D, an id
-    (_check_ids), the K/V shape, attn not 2-D or not of n_heads rows, the
-    order after the event before, then a k, v or attn value that is not
-    finite once cast to float32."""
+    """Raise for the first fault of the events from index start on, in each
+    event k or v not 2-D, an id (_check_ids), the K/V shape, attn not 2-D or
+    not of n_heads rows, then the order; values are left to _checked_attn."""
     for i in range(start, len(events)):
         e = events[i]
         for name, arr in (("k", e.k), ("v", e.v)):
@@ -163,59 +163,41 @@ def _check_events_from(events: list, start: int, limits, expected: tuple) -> Non
                 raise TraceFormatError(f"event {i}: attn head count mismatch")
         if i and key <= (events[i - 1].seq, events[i - 1].step, events[i - 1].layer):
             raise TraceFormatError(f"event {i}: events out of (seq, step, layer) order")
-        for name, arr in (("k", e.k), ("v", e.v), ("attn", e.attn)):
-            if arr is not None and not np.isfinite(np.asarray(arr, dtype="<f4")).all():
-                raise TraceFormatError(f"event {i}: {name} values must be finite")
 
 
-def _check_events(events: list, limits, expected: tuple) -> np.ndarray:
-    """The events' (n, 4) int64 id table, laid out as in the body. Raise
-    TraceFormatError, with read_trace's message, naming the first event that
-    read_trace would reject for its ids, order or shapes, or for a k, v or
-    attn value that is not finite once cast to float32.
-
-    One pass tests only the ids' types (the table would store True as 1) and
-    the shapes; _first_bad_id checks the table's ranges and order, as
-    read_trace does, and finiteness is checked once per chunk. Each check
-    stops at the first event it cannot clear, and _check_events_from names
-    the first bad event from the lowest of these on. Row sums go unchecked."""
-    n_heads = expected[0]
+def _id_table(events: list, limits, expected: tuple) -> tuple[np.ndarray, int]:
+    """The id table of the events before the first one that read_trace
+    would reject for its ids, order or shapes, and that event's index. One
+    pass tests the ids' types (the table would store True as 1) and the
+    shapes; _first_bad_id checks the table's ranges and order."""
     rows = []
     for e in events:
         seq, step, layer, attn = e.seq, e.step, e.layer, e.attn
         if not (type(seq) is int and type(step) is int and type(layer) is int
                 and e.k.shape == expected and e.v.shape == expected
-                and (attn is None or (attn.ndim == 2 and attn.shape[0] == n_heads))):
+                and (attn is None or (attn.ndim == 2 and attn.shape[0] == expected[0]))):
             break
         rows.append((seq, step, layer, -1 if attn is None else attn.shape[1]))
     try:
         ids = np.array(rows, dtype="<i8").reshape(len(rows), 4)
     except OverflowError:
-        # An id past int64 is named if it lies outside the header's range.
-        _check_events_from(events, 0, limits, expected)
-        raise
-    first = _first_bad_id(ids, limits)
-    for start in range(0, first, READ_CHUNK):
-        chunk = events[start:min(start + READ_CHUNK, first)]
-        if not np.isfinite(_f32(
-                [a for e in chunk for a in ((e.k, e.v) if e.attn is None else (e.k, e.v, e.attn))]
-        )).all():
-            first = start
-            break
-    _check_events_from(events, first, limits, expected)
-    return ids
+        # An id past int64 is outside the header's range: the table ends there.
+        del rows[next(i for i, r in enumerate(rows) if not -2**63 <= min(r) <= max(r) < 2**63):]
+        ids = np.array(rows, dtype="<i8").reshape(len(rows), 4)
+    return ids, _first_bad_id(ids, limits)
 
 
 def write_trace(path, header: TraceHeader, events) -> int:
     """Write header + events in format version 3; returns the number of
     events written.
 
-    The header line is checked as read_trace checks it, then every event
-    (see _check_events): a fault raises TraceFormatError naming line 1 or
-    the event's index, and then no file is created and an existing one is
-    left as it was. After the header line and the id table, the K/V block
-    and then the rows are written READ_CHUNK events at a time, one write
-    per chunk."""
+    The header line, ids, order, shapes (_id_table) and each chunk's values
+    (_checked_attn, on the float32 arrays written) are checked as read_trace
+    checks them: a fault raises TraceFormatError naming line 1 or the first
+    bad event. The body streams into a new file beside the path's target, each
+    chunk's K/V and rows encoded once and written at their offsets, and that
+    file replaces the target, keeping its mode, once every check has passed:
+    a rejected write leaves the path as it was, and a crash no torn file."""
     events = list(events)
     head = {
         "type": "header",
@@ -228,20 +210,40 @@ def write_trace(path, header: TraceHeader, events) -> int:
         "source": header.source,
         "generator_params": {str(k): str(v) for k, v in header.generator_params.items()},
     }
-    checked, limits, _ = _parse_header(head)
-    ids = _check_events(events, limits, (checked.n_heads, checked.d_head))
-    chunks = [events[start:start + READ_CHUNK] for start in range(0, len(events), READ_CHUNK)]
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(head).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(ids)
-        for chunk in chunks:
-            fh.write(_f32([a for e in chunk for a in (e.k, e.v)]))
-        for chunk in chunks:
-            rows = [e.attn for e in chunk if e.attn is not None]
-            if rows:
-                fh.write(_f32(rows))
-    return len(events)
+    checked, limits, n = _parse_header(head)
+    n_heads, d_head = checked.n_heads, checked.d_head
+    ids, first = _id_table(events, limits, (n_heads, d_head))
+    line = json.dumps(head).encode("ascii") + b"\n"
+    kv_start = len(line) + _ID_ROW * n
+    rows_start = kv_start + 8 * n_heads * d_head * n
+    columns = [0, *np.cumsum(np.maximum(ids[:, 3], 0)).tolist()]
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path} is not a regular file, which write_trace would replace")
+    part = f"{target}.{os.getpid()}.part"
+    fh = open(part, "xb")
+    try:
+        with fh:
+            if os.path.exists(target):
+                shutil.copymode(target, part)
+            fh.write(line)
+            fh.write(ids)
+            for start in range(0, first, READ_CHUNK):
+                stop = min(start + READ_CHUNK, first)
+                kv = _f32([a for e in events[start:stop] for a in (e.k, e.v)], axis=0)
+                rows = _f32([e.attn for e in events[start:stop] if e.attn is not None])
+                _checked_attn(kv.reshape(-1, 2, n_heads, d_head), rows, ids[start:stop, 3],
+                              n_heads, start)
+                fh.seek(kv_start + 8 * n_heads * d_head * start)
+                fh.write(kv)
+                fh.seek(rows_start + 4 * n_heads * columns[start])
+                fh.write(rows)
+            _check_events_from(events, first, limits, (n_heads, d_head))
+        os.replace(part, target)
+    except BaseException:
+        os.remove(part)
+        raise
+    return n
 
 
 def _whole(value, name: str, text: bool = False) -> int:
@@ -305,28 +307,29 @@ def _parse_header(obj) -> tuple[TraceHeader, tuple[int, int, int], int]:
         raise TraceFormatError(f"line 1: malformed header ({exc!r})") from exc
 
 
-def _checked_attn(kv, rows, widths: list, n_heads: int, start: int) -> list:
+def _checked_attn(kv, rows, cols, n_heads: int, start: int) -> list:
     """Check the values of a chunk of events and return each event's
     attention row, a view into rows, or None.
 
     kv is the chunk's (m, 2, n_heads, d_head) K/V, rows its attention rows
-    back to back in one flat float32 array, and widths each event's column
-    count, None for an event without a row. The values are checked by one
-    isfinite over the K/V, one isfinite and one >= 0 over the rows, and one
-    row sum per run of consecutive events with the same width. A row sum
+    back to back in one flat float32 array, and cols its column counts in
+    the id table, -1 for an event without a row. The values are checked by
+    one isfinite over the K/V, one isfinite and one >= 0 over the rows, and
+    one row sum per run of consecutive events with the same width. A row sum
     over an (m, H, L) block equals each event's own attn.sum(axis=1) bit for
     bit; np.add.reduceat or a float64 sum would group the additions
     differently and could flip a row near the 1e-5 tolerance. A chunk that
-    fails is checked again event by event, and the error names the first
-    bad one, start being the index of the chunk's first event."""
+    fails is checked again event by event, and the error names the first bad
+    one, start being the index of the chunk's first event."""
+    widths = cols.tolist()
     attn = [None] * len(widths)
     blocks = []
     offset = 0
-    with_attn = (i for i, cols in enumerate(widths) if cols is not None)
-    for cols, run in groupby(with_attn, key=widths.__getitem__):
+    with_attn = (i for i, width in enumerate(widths) if width >= 0)
+    for width, run in groupby(with_attn, key=widths.__getitem__):
         members = list(run)
-        size = len(members) * n_heads * cols
-        block = rows[offset:offset + size].reshape(len(members), n_heads, cols)
+        size = len(members) * n_heads * width
+        block = rows[offset:offset + size].reshape(len(members), n_heads, width)
         offset += size
         blocks.append(block)
         for i, row in zip(members, block):
@@ -341,16 +344,13 @@ def _checked_attn(kv, rows, widths: list, n_heads: int, start: int) -> list:
 
 
 def _raise_first_fault(start: int, kv, attn) -> None:
-    """Check a chunk's values one event at a time and raise for the first
-    bad one."""
-    for i, (pair, a) in enumerate(zip(kv, attn), start):
-        if not np.isfinite(pair).all():
-            raise TraceFormatError(f"event {i}: K/V values must be finite")
-        if a is not None:
-            if not np.isfinite(a).all():
-                raise TraceFormatError(f"event {i}: attn values must be finite")
-            if np.any(a < 0) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-5):
-                raise TraceFormatError(f"event {i}: attn rows must be non-negative and sum to 1")
+    """Check a chunk's values event by event and raise for the first bad one."""
+    for i, ((k, v), a) in enumerate(zip(kv, attn), start):
+        for name, arr in (("k", k), ("v", v), ("attn", a)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise TraceFormatError(f"event {i}: {name} values must be finite")
+        if a is not None and (np.any(a < 0) or np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-5)):
+            raise TraceFormatError(f"event {i}: attn rows must be non-negative and sum to 1")
 
 
 def _checked_ids(body, n: int, limits) -> np.ndarray:
@@ -413,13 +413,12 @@ def _read_body(fh, obj) -> tuple[TraceHeader, list[TraceEvent]]:
                        offset=kv_start).reshape(n, 2, n_heads, d_head)
     rows = np.frombuffer(body, dtype="<f4", offset=kv_start + kv.nbytes)
     keys = ids[:, :3].tolist()
-    widths = [None if c < 0 else c for c in ids[:, 3].tolist()]
     events: list[TraceEvent] = []
     for start in range(0, n, READ_CHUNK):
         stop = min(start + READ_CHUNK, n)
         chunk_kv = kv[start:stop]
         attn = _checked_attn(chunk_kv, rows[n_heads * columns[start]:n_heads * columns[stop]],
-                             widths[start:stop], n_heads, start)
+                             ids[start:stop, 3], n_heads, start)
         events += [TraceEvent(*key, k, v, a) for key, k, v, a
                    in zip(keys[start:stop], chunk_kv[:, 0], chunk_kv[:, 1], attn)]
     return header, events

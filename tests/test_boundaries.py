@@ -7,7 +7,15 @@ import pytest
 
 from tokenskip.cli import main
 from tokenskip.filtering import FilterEngine, head_similarity
-from tokenskip.model import DecodeSession, ModelConfig, init_weights, load_weights, save_weights
+from tokenskip.model import (
+    _HEADER,
+    MAX_MODEL_VALUES,
+    DecodeSession,
+    ModelConfig,
+    init_weights,
+    load_weights,
+    save_weights,
+)
 from tokenskip.numerics import DegenerateInputError, cosine_similarity
 from tokenskip.policy import ConfigError, PruneConfig
 from tokenskip.replay import replay
@@ -93,6 +101,22 @@ class TestWeightsBoundary:
         with pytest.raises(ConfigError, match="n_layers 2 in the weights, 3 in the session"):
             DecodeSession(other, weights=weights)
         DecodeSession(self.CFG, weights=weights)   # the matching config is accepted
+
+    def test_a_blob_header_past_the_model_cap_is_refused(self, tmp_path, capsys):
+        """The blob's length bounds its arrays, but not the KV cache and
+        position table its header's max_seq sizes: a max_seq past the model
+        cap is a ConfigError, raised before any allocation, and exits 2."""
+        blob = save_weights(init_weights(self.CFG))
+        fields = list(_HEADER.unpack_from(blob))
+        fields[8] = 2**32 - 1   # max_seq
+        huge = _HEADER.pack(*fields) + blob[_HEADER.size:]
+        with pytest.raises(ConfigError, match=f"above the cap of {MAX_MODEL_VALUES}$"):
+            load_weights(huge)
+        path = tmp_path / "w.bin"
+        path.write_bytes(huge)
+        assert main(["generate", "--steps", "1", "--load-weights", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"above the cap of {MAX_MODEL_VALUES}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("cut", [20, 500])
     def test_cli_truncated_blob_exits_1(self, tmp_path, capsys, cut):

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from tokenskip.cli import _build_config, build_parser, main, parse_grid
-from tokenskip.model import ModelConfig
+from tokenskip.model import MAX_MODEL_VALUES, ModelConfig
 from tokenskip.policy import ConfigError, PruneConfig
 from tokenskip.trace import read_trace
 
@@ -238,6 +238,15 @@ class TestGenerateCommand:
         assert run_cli("generate", "--steps", "4", "--prompt-bytes", "abcd", "--max-seq", "8",
                        "--record", str(outputs[0])) == 0
         assert read_trace(outputs[0])[0].n_steps == 8
+
+    def test_a_model_past_the_value_cap_exits_2_before_allocating(self, tmp_path, capsys):
+        record = tmp_path / "t.trace"
+        rc = run_cli("generate", "--max-seq", "1000000000000", "--steps", "1",
+                     "--record", str(record))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"above the cap of {MAX_MODEL_VALUES}" in err and "runtime error" not in err
+        assert not record.exists()
 
     def test_weights_snapshot_round_trip(self, tmp_path):
         blob = tmp_path / "w.bin"

@@ -24,7 +24,7 @@ class TestFlopsModel:
     def test_minimal_closed_form(self):
         # n_heads=1, d_head=1, d_model=1: q=o=2, kv=4, attn/pos=4, softmax/pos=5,
         # overhead = 2*((6+4) + 5 + 3) + 12 = 48
-        m = FlopsModel.from_dims(1, 1)
+        m = FlopsModel(1, 1)
         assert m.q_proj_flops == 2 and m.o_proj_flops == 2 and m.kv_proj_flops == 4
         assert m.attn_per_pos_flops == 4 and m.softmax_per_pos_flops == 5
         assert m.filter_overhead_flops == 48
@@ -33,12 +33,12 @@ class TestFlopsModel:
         assert flops_saved(False, 1, m) == -48
 
     def test_savings_increase_with_cache_length(self):
-        m = FlopsModel.from_dims(4, 16)
+        m = FlopsModel(4, 16)
         costs = [m.attention_cost(L) for L in range(1, 50)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_ledger_identity_mixed_decisions(self):
-        m = FlopsModel.from_dims(2, 4)
+        m = FlopsModel(2, 4)
         ledger = FlopsLedger()
         rng = np.random.default_rng(70)
         L = 0
@@ -52,7 +52,7 @@ class TestFlopsModel:
         assert ledger.conserved()
 
     def test_charge_event_writes_the_decided_delta(self):
-        m = FlopsModel.from_dims(2, 4)
+        m = FlopsModel(2, 4)
         ledger = FlopsLedger()
         skip, keep = make_report(skipped=True), make_report()
         ledger.charge_event(5, m, True, skip)
@@ -67,7 +67,7 @@ class TestFlopsModel:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2000), st.integers(1, 16), st.integers(1, 128))
     def test_keeps_in_closed_form_equal_one_charge_per_event(self, n, n_heads, d_head):
-        m = FlopsModel.from_dims(n_heads, d_head)
+        m = FlopsModel(n_heads, d_head)
         closed, stepped = FlopsLedger(), FlopsLedger()
         closed.charge_keeps(n, m)
         for cache_len in range(1, n + 1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tokenskip.model import (
+    MAX_MODEL_VALUES,
     DecodeSession,
     KVCache,
     LayerWeights,
@@ -57,6 +58,19 @@ class TestModelConfig:
     def test_defaults_consistent(self):
         c = ModelConfig()
         assert c.d_model == c.n_heads * c.d_head
+
+    def test_a_model_past_the_value_cap_is_refused_naming_its_total(self):
+        """A 1-wide, 1-layer model holds 13 weights (embedding, final norm
+        and the layer's 10) and 3 values per position (key, value, position
+        table): at the cap it is accepted, one position past it refused."""
+        dims = dict(n_layers=1, n_heads=1, d_model=1, d_head=1, d_ff=1, vocab_size=1)
+        at_cap = (MAX_MODEL_VALUES - 13) // 3
+        assert 13 + 3 * at_cap == MAX_MODEL_VALUES
+        ModelConfig(**dims, max_seq=at_cap)
+        with pytest.raises(ConfigError, match=(
+                f"^the weights, KV cache and position table hold {MAX_MODEL_VALUES + 3} "
+                f"float32 values, above the cap of {MAX_MODEL_VALUES}$")):
+            ModelConfig(**dims, max_seq=at_cap + 1)
 
 
 class TestProjectKV:

@@ -1,9 +1,10 @@
 """The trace file format: the version 3 layout write_trace writes, the
-checks read_trace applies to it, and the checks write_trace applies before
-it writes."""
+checks read_trace applies to it, and the same checks write_trace applies
+before it replaces a file."""
 
 import dataclasses
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -190,8 +191,8 @@ class TestReadTraceRejects:
         return synthesize("repetitive", 2, 2, 4, 3, seed=6, n_seqs=2)
 
     CASES = {
-        "nan_k": (0, lambda e: {"k": _with_nan(e.k)}, "K/V values must be finite"),
-        "inf_v": (5, lambda e: {"v": _with_nan(e.v, np.inf)}, "K/V values must be finite"),
+        "nan_k": (0, lambda e: {"k": _with_nan(e.k)}, "k values must be finite"),
+        "inf_v": (5, lambda e: {"v": _with_nan(e.v, np.inf)}, "v values must be finite"),
         "nan_attn": (7, lambda e: {"attn": _with_nan(e.attn)}, "attn values must be finite"),
         "layer_past_header": (11, lambda e: {"layer": 7}, "layer 7 outside"),
         "negative_seq": (0, lambda e: {"seq": -3}, "seq -3 outside"),
@@ -297,8 +298,8 @@ def _negated(arr):
 # kind: (the changes that make event i of events bad, the error message
 # after "event i: ")
 EDGE_FAULTS = {
-    "nan_k": (lambda ev, i: {"k": _with_nan(ev[i].k)}, "K/V values must be finite"),
-    "inf_v": (lambda ev, i: {"v": _with_nan(ev[i].v, np.inf)}, "K/V values must be finite"),
+    "nan_k": (lambda ev, i: {"k": _with_nan(ev[i].k)}, "k values must be finite"),
+    "inf_v": (lambda ev, i: {"v": _with_nan(ev[i].v, np.inf)}, "v values must be finite"),
     "nan_attn": (lambda ev, i: {"attn": _with_nan(ev[i].attn)}, "attn values must be finite"),
     "negative_attn": (lambda ev, i: {"attn": _negated(ev[i].attn)},
                       "attn rows must be non-negative and sum to 1"),
@@ -408,10 +409,9 @@ near_tolerance = st.tuples(st.sampled_from([-1e-5, 1e-5]), st.floats(-4e-7, 4e-7
        drift=st.lists(near_tolerance, min_size=5, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift, seed):
-    """Rows whose sums sit within a few ulps of 1 +- 1e-5: read_trace rejects
-    the trace exactly when one of its events fails the check on its own row
-    sums. write_trace does not check row sums, so it writes files that hold
-    such rows."""
+    """Rows whose sums sit within a few ulps of 1 +- 1e-5: read_trace and
+    write_trace both refuse the trace exactly when one of its events fails
+    the check on its own row sums, and name that event."""
     rng = np.random.default_rng(seed)
     events = []
     for step in range(m):
@@ -424,12 +424,16 @@ def test_rows_near_the_tolerance_are_judged_as_one_event_would_be(m, cols, drift
     bad = [i for i, e in enumerate(events)
            if np.any(np.abs(e.attn.sum(axis=1) - 1.0) > 1e-5)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.trace"
-        write_trace(path, header, events)
+        raw, path = Path(tmp) / "raw.trace", Path(tmp) / "t.trace"
+        write_v3_raw(raw, header, events)
         if bad:
-            with pytest.raises(TraceFormatError, match=f"^event {bad[0]}: attn rows"):
-                read_trace(path)
+            for call in (lambda: read_trace(raw), lambda: write_trace(path, header, events)):
+                with pytest.raises(TraceFormatError, match=f"^event {bad[0]}: attn rows"):
+                    call()
+            assert not path.exists()
         else:
+            write_trace(path, header, events)
+            assert path.read_bytes() == raw.read_bytes()
             assert_same_events(read_trace(path)[1], events)
 
 
@@ -599,6 +603,10 @@ class TestWriteTrace:
         "nan_attn": ("attn", lambda e: _with_nan(e.attn), "attn values must be finite"),
         "neg_inf_attn": ("attn", lambda e: _with_nan(e.attn, -np.inf),
                          "attn values must be finite"),
+        "negative_attn": ("attn", lambda e: _negated(e.attn),
+                          "attn rows must be non-negative and sum to 1$"),
+        "unnormalized_attn": ("attn", lambda e: _scaled(e.attn, 1.001),
+                              "attn rows must be non-negative and sum to 1$"),
     }
 
     @pytest.mark.parametrize("index", [0, READ_CHUNK - 1, READ_CHUNK, 2 * READ_CHUNK + 1])
@@ -618,6 +626,7 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match=match):
             write_trace(old, header, events)
         assert old.read_bytes() == before
+        assert os.listdir(tmp_path) == ["old.ndjson"]
 
     def _refused_with_faults(self, path, faults):
         """write_trace on the long trace with each event index in faults
@@ -638,6 +647,7 @@ class TestWriteTrace:
         {3: "nan_attn", READ_CHUNK - 4: "layer_past_header"},
         {0: "inf_v", READ_CHUNK - 1: "k_short"},
         {40: "neg_inf_attn", 41: "attn_heads"},
+        {7: "negative_attn", 9: "seq_past_header"},
     ])
     def test_a_value_fault_beats_a_later_id_or_shape_fault_in_its_chunk(self, tmp_path, faults):
         self._refused_with_faults(tmp_path / "t.trace", faults)
@@ -647,6 +657,7 @@ class TestWriteTrace:
         {20: "layer_past_header", READ_CHUNK + 5: "bool_layer"},
         {30: "k_short", READ_CHUNK + 2: "inf_v"},
         {READ_CHUNK - 1: "fractional_step", READ_CHUNK: "nan_k"},
+        {READ_CHUNK - 1: "unnormalized_attn", READ_CHUNK: "step_past_header"},
     ])
     def test_of_two_faults_in_different_chunks_the_first_is_named(self, tmp_path, faults):
         self._refused_with_faults(tmp_path / "t.trace", faults)
@@ -686,6 +697,44 @@ class TestWriteTrace:
         with pytest.raises(TraceFormatError, match=f"^event {index}: {message}"):
             write_trace(path, header, events)
         assert not path.exists()
+
+    def test_a_failed_write_leaves_no_file_behind(self, tmp_path):
+        """An error other than a refusal, here a K/V value that cannot be
+        cast to float32 after a chunk was written, removes the new file too."""
+        header, events = _long_trace()
+        _corrupt(events, READ_CHUNK + 1, k=np.full((2, 4), "x", dtype=object))
+        old = tmp_path / "t.trace"
+        write_trace(old, *synthesize("random", 1, 1, 4, 2, seed=5))
+        before = old.read_bytes()
+        with pytest.raises(ValueError, match="could not convert"):
+            write_trace(old, header, events)
+        assert old.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.trace"]
+
+    def test_a_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "t.trace", tmp_path / "link.trace"
+        write_trace(target, *synthesize("random", 1, 1, 4, 2, seed=5))
+        link.symlink_to(target)
+        header, events = _long_trace()
+        write_trace(link, header, events)
+        assert link.is_symlink()
+        assert_same_events(read_trace(target)[1], events)
+
+    def test_a_rewrite_keeps_the_file_mode(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, *synthesize("random", 1, 1, 4, 2, seed=5))
+        path.chmod(0o600)
+        write_trace(path, *_long_trace())
+        assert path.stat().st_mode & 0o777 == 0o600
+
+    def test_a_path_that_is_not_a_regular_file_is_refused(self, tmp_path):
+        """write_trace replaces its target, which must not be a device, FIFO
+        or directory: such a path is refused before anything is created."""
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(OSError, match="is not a regular file"):
+            write_trace(fifo, *_long_trace())
+        assert fifo.is_fifo() and os.listdir(tmp_path) == ["t.fifo"]
 
     def test_recorder_save_refuses_a_non_finite_event(self, tmp_path):
         recorder = _recorded_trace()
@@ -736,6 +785,57 @@ class TestWriteTrace:
                            match=f"^line 1: {field} must be an integer, got {value!r}$"):
             write_trace(path, dataclasses.replace(header, **{field: value}), events)
         assert not path.exists()
+
+
+@st.composite
+def one_value_fault(draw):
+    """A valid trace of at least one event, and the same trace with one
+    value fault at one event: a non-finite k, v or attn value, a negative
+    attn entry, or an attn row scaled by 1 plus a drift within a few ulps of
+    +-1e-5, which may or may not take its sum past the tolerance."""
+    header, clean = draw(traces().filter(lambda trace: trace[1]))
+    events = list(clean)
+    i = draw(st.integers(0, len(events) - 1))
+    kinds = ["k", "v"] + (["attn", "negative", "drift"] if events[i].attn is not None else [])
+    kind = draw(st.sampled_from(kinds))
+    name = kind if kind in ("k", "v") else "attn"
+    arr = np.array(getattr(events[i], name), dtype=np.float32)
+    row, col = draw(st.integers(0, arr.shape[0] - 1)), draw(st.integers(0, arr.shape[1] - 1))
+    if kind == "negative":
+        arr[row, col] = -draw(st.floats(0.0, 1.0, width=32, exclude_min=True))
+    elif kind == "drift":
+        arr[row] *= np.float32(1.0 + draw(near_tolerance))
+    else:
+        arr[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    _corrupt(events, i, **{name: arr})
+    return header, clean, events
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_value_fault())
+def test_write_trace_refuses_exactly_what_read_trace_refuses(fault):
+    """write_trace refuses the events exactly when read_trace refuses the
+    same events written raw, with the same message; a refused write leaves
+    the directory as it was, and the file it would have replaced intact."""
+    header, clean, events = fault
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, path = Path(tmp) / "raw.trace", Path(tmp) / "t.trace"
+        write_v3_raw(raw, header, events)
+        write_trace(path, header, clean)
+        before = path.read_bytes()
+        messages = []
+        for call in (lambda: read_trace(raw), lambda: write_trace(path, header, events)):
+            try:
+                call()
+                messages.append(None)
+            except TraceFormatError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1]
+        if messages[0] is None:
+            assert path.read_bytes() == raw.read_bytes()
+        else:
+            assert path.read_bytes() == before
+            assert sorted(os.listdir(tmp)) == ["raw.trace", "t.trace"]
 
 
 # -- version 3 bodies ------------------------------------------------------------
@@ -821,7 +921,7 @@ V3_FAULTS = {
     "out_of_order": (_edited_body(_out_of_order), r"events out of \(seq, step, layer\) order"),
     "cols_below_minus_one": (_edited_body(_cols_below_minus_one),
                              "attn column count -2 is below -1"),
-    "non_finite_kv": (_edited_body(_inf_v), "K/V values must be finite"),
+    "non_finite_kv": (_edited_body(_inf_v), "v values must be finite"),
     "negative_row": (_edited_body(_negative_row), "attn rows must be non-negative and sum to 1"),
     "unnormalized_row": (_edited_body(_scaled_row),
                          "attn rows must be non-negative and sum to 1"),
