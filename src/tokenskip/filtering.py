@@ -244,9 +244,6 @@ class FilterEngine:
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, config: PruneConfig):
         self.config = config
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.d_head = d_head
         self.active_layers = select_layers(n_layers, config.tail_fraction)
         self.target = per_layer_target(config)
         # The anchors of every (layer, sequence) seen so far, one row each of a

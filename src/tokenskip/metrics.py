@@ -10,7 +10,7 @@ of every identity we track.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -22,58 +22,38 @@ from .reporting import StepReport
 class FlopsModel:
     """Integer cost constants for one layer of the toy decoder.
 
-    The costs a charge needs are derived once, at construction, so each
-    charge is one multiply-add over the cache length.
+    Every cost is an attribute set once, at construction, from n_heads and
+    d_head: d_model; q_proj_flops, kv_proj_flops and o_proj_flops;
+    attn_per_pos_flops and softmax_per_pos_flops, per cached position;
+    filter_overhead_flops, per decision; and the three constants a charge
+    adds, _attention_fixed, _kept_fixed and _per_position, so each charge is
+    one multiply-add over the cache length. Only n_heads and d_head are
+    fields: they alone make the repr and the equality.
     """
 
     n_heads: int
     d_head: int
-    filter_overhead_flops: int = field(init=False, repr=False, compare=False)
-    _attention_fixed: int = field(init=False, repr=False, compare=False)
-    _kept_fixed: int = field(init=False, repr=False, compare=False)
-    _per_position: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        h, d = self.n_heads, self.n_heads * self.d_head
+        q = o = 2 * d * d
+        kv = 4 * d * d
         # Cost of one skip decision: head-wise cosines for keys and values,
         # their mean/variance reduction, the anchor updates, and the fused
         # compare. Charged on every decision, skip or keep.
-        cosine = self.n_heads * (6 * self.d_head + 4)
-        reduce_stats = 3 * self.n_heads + 2
-        anchor_update = 3 * self.n_heads * self.d_head
+        cosine = h * (6 * self.d_head + 4)
+        reduce_stats = 3 * h + 2
+        anchor_update = 3 * d
         per_feature = cosine + reduce_stats + anchor_update
-        derived = {
-            "filter_overhead_flops": 2 * per_feature + 12,
-            "_attention_fixed": self.q_proj_flops + self.o_proj_flops,
-            "_kept_fixed": self.kv_proj_flops + self.q_proj_flops + self.o_proj_flops,
-            "_per_position": self.attn_per_pos_flops + self.softmax_per_pos_flops,
-        }
-        for name, value in derived.items():
+        costs = dict(
+            d_model=d, q_proj_flops=q, kv_proj_flops=kv, o_proj_flops=o,
+            # score dot product + weighted value accumulate, per cached position
+            attn_per_pos_flops=4 * d, softmax_per_pos_flops=5 * h,
+            filter_overhead_flops=2 * per_feature + 12,
+            _attention_fixed=q + o, _kept_fixed=kv + q + o, _per_position=4 * d + 5 * h,
+        )
+        for name, value in costs.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def d_model(self) -> int:
-        return self.n_heads * self.d_head
-
-    @property
-    def q_proj_flops(self) -> int:
-        return 2 * self.d_model * self.d_model
-
-    @property
-    def kv_proj_flops(self) -> int:
-        return 4 * self.d_model * self.d_model
-
-    @property
-    def o_proj_flops(self) -> int:
-        return 2 * self.d_model * self.d_model
-
-    @property
-    def attn_per_pos_flops(self) -> int:
-        # score dot product + weighted value accumulate, per cached position
-        return 4 * self.n_heads * self.d_head
-
-    @property
-    def softmax_per_pos_flops(self) -> int:
-        return 5 * self.n_heads
 
     def attention_cost(self, cache_len: int) -> int:
         """The skippable work at a given cache length: Q projection, scores,
@@ -167,10 +147,11 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     events are trace events; reports, the decisions over them in order.
     Every event loses the mass its row puts on the columns of the steps its
     (seq, layer) skipped up to its own, averaged over heads: a skipped event
-    loses its own column, not its whole row. Columns are steps only when
-    every row spans the full cache; a recording that dropped skipped tokens
-    from its cache has compacted rows, and like one without rows it gives
-    None.
+    loses its own column, not its whole row. One pass over events, in the
+    order given, adds each event's loss to its layer's sum as it comes, so
+    the float sums follow that order. Columns are steps only when every row
+    spans the full cache; a recording that dropped skipped tokens from its
+    cache has compacted rows, and like one without rows it gives None.
     """
     if not events:
         return None
@@ -178,35 +159,26 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     for r in reports:
         if r.skipped:
             skipped_steps[(r.seq, r.layer)].add(r.step)
-    # The indices of each skipping (seq, layer)'s events, in event order.
-    groups: dict[tuple[int, int], list[int]] = {key: [] for key in skipped_steps}
-    for i, e in enumerate(events):
-        attn = e.attn
-        if attn is None or attn.shape[1] != e.step + 1:
-            return None
-        indices = groups.get((e.seq, e.layer))
-        if indices is not None:
-            indices.append(i)
-    # Each event's loss, by index. The columns a row sums change only at a
-    # skipped step, or after a gap in steps.
-    losses: dict[int, float] = {}
-    for key, indices in groups.items():
-        steps = skipped_steps[key]
-        # Columns keep the set's own order: the float32 sum depends on it.
-        dropped = np.fromiter(steps, dtype=np.intp, count=len(steps))
-        last_step = cols = None
-        for i in indices:
-            e = events[i]
-            step = e.step
-            if last_step != step - 1 or step in steps:
-                cols = dropped[dropped <= step]
-            last_step = step
-            if cols.size:
-                attn = e.attn
-                losses[i] = float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
-    # Each layer's losses added in event order, as the float sums require.
+    # Per skipping (seq, layer): its skipped steps; those steps as a column
+    # array, in the set's own order (the float32 sum depends on it); and its
+    # last step with the columns that step's row summed.
+    tracks = {key: [steps, np.fromiter(steps, dtype=np.intp, count=len(steps)), None, None]
+              for key, steps in skipped_steps.items()}
     lost: dict[int, float] = {}
-    for i in sorted(losses):
-        layer = events[i].layer
-        lost[layer] = lost.get(layer, 0.0) + losses[i]
+    for e in events:
+        attn, step = e.attn, e.step
+        if attn is None or attn.shape[1] != step + 1:
+            return None
+        track = tracks.get((e.seq, e.layer))
+        if track is None:
+            continue
+        steps, dropped, last_step, cols = track
+        # The columns a row sums change only at a skipped step, or after a
+        # gap in steps.
+        if last_step != step - 1 or step in steps:
+            cols = track[3] = dropped[dropped <= step]
+        track[2] = step
+        if cols.size:
+            loss = float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
+            lost[e.layer] = lost.get(e.layer, 0.0) + loss
     return lost

@@ -48,6 +48,7 @@ position table (positions), which every session on those weights shares.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -93,12 +94,24 @@ class ModelConfig:
             raise ConfigError("max_seq must be >= 1")
         if self.d_model != self.n_heads * self.d_head:
             raise ConfigError("d_model must equal n_heads * d_head")
-        d = self.d_model
-        values = d * (self.vocab_size + 2 + self.n_layers * (4 * d + 2 * self.d_ff + 4)
-                      + (2 * self.n_layers + 1) * self.max_seq)
+        # The embedding, the final norm, each layer's weights, the K and V
+        # caches and the position table.
+        layer = sum(math.prod(shape) for shape in _layer_shapes(self).values())
+        values = (self.d_model * (self.vocab_size + 2 + (2 * self.n_layers + 1) * self.max_seq)
+                  + self.n_layers * layer)
         if values > MAX_MODEL_VALUES:
             raise ConfigError(f"the weights, KV cache and position table hold {values} float32 "
                               f"values, above the cap of {MAX_MODEL_VALUES}")
+
+
+def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each LayerWeights field's shape, in blob order: the one statement of a
+    layer's layout, which init_weights, the weights blob and ModelConfig's
+    cap read. A 1-D field is a norm's gain (_g) or bias (_b); a matrix is
+    drawn with its last axis as fan-in."""
+    d, f = config.d_model, config.d_ff
+    return {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wkv": (2, d, d), "wo": (d, d),
+            "ln2_g": (d,), "ln2_b": (d,), "w1": (f, d), "w2": (d, f)}
 
 
 @dataclass
@@ -151,22 +164,23 @@ def _gaussian(rng, shape, fan_in) -> np.ndarray:
 
 
 def init_weights(config: ModelConfig) -> Weights:
-    """Seeded random init, entries ~ N(0, 1/fan_in). No training in scope."""
+    """Seeded random init, entries ~ N(0, 1/fan_in), norms at gain 1 and bias
+    0. No training in scope. Each layer's matrices are drawn in _layer_shapes
+    order (wq, wkv, wo, w1, w2), then the embedding; one (2, d, d) wkv draw
+    is the wk draw then the wv draw, bit for bit."""
     rng = substream(config.seed, "weights")
-    d, f, v = config.d_model, config.d_ff, config.vocab_size
+    d = config.d_model
     layers = []
     for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            ln1_g=np.ones(d, dtype=np.float32), ln1_b=np.zeros(d, dtype=np.float32),
-            # One (2, d, d) draw is the wk draw then the wv draw, bit for bit.
-            wq=_gaussian(rng, (d, d), d), wkv=_gaussian(rng, (2, d, d), d),
-            wo=_gaussian(rng, (d, d), d),
-            ln2_g=np.ones(d, dtype=np.float32), ln2_b=np.zeros(d, dtype=np.float32),
-            w1=_gaussian(rng, (f, d), d), w2=_gaussian(rng, (d, f), f),
-        ))
+        arrays = {}
+        for name, shape in _layer_shapes(config).items():
+            arrays[name] = (_gaussian(rng, shape, shape[-1]) if len(shape) > 1
+                            else np.full(shape, 1.0 if name.endswith("_g") else 0.0,
+                                         dtype=np.float32))
+        layers.append(LayerWeights(**arrays))
     return Weights(
         config=config,
-        embed=_gaussian(rng, (v, d), d),
+        embed=_gaussian(rng, (config.vocab_size, d), d),
         layers=layers,
         lnf_g=np.ones(d, dtype=np.float32),
         lnf_b=np.zeros(d, dtype=np.float32),
@@ -189,8 +203,8 @@ _HEADER = struct.Struct("<4sI7Iq")
 def _weight_arrays(w: Weights):
     yield w.embed
     for lw in w.layers:
-        for name in ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b", "w1", "w2"):
-            yield getattr(lw, name)
+        for name in _layer_shapes(w.config):
+            yield getattr(lw, name)  # wkv's bytes are wk's, then wv's
     yield w.lnf_g
     yield w.lnf_b
 
@@ -228,17 +242,11 @@ def load_weights(blob: bytes) -> Weights:
         offset += 4 * n
         return arr
 
-    d, f, v = d_model, d_ff, vocab
-    embed = take((v, d))
-    layers = []
-    for _ in range(n_layers):
-        layers.append(LayerWeights(
-            ln1_g=take((d,)), ln1_b=take((d,)), wq=take((d, d)), wkv=take((2, d, d)),
-            wo=take((d, d)), ln2_g=take((d,)), ln2_b=take((d,)),
-            w1=take((f, d)), w2=take((d, f)),
-        ))
-    lnf_g = take((d,))
-    lnf_b = take((d,))
+    embed = take((vocab, d_model))
+    layers = [LayerWeights(**{name: take(shape) for name, shape in _layer_shapes(config).items()})
+              for _ in range(n_layers)]
+    lnf_g = take((d_model,))
+    lnf_b = take((d_model,))
     if offset != len(blob):
         raise ValueError("trailing bytes in weights blob")
     return Weights(config=config, embed=embed, layers=layers, lnf_g=lnf_g, lnf_b=lnf_b)

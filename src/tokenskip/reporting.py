@@ -5,16 +5,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-
-REPORT_FIELDS = (
-    "seq", "step", "layer", "s_k", "s_v", "var_k", "var_v", "alpha", "s_kv",
-    "tau", "shadow", "skipped", "flops_saved", "degenerate",
-)
 
 SUMMARY_COLUMNS = ("layer", "eligible", "skipped", "skip_ratio", "mean_s_kv",
                    "mean_alpha", "mass_lost", "flops_saved")
@@ -44,11 +40,16 @@ class StepReport:
     degenerate: bool = False
 
     def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps({k: d[k] for k in REPORT_FIELDS})
+        """Strict JSON: a non-finite float is the string of its repr."""
+        return json.dumps({k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v)
+                           else v for k, v in asdict(self).items()}, allow_nan=False)
 
 
 def write_reports(reports: Iterable[StepReport], fh: IO[str]) -> int:
+    """Write reports as NDJSON, one StepReport.to_json line each, and return
+    their count. Every line is strict JSON: a non-finite float, such as the
+    tau of a replay with an infinite tau_init, is the string "inf", as the
+    summary CSV writes it, never the bare Infinity token."""
     n = 0
     for r in reports:
         fh.write(r.to_json())

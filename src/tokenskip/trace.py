@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 from dataclasses import dataclass
 from itertools import groupby
@@ -248,9 +249,11 @@ def write_trace(path, header: TraceHeader, events) -> int:
 
 def _whole(value, name: str, text: bool = False) -> int:
     """A header count as an int: a JSON integer or integral number, or with
-    text a string of one. A fraction, a boolean or (without text) a string
-    is an error, never truncated or coerced."""
-    if text and isinstance(value, str):
+    text a plain decimal string, -?[0-9]+. Anything else is an error, never
+    truncated or coerced: a fraction, a boolean, a string without text, or
+    one that only int() reads, such as " 2 ", "+2", "0_2" or a non-ASCII
+    digit."""
+    if text and isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)

@@ -141,6 +141,29 @@ class TestSynthCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestReports:
+    @staticmethod
+    def _strict(line):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        return json.loads(line, parse_constant=refuse)
+
+    @pytest.mark.parametrize("command", ["replay", "generate"])
+    def test_an_infinite_tau_report_is_strict_json(self, tmp_path, command):
+        trace, report = tmp_path / "t.trace", tmp_path / "r.ndjson"
+        if command == "replay":
+            assert run_cli("synth", "--pattern", "repetitive", "--layers", "2", "--heads", "2",
+                           "--d-head", "8", "--steps", "24", "--seqs", "2",
+                           "--out", str(trace)) == 0
+            argv = ("replay", "--trace", str(trace), "--out", str(tmp_path / "s.csv"))
+        else:
+            argv = ("generate", "--steps", "8", "--mode", "filtered")
+        assert run_cli(*argv, "--tau-init", "inf", "--report", str(report)) == 0
+        lines = report.read_text().splitlines()
+        assert lines and all(self._strict(line)["tau"] == "inf" for line in lines)
+
+
 class TestGenerateCommand:
     def test_zero_steps_valid(self, tmp_path):
         rep = tmp_path / "rep.ndjson"

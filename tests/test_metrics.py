@@ -1,3 +1,4 @@
+import csv
 import io
 from collections import defaultdict
 from operator import attrgetter
@@ -170,6 +171,30 @@ class TestAttentionMassLost:
         assert len(want) == 2 and want != trace_order
         # repr: the sums bit for bit, and the layers in the same order.
         assert repr(mass_lost_by_layer(events, reports)) == repr(want)
+
+    @pytest.mark.parametrize("prune", [PruneConfig(p_global=0.5, anchor_mode="exact_mean"),
+                                       PruneConfig(p_global=0.5, cache_on_skip="keep")],
+                             ids=["exact_mean", "keep"])
+    def test_other_replays_match_the_oracle(self, prune):
+        header, events = synthesize("repetitive", 4, 2, 8, 60, seed=21, n_seqs=2)
+        reports = replay(header, events, prune).reports
+        assert sum(r.skipped for r in reports) > 20
+        want = self._per_event_mass_lost(events, reports)
+        assert len(want) == 2
+        assert repr(mass_lost_by_layer(events, reports)) == repr(want)
+
+    def test_a_short_row_after_losses_gives_none_and_blank_cells(self):
+        events = self._events(8)
+        reports = [make_report(step=e.step, skipped=e.step in (1, 2)) for e in events]
+        assert mass_lost_by_layer(events[:7], reports)[0] > 0.5
+        # The last event's row is the only short one: compacted, as a
+        # recording that drops skipped tokens leaves it.
+        events[7].attn = events[7].attn[:, :-1]
+        assert mass_lost_by_layer(events, reports) is None
+        buf = io.StringIO()
+        write_summary_csv(summarize(reports, 2, mass_lost_by_layer(events, reports)), buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == 3 and all(row["mass_lost"] == "" for row in rows)
 
     def test_zero_decisions_convention(self):
         assert mass_lost_by_layer([], []) is None

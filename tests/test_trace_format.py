@@ -5,6 +5,7 @@ before it replaces a file."""
 import dataclasses
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -259,6 +260,25 @@ class TestReadTraceRejects:
                            match=f"^line 1: {field} must be an integer, got {value!r}$"):
             read_trace(path)
         assert main(["replay", "--trace", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    # int() reads each of these as 2: spaces, an underscore, a plus sign,
+    # an Arabic-Indic digit two.
+    @pytest.mark.parametrize("value", [" 2 ", "0_2", "+2", "\u0662"])
+    @pytest.mark.parametrize("field", ["n_seqs", "prefill_steps"])
+    def test_a_count_string_must_be_plain_decimal(self, tmp_path, field, value):
+        def edit(obj):
+            obj["generator_params"][field] = value
+
+        header, path = self._edited_header(tmp_path, edit)
+        message = f"^line 1: {field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(path)
+        params = {**header.generator_params, field: value}
+        out = tmp_path / "w.trace"
+        with pytest.raises(TraceFormatError, match=message):
+            write_trace(out, dataclasses.replace(header, generator_params=params),
+                        self._trace()[1])
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["n_layers", "n_heads", "d_head", "n_steps", "n_events"])
     def test_integral_header_numbers_are_read(self, tmp_path, field):
