@@ -123,8 +123,10 @@ class FlopsLedger:
         self.dense_equiv += cost
 
     def charge_event(self, cache_len_if_kept: int, model: FlopsModel, skipped: bool,
-                     report: StepReport | None) -> None:
-        """Charge one event at the cache length it has if kept. An event with
+                     report: StepReport | None, keep_on_skip: bool) -> int:
+        """Charge one event at the cache length it has if kept, and return
+        its (seq, layer)'s length after it, one less for a skip that the
+        cache drops (not keep_on_skip): the one keep/skip rule. An event with
         a report was decided by the filter: it pays the decision overhead and
         its net delta becomes report.flops_saved."""
         if skipped:
@@ -133,6 +135,7 @@ class FlopsLedger:
             delta = self.charge_keep(cache_len_if_kept, model, decided=report is not None)
         if report is not None:
             report.flops_saved = delta
+        return cache_len_if_kept - 1 if skipped and not keep_on_skip else cache_len_if_kept
 
     def conserved(self) -> bool:
         return self.dense_equiv == self.actual + self.saved_net + self.overhead
@@ -151,7 +154,8 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     order given, adds each event's loss to its layer's sum as it comes, so
     the float sums follow that order. Columns are steps only when every row
     spans the full cache; a recording that dropped skipped tokens from its
-    cache has compacted rows, and like one without rows it gives None.
+    cache has compacted rows and, like one without rows, gives None: a dropped
+    token's column is in no later row, so its mass is unobserved, not zero.
     """
     if not events:
         return None

@@ -13,10 +13,11 @@ prompt runs in chunks of PREFILL_CHUNK positions (DecodeSession.prefill): a
 prompt position's rank is negative, so it never skips, and none waits on a
 sampled token, so each layer runs once over all of a chunk's rows; the filter
 then scores the chunk with FilterEngine.score_steps and makes one decide call
-per filtered layer over the chunk's run of positions. Every stacked kernel
-gives the bits of its one-position form: layer_norm_rows reduces each row as
-layer_norm does; _matvecs makes one BLAS gemv per row, as W @ x does
-(x @ W.T would be one gemm, with other bits).
+per filtered layer over the chunk's run of positions. Both charge each event
+by FlopsLedger.charge_event, the one keep/skip rule, which returns the cache
+length after it. Every stacked kernel gives the bits of its one-position
+form: layer_norm_rows reduces each row as layer_norm does; _matvecs makes one
+BLAS gemv per row, as W @ x does (x @ W.T would be one gemm, with other bits).
 
 Attention reads the cache at a chunk-aligned width (KVCache.padded_view): a
 query at cache length m reads min(ceil(m / PREFILL_CHUNK) * PREFILL_CHUNK,
@@ -416,6 +417,7 @@ class DecodeSession:
         self.flops_model = FlopsModel(config.n_heads, config.d_head)
         self.ledger = FlopsLedger()
         self.record = record
+        self.keep_on_skip = prune is not None and prune.cache_on_skip == "keep"
         # A position's rank among decode steps, which the filter's warm-up
         # counts, is position - prompt_len: negative for a prompt position.
         self.prompt_len = 0
@@ -427,41 +429,31 @@ class DecodeSession:
                       rank: int = 0) -> BlockOutput:
         """One pre-norm block: filter decision, attention or skip, then FFN.
         rank is the position's rank among decode steps, negative for a
-        prompt position. A recorded skip's row is attention_forward's with
-        its K/V appended, which "drop" then takes back off the cache."""
+        prompt position. The K/V is appended when the token is kept in the
+        cache or recorded, and attention runs when it is not skipped or is
+        recorded; then FlopsLedger.charge_event, the keep/skip rule, charges
+        it and sets the cache length, which takes a dropped skip back off."""
         weights, cache = self.weights, self.cache
         lw = weights.layers[layer]
-        x = hidden
-        ln1 = layer_norm(x, lw.ln1_g, lw.ln1_b)
+        ln1 = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
         kv = project_kv(weights, layer, ln1)
-        k_heads, v_heads = kv[0], kv[1]
 
-        skip = False
-        report = None
+        skip, report = False, None
         if self.engine is not None and layer in self.engine.layers:
             skip, report = self.engine.process(layer, 0, kv, step, rank)
 
         cache_len_if_kept = cache.lens[layer] + 1
+        if not skip or self.keep_on_skip or self.record:
+            cache.append(layer, kv[0], kv[1])
         attn_row = None
-        if skip:
-            keep = self.prune.cache_on_skip == "keep"
-            if keep or self.record:
-                cache.append(layer, k_heads, v_heads)
-            if self.record:
-                _, attn_row = attention_forward(weights, layer, ln1, cache, return_weights=True)
-                if not keep:
-                    cache.lens[layer] -= 1
-            # Attention contribution is exactly zero: the residual passes the
-            # input through untouched, no arithmetic applied.
-        else:
-            cache.append(layer, k_heads, v_heads)
-            if self.record:
-                attn_out, attn_row = attention_forward(weights, layer, ln1, cache,
-                                                       return_weights=True)
-            else:
-                attn_out = attention_forward(weights, layer, ln1, cache)
-            x = x + attn_out
-        self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip, report)
+        if self.record:
+            attn_out, attn_row = attention_forward(weights, layer, ln1, cache, return_weights=True)
+        elif not skip:
+            attn_out = attention_forward(weights, layer, ln1, cache)
+        cache.lens[layer] = self.ledger.charge_event(cache_len_if_kept, self.flops_model, skip,
+                                                     report, self.keep_on_skip)
+        # A skip adds nothing: the residual passes the input through untouched.
+        x = hidden if skip else hidden + attn_out
 
         ln2 = layer_norm(x, lw.ln2_g, lw.ln2_b)
         x = x + ffn_forward(weights, layer, ln2)
@@ -522,9 +514,10 @@ class DecodeSession:
         filter's two passes (score_steps over the chunk, then per filtered
         layer one decide call over the chunk's run of positions, which
         applies that layer's barrier after each position), then per position
-        and layer the ledger charge and the recorder. No prompt position
-        skips, so every layer's cache holds start positions before the chunk.
-        Returns the last row's hidden state and the chunk's reports."""
+        and layer the charge by FlopsLedger.charge_event, block_forward's
+        keep/skip rule, and the recorder. No prompt position skips, so every
+        layer's cache holds start positions before the chunk. Returns the
+        last row's hidden state and the chunk's reports."""
         c = self.config
         rows = len(ids)
         x = self.weights.embed[ids] + self.positions[start:start + rows]
@@ -567,7 +560,8 @@ class DecodeSession:
                     report = layer_reports[layer][t]
                     if report is not None:
                         reports.append(report)
-                self.ledger.charge_event(pos + 1, self.flops_model, False, report)
+                self.ledger.charge_event(pos + 1, self.flops_model, False, report,
+                                         self.keep_on_skip)
                 if recorder is not None:
                     probs = attn_rows[layer]
                     recorder.add_event(

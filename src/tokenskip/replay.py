@@ -13,13 +13,15 @@ FilterEngine.score_steps call scores every filtered event of the block (its
 anchors fold step by step, in runs of steps); then one pass sorts the block's
 rows by layer, and each layer makes one FilterEngine.decide call over its
 run of the block's steps, which applies that layer's barrier after each
-step, and FlopsLedger.charge_event per event. A token's evidence depends only
-on the K/V stream, and no layer reads another's state, so scoring it ahead of
-the controller and deciding layer by layer change nothing: the live engine
-decides the same rows one process call at a time at the same ranks, and the
-two agree bit for bit. The reports end sorted by (step, seq, layer), and the
-summary is the live one: reporting.summarize with
-metrics.mass_lost_by_layer."""
+step. FlopsLedger.charge_event, the keep/skip rule live decode applies,
+charges each event at its (seq, layer)'s cache length if kept and returns
+that pair's length after it, one less for a skip that cache_on_skip "drop"
+leaves out. A token's evidence depends only on the K/V stream, and no layer
+reads another's state, so scoring it ahead of the controller and deciding
+layer by layer change nothing: the live engine decides the same rows one
+process call at a time at the same ranks, and the two agree bit for bit. The
+reports end sorted by (step, seq, layer), and the summary is the live one:
+reporting.summarize with metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
 
@@ -133,11 +135,8 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
         for layer, layer_rows in by_layer.items():
             decisions = engine.decide(layer, layer_rows)
             for (_, _, seq, _), (skipped, report) in zip(layer_rows, decisions):
-                key = (seq, layer)
-                would_len = hypo_len[key] + 1
-                ledger.charge_event(would_len, flops_model, skipped, report)
-                if not skipped or keep_on_skip:
-                    hypo_len[key] = would_len
+                hypo_len[seq, layer] = ledger.charge_event(
+                    hypo_len[seq, layer] + 1, flops_model, skipped, report, keep_on_skip)
                 if report is not None:
                     reports.append(report)
     reports.sort(key=attrgetter("step", "seq", "layer"))

@@ -7,7 +7,7 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -40,9 +40,9 @@ class StepReport:
     degenerate: bool = False
 
     def to_json(self) -> str:
-        """Strict JSON: a non-finite float is the string of its repr."""
+        """Strict JSON of vars(self): a non-finite float is its repr string."""
         return json.dumps({k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v)
-                           else v for k, v in asdict(self).items()}, allow_nan=False)
+                           else v for k, v in vars(self).items()}, allow_nan=False)
 
 
 def write_reports(reports: Iterable[StepReport], fh: IO[str]) -> int:
@@ -79,7 +79,8 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
     The global row counts every layer of every decided (seq, step) as a
     decision (the most pairs any one layer decided, times n_layers): the
     quantity a global budget constrains. mass_lost is lost_by_layer's sum
-    (metrics.mass_lost_by_layer) over the row's eligible count, or empty.
+    (metrics.mass_lost_by_layer) over the row's eligible count, or empty, not
+    zero, when unobserved: a "drop" recording's dropped columns are in no later row.
     """
     by_layer: dict[int, list[StepReport]] = defaultdict(list)
     decided: dict[int, set] = defaultdict(set)

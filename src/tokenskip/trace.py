@@ -25,11 +25,11 @@ Events are ordered by (seq, step, layer), with 0 <= seq < n_seqs,
 0 <= step < n_steps and 0 <= layer < n_layers; every value is finite, and
 every attention row is non-negative and sums to 1 within 1e-5;
 n_layers * n_heads * d_head is at most MAX_ANCHOR_VALUES, and n_steps and
-n_seqs at most 2**63, so that every id fits int64. generator_params is
-a free-form string map; recognized keys include "n_seqs" (default 1),
-"prefill_steps" (positions that replay must treat as prompt) and the
-synthesis parameters. Other format versions, the NDJSON version 2 among
-them, are refused at line 1.
+n_seqs at most 2**63, so that every id fits int64. generator_params is a
+free-form string map; recognized keys include "n_seqs" (default 1) and
+"prefill_steps" (positions that replay must treat as prompt), both
+non-negative, and the synthesis parameters. Other format versions, the
+NDJSON version 2 among them, are refused at line 1.
 
 Both directions run the same header, id-table and value checks, the values
 READ_CHUNK events at a time on the float32 arrays of the file. read_trace
@@ -292,8 +292,9 @@ def _parse_header(obj) -> tuple[TraceHeader, tuple[int, int, int], int]:
             n_steps=_whole(obj["n_steps"], "n_steps"),
             source=obj["source"], generator_params=dict(obj.get("generator_params", {})),
         )
-        if header.prefill_steps < 0:
-            raise TraceFormatError("prefill_steps must be non-negative")
+        for name in ("prefill_steps", "n_seqs"):
+            if getattr(header, name) < 0:
+                raise TraceFormatError(f"{name} must be non-negative")
         if max(header.n_steps, header.n_seqs) > 2**63:
             raise TraceFormatError("n_steps and n_seqs must be at most 2**63, the int64 id range")
         size = header.n_layers * header.n_heads * header.d_head

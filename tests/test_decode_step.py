@@ -133,7 +133,8 @@ def ref_block(session, layer, hidden, step, rank):
         ctx = ctx.reshape(c.d_model).astype(np.float32)
         x = (x + (lw.wo @ ctx).astype(np.float32)).astype(np.float32)
         row = np.array(probs[:, :m]) if session.record else None
-    session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip, report)
+    session.ledger.charge_event(cache_len_if_kept, session.flops_model, skip, report,
+                                session.keep_on_skip)
     ln2 = ref_layer_norm(x, lw.ln2_g, lw.ln2_b)
     h = np.maximum(lw.w1 @ ln2, np.float32(0.0))
     x = (x + (lw.w2 @ h).astype(np.float32)).astype(np.float32)

@@ -56,14 +56,33 @@ class TestFlopsModel:
         m = FlopsModel(2, 4)
         ledger = FlopsLedger()
         skip, keep = make_report(skipped=True), make_report()
-        ledger.charge_event(5, m, True, skip)
-        ledger.charge_event(5, m, False, keep)
-        ledger.charge_event(5, m, False, None)  # undecided: no overhead, no report
+        ledger.charge_event(5, m, True, skip, False)
+        ledger.charge_event(5, m, False, keep, False)
+        ledger.charge_event(5, m, False, None, False)  # undecided: no overhead, no report
         assert skip.flops_saved == flops_saved(True, 5, m)
         assert keep.flops_saved == flops_saved(False, 5, m)
         assert ledger.overhead == 2 * m.filter_overhead_flops
         assert ledger.actual == m.skip_cost() + 2 * m.kept_cost(5)
         assert ledger.conserved()
+
+    # An event at cache length 5 if kept: only a skip that the cache drops
+    # (cache_on_skip "drop") leaves its (seq, layer) at 4. keep_on_skip
+    # changes the returned length, never the charge.
+    @pytest.mark.parametrize("skipped, decided, keep_on_skip, after", [
+        pytest.param(False, True, False, 5, id="keep"),
+        pytest.param(False, False, False, 5, id="undecided_keep"),
+        pytest.param(True, True, True, 5, id="skip_under_keep"),
+        pytest.param(True, True, False, 4, id="skip_under_drop"),
+    ])
+    def test_charge_event_returns_the_cache_length_after_the_event(self, skipped, decided,
+                                                                  keep_on_skip, after):
+        m = FlopsModel(2, 4)
+        report = make_report(skipped=skipped) if decided else None
+        ledger, flipped = FlopsLedger(), FlopsLedger()
+        length = ledger.charge_event(5, m, skipped, report, keep_on_skip)
+        flipped.charge_event(5, m, skipped, report, not keep_on_skip)
+        assert type(length) is int and length == after
+        assert ledger == flipped
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2000), st.integers(1, 16), st.integers(1, 128))
@@ -72,7 +91,7 @@ class TestFlopsModel:
         closed, stepped = FlopsLedger(), FlopsLedger()
         closed.charge_keeps(n, m)
         for cache_len in range(1, n + 1):
-            stepped.charge_event(cache_len, m, False, None)
+            stepped.charge_event(cache_len, m, False, None, False)
         assert closed == stepped
         assert closed.conserved()
 
@@ -261,6 +280,18 @@ class TestAggregateReport:
         assert lines[0] == ("layer,eligible,skipped,skip_ratio,mean_s_kv,mean_alpha,"
                             "mass_lost,flops_saved")
         assert len(lines) == 3
+
+
+class TestReportJson:
+    def test_one_report_line_is_pinned(self):
+        report = StepReport(seq=1, step=7, layer=2, s_k=0.25, s_v=-0.5, var_k=0.01, var_v=0.0,
+                            alpha=0.75, s_kv=0.125, tau=float("inf"), shadow=False,
+                            skipped=True, flops_saved=-48, degenerate=False)
+        assert report.to_json() == (
+            '{"seq": 1, "step": 7, "layer": 2, "s_k": 0.25, "s_v": -0.5, "var_k": 0.01, '
+            '"var_v": 0.0, "alpha": 0.75, "s_kv": 0.125, "tau": "inf", "shadow": false, '
+            '"skipped": true, "flops_saved": -48, "degenerate": false}')
+        assert report.tau == float("inf")  # the report itself is left as it was
 
 
 class TestCsvCells:

@@ -51,6 +51,7 @@ def test_replay_of_a_live_trace_makes_the_same_decisions(run):
         prompt, n_steps, recorder=recorder)
     result = replay(recorder.header(), recorder.events, prune)
     assert decisions(result.reports) == decisions(live.reports)
+    assert vars(result.ledger) == vars(live.flops)
     assert live.flops.conserved()
     assert result.ledger.conserved()
 

@@ -280,6 +280,16 @@ class TestReadTraceRejects:
                         self._trace()[1])
         assert not out.exists()
 
+    # With events present, a negative n_seqs must fail at line 1, not at the
+    # first event outside the range [0, n_seqs).
+    def test_a_negative_n_seqs_is_refused_at_the_header(self, tmp_path):
+        def edit(obj):
+            obj["generator_params"]["n_seqs"] = "-1"
+
+        _, path = self._edited_header(tmp_path, edit)
+        with pytest.raises(TraceFormatError, match="^line 1: n_seqs must be non-negative$"):
+            read_trace(path)
+
     @pytest.mark.parametrize("field", ["n_layers", "n_heads", "d_head", "n_steps", "n_events"])
     def test_integral_header_numbers_are_read(self, tmp_path, field):
         def edit(obj):
@@ -771,6 +781,7 @@ class TestWriteTrace:
         "int64_steps": ({"n_steps": np.int64(3)}, "n_steps must be an integer, got"),
         "negative_prefill": ({"generator_params": {"prefill_steps": "-1"}},
                              "prefill_steps must be non-negative"),
+        "negative_seqs": ({"generator_params": {"n_seqs": "-1"}}, "n_seqs must be non-negative"),
         "past_the_cap": ({"d_head": MAX_ANCHOR_VALUES // 4 + 1},
                          f"n_layers \\* n_heads \\* d_head is {MAX_ANCHOR_VALUES + 4}, above"),
     }
