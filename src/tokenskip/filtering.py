@@ -161,22 +161,35 @@ def row_evidence(pair: np.ndarray, views: tuple) -> tuple:
     """
     (norms_a, dots), (_, norms_b) = np.vecdot(*views).tolist()
     n = pair.shape[-2]
+    # Below 8 heads np.add.reduce adds in order onto 0.0 (see _add_reduce),
+    # so the loop sums as it goes; from 8 on, _add_reduce blocks as NumPy.
+    in_order = n < 8
     means, variances, degenerate = [], [], []
     for heads_a, heads_ab, heads_b in zip(norms_a, dots, norms_b):
-        sims, flagged = [], False
+        sims, flagged, total = [], False, 0.0
         for norm_a, dot, norm_b in zip(heads_a, heads_ab, heads_b):
             den = norm_a * norm_b
             if 0.0 < den < inf and isfinite(dot):
                 # min(1.0, q), which q (finite or +inf, never NaN) takes
                 # without a builtin call.
                 q = dot * dot / den
-                sims.append(copysign(sqrt(q if q < 1.0 else 1.0), dot))
+                sim = copysign(sqrt(q if q < 1.0 else 1.0), dot)
             else:
-                sims.append(0.0)
+                sim = 0.0
                 flagged = True
-        mean = _add_reduce(sims) / n
+            sims.append(sim)
+            total += sim
+        if in_order:
+            mean = total / n
+            total = 0.0
+            for sim in sims:
+                total += (sim - mean) * (sim - mean)
+            variance = total / n
+        else:
+            mean = _add_reduce(sims) / n
+            variance = _add_reduce([(sim - mean) * (sim - mean) for sim in sims]) / n
         means.append(mean)
-        variances.append(_add_reduce([(s - mean) * (s - mean) for s in sims]) / n)
+        variances.append(variance)
         degenerate.append(flagged)
     # A non-finite value makes its head degenerate, so only a degenerate row
     # needs the check.

@@ -36,9 +36,13 @@ its context per row over a copy of the values with that row's future columns
 zeroed, as the cache holds them when the row runs alone.
 
 A generated token's step makes few NumPy calls and no float32-to-float32
-copies. Each layer's key and value projections are one (2, d_model, d_model)
-array, LayerWeights.wkv, so project_kv makes both in one batched product: one
-BLAS gemv per half, the bits of wk @ x and of wv @ x. (A single
+copies. Its layer norms (two per layer and the final one) take float64
+gains and biases, which each DecodeSession casts from the float32 weights
+once, exactly, as it starts: layer_norm's in-place float64 steps then run
+without a cast per call, with the bits the float32 arrays give. Each
+layer's key and value projections are one (2, d_model, d_model) array,
+LayerWeights.wkv, so project_kv makes both in one batched product: one BLAS
+gemv per half, the bits of wk @ x and of wv @ x. (A single
 (2 d_model, d_model) gemv is cheaper but blocks its rows differently: with
 OpenBLAS 0.3.31's SkylakeX and Haswell kernels it changes bits for some
 d_model that is not a multiple of 4.) Prefill uses the same stacked array.
@@ -393,7 +397,8 @@ class DecodeSession:
     session takes no prune config and runs no filter.
 
     Weights are immutable and may be shared across sessions; everything else
-    is confined to this session.
+    is confined to this session. The session reads the norms' gains and
+    biases once, as it starts (see layer_norms).
     """
 
     def __init__(self, config: ModelConfig, prune: PruneConfig | None = None,
@@ -414,6 +419,15 @@ class DecodeSession:
         self.weights = weights if weights is not None else init_weights(config)
         self.cache = KVCache(config)
         self.positions = self.weights.positions
+        # Every norm's gain and bias as float64, cast once (exactly) per
+        # session: each layer's (ln1_g, ln1_b, ln2_g, ln2_b), then the final
+        # norm's pair. layer_norm's float64 steps then take them as they are,
+        # with the bits a float32 gain gives, instead of casting on each call.
+        self.layer_norms = [tuple(a.astype(np.float64)
+                                  for a in (lw.ln1_g, lw.ln1_b, lw.ln2_g, lw.ln2_b))
+                            for lw in self.weights.layers]
+        self.final_norm = (self.weights.lnf_g.astype(np.float64),
+                           self.weights.lnf_b.astype(np.float64))
         self.flops_model = FlopsModel(config.n_heads, config.d_head)
         self.ledger = FlopsLedger()
         self.record = record
@@ -434,8 +448,8 @@ class DecodeSession:
         recorded; then FlopsLedger.charge_event, the keep/skip rule, charges
         it and sets the cache length, which takes a dropped skip back off."""
         weights, cache = self.weights, self.cache
-        lw = weights.layers[layer]
-        ln1 = layer_norm(hidden, lw.ln1_g, lw.ln1_b)
+        ln1_g, ln1_b, ln2_g, ln2_b = self.layer_norms[layer]
+        ln1 = layer_norm(hidden, ln1_g, ln1_b)
         kv = project_kv(weights, layer, ln1)
 
         skip, report = False, None
@@ -455,7 +469,7 @@ class DecodeSession:
         # A skip adds nothing: the residual passes the input through untouched.
         x = hidden if skip else hidden + attn_out
 
-        ln2 = layer_norm(x, lw.ln2_g, lw.ln2_b)
+        ln2 = layer_norm(x, ln2_g, ln2_b)
         x = x + ffn_forward(weights, layer, ln2)
         return BlockOutput(hidden=x, skipped=skip, report=report, attn_row=attn_row, kv=kv)
 
@@ -473,8 +487,10 @@ class DecodeSession:
             if out.report is not None:
                 reports.append(out.report)
             if recorder is not None:
-                recorder.add_event(seq=0, step=position, layer=layer,
-                                   k=out.kv[0], v=out.kv[1], attn=out.attn_row)
+                # Positional, and indexed: a keyword call, or unpacking the
+                # array by iteration, costs more, once per layer.
+                kv = out.kv
+                recorder.add_event(0, position, layer, kv[0], kv[1], out.attn_row)
         return hidden, reports
 
     def prefill(self, tokens, recorder=None):
@@ -524,14 +540,15 @@ class DecodeSession:
         kv = []
         attn_rows = []
         for layer, lw in enumerate(self.weights.layers):
-            ln1 = layer_norm_rows(x, lw.ln1_g, lw.ln1_b)
+            ln1_g, ln1_b, ln2_g, ln2_b = self.layer_norms[layer]
+            ln1 = layer_norm_rows(x, ln1_g, ln1_b)
             # (rows, 2, n_heads, d_head): each row's project_kv, bit for bit.
             kv.append(_matvecs(lw.wkv, ln1[:, None]).reshape(rows, 2, c.n_heads, c.d_head))
             self.cache.append_rows(layer, kv[-1][:, 0], kv[-1][:, 1])
             attn, probs = self._attention_rows(layer, ln1, start)
             attn_rows.append(probs)
             x = x + attn
-            ln2 = layer_norm_rows(x, lw.ln2_g, lw.ln2_b)
+            ln2 = layer_norm_rows(x, ln2_g, ln2_b)
             h = _matvecs(lw.w1, ln2)
             np.maximum(h, _ZERO, out=h)
             x = x + _matvecs(lw.w2, h)
@@ -564,9 +581,9 @@ class DecodeSession:
                                          self.keep_on_skip)
                 if recorder is not None:
                     probs = attn_rows[layer]
-                    recorder.add_event(
-                        seq=0, step=pos, layer=layer, k=kv[layer][t, 0], v=kv[layer][t, 1],
-                        attn=None if probs is None else probs[t, :, :pos + 1].copy())
+                    row = kv[layer][t]
+                    recorder.add_event(0, pos, layer, row[0], row[1],
+                                       None if probs is None else probs[t, :, :pos + 1].copy())
         return x[-1], reports
 
     def _attention_rows(self, layer: int, ln1: np.ndarray, n: int):
@@ -596,7 +613,7 @@ class DecodeSession:
         return out, (probs if self.record else None)
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
-        h = layer_norm(hidden, self.weights.lnf_g, self.weights.lnf_b)
+        h = layer_norm(hidden, *self.final_norm)
         return self.weights.embed @ h
 
     def decode(self, prompt_tokens, n_steps: int, recorder=None) -> DecodeResult:

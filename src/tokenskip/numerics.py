@@ -74,31 +74,40 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
     The result is C-contiguous, so along the last axis each row sums in the
     same (pairwise) order as a 1-D call on that row, and a whole-array call
-    equals the row-at-a-time one bit for bit.
+    equals the row-at-a-time one bit for bit. The exp and the division run in
+    place on the fresh array the subtraction returns, so the input is never
+    written and no further array is allocated (an integer input, whose exp
+    is a float of another dtype, takes a new one).
     """
     x = np.asarray(x)
-    e = np.exp(np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), order="C"))
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), order="C")
+    e = np.exp(e, out=e) if e.dtype.kind in "fc" else np.exp(e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Normalize x to zero mean / unit variance, then apply the affine map.
 
     The moments are np.mean/np.var of the float64 vector, reduced directly
-    (same sums, same order, same bits). The scalar steps run in Python floats
-    and the affine map in place: the same IEEE operations, fewer NumPy calls.
+    (same sums, same order, same bits). Every step runs in place on one
+    float64 copy of x, which np.array makes even when x is float64 already,
+    so the caller's array is never written; the scalar steps run in Python
+    floats. The result is cast to float32 once. A float32 gain or bias
+    promotes to float64 exactly inside the ufuncs, so any gain dtype gives
+    the same bits; float64 ones, such as the copies a DecodeSession makes,
+    skip that cast on every call.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x64 = np.asarray(x, dtype=np.float64)
+    x64 = np.array(x, dtype=np.float64)
     n = x64.size
-    centred = x64 - float(np.add.reduce(x64, axis=None)) / n
-    var = float(np.add.reduce(centred * centred, axis=None)) / n
-    # float32 gain and bias promote to float64 exactly inside the ufuncs.
-    centred /= math.sqrt(var + eps)
-    centred *= gain
-    centred += bias
-    return centred.astype(np.float32)
+    x64 -= float(np.add.reduce(x64, axis=None)) / n
+    var = float(np.add.reduce(x64 * x64, axis=None)) / n
+    x64 /= math.sqrt(var + eps)
+    x64 *= gain
+    x64 += bias
+    return x64.astype(np.float32)
 
 
 def layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -42,6 +42,7 @@ and attn overlap.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -513,7 +514,9 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
     feature's reliability as a redundancy signal without changing the
     attention ground truth.
 
-    A bad argument raises ConfigError.
+    A bad argument raises ConfigError, naming it: a non-finite noise,
+    q_scale, t0, decay, sink_gain, key_noise or value_noise among them, and a
+    negative noise, sink_gain, key_noise or value_noise.
     """
     if pattern not in PATTERNS:
         raise ConfigError(f"pattern must be one of {PATTERNS}")
@@ -525,6 +528,18 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
         raise ConfigError("dict_size must be positive")
     if not t0 > 0.0:
         raise ConfigError(f"t0 must be positive, got {t0!r}")
+    # A NaN or negative key noise, value noise or sink gain fails a `> 0.0`
+    # test below and would be dropped while the header records it; a
+    # non-finite q_scale or decay would show only as a non-finite attention row.
+    for name, value in (("noise", noise), ("q_scale", q_scale), ("t0", t0), ("decay", decay),
+                        ("sink_gain", sink_gain), ("key_noise", key_noise),
+                        ("value_noise", value_noise)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name, value in (("noise", noise), ("sink_gain", sink_gain), ("key_noise", key_noise),
+                        ("value_noise", value_noise)):
+        if value < 0.0:
+            raise ConfigError(f"{name} must be non-negative, got {value!r}")
 
     rng = substream(seed, "synth")
     scale = np.float32(1.0 / np.sqrt(d_head))

@@ -90,6 +90,33 @@ class TestExitCodes:
         assert "t0 must be positive" in err and "event" not in err
         assert not out.exists()
 
+    # Each of these was dropped or mirrored silently, or failed later as "event
+    # 0: attn values must be finite", while the header recorded the argument.
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--noise", "nan", "finite"), ("--noise", "-0.1", "non-negative"),
+        ("--q-scale", "nan", "finite"), ("--q-scale", "inf", "finite"),
+        ("--t0", "inf", "finite"), ("--decay", "nan", "finite"), ("--decay", "inf", "finite"),
+        ("--sink-gain", "nan", "finite"), ("--sink-gain", "-1", "non-negative"),
+        ("--key-noise", "nan", "finite"), ("--key-noise", "-1", "non-negative"),
+        ("--value-noise", "nan", "finite"), ("--value-noise", "-0.5", "non-negative"),
+    ])
+    def test_a_non_finite_or_negative_synth_parameter_exits_2_naming_it(
+            self, tmp_path, capsys, flag, value, problem):
+        out = tmp_path / "s"
+        assert run_cli("synth", "--pattern", "depth_concentrated", "--steps", "8", flag, value,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be {problem}" in err and "event" not in err
+        assert not out.exists()
+
+    def test_a_zero_noise_is_valid(self, tmp_path):
+        out = tmp_path / "z"
+        assert run_cli("synth", "--pattern", "depth_concentrated", "--steps", "8", "--noise", "0",
+                       "--key-noise", "0", "--value-noise", "0", "--sink-gain", "0",
+                       "--out", str(out)) == 0
+        assert out.exists()
+
     def test_replay_with_a_nan_eta_exits_2_and_writes_no_file(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
         assert run_cli("synth", "--pattern", "random", "--steps", "8", "--out", str(trace)) == 0

@@ -207,6 +207,30 @@ def test_decode_equals_reference_step(config_name, shape):
         assert got["skipped"] > 0  # the skip branch ran
 
 
+@pytest.mark.parametrize("config_name", ["dense", "ema_drop_record", "exact_mean_keep_record"])
+def test_decode_reads_the_norms_of_its_weights_as_the_session_starts(config_name):
+    """A session casts every norm's gain and bias to float64 once, when it
+    is built. Each norm gets gains and biases of its own, set after
+    init_weights: a cast made with the weights, or of another norm's array,
+    gives other tokens and reports than the reference, which reads the
+    float32 weights at every step."""
+    prune, mode, record = CONFIGS[config_name]
+    config = model(4, 16, seed=11)
+    weights = init_weights(config)
+    rng = np.random.default_rng(2024)
+    norms = [(lw.ln1_g, lw.ln1_b) for lw in weights.layers]
+    norms += [(lw.ln2_g, lw.ln2_b) for lw in weights.layers] + [(weights.lnf_g, weights.lnf_b)]
+    for gain, bias in norms:
+        gain[...] = rng.uniform(0.25, 4.0, gain.shape)
+        bias[...] = rng.uniform(-2.0, 2.0, bias.shape)
+    prompt = rng.integers(0, 256, PROMPT_LEN).tolist()
+    got, want = both_ways(config, weights, prune, mode, record, prompt, N_STEPS)
+    for key in got:
+        assert got[key] == want[key], key
+    if mode == "filtered":
+        assert got["skipped"] > 0
+
+
 # -- the padded attention columns ------------------------------------------------
 
 # (cache length, max_seq): either side of the chunk edges, and a max_seq that

@@ -182,3 +182,59 @@ def test_layer_norm_equals_mean_var_formula(length, seed, scale, eps):
     gain, bias = rng.standard_normal((2, length)).astype(np.float32)
     assert (layer_norm(x, gain, bias, eps).tobytes()
             == reference_layer_norm(x, gain, bias, eps).tobytes())
+
+
+# -- the kernels work in place on their own arrays, never on the caller's -----------
+
+
+@settings(deadline=None, max_examples=100)
+@given(length=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-20, 1e-3, 1.0, 1e3, 1e20]))
+def test_layer_norm_leaves_a_float64_input_unchanged(length, seed, scale):
+    # np.asarray would hand layer_norm the caller's float64 array itself.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length) * scale
+    before = x.tobytes()
+    gain, bias = rng.standard_normal((2, length)).astype(np.float32)
+    out = layer_norm(x, gain, bias)
+    assert x.tobytes() == before
+    assert out.dtype == np.float32
+
+
+@settings(deadline=None, max_examples=200)
+@given(length=st.integers(1, 1024), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-20, 1e-3, 1.0, 1e3, 1e20]),
+       gain_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_layer_norm_gives_the_same_bytes_for_float32_and_float64_gains(length, seed, scale,
+                                                                       gain_scale):
+    # A session passes float64 copies of the float32 weights; the cast is exact.
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(length) * scale).astype(np.float32)
+    gain, bias = (rng.standard_normal((2, length)) * gain_scale).astype(np.float32)
+    got = layer_norm(x, gain.astype(np.float64), bias.astype(np.float64))
+    assert got.tobytes() == layer_norm(x, gain, bias).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_softmax_leaves_its_input_unchanged_and_returns_a_c_contiguous_array(dtype,
+                                                                           transposed):
+    x = (np.random.default_rng(7).standard_normal((5, 130)) * 30.0).astype(dtype)
+    x[1, 3] = -np.inf
+    if transposed:
+        x = x.T
+    before, strides = x.copy(), x.strides
+    out = softmax(x)
+    assert out.tobytes() == np.stack([reference_softmax_row(row) for row in x]).tobytes()
+    assert out.flags.c_contiguous and out.dtype == dtype
+    assert x.tobytes() == before.tobytes() and x.strides == strides
+    assert softmax(x, axis=0).flags.c_contiguous
+    assert x.tobytes() == before.tobytes()
+
+
+def test_softmax_of_integers_is_the_exp_of_their_float_dtype():
+    x = np.array([[1, 2, 3], [0, 0, 5]])
+    out = softmax(x)
+    assert out.dtype == np.exp(x).dtype
+    assert out.tobytes() == np.stack([reference_softmax_row(row) for row in x]).tobytes()
+    assert x.tolist() == [[1, 2, 3], [0, 0, 5]]
