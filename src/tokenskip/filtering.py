@@ -8,10 +8,12 @@ similarity to the anchors exceeds the threshold is redundant enough to skip.
 
 The anchors of all (layer, sequence) pairs are the rows of one persistent
 (slots, 2, n_heads, d_head) float64 array, keys stacked over values. A
-decision has two halves. Its evidence (the fused inputs s_k and s_v, the head
-variances and the degeneracy flags) depends only on the K/V stream,
-anchor_mode and gamma, because every finite token is folded into its anchor
-whether or not it is skipped. Only its controller half (the s_kv > tau test
+decision has two halves. Its evidence, one flat tuple (s_k, s_v, var_k, var_v,
+degenerate_k, degenerate_v, finite) of the fused inputs, the head variances,
+the degeneracy flags and whether the row is finite, depends only on the K/V
+stream, anchor_mode and gamma, because every finite token is folded into its
+anchor whether or not it is skipped; score_steps and row_evidence give it, and
+decide unpacks it in one step. Only its controller half (the s_kv > tau test
 and the threshold and variance state) is sequential. score_steps therefore
 scores a whole block of steps at once. It folds anchors per run of steps
 (consecutive steps with the same keys, every key with an anchor and every row
@@ -20,26 +22,26 @@ anchors into the rows' refs and an in-place fold. In another step, one with a
 first observation or a non-finite row, those rows are set aside (a first
 observation starts its anchor, a non-finite row is not folded) and the rest
 fold as a run of one step. Then one head_similarity call scores every row of
-the block against its refs. score_row does the same for one row. It copies
-the row's anchor and casts its K/V into a persistent (2, 2, n_heads, d_head)
+the block against its refs. score_row does the same for one row. It copies the
+row's anchor and casts its K/V into a persistent (2, 2, n_heads, d_head)
 anchor/current pair, and row_evidence makes one np.vecdot over two broadcast
 views of that pair, built once: every head's a.a, a.b and b.b product, each
 one BLAS ddot of two contiguous rows. cosine_rows, under head_similarity,
-makes each of its three products with the same np.vecdot, so the products
-are equal bit for bit; row_evidence then takes the cosines, flags, mean and
+makes each of its three products with the same np.vecdot, so the products are
+equal bit for bit; row_evidence then takes the cosines, flags, mean and
 variance in Python floats, summed in np.add.reduce's order, and the anchor
 folds in place. decide runs the controller over one layer's rows of a run of
-steps, in step order, applying that layer's step barrier (end_step) after
-each step's rows. No layer reads another's anchors, threshold or variances,
-so a caller decides each layer's run of steps on its own, in one call; a step
-is shadow by its rank among decode steps, which the caller passes with each
-row (negative for a prompt step). Live decode (process: score_row, then
-decide over a run of one row), chunked prefill (one decide call per layer
-and chunk) and replay (one score_steps call per block of steps, then one
-decide call per layer and block) share decide, so all make the same
-decisions. The kernels are elementwise or row-wise and equal their one-row
-forms bit for bit. A token with a non-finite key or value is reported as
-degenerate, never skipped, and never folded into its anchor.
+steps, in step order, applying that layer's step barrier (end_step) after each
+step's rows. No layer reads another's anchors, threshold or variances, so a
+caller decides each layer's run of steps on its own, in one call; a step is
+shadow by its rank among decode steps, which the caller passes with each row
+(negative for a prompt step). Live decode (process: score_row, then decide
+over a run of one row), chunked prefill (one decide call per layer and chunk)
+and replay (one score_steps call per block of steps, then one decide call per
+layer and block) share decide, so all make the same decisions. The kernels are
+elementwise or row-wise and equal their one-row forms bit for bit. A token
+with a non-finite key or value is reported as degenerate, never skipped, and
+never folded into its anchor.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ def pair_views(pair: np.ndarray) -> tuple:
 # call, which NumPy requires, at less cost than a with block built per call.
 @np.errstate(all="ignore")
 def row_evidence(pair: np.ndarray, views: tuple) -> tuple:
-    """The evidence of one row in the form decide takes: ([s_k, s_v],
-    [var_k, var_v], [degenerate_k, degenerate_v], finite). pair is a
+    """The evidence of one row in the form decide takes, one flat tuple
+    (s_k, s_v, var_k, var_v, degenerate_k, degenerate_v, finite). pair is a
     (2, 2, n_heads, d_head) float64 array, the anchor row over the current
     row, each keys over values, and views are pair_views(pair), which a
     caller that refills the same pair builds once.
@@ -194,7 +196,7 @@ def row_evidence(pair: np.ndarray, views: tuple) -> tuple:
     # A non-finite value makes its head degenerate, so only a degenerate row
     # needs the check.
     finite = not (degenerate[0] or degenerate[1]) or bool(np.isfinite(pair[1]).all())
-    return means, variances, degenerate, finite
+    return (*means, *variances, *degenerate, finite)
 
 
 def fuse_scalar(s_k: float, s_v: float, var_k: float, var_v: float,
@@ -321,7 +323,7 @@ class FilterEngine:
         pair_anchor[...] = anchor
         current[...] = kv
         evidence = row_evidence(self._pair, self._pair_views)
-        if evidence[3]:
+        if evidence[6]:
             # The row is finite: fold it in place, as ema's
             # gamma * a + ((1 - gamma) * x) and exact_mean's a + (x - a) / n.
             self._obs_counts[slot] += 1
@@ -353,8 +355,9 @@ class FilterEngine:
         scored before any of its steps is decided.
 
         Returns one entry per row, for decide: None for a row with no anchor
-        yet (a first observation, no decision), else (sims, fresh_vars,
-        degenerate, finite), the first three as (key, value) pairs.
+        yet (a first observation, no decision), else the flat tuple
+        (s_k, s_v, var_k, var_v, degenerate_k, degenerate_v, finite), as
+        row_evidence gives it.
         """
         n = sum(map(len, step_keys))
         # The same float32 wire precision as score_row.
@@ -410,7 +413,8 @@ class FilterEngine:
                     refs[rows] = step_refs
             start = stop
         means, variances, degenerate = head_similarity(refs, kv)
-        evidence = list(zip(means.tolist(), variances.tolist(), degenerate.tolist(), finite))
+        evidence = list(zip(*means.T.tolist(), *variances.T.tolist(), *degenerate.T.tolist(),
+                            finite))
         for row in first_rows:
             evidence[row] = None
         return evidence
@@ -420,7 +424,9 @@ class FilterEngine:
         barrier (end_step) after each step's rows if any of them was decided.
         rows are (step, rank, seq, evidence) tuples in step order, a step's
         rows consecutive; evidence is an entry of score_steps or a score_row
-        result. rank is the step's rank among decode steps, negative for a
+        result: None, or the flat tuple (s_k, s_v, var_k, var_v,
+        degenerate_k, degenerate_v, finite), which decide unpacks in one
+        step. rank is the step's rank among decode steps, negative for a
         prompt step: the step is shadow when rank < warmup_steps or the
         budget is zero. Returns one (skip, report) per row, as process does.
         One call over a run of steps decides as one call per step would."""
@@ -444,7 +450,7 @@ class FilterEngine:
             if evidence is None:
                 decisions.append((False, None))
                 continue
-            (s_k, s_v), (fresh_var_k, fresh_var_v), (degen_k, degen_v), finite = evidence
+            s_k, s_v, fresh_var_k, fresh_var_v, degen_k, degen_v, finite = evidence
             # The decision sees the running variance as if this step's
             # observation were already blended in; the layer's state itself
             # moves at its barrier, so the step's rows are order-independent.

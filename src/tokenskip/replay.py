@@ -4,23 +4,27 @@ against the trace's ground-truth attention rows.
 
 Replay refuses an event outside the header's ranges, or whose K/V or
 attention row does not have the header's heads, then sorts the events
-once, by (step, layer, seq). An unfiltered layer never skips, so each of its
-(seq, layer) pairs is charged in closed form, its n events at cache lengths
-1..n (FlopsLedger.charge_keeps). A step's decode rank is its index among all
-the trace's steps less the prompt steps' count. The step loop sees only the
-filtered events, in two passes per block of BLOCK_STEPS steps. One
+by (step, layer, seq) and makes one pass over them: an event with its
+neighbour's ids is a duplicate. An unfiltered layer never skips, so each of
+its (seq, layer) pairs is charged in closed form, its n events at cache
+lengths 1..n (FlopsLedger.charge_keeps). A step's decode rank is its index
+among all the trace's steps less the prompt steps' count. The step loop sees
+only the filtered events, in two passes per block of BLOCK_STEPS steps. One
 FilterEngine.score_steps call scores every filtered event of the block (its
-anchors fold step by step, in runs of steps); then one pass sorts the block's
-rows by layer, and each layer makes one FilterEngine.decide call over its
-run of the block's steps, which applies that layer's barrier after each
-step. FlopsLedger.charge_event, the keep/skip rule live decode applies,
-charges each event at its (seq, layer)'s cache length if kept and returns
-that pair's length after it, one less for a skip that cache_on_skip "drop"
-leaves out. A token's evidence depends only on the K/V stream, and no layer
-reads another's state, so scoring it ahead of the controller and deciding
-layer by layer change nothing: the live engine decides the same rows one
-process call at a time at the same ranks, and the two agree bit for bit. The
-reports end sorted by (step, seq, layer), and the summary is the live one:
+anchors fold step by step, in runs of steps) from one np.concatenate of the
+events' K/V; then one pass sorts the block's rows by layer, and each layer
+makes one FilterEngine.decide call over its run of the block's steps, which
+applies that layer's barrier after each step. FlopsLedger.charge_event, the
+keep/skip rule live decode applies, charges each event at its (seq, layer)'s
+cache length if kept and returns that pair's length after it, one less for a
+skip that cache_on_skip "drop" leaves out; each filtered layer keeps its
+lengths in a dict keyed by seq. Past its block, the loop keeps no container
+per event but the reports, so a replay triggers few garbage collections. A
+token's evidence depends only on the K/V stream, and no layer reads another's
+state, so scoring it ahead of the controller and deciding layer by layer
+change nothing: the live engine decides the same rows one process call at a
+time at the same ranks, and the two agree bit for bit. The reports end
+sorted by (step, seq, layer), and the summary is the live one:
 reporting.summarize with metrics.mass_lost_by_layer."""
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -99,47 +102,72 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
             raise TraceCompatibilityError(
                 f"event (seq={e.seq}, step={e.step}, layer={e.layer}) lies outside the "
                 f"header's ranges: n_seqs {n_seqs}, n_steps {n_steps}, n_layers {n_layers}")
-    event_id = attrgetter("step", "layer", "seq")
-    ordered = sorted(events, key=event_id)
-    ids = list(map(event_id, ordered))
-    for a, b in zip(ids, ids[1:]):
-        if a == b:
-            raise TraceCompatibilityError(
-                f"event (seq={a[2]}, step={a[0]}, layer={a[1]}) appears twice")
+    # (step, layer, seq) order by three stable sorts on one id each, with no
+    # key tuple per event.
+    ordered = sorted(events, key=attrgetter("seq"))
+    ordered.sort(key=attrgetter("layer"))
+    ordered.sort(key=attrgetter("step"))
 
+    # One pass over the sorted events. An event equal in ids to the one
+    # before it is a duplicate. The filtered events go to rows, each step's
+    # from starts[i] on; steps lists every step, filtered rows or not. An
+    # unfiltered layer never skips, so its n events of one (seq, layer) are
+    # kept at cache lengths 1..n.
     layers = engine.layers
-    # An unfiltered layer never skips, so its n events of one (seq, layer)
-    # are kept at cache lengths 1..n.
-    for n in Counter((e.seq, e.layer) for e in ordered if e.layer not in layers).values():
+    rows: list[TraceEvent] = []
+    steps: list[int] = []
+    starts: list[int] = []
+    unfiltered: Counter = Counter()
+    last = None
+    for e in ordered:
+        if last is None or e.step != last.step:
+            steps.append(e.step)
+            starts.append(len(rows))
+        elif e.layer == last.layer and e.seq == last.seq:
+            raise TraceCompatibilityError(
+                f"event (seq={e.seq}, step={e.step}, layer={e.layer}) appears twice")
+        if e.layer in layers:
+            rows.append(e)
+        else:
+            unfiltered[e.seq, e.layer] += 1
+        last = e
+    starts.append(len(rows))
+    for n in unfiltered.values():
         ledger.charge_keeps(n, flops_model)
-    steps = [(step, [e for e in step_events if e.layer in layers])
-             for step, step_events in groupby(ordered, attrgetter("step"))]
-    first_decode = bisect_left([step for step, _ in steps], header.prefill_steps)
+    first_decode = bisect_left(steps, header.prefill_steps)
 
     keep_on_skip = prune.cache_on_skip == "keep"
     reports: list[StepReport] = []
-    hypo_len: dict[tuple[int, int], int] = defaultdict(int)
+    # Each filtered layer's cache lengths, by seq.
+    cache_lens: dict[int, dict[int, int]] = defaultdict(dict)
     for first in range(0, len(steps), BLOCK_STEPS):
-        block = steps[first:first + BLOCK_STEPS]
-        rows = [e for _, step_rows in block for e in step_rows]
-        if not rows:
+        stop = min(first + BLOCK_STEPS, len(steps))
+        block = rows[starts[first]:starts[stop]]
+        if not block:
             continue
+        step_rows = [rows[starts[i]:starts[i + 1]] for i in range(first, stop)]
+        kv = np.concatenate([a for e in block for a in (e.k, e.v)], dtype=np.float32,
+                            casting="unsafe")
         evidence = iter(engine.score_steps(
-            [[(e.layer, e.seq) for e in step_rows] for _, step_rows in block],
-            np.array([(e.k, e.v) for e in rows], dtype=np.float32)))
+            [[(e.layer, e.seq) for e in step_events] for step_events in step_rows],
+            kv.reshape((len(block), 2) + kv_shape)))
         # The block's rows by layer, each layer's in step order.
         by_layer: dict[int, list] = defaultdict(list)
-        for rank, (step, step_rows) in enumerate(block, first - first_decode):
-            for e in step_rows:
-                by_layer[e.layer].append((step, rank, e.seq, next(evidence)))
+        for rank, step_events in enumerate(step_rows, first - first_decode):
+            for e in step_events:
+                by_layer[e.layer].append((e.step, rank, e.seq, next(evidence)))
         for layer, layer_rows in by_layer.items():
-            decisions = engine.decide(layer, layer_rows)
-            for (_, _, seq, _), (skipped, report) in zip(layer_rows, decisions):
-                hypo_len[seq, layer] = ledger.charge_event(
-                    hypo_len[seq, layer] + 1, flops_model, skipped, report, keep_on_skip)
+            lens = cache_lens[layer]
+            for (_, _, seq, _), (skipped, report) in zip(layer_rows,
+                                                         engine.decide(layer, layer_rows)):
+                lens[seq] = ledger.charge_event(
+                    lens.get(seq, 0) + 1, flops_model, skipped, report, keep_on_skip)
                 if report is not None:
                     reports.append(report)
-    reports.sort(key=attrgetter("step", "seq", "layer"))
+    # (step, seq, layer) order, again by stable sorts on one id each.
+    reports.sort(key=attrgetter("layer"))
+    reports.sort(key=attrgetter("seq"))
+    reports.sort(key=attrgetter("step"))
 
     lost = mass_lost_by_layer(events, reports)
     return ReplayResult(header=header, reports=reports,

@@ -7,7 +7,8 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -16,7 +17,8 @@ SUMMARY_COLUMNS = ("layer", "eligible", "skipped", "skip_ratio", "mean_s_kv",
                    "mean_alpha", "mass_lost", "flops_saved")
 
 
-@dataclass
+# Slotted: one object per decision, with no __dict__ beside it.
+@dataclass(slots=True)
 class StepReport:
     """One skip decision: similarity evidence, threshold, outcome, FLOPs delta.
 
@@ -40,9 +42,15 @@ class StepReport:
     degenerate: bool = False
 
     def to_json(self) -> str:
-        """Strict JSON of vars(self): a non-finite float is its repr string."""
+        """Strict JSON of the fields, in declaration order: a non-finite
+        float is its repr string."""
         return json.dumps({k: repr(float(v)) if isinstance(v, float) and not math.isfinite(v)
-                           else v for k, v in vars(self).items()}, allow_nan=False)
+                           else v for k, v in zip(_REPORT_FIELDS, _report_values(self))},
+                          allow_nan=False)
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(StepReport))
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 def write_reports(reports: Iterable[StepReport], fh: IO[str]) -> int:
@@ -83,10 +91,11 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
     zero, when unobserved: a "drop" recording's dropped columns are in no later row.
     """
     by_layer: dict[int, list[StepReport]] = defaultdict(list)
-    decided: dict[int, set] = defaultdict(set)
+    # Per layer, per seq, the steps decided: no (seq, step) tuple per report.
+    decided: dict[int, dict[int, set]] = defaultdict(lambda: defaultdict(set))
     for r in reports:
         by_layer[r.layer].append(r)
-        decided[r.layer].add((r.seq, r.step))
+        decided[r.layer][r.seq].add(r.step)
     rows = []
     total_lost = None if lost_by_layer is None else 0.0
     for layer in range(n_layers):
@@ -95,7 +104,8 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
         if lost is not None:
             total_lost += lost  # layer by layer: the float sum depends on the order
         rows.append(_summary_row(layer, rs, len(rs), lost))
-    n_global = max(map(len, decided.values()), default=0) * n_layers
+    n_global = max((sum(map(len, seqs.values())) for seqs in decided.values()),
+                   default=0) * n_layers
     # The global means run over the reports grouped by layer.
     grouped = [r for rs in by_layer.values() for r in rs]
     rows.append(_summary_row("global", grouped, n_global, total_lost))

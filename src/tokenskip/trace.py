@@ -64,6 +64,10 @@ READ_CHUNK = 64
 # layers (the bench's models hold 256). Replay sizes its tables from these, so
 # a header past the cap is malformed rather than a failed allocation.
 MAX_ANCHOR_VALUES = 2**22
+# The cap on the float32 values a synthetic trace holds, its K/V and attention
+# rows (256 MiB): synthesize refuses a trace past it before anything is
+# allocated. Its float64 streams and event copies take a few times that.
+MAX_TRACE_VALUES = 2**26
 _IDS = ("seq", "step", "layer")
 _ID_ROW = 32   # bytes per row of the id table
 
@@ -99,7 +103,8 @@ class TraceHeader:
                       text=True)
 
 
-@dataclass
+# Slotted: one object per event, with no __dict__ beside it.
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     step: int
@@ -417,15 +422,16 @@ def _read_body(fh, obj) -> tuple[TraceHeader, list[TraceEvent]]:
     kv = np.frombuffer(body, dtype="<f4", count=2 * n_heads * d_head * n,
                        offset=kv_start).reshape(n, 2, n_heads, d_head)
     rows = np.frombuffer(body, dtype="<f4", offset=kv_start + kv.nbytes)
-    keys = ids[:, :3].tolist()
+    # The id columns, not one list per event.
+    seqs, steps, layers = ids[:, :3].T.tolist()
     events: list[TraceEvent] = []
     for start in range(0, n, READ_CHUNK):
         stop = min(start + READ_CHUNK, n)
         chunk_kv = kv[start:stop]
         attn = _checked_attn(chunk_kv, rows[n_heads * columns[start]:n_heads * columns[stop]],
                              ids[start:stop, 3], n_heads, start)
-        events += [TraceEvent(*key, k, v, a) for key, k, v, a
-                   in zip(keys[start:stop], chunk_kv[:, 0], chunk_kv[:, 1], attn)]
+        events += map(TraceEvent, seqs[start:stop], steps[start:stop], layers[start:stop],
+                      chunk_kv[:, 0], chunk_kv[:, 1], attn)
     return header, events
 
 
@@ -516,7 +522,9 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
 
     A bad argument raises ConfigError, naming it: a non-finite noise,
     q_scale, t0, decay, sink_gain, key_noise or value_noise among them, and a
-    negative noise, sink_gain, key_noise or value_noise.
+    negative noise, sink_gain, sink_count, key_noise or value_noise. So does
+    a trace of more than MAX_TRACE_VALUES float32 values, before any is
+    allocated.
     """
     if pattern not in PATTERNS:
         raise ConfigError(f"pattern must be one of {PATTERNS}")
@@ -528,6 +536,8 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
         raise ConfigError("dict_size must be positive")
     if not t0 > 0.0:
         raise ConfigError(f"t0 must be positive, got {t0!r}")
+    if sink_count < 0:
+        raise ConfigError(f"sink_count must be non-negative, got {sink_count!r}")
     # A NaN or negative key noise, value noise or sink gain fails a `> 0.0`
     # test below and would be dropped while the header records it; a
     # non-finite q_scale or decay would show only as a non-finite attention row.
@@ -540,6 +550,14 @@ def synthesize(pattern: str, n_layers: int, n_heads: int, d_head: int, n_steps: 
                         ("value_noise", value_noise)):
         if value < 0.0:
             raise ConfigError(f"{name} must be non-negative, got {value!r}")
+
+    # Each event's key and value, and with_attn its (n_heads, step + 1) row.
+    values = 2 * n_seqs * n_layers * n_steps * n_heads * d_head
+    if with_attn:
+        values += n_seqs * n_layers * n_heads * n_steps * (n_steps + 1) // 2
+    if values > MAX_TRACE_VALUES:
+        raise ConfigError(f"the trace holds {values} float32 values, above the cap of "
+                          f"{MAX_TRACE_VALUES}")
 
     rng = substream(seed, "synth")
     scale = np.float32(1.0 / np.sqrt(d_head))

@@ -73,8 +73,11 @@ class TestExitCodes:
         assert rc == 2
         assert f"field: {key}" in err and "runtime error" not in err
 
+    # A billion steps is past the trace's value cap, refused before any
+    # allocation, not a MemoryError.
     @pytest.mark.parametrize("argv", [("--steps", "-3"), ("--layers", "0"),
-                                      ("--repeat-prob", "1.0"), ("--dict-size", "0")])
+                                      ("--repeat-prob", "1.0"), ("--dict-size", "0"),
+                                      ("--steps", "1000000000")])
     def test_bad_synth_argument_exits_2_and_writes_no_file(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
         assert run_cli("synth", "--pattern", "random", *argv, "--out", str(out)) == 2
@@ -97,6 +100,7 @@ class TestExitCodes:
         ("--q-scale", "nan", "finite"), ("--q-scale", "inf", "finite"),
         ("--t0", "inf", "finite"), ("--decay", "nan", "finite"), ("--decay", "inf", "finite"),
         ("--sink-gain", "nan", "finite"), ("--sink-gain", "-1", "non-negative"),
+        ("--sink-count", "-1", "non-negative"),
         ("--key-noise", "nan", "finite"), ("--key-noise", "-1", "non-negative"),
         ("--value-noise", "nan", "finite"), ("--value-noise", "-0.5", "non-negative"),
     ])

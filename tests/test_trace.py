@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tokenskip.model import DecodeSession, ModelConfig
 from tokenskip.policy import ConfigError, PruneConfig
 from tokenskip.replay import replay
 from tokenskip.trace import (
+    MAX_TRACE_VALUES,
     TraceFormatError,
     TraceRecorder,
     read_trace,
@@ -90,6 +92,26 @@ class TestSynthesize:
     def test_a_non_positive_t0_is_rejected_naming_it(self, pattern, t0):
         with pytest.raises(ConfigError, match="t0 must be positive"):
             synthesize(pattern, 2, 2, 4, 4, seed=0, t0=t0)
+
+    @pytest.mark.parametrize("pattern", ["depth_concentrated", "repetitive", "random"])
+    def test_a_negative_sink_count_is_rejected_naming_it(self, pattern):
+        with pytest.raises(ConfigError, match="sink_count must be non-negative, got -1"):
+            synthesize(pattern, 2, 2, 4, 6, seed=0, sink_count=-1)
+
+    def test_an_oversized_trace_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"16000001040000000000 float32 values, "
+                                                  f"above the cap of {MAX_TRACE_VALUES}"):
+                synthesize("random", 8, 4, 16, 10**9, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # The attention rows count too: 2 * 12000 K/V values and
+        # 12000 * 12001 / 2 row values.
+        with pytest.raises(ConfigError, match="72030000 float32 values"):
+            synthesize("random", 1, 1, 1, 12000, seed=0)
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -303,3 +325,16 @@ class TestReplay:
         from collections import Counter
         counts = Counter(r.seq for r in result.reports)
         assert counts[0] == counts[1]
+
+
+def test_events_and_reports_carry_no_per_instance_dict(tmp_path):
+    # Slotted records: one object each, which a replay makes per decision
+    # and a trace per event, with no __dict__ beside it.
+    header, events = synthesize("repetitive", 2, 2, 4, 20, seed=3)
+    path = tmp_path / "t.trace"
+    write_trace(path, header, events)
+    _, read = read_trace(path)
+    reports = replay(header, read, PruneConfig(tail_fraction=1.0, warmup_steps=0)).reports
+    assert reports
+    for record in (events[0], read[0], reports[0]):
+        assert not hasattr(record, "__dict__")
