@@ -35,6 +35,12 @@ non-finite value row, where 0 x inf would be NaN in the rows before it, runs
 its context per row over a copy of the values with that row's future columns
 zeroed, as the cache holds them when the row runs alone.
 
+The KV cache (KVCache) is one (n_layers, 2, n_heads, max_seq, d_head) array,
+keys over values: decode appends project_kv's (2, n_heads, d_head) block as
+it is, and prefill a chunk's (rows, 2, n_heads, d_head) blocks in one
+assignment. Each layer's key and value halves keep the (n_heads, max_seq,
+d_head) C-order rows that attention's per-head gemv reads.
+
 A generated token's step makes few NumPy calls and no float32-to-float32
 copies. Its layer norms (two per layer and the final one) take float64
 gains and biases, which each DecodeSession casts from the float32 weights
@@ -99,8 +105,8 @@ class ModelConfig:
             raise ConfigError("max_seq must be >= 1")
         if self.d_model != self.n_heads * self.d_head:
             raise ConfigError("d_model must equal n_heads * d_head")
-        # The embedding, the final norm, each layer's weights, the K and V
-        # caches and the position table.
+        # The embedding, the final norm, each layer's weights, the KV cache
+        # (keys over values per layer) and the position table.
         layer = sum(math.prod(shape) for shape in _layer_shapes(self).values())
         values = (self.d_model * (self.vocab_size + 2 + (2 * self.n_layers + 1) * self.max_seq)
                   + self.n_layers * layer)
@@ -237,21 +243,24 @@ def load_weights(blob: bytes) -> Weights:
                          d_ff=d_ff, vocab_size=vocab, max_seq=max_seq, seed=seed)
     offset = _HEADER.size
 
-    def take(shape):
+    def take(name, shape):
         nonlocal offset
         n = int(np.prod(shape))
         if offset + 4 * n > len(blob):
             raise ValueError(f"truncated weights blob: {len(blob)} bytes, "
                              f"an array needs bytes {offset} to {offset + 4 * n}")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"weights blob: {name} holds a non-finite value")
         offset += 4 * n
         return arr
 
-    embed = take((vocab, d_model))
-    layers = [LayerWeights(**{name: take(shape) for name, shape in _layer_shapes(config).items()})
-              for _ in range(n_layers)]
-    lnf_g = take((d_model,))
-    lnf_b = take((d_model,))
+    embed = take("embed", (vocab, d_model))
+    layers = [LayerWeights(**{name: take(f"layer {i} {name}", shape)
+                              for name, shape in _layer_shapes(config).items()})
+              for i in range(n_layers)]
+    lnf_g = take("lnf_g", (d_model,))
+    lnf_b = take("lnf_b", (d_model,))
     if offset != len(blob):
         raise ValueError("trailing bytes in weights blob")
     return Weights(config=config, embed=embed, layers=layers, lnf_g=lnf_g, lnf_b=lnf_b)
@@ -261,54 +270,41 @@ def load_weights(blob: bytes) -> Weights:
 
 
 class KVCache:
-    """Append-only per-layer, per-head store of key/value vectors."""
+    """Append-only per-layer, per-head store of key/value vectors: one
+    float32 (n_layers, 2, n_heads, max_seq, d_head) array, keys over values,
+    a (2, n_heads, d_head) block per position (see the module docstring)."""
 
     def __init__(self, config: ModelConfig):
-        shape = (config.n_layers, config.n_heads, config.max_seq, config.d_head)
-        self._k = np.zeros(shape, dtype=np.float32)
-        self._v = np.zeros(shape, dtype=np.float32)
-        # Each layer's (n_heads, max_seq, d_head) key and value views: one
-        # index per append or view, not two slices of the 4-D arrays.
-        self._layers = list(zip(self._k, self._v))
-        self._head_shape = (config.n_heads, config.d_head)
+        self._kv = np.zeros((config.n_layers, 2, config.n_heads, config.max_seq, config.d_head),
+                            dtype=np.float32)
+        self._block_shape = (2, config.n_heads, config.d_head)
         self.lens = [0] * config.n_layers
         self.max_seq = config.max_seq
 
-    def append(self, layer: int, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
-        """Append one position's (n_heads, d_head) key and value arrays; any
-        other shape (which would broadcast) raises ValueError."""
-        if k_heads.shape != self._head_shape or v_heads.shape != self._head_shape:
-            raise ValueError(f"expected K/V of shape {self._head_shape}, "
-                             f"got {k_heads.shape} and {v_heads.shape}")
+    def append(self, layer: int, kv: np.ndarray) -> None:
+        """Append one position's (2, n_heads, d_head) K/V block; any other
+        shape (which would broadcast) raises ValueError."""
+        if kv.shape != self._block_shape:
+            raise ValueError(f"expected K/V of shape {self._block_shape}, got {kv.shape}")
         n = self.lens[layer]
         if n >= self.max_seq:
             raise SequenceLengthError(f"layer {layer} cache is full at {self.max_seq}")
-        k, v = self._layers[layer]
-        k[:, n] = k_heads
-        v[:, n] = v_heads
+        self._kv[layer, :, :, n] = kv
         self.lens[layer] = n + 1
 
-    def append_rows(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        """Append a block of (rows, n_heads, d_head) keys and values, as one
-        append call per row would; any other shape raises ValueError."""
-        if (k_rows.shape[1:] != self._head_shape or k_rows.ndim != 3
-                or v_rows.shape != k_rows.shape):
-            raise ValueError(f"expected K/V of shape (rows,) + {self._head_shape}, "
-                             f"got {k_rows.shape} and {v_rows.shape}")
+    def append_rows(self, layer: int, kv_rows: np.ndarray) -> None:
+        """Append (rows, 2, n_heads, d_head) K/V blocks, as one append call
+        per row would; any other shape raises ValueError."""
+        if kv_rows.shape[1:] != self._block_shape:
+            raise ValueError(f"expected K/V of shape (rows,) + {self._block_shape}, "
+                             f"got {kv_rows.shape}")
         n = self.lens[layer]
-        end = n + len(k_rows)
+        end = n + len(kv_rows)
         if end > self.max_seq:
             raise SequenceLengthError(f"layer {layer} cache would hold {end} positions, "
                                       f"more than {self.max_seq}")
-        k, v = self._layers[layer]
-        k[:, n:end] = np.swapaxes(k_rows, 0, 1)
-        v[:, n:end] = np.swapaxes(v_rows, 0, 1)
+        self._kv[layer, :, :, n:end] = kv_rows.transpose(1, 2, 0, 3)
         self.lens[layer] = end
-
-    def view(self, layer: int):
-        n = self.lens[layer]
-        k, v = self._layers[layer]
-        return k[:, :n], v[:, :n]
 
     def padded_view(self, layer: int):
         """The layer's keys and values over the columns a query at its length
@@ -316,8 +312,8 @@ class KVCache:
         max_seq. The columns past m hold zeros, later rows of a prefill
         chunk or a dropped skip's stale K/V."""
         w = min(-(-self.lens[layer] // PREFILL_CHUNK) * PREFILL_CHUNK, self.max_seq)
-        k, v = self._layers[layer]
-        return k[:, :w], v[:, :w]
+        kv = self._kv[layer, :, :, :w]
+        return kv[0], kv[1]
 
 
 # -- forward ops -----------------------------------------------------------------
@@ -458,7 +454,7 @@ class DecodeSession:
 
         cache_len_if_kept = cache.lens[layer] + 1
         if not skip or self.keep_on_skip or self.record:
-            cache.append(layer, kv[0], kv[1])
+            cache.append(layer, kv)
         attn_row = None
         if self.record:
             attn_out, attn_row = attention_forward(weights, layer, ln1, cache, return_weights=True)
@@ -544,7 +540,7 @@ class DecodeSession:
             ln1 = layer_norm_rows(x, ln1_g, ln1_b)
             # (rows, 2, n_heads, d_head): each row's project_kv, bit for bit.
             kv.append(_matvecs(lw.wkv, ln1[:, None]).reshape(rows, 2, c.n_heads, c.d_head))
-            self.cache.append_rows(layer, kv[-1][:, 0], kv[-1][:, 1])
+            self.cache.append_rows(layer, kv[-1])
             attn, probs = self._attention_rows(layer, ln1, start)
             attn_rows.append(probs)
             x = x + attn
@@ -554,7 +550,7 @@ class DecodeSession:
             x = x + _matvecs(lw.w2, h)
 
         engine = self.engine
-        active = [] if engine is None else sorted(engine.layers)
+        active = () if engine is None else engine.active_layers
         # Each filtered layer's reports over the chunk, one per row.
         layer_reports = {}
         if active:

@@ -84,18 +84,18 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
               lost_by_layer: dict[int, float] | None = None) -> list[dict]:
     """One row per layer, filtered or not, then a global row.
 
-    The global row counts every layer of every decided (seq, step) as a
-    decision (the most pairs any one layer decided, times n_layers): the
-    quantity a global budget constrains. mass_lost is lost_by_layer's sum
-    (metrics.mass_lost_by_layer) over the row's eligible count, or empty, not
-    zero, when unobserved: a "drop" recording's dropped columns are in no later row.
+    The reports hold at most one decision per (seq, step, layer): live decode
+    makes one, and replay refuses a repeated event. So a layer's report count
+    is its eligible count, and the global row counts every layer of every
+    decided (seq, step) as a decision (the most reports of any one layer,
+    times n_layers): the quantity a global budget constrains. mass_lost is
+    lost_by_layer's sum (metrics.mass_lost_by_layer) over the row's eligible
+    count, or empty, not zero, when unobserved: a "drop" recording's dropped
+    columns are in no later row.
     """
     by_layer: dict[int, list[StepReport]] = defaultdict(list)
-    # Per layer, per seq, the steps decided: no (seq, step) tuple per report.
-    decided: dict[int, dict[int, set]] = defaultdict(lambda: defaultdict(set))
     for r in reports:
         by_layer[r.layer].append(r)
-        decided[r.layer][r.seq].add(r.step)
     rows = []
     total_lost = None if lost_by_layer is None else 0.0
     for layer in range(n_layers):
@@ -104,8 +104,7 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
         if lost is not None:
             total_lost += lost  # layer by layer: the float sum depends on the order
         rows.append(_summary_row(layer, rs, len(rs), lost))
-    n_global = max((sum(map(len, seqs.values())) for seqs in decided.values()),
-                   default=0) * n_layers
+    n_global = max((len(rs) for rs in by_layer.values()), default=0) * n_layers
     # The global means run over the reports grouped by layer.
     grouped = [r for rs in by_layer.values() for r in rs]
     rows.append(_summary_row("global", grouped, n_global, total_lost))

@@ -130,6 +130,46 @@ class TestWeightsBoundary:
         err = capsys.readouterr().err
         assert "truncated weights blob" in err and "Traceback" not in err
 
+    # Per array name, as the error gives it, the array and an index in it:
+    # the embedding, one layer's matrix and the final norm's bias.
+    NON_FINITE = {
+        "embed": lambda w: (w.embed, (0, 0)),
+        "layer 1 w1": lambda w: (w.layers[1].w1, (2, 3)),
+        "lnf_b": lambda w: (w.lnf_b, -1),
+    }
+
+    def _poison(self, weights, name, bad):
+        arr, index = self.NON_FINITE[name](weights)
+        arr[index] = bad
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", NON_FINITE)
+    def test_non_finite_blob_is_a_value_error(self, name, bad):
+        weights = init_weights(self.CFG)
+        self._poison(weights, name, bad)
+        with pytest.raises(ValueError, match=f"^weights blob: {name} holds a non-finite value$"):
+            load_weights(save_weights(weights))
+
+    @pytest.mark.parametrize("name, bad", [("embed", np.nan), ("layer 1 w1", np.inf),
+                                           ("lnf_b", -np.inf)])
+    def test_cli_non_finite_blob_exits_1(self, tmp_path, capsys, name, bad):
+        """A non-finite weight is refused as the blob loads, before any
+        decode: no recording, report or summary is written."""
+        blob = tmp_path / "w.bin"
+        assert main(["generate", "--steps", "1", "--seed", "3",
+                     "--save-weights", str(blob)]) == 0
+        weights = load_weights(blob.read_bytes())
+        self._poison(weights, name, bad)
+        blob.write_bytes(save_weights(weights))
+        capsys.readouterr()
+        outputs = {flag: tmp_path / f"out{flag}" for flag in ("--record", "--report", "--summary")}
+        assert main(["generate", "--steps", "2", "--seed", "3", "--mode", "filtered",
+                     "--load-weights", str(blob),
+                     *(arg for flag, path in outputs.items() for arg in (flag, str(path)))]) == 1
+        err = capsys.readouterr().err
+        assert f"{name} holds a non-finite value" in err and "Traceback" not in err
+        assert not any(path.exists() for path in outputs.values())
+
     def test_cli_mismatched_weights_exit_2(self, tmp_path, capsys):
         blob = tmp_path / "w.bin"
         assert main(["generate", "--steps", "1", "--seed", "3",

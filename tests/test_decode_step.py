@@ -73,8 +73,8 @@ def ref_layer_norm(x, gain, bias, eps=1e-5):
 
 def ref_append(cache, layer, k, v):
     n = cache.lens[layer]
-    cache._k[layer, :, n, :] = k
-    cache._v[layer, :, n, :] = v
+    cache._kv[layer, 0, :, n, :] = k
+    cache._kv[layer, 1, :, n, :] = v
     cache.lens[layer] = n + 1
 
 
@@ -119,7 +119,7 @@ def ref_block(session, layer, hidden, step, rank):
             # past ones, zeros after that.
             m = cache.lens[layer] + 1
             keys = np.zeros((c.n_heads, ref_width(c, m), c.d_head), dtype=np.float32)
-            keys[:, :m - 1] = cache._k[layer, :, :m - 1]
+            keys[:, :m - 1] = cache._kv[layer, 0, :, :m - 1]
             keys[:, m - 1] = k
             row = np.array(ref_probs(c, lw, ln1, keys, m)[:, :m])
         if session.prune.cache_on_skip == "keep":
@@ -128,8 +128,8 @@ def ref_block(session, layer, hidden, step, rank):
         ref_append(cache, layer, k, v)
         m = cache.lens[layer]
         w = ref_width(c, m)
-        probs = ref_probs(c, lw, ln1, cache._k[layer, :, :w], m)
-        ctx = np.stack([probs[h] @ cache._v[layer, h, :w] for h in range(c.n_heads)])
+        probs = ref_probs(c, lw, ln1, cache._kv[layer, 0, :, :w], m)
+        ctx = np.stack([probs[h] @ cache._kv[layer, 1, h, :w] for h in range(c.n_heads)])
         ctx = ctx.reshape(c.d_model).astype(np.float32)
         x = (x + (lw.wo @ ctx).astype(np.float32)).astype(np.float32)
         row = np.array(probs[:, :m]) if session.record else None
@@ -248,12 +248,12 @@ def test_padded_columns_change_no_bit_and_softmax_is_the_own_columns(m, max_seq)
     hidden = rng.standard_normal(config.d_model).astype(np.float32)
     kv = rng.standard_normal((2, max_seq, 4, 8)).astype(np.float32)
     cache = KVCache(config)
-    cache.append_rows(0, kv[0, :m], kv[1, :m])
+    cache.append_rows(0, np.moveaxis(kv[:, :m], 0, 1))
     out, row = attention_forward(weights, 0, hidden, cache, return_weights=True)
     # A dropped skip leaves its K/V past the length: append, then shorten.
-    cache.append_rows(0, kv[0, m:], kv[1, m:])
+    cache.append_rows(0, np.moveaxis(kv[:, m:], 0, 1))
     cache.lens[0] = m
-    assert cache._k[0, :, m:].any()
+    assert cache._kv[0, 0, :, m:].any()
     stale_out, stale_row = attention_forward(weights, 0, hidden, cache, return_weights=True)
     assert stale_out.tobytes() == out.tobytes() and stale_row.tobytes() == row.tobytes()
 
@@ -346,22 +346,25 @@ def test_generate_with_negative_steps_exits_2(capsys):
     assert "n_steps" in captured.err and "generated" not in captured.out
 
 
-@pytest.mark.parametrize("k_shape, v_shape", [((4,), (2, 4)), ((2, 4), (4,)), ((1, 4), (1, 4)),
-                                              ((2, 4, 1), (2, 4, 1)), ((2, 8), (2, 8))])
-def test_append_rejects_kv_that_is_not_one_row_per_head(k_shape, v_shape):
+# With 2 heads of 4 values, a position's block is (2, 2, 4), keys over values.
+# Refused: no head axis, one head row, one head, an extra axis, a wrong
+# d_head, the keys alone (most of them would broadcast).
+@pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 1, 4), (2, 2, 4, 1), (2, 2, 8), (1, 2, 4)])
+def test_append_rejects_kv_that_is_not_one_row_per_head(shape):
     cache = KVCache(model(2, 4))
     with pytest.raises(ValueError, match="shape"):
-        cache.append(0, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
-    assert cache.lens[0] == 0 and not cache._k.any() and not cache._v.any()
+        cache.append(0, np.ones(shape, np.float32))
+    assert cache.lens[0] == 0 and not cache._kv.any()
 
 
-@pytest.mark.parametrize("k_shape, v_shape", [((3, 4), (3, 4)), ((3, 2, 8), (3, 2, 8)),
-                                              ((3, 1, 4), (3, 1, 4)), ((3, 2, 4), (2, 2, 4)),
-                                              ((2, 4), (3, 2, 4)), ((3, 2, 4, 1), (3, 2, 4, 1))])
-def test_append_rows_rejects_kv_that_is_not_rows_by_heads(k_shape, v_shape):
+# Three rows: no head axis, a wrong d_head, one head, the keys alone, one
+# position's block without the rows axis, an extra axis.
+@pytest.mark.parametrize("shape", [(3, 2, 4), (3, 2, 2, 8), (3, 2, 1, 4), (3, 1, 2, 4),
+                                   (2, 2, 4), (3, 2, 2, 4, 1)])
+def test_append_rows_rejects_kv_that_is_not_rows_by_heads(shape):
     cache = KVCache(model(2, 4))
     with pytest.raises(ValueError, match="shape"):
-        cache.append_rows(0, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
-    assert cache.lens[0] == 0 and not cache._k.any() and not cache._v.any()
-    cache.append_rows(0, np.ones((3, 2, 4), np.float32), np.ones((3, 2, 4), np.float32))
+        cache.append_rows(0, np.ones(shape, np.float32))
+    assert cache.lens[0] == 0 and not cache._kv.any()
+    cache.append_rows(0, np.ones((3, 2, 2, 4), np.float32))
     assert cache.lens[0] == 3

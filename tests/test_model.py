@@ -28,7 +28,8 @@ def brute_force_attention(weights, layer, query_hidden, cache):
     q_full = np.zeros(c.d_model)
     for i in range(c.d_model):
         q_full[i] = sum(float(lw.wq[i, j]) * float(query_hidden[j]) for j in range(c.d_model))
-    k, v = cache.view(layer)
+    n = cache.lens[layer]
+    k, v = (a[:, :n] for a in cache.padded_view(layer))
     L = k.shape[1]
     ctx = np.zeros((c.n_heads, c.d_head))
     for h in range(c.n_heads):
@@ -115,7 +116,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(201)
         k = rng.standard_normal((4, 16)).astype(np.float32)
         v = rng.standard_normal((4, 16)).astype(np.float32)
-        cache.append(0, k, v)
+        cache.append(0, np.stack((k, v)))
         q_hidden = rng.standard_normal(64).astype(np.float32)
         out = attention_forward(w, 0, q_hidden, cache)
         expected = (w.layers[0].wo @ v.reshape(64)).astype(np.float32)
@@ -129,10 +130,10 @@ class TestAttentionForward:
         v = rng.standard_normal((4, 16)).astype(np.float32)
         q_hidden = rng.standard_normal(64).astype(np.float32)
         single = KVCache(cfg)
-        single.append(0, k, v)
+        single.append(0, np.stack((k, v)))
         double = KVCache(cfg)
-        double.append(0, k, v)
-        double.append(0, k, v)
+        double.append(0, np.stack((k, v)))
+        double.append(0, np.stack((k, v)))
         np.testing.assert_allclose(attention_forward(w, 0, q_hidden, single),
                                    attention_forward(w, 0, q_hidden, double), atol=1e-6)
 
@@ -149,8 +150,8 @@ class TestAttentionForward:
             cache = KVCache(cfg)
             layer = int(rng.integers(0, n_layers))
             for _ in range(int(rng.integers(1, 9))):
-                cache.append(layer, rng.standard_normal((n_heads, d_head)).astype(np.float32),
-                             rng.standard_normal((n_heads, d_head)).astype(np.float32))
+                cache.append(layer, np.stack(
+                    [rng.standard_normal((n_heads, d_head)).astype(np.float32) for _ in "kv"]))
             q_hidden = rng.standard_normal(cfg.d_model).astype(np.float32)
             got = attention_forward(w, layer, q_hidden, cache)
             want = brute_force_attention(w, layer, q_hidden, cache)
@@ -162,8 +163,8 @@ class TestAttentionForward:
         cache = KVCache(cfg)
         rng = np.random.default_rng(204)
         for _ in range(5):
-            cache.append(0, rng.standard_normal((4, 16)).astype(np.float32),
-                         rng.standard_normal((4, 16)).astype(np.float32))
+            cache.append(0, np.stack(
+                [rng.standard_normal((4, 16)).astype(np.float32) for _ in "kv"]))
         _, rows = attention_forward(w, 0, rng.standard_normal(64).astype(np.float32),
                                     cache, return_weights=True)
         assert rows.shape == (4, 5)
@@ -174,11 +175,11 @@ class TestKVCache:
     def test_overflow_raises(self):
         cfg = ModelConfig(max_seq=2)
         cache = KVCache(cfg)
-        k = np.zeros((4, 16), dtype=np.float32)
-        cache.append(0, k, k)
-        cache.append(0, k, k)
+        kv = np.zeros((2, 4, 16), dtype=np.float32)
+        cache.append(0, kv)
+        cache.append(0, kv)
         with pytest.raises(SequenceLengthError):
-            cache.append(0, k, k)
+            cache.append(0, kv)
 
     def test_monotone_growth_on_keep_and_policy_on_skip(self):
         cfg = ModelConfig(n_layers=2, max_seq=64, seed=6)
@@ -240,7 +241,7 @@ class TestBlockSemantics:
         r_filt = filt.decode(prompt, 64)
         assert r_dense.tokens == r_filt.tokens
         assert not any(r.skipped for r in r_filt.reports)
-        np.testing.assert_array_equal(dense.cache._k, filt.cache._k)
+        np.testing.assert_array_equal(dense.cache._kv[:, 0], filt.cache._kv[:, 0])
 
 
 class TestDecode:

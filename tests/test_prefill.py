@@ -107,7 +107,8 @@ def state(session, tokens, reports, recorder):
                     for r in reports],
         "ledger": {name: _bits(value) for name, value in vars(session.ledger).items()},
         "cache_lens": list(session.cache.lens),
-        "cache": [tuple(_array_bits(a) for a in session.cache.view(layer))
+        "cache": [tuple(_array_bits(a[:, :session.cache.lens[layer]])
+                        for a in session.cache.padded_view(layer))
                   for layer in range(session.config.n_layers)],
         "events": [(e.seq, e.step, e.layer, _array_bits(e.k), _array_bits(e.v),
                     _array_bits(e.attn)) for e in recorder.events],
