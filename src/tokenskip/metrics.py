@@ -9,8 +9,10 @@ of every identity we track.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -144,18 +146,41 @@ class FlopsLedger:
 # -- attention mass lost -------------------------------------------------------
 
 
-def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float] | None:
-    """Per layer, the attention mass that skipping cost, summed over events.
+def future_mass(rows) -> np.ndarray:
+    """Each column's future mass over one (seq, layer)'s full-cache rows.
 
-    events are trace events; reports, the decisions over them in order.
-    Every event loses the mass its row puts on the columns of the steps its
-    (seq, layer) skipped up to its own, averaged over heads: a skipped event
-    loses its own column, not its whole row. One pass over events, in the
-    order given, adds each event's loss to its layer's sum as it comes, so
-    the float sums follow that order. Columns are steps only when every row
-    spans the full cache; a recording that dropped skipped tokens from its
-    cache has compacted rows and, like one without rows, gives None: a dropped
-    token's column is in no later row, so its mass is unobserved, not zero.
+    rows, at least one, are the pair's attention rows in step order, the row
+    at step t of shape (n_heads, t + 1); steps may have gaps. Entry c of the
+    float64 result is column c's head-mean attention summed over every row
+    that has a column c. Blocks of 2**16 values or one row (64 rows of 4 heads
+    by 256, 256 KB of float32) are copied into zero-padded (rows, n_heads,
+    width) arrays of the rows' dtype, and their float64 column sums add up.
+    """
+    n_heads, width = rows[-1].shape
+    dtype = np.result_type(*{row.dtype for row in rows})
+    per_block = max(1, 2**16 // (n_heads * width))
+    total = np.zeros(width)
+    for first in range(0, len(rows), per_block):
+        block = rows[first:first + per_block]
+        pad = np.zeros((len(block), n_heads, block[-1].shape[1]), dtype)
+        for padded, row in zip(pad, block):
+            padded[:, :row.shape[1]] = row
+        total[:pad.shape[2]] += pad.sum(axis=(0, 1), dtype=np.float64)
+    return total / n_heads
+
+
+def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float] | None:
+    """Per layer, the future mass (future_mass) of its skipped tokens: the
+    mass that each token's own row and every later row of its (seq, layer)
+    put on its column, which a cache that drops the token loses. Under
+    cache_on_skip "keep" later rows still see the token, so there it is a
+    proxy. Each skipping pair's rows, sorted by step, give float64 column
+    sums, and a layer's loss is the math.fsum of its pairs' values at their
+    skipped steps, whatever the order of the events. A skipped step that no
+    row reaches adds nothing. Columns are steps only when every row spans the
+    full cache; a recording that dropped skipped tokens from its cache has
+    compacted rows and, like one without rows, gives None: a dropped token's
+    column is in no later row, so its mass is unobserved, not zero.
     """
     if not events:
         return None
@@ -163,26 +188,17 @@ def mass_lost_by_layer(events, reports: Iterable[StepReport]) -> dict[int, float
     for r in reports:
         if r.skipped:
             skipped_steps[(r.seq, r.layer)].add(r.step)
-    # Per skipping (seq, layer): its skipped steps; those steps as a column
-    # array, in the set's own order (the float32 sum depends on it); and its
-    # last step with the columns that step's row summed.
-    tracks = {key: [steps, np.fromiter(steps, dtype=np.intp, count=len(steps)), None, None]
-              for key, steps in skipped_steps.items()}
-    lost: dict[int, float] = {}
+    rows: dict[tuple[int, int], list] = defaultdict(list)
     for e in events:
-        attn, step = e.attn, e.step
-        if attn is None or attn.shape[1] != step + 1:
+        attn = e.attn
+        if attn is None or attn.shape[1] != e.step + 1:
             return None
-        track = tracks.get((e.seq, e.layer))
-        if track is None:
-            continue
-        steps, dropped, last_step, cols = track
-        # The columns a row sums change only at a skipped step, or after a
-        # gap in steps.
-        if last_step != step - 1 or step in steps:
-            cols = track[3] = dropped[dropped <= step]
-        track[2] = step
-        if cols.size:
-            loss = float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
-            lost[e.layer] = lost.get(e.layer, 0.0) + loss
-    return lost
+        if (e.seq, e.layer) in skipped_steps:
+            rows[e.seq, e.layer].append(e)
+    lost: dict[int, list[float]] = defaultdict(list)
+    for (seq, layer), pair in rows.items():
+        pair.sort(key=attrgetter("step"))
+        mass = future_mass([e.attn for e in pair])
+        steps = np.fromiter(skipped_steps[seq, layer], dtype=np.intp)
+        lost[layer] += mass[steps[steps < len(mass)]].tolist()
+    return {layer: math.fsum(parts) for layer, parts in sorted(lost.items()) if parts}

@@ -94,16 +94,20 @@ def update_threshold(tau: float, rho_current: float, rho_target: float, eta: flo
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key=value config format; '#' starts a comment."""
-    out = {}
+    """Parse the flat key=value config format; '#' starts a comment. A key
+    given twice is a ConfigError naming both lines."""
+    out, first_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first})")
+        out[key] = value
     return out
 
 

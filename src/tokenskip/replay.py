@@ -24,8 +24,8 @@ token's evidence depends only on the K/V stream, and no layer reads another's
 state, so scoring it ahead of the controller and deciding layer by layer
 change nothing: the live engine decides the same rows one process call at a
 time at the same ranks, and the two agree bit for bit. The reports end
-sorted by (step, seq, layer), and the summary is the live one:
-reporting.summarize with metrics.mass_lost_by_layer."""
+sorted by (step, seq, layer). The summary is the live one: reporting.summarize
+with metrics.mass_lost_by_layer, the future mass of the skipped tokens."""
 
 from __future__ import annotations
 
@@ -74,10 +74,10 @@ def replay(header: TraceHeader, events: list[TraceEvent], prune: PruneConfig) ->
 
     Decisions consume only the per-token K/V, so a replay of a recorded live
     session under the same policy reproduces the live skip sequence bit for
-    bit. Skipped events attribute their recorded attention mass to the loss
-    proxy; a trace without full-cache rows (none, or compacted ones) has no
-    mass metrics, and global_mass_lost is None. Prompt positions named by the
-    header replay in shadow, exactly as the live engine treats them.
+    bit. A skipped token loses its future mass, the mass its own and later
+    rows put on its column; a trace without full-cache rows (none, or
+    compacted ones) has no mass metrics, and global_mass_lost is None. Prompt
+    positions named by the header replay in shadow, as the live engine does.
     """
     engine = FilterEngine(header.n_layers, header.n_heads, header.d_head, prune)
     flops_model = FlopsModel(header.n_heads, header.d_head)

@@ -89,9 +89,9 @@ def summarize(reports: Sequence[StepReport], n_layers: int,
     is its eligible count, and the global row counts every layer of every
     decided (seq, step) as a decision (the most reports of any one layer,
     times n_layers): the quantity a global budget constrains. mass_lost is
-    lost_by_layer's sum (metrics.mass_lost_by_layer) over the row's eligible
-    count, or empty, not zero, when unobserved: a "drop" recording's dropped
-    columns are in no later row.
+    the future mass of the row's skipped tokens (metrics.mass_lost_by_layer)
+    over its eligible count, or empty, not zero, when unobserved: a "drop"
+    recording's dropped columns are in no later row.
     """
     by_layer: dict[int, list[StepReport]] = defaultdict(list)
     for r in reports:

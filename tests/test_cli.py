@@ -129,6 +129,17 @@ class TestExitCodes:
         assert "eta must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_repeated_config_key_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        assert run_cli("synth", "--pattern", "random", "--steps", "8", "--out", str(trace)) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("p_global=0.1\np_global = 0.4\n")
+        out = tmp_path / "q.csv"
+        assert run_cli("replay", "--trace", str(trace), "--config", str(cfg),
+                       "--out", str(out)) == 2
+        assert "line 2: duplicate key 'p_global' (first on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_trace_that_does_not_fit_the_replay_exits_2(self, tmp_path, capsys,
                                                            monkeypatch):
         # read_trace refuses a 1-head row in a 4-head trace; events made in

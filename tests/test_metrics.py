@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import tracemalloc
 from collections import defaultdict
 from operator import attrgetter
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenskip.metrics import FlopsLedger, FlopsModel, flops_saved, mass_lost_by_layer
+from tokenskip.metrics import (FlopsLedger, FlopsModel, flops_saved, future_mass,
+                               mass_lost_by_layer)
 from tokenskip.policy import PruneConfig
 from tokenskip.replay import replay
 from tokenskip.reporting import StepReport, csv_cells, summarize, write_summary_csv
@@ -169,27 +172,46 @@ class TestAttentionMassLost:
                 lost[e.layer] += float(np.add.reduce(attn[:, cols], axis=None)) / attn.shape[0]
         return dict(lost)
 
+    @staticmethod
+    def _exact_mass_lost(events, reports):
+        """The exactly rounded reference: per layer, the math.fsum of every
+        value that a row puts on a column its (seq, layer) skipped, over the
+        rows' head count."""
+        skipped_steps = defaultdict(set)
+        for r in reports:
+            if r.skipped:
+                skipped_steps[(r.seq, r.layer)].add(r.step)
+        values, heads = defaultdict(list), {}
+        for e in events:
+            cols = sorted(s for s in skipped_steps.get((e.seq, e.layer), ()) if s <= e.step)
+            if cols:
+                values[e.layer] += e.attn[:, cols].ravel().tolist()
+                heads[e.layer] = e.attn.shape[0]
+        return {layer: math.fsum(v) / heads[layer] for layer, v in values.items()}
+
     @pytest.mark.parametrize("order", ["step, seq, layer", "shuffled"])
-    def test_each_layers_losses_add_in_event_order(self, order):
+    def test_mass_lost_does_not_depend_on_event_order(self, order):
         # Two sequences, their events out of trace (seq, step, layer) order.
         header, events = synthesize("repetitive", 4, 2, 8, 60, seed=21, n_seqs=2)
         reports = replay(header, events, PruneConfig(p_global=0.5)).reports
         assert sum(r.skipped for r in reports) > 20
-        # Rows scaled from 1e-12 to 1, so each layer's float64 sum of losses
-        # rounds, and so depends on the order they are added in.
+        # Rows scaled from 1e-12 to 1, so a float64 sum of them rounds, and
+        # so depends on the order it is added in.
         rng = np.random.default_rng(21)
         for e in events:
             e.attn = (rng.uniform(0.1, 1.0, e.attn.shape)
                       * 10.0 ** rng.uniform(-12.0, 0.0)).astype(np.float32)
-        trace_order = self._per_event_mass_lost(events, reports)
+        trace_order = mass_lost_by_layer(events, reports)
         if order == "shuffled":
-            events = [events[i] for i in rng.permutation(len(events))]
+            reordered = [events[i] for i in rng.permutation(len(events))]
         else:
-            events = sorted(events, key=attrgetter("step", "seq", "layer"))
-        want = self._per_event_mass_lost(events, reports)
-        assert len(want) == 2 and want != trace_order
+            reordered = sorted(events, key=attrgetter("step", "seq", "layer"))
+        # The per-event sums move with the order; the future-mass sums do not.
+        assert self._per_event_mass_lost(reordered, reports) != \
+            self._per_event_mass_lost(events, reports)
         # repr: the sums bit for bit, and the layers in the same order.
-        assert repr(mass_lost_by_layer(events, reports)) == repr(want)
+        assert len(trace_order) == 2
+        assert repr(mass_lost_by_layer(reordered, reports)) == repr(trace_order)
 
     @pytest.mark.parametrize("prune", [PruneConfig(p_global=0.5, anchor_mode="exact_mean"),
                                        PruneConfig(p_global=0.5, cache_on_skip="keep")],
@@ -198,9 +220,68 @@ class TestAttentionMassLost:
         header, events = synthesize("repetitive", 4, 2, 8, 60, seed=21, n_seqs=2)
         reports = replay(header, events, prune).reports
         assert sum(r.skipped for r in reports) > 20
-        want = self._per_event_mass_lost(events, reports)
-        assert len(want) == 2
-        assert repr(mass_lost_by_layer(events, reports)) == repr(want)
+        got = mass_lost_by_layer(events, reports)
+        exact = self._exact_mass_lost(events, reports)
+        # The per-event sums add float32 reductions, so they hold only to
+        # float32's rounding.
+        per_event = self._per_event_mass_lost(events, reports)
+        assert len(exact) == 2 and got.keys() == exact.keys() == per_event.keys()
+        for layer, mass in got.items():
+            assert mass == pytest.approx(exact[layer], rel=1e-12, abs=0)
+            assert mass == pytest.approx(per_event[layer], rel=1e-6, abs=0)
+
+    def test_steps_with_gaps_lose_only_the_rows_that_reach_the_column(self):
+        rng = np.random.default_rng(5)
+        steps = [0, 2, 3, 7, 8]
+        events = [TraceEvent(seq=0, step=t, layer=1, k=None, v=None,
+                             attn=rng.uniform(size=(3, t + 1)).astype(np.float32))
+                  for t in steps]
+        reports = [make_report(layer=1, step=t, skipped=t in (2, 5)) for t in range(9)]
+        # Step 2's column in rows 2, 3, 7 and 8; step 5's, with no row of its
+        # own, in rows 7 and 8.
+        got = mass_lost_by_layer(events, reports)
+        assert list(got) == [1]
+        assert got[1] == pytest.approx(self._exact_mass_lost(events, reports)[1],
+                                       rel=1e-12, abs=0)
+
+    def test_a_skipped_step_past_every_row_adds_nothing(self):
+        events = self._events(4)
+        beyond = [make_report(step=9, skipped=True)]
+        assert mass_lost_by_layer(events, beyond) == {}
+        inside = [make_report(step=2, skipped=True)]
+        assert mass_lost_by_layer(events, inside + beyond) == mass_lost_by_layer(events, inside)
+        # A skipping pair with no rows adds nothing either.
+        elsewhere = [make_report(step=2, skipped=True, seq=1)]
+        assert mass_lost_by_layer(events, inside + elsewhere) == \
+            mass_lost_by_layer(events, inside)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 24),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_random_rows_match_the_exact_oracle_in_any_order(self, seed, n_heads, n_steps,
+                                                            p_row, p_skip):
+        rng = np.random.default_rng(seed)
+        events, reports = [], []
+        for seq in range(2):
+            for layer in range(2):
+                for t in range(n_steps):
+                    if rng.random() < p_row:
+                        attn = rng.uniform(0.0, 1.0, (n_heads, t + 1))
+                        events.append(TraceEvent(seq=seq, step=t, layer=layer, k=None, v=None,
+                                                 attn=attn.astype(rng.choice(["f4", "f8"]))))
+                    # Steps past the rows, and steps without one, skip too.
+                    for step in (t, t + n_steps):
+                        reports.append(make_report(layer=layer, step=step, seq=seq,
+                                                   skipped=bool(rng.random() < p_skip)))
+        if not events:
+            return
+        got = mass_lost_by_layer(events, reports)
+        exact = self._exact_mass_lost(events, reports)
+        assert got.keys() == exact.keys()
+        for layer, mass in got.items():
+            assert mass == pytest.approx(exact[layer], rel=1e-12, abs=0)
+        shuffled = [events[i] for i in rng.permutation(len(events))]
+        assert repr(mass_lost_by_layer(shuffled, reports[::-1])) == repr(got)
 
     def test_a_short_row_after_losses_gives_none_and_blank_cells(self):
         events = self._events(8)
@@ -220,6 +301,50 @@ class TestAttentionMassLost:
         events = self._events(1)  # a first observation gets no decision
         assert mass_lost_by_layer(events, []) == {}
         assert summarize([], 1, {})[-1]["mass_lost"] == 0.0
+
+
+class TestFutureMass:
+    def test_each_column_sums_its_own_and_every_later_row(self):
+        rows = [np.array([[1.0]]), np.array([[0.4, 0.6]]), np.array([[0.2, 0.3, 0.5]])]
+        mass = future_mass(rows)
+        assert mass.dtype == np.float64
+        assert mass.tolist() == pytest.approx([1.6, 0.9, 0.5], rel=1e-15, abs=0)
+
+    def test_heads_are_averaged(self):
+        rows = [np.array([[1.0], [1.0]]), np.array([[0.25, 0.75], [0.5, 0.5]])]
+        assert future_mass(rows).tolist() == [1.375, 0.625]
+
+    def test_rows_with_gaps_reach_only_their_own_columns(self):
+        # Steps 1 and 4 only: columns 2 and 3 have no row of their own.
+        rows = [np.array([[0.5, 0.5]]), np.array([[0.1, 0.2, 0.3, 0.15, 0.25]])]
+        assert future_mass(rows).tolist() == pytest.approx([0.6, 0.7, 0.3, 0.15, 0.25],
+                                                           rel=1e-15, abs=0)
+
+    def test_float64_rows_lose_nothing_to_float32(self):
+        # 0.5 + 2**-40 is a float64, and float32 rounds it to 0.5; its sums
+        # here are exact in float64.
+        value = 0.5 + 2.0**-40
+        rows = [np.full((2, t + 1), value) for t in range(3)]
+        assert future_mass(rows).tolist() == [3 * value, 2 * value, value]
+        assert future_mass([r.astype(np.float32) for r in rows]).tolist() == [1.5, 1.0, 0.5]
+
+    def test_blocks_hold_temporaries_small(self):
+        # One pair of 2,048 rows of 4 heads: 32 MiB of float32 rows, and a
+        # full float64 pad of them would be 128 MiB.
+        rng = np.random.default_rng(11)
+        events = [TraceEvent(seq=0, step=t, layer=0, k=None, v=None,
+                             attn=rng.random((4, t + 1), dtype=np.float32))
+                  for t in range(2048)]
+        reports = [make_report(step=t, skipped=t % 3 == 0) for t in range(2048)]
+        tracemalloc.start()
+        try:
+            lost = mass_lost_by_layer(events, reports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        exact = TestAttentionMassLost._exact_mass_lost(events, reports)
+        assert lost[0] == pytest.approx(exact[0], rel=1e-12, abs=0)
 
 
 class TestAggregateReport:

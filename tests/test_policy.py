@@ -167,6 +167,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("p_global=0.2\nnot a pair\n")
 
+    def test_a_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError,
+                           match=r"^line 3: duplicate key 'p_global' \(first on line 1\)$"):
+            parse_config_text("p_global=0.1\n# gamma=0.5\np_global = 0.4\n")
+
     def test_overrides_start_from_base(self):
         base = PruneConfig(p_global=0.1)
         cfg = config_from_mapping(base, {"eta": "0.02"})
